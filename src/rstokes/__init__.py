@@ -43,7 +43,6 @@ from .resolvent import (
     build_resolvent,
     convolve_sol_op,
     reciprocal_cumulative_integrable,
-    sol_op_interpolates,
     verify_sol_op_bounds,
 )
 from .nonlinear import (
@@ -100,7 +99,6 @@ __all__ = [
     "apply_sol_op",
     "convolve_sol_op",
     "reciprocal_cumulative_integrable",
-    "sol_op_interpolates",
     "verify_sol_op_bounds",
     "Nonlinearity",
     "PicardOptions",

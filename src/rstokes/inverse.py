@@ -195,8 +195,8 @@ def reconstruct(
     horizon = problem.grid.horizon
     if not kernel.derivative_integrable(horizon):
         raise KernelGateFailed(
-            f"kernel kind {kernel.kind!r}: int_0^T |m'| fails the Cauchy "
-            "integrability probe near t = 0; the elimination formula needs "
+            f"kernel kind {kernel.kind!r} fails the integrability gate: |m'| "
+            "is not integrable near t = 0; the elimination formula needs "
             "m' in L1(0, T)"
         )
     if problem.psi is not None:

@@ -13,25 +13,24 @@ of a computed trajectory.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import beta as beta_fn
 
 from .grids import TimeGrid
 from .kernels import HistoryKernel
 from .resolvent import ResolventContext, convolve_sol_op
 from .spectral import SpectralBasis, SpectralField, hnorm, project
-from .volterra import lag_weights, product_convolve
+from .volterra import endpoint_weights, lag_weights, product_convolve
 
 __all__ = [
     "Nonlinearity",
     "OverflowDiagnostic",
     "NonConvergence",
     "history_series",
-    "history_apply",
     "PicardOptions",
     "MildSolution",
     "picard_solve",
@@ -163,16 +162,9 @@ class Nonlinearity:
         )
 
     @classmethod
-    def custom(cls, fn: Callable, **kw) -> "Nonlinearity":
-        """fn maps (v: SpectralField, w: SpectralField) -> SpectralField."""
-        return cls(kind="custom", series_fn=fn, **kw)
-
-    @classmethod
     def custom_series(cls, fn: Callable, **kw) -> "Nonlinearity":
         """fn maps coefficient arrays (V, W, basis) -> array, vectorized in t."""
-        spec = cls(kind="custom", series_fn=fn, **kw)
-        object.__setattr__(spec, "_vectorized", True)
-        return spec
+        return cls(kind="custom", series_fn=fn, **kw)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -216,19 +208,9 @@ class Nonlinearity:
                 out += p.apply_series(V, W, basis)
             return out
         if self.kind == "custom":
-            if getattr(self, "_vectorized", False):
-                out = np.asarray(self.series_fn(V, W, basis), dtype=float)
-                if out.shape != V.shape:
-                    raise ValueError("custom series callback returned a bad shape")
-                _check_finite(out, basis, "custom reaction")
-                return out
-            rows = []
-            for i in range(V.shape[0]):
-                fv = self.series_fn(
-                    SpectralField(basis, V[i]), SpectralField(basis, W[i])
-                )
-                rows.append(np.asarray(fv.coeffs, dtype=float))
-            out = np.stack(rows, axis=0)
+            out = np.asarray(self.series_fn(V, W, basis), dtype=float)
+            if out.shape != V.shape:
+                raise ValueError("custom series callback returned a bad shape")
             _check_finite(out, basis, "custom reaction")
             return out
         raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
@@ -306,31 +288,9 @@ def history_series(ell: HistoryKernel, series: np.ndarray, grid: TimeGrid) -> np
     for i in range(1, t.size):
         hi = t[i] - t[:i]
         lo = t[i] - t[1 : i + 1]
-        m0, m1 = ell.moments(lo, hi)
-        left = (m1 - lo * m0) / steps[:i]
-        right = (hi * m0 - m1) / steps[:i]
+        left, right = endpoint_weights(ell.moments, lo, hi, steps[:i])
         out[i] = left @ series[:i] + right @ series[1 : i + 1]
     return out
-
-
-def history_apply(
-    ell: HistoryKernel, series: np.ndarray, grid: TimeGrid, i: int
-) -> np.ndarray:
-    """History coefficients at node i; series must reach that node."""
-    series = np.asarray(series, dtype=float)
-    if series.shape[0] <= i:
-        raise IndexError("state series does not reach the requested node")
-    sub = TimeGrid(grid.nodes[: i + 1], kind=grid.kind, grading=grid.grading) if i >= 2 else None
-    if i == 0:
-        return np.zeros(series.shape[1:])
-    if i == 1:
-        # single cell: exact moments against the linear interpolant
-        m0, m1 = ell.moments(np.array([0.0]), np.array([grid.nodes[1]]))
-        h = grid.nodes[1]
-        left = float(m1[0]) / h
-        right = float(h * m0[0] - m1[0]) / h
-        return left * series[0] + right * series[1]
-    return history_series(ell, series[: i + 1], sub)[i]
 
 
 # -- fixed-point solver -------------------------------------------------------
@@ -381,7 +341,7 @@ def picard_solve(
 
     The residual metric is sup_i exp(-beta t_i) |u_new - u_old|_mu; beta = 0
     is the plain sup norm.  Raises NonConvergence with the residual history
-    when the cap is hit.
+    when the cap is hit, or when a sweep overflows (a diverging iteration).
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (ctx.basis.n_modes,):
@@ -402,7 +362,13 @@ def picard_solve(
     residuals = []
     for _ in range(opts.max_iter):
         w = history_series(ell, u, grid)
-        f_rows = spec.apply_series(u, w, basis)
+        try:
+            f_rows = spec.apply_series(u, w, basis)
+        except OverflowDiagnostic as exc:
+            raise NonConvergence(
+                f"iteration diverged at sweep {len(residuals) + 1}: {exc}",
+                tuple(residuals),
+            ) from exc
         if forcing is not None:
             f_rows = f_rows + forcing
         u_new = head + convolve_sol_op(ctx, f_rows)
@@ -504,6 +470,11 @@ def select_invariant_radius(
 # -- time-regularity estimate ---------------------------------------------
 
 
+def _beta(a: float, b: float) -> float:
+    """Euler's B(a, b) for a, b > 0."""
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
 @dataclass(frozen=True)
 class HolderReport:
     gamma: float
@@ -528,7 +499,7 @@ def _history_weighted_sup(ell: HistoryKernel, grid: TimeGrid, gamma: float, i_mi
         # |A| t^(q+1) B(q+1, 1-gamma): increasing, so the horizon wins
         q = ell.exponent
         return float(
-            abs(ell.amplitude) * t[-1] ** (q + 1.0) * beta_fn(q + 1.0, 1.0 - gamma)
+            abs(ell.amplitude) * t[-1] ** (q + 1.0) * _beta(q + 1.0, 1.0 - gamma)
         )
     sing = HistoryKernel.powerlaw(1.0, -gamma)
     w = lag_weights(sing.moments, grid)
@@ -603,7 +574,7 @@ def holder_estimate(
         if gamma < 0.5:
             gate_value = float(
                 16.0
-                * beta_fn(1.0 - delta, 1.0 - 2.0 * gamma)
+                * _beta(1.0 - delta, 1.0 - 2.0 * gamma)
                 * t[-1] ** (1.0 - delta)
                 * (state_global**2 + history_global**2 * ell2**2)
             )

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .grids import TimeGrid
 from .kernels import MemoryKernel
-from .volterra import STIFF_THRESHOLD, second_kind_solve
+from .volterra import second_kind_solve
 
 __all__ = [
     "RelaxationTable",
@@ -65,15 +64,12 @@ def solve_relaxation(
     kernel: MemoryKernel,
     lam: float,
     grid: TimeGrid,
-    stiff_threshold: float = STIFF_THRESHOLD,
     scheme: Optional[str] = None,
 ) -> np.ndarray:
     """omega(t, lam) samples on the grid nodes; omega[0] = 1."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    x, _ = second_kind_solve(
-        kernel.a_moments, grid, float(lam), 1.0, stiff_threshold, scheme
-    )
+    x, _ = second_kind_solve(kernel.a_moments, grid, float(lam), 1.0, scheme)
     return x
 
 
@@ -81,7 +77,6 @@ def relaxation_batch(
     kernel: MemoryKernel,
     lambdas,
     grid: TimeGrid,
-    stiff_threshold: float = STIFF_THRESHOLD,
     scheme: Optional[str] = None,
 ) -> RelaxationTable:
     """Solve all columns sharing one kernel moment table and one scheme."""
@@ -90,9 +85,7 @@ def relaxation_batch(
         raise ValueError("lambdas must be a nonempty 1-d sequence")
     if np.any(np.diff(lams) < 0.0):
         raise ValueError("lambdas must be sorted ascending")
-    omega, used = second_kind_solve(
-        kernel.a_moments, grid, lams, 1.0, stiff_threshold, scheme
-    )
+    omega, used = second_kind_solve(kernel.a_moments, grid, lams, 1.0, scheme)
     return RelaxationTable(grid, lams, omega, used)
 
 
@@ -157,9 +150,10 @@ def verify_relaxation(
         mono = w[:-1] - w[1:]
         m_mono = float(mono.min())
         if table.scheme == "trapezoid":
-            quad = cumulative_trapezoid(w, t, initial=0.0)
+            cells = steps * (w[1:] + w[:-1]) / 2.0
         else:
-            quad = np.concatenate(([0.0], np.cumsum(steps * w[1:])))
+            cells = steps * w[1:]
+        quad = np.concatenate(([0.0], np.cumsum(cells)))
         slack = (1.0 - w) / lam - quad
         m_int = float(slack.min())
         rows.append(

@@ -21,19 +21,17 @@ conv_smoothing_reciprocal |S*g(t)|_mu^2 <= int |g|_{mu-2}^2 / (1*m)(t-tau)
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .grids import TimeGrid
 from .kernels import HistoryKernel, MemoryKernel
 from .relaxation import RelaxationTable, relaxation_batch
 from .spectral import SpectralBasis, hnorm
 from .volterra import (
-    STIFF_THRESHOLD,
     lag_weights,
     product_convolve,
     rectangle_convolve,
@@ -72,10 +70,9 @@ def build_resolvent(
     kernel: MemoryKernel,
     basis: SpectralBasis,
     grid: TimeGrid,
-    stiff_threshold: float = STIFF_THRESHOLD,
     scheme: Optional[str] = None,
 ) -> ResolventContext:
-    table = relaxation_batch(kernel, basis.eigenvalues, grid, stiff_threshold, scheme)
+    table = relaxation_batch(kernel, basis.eigenvalues, grid, scheme)
     return ResolventContext(basis, grid, table, kernel)
 
 
@@ -123,10 +120,6 @@ def _convolve_interpolated(ctx: ResolventContext, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def sol_op_interpolates(ctx: ResolventContext) -> bool:
-    return not ctx.grid.is_uniform
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     label: str
@@ -155,51 +148,22 @@ class ResolventReport:
 
 
 def reciprocal_cumulative_integrable(kernel: MemoryKernel, horizon: float) -> bool:
-    """Probe whether 1/(1*m) is integrable near 0 (Cauchy criterion)."""
-    if float(kernel.cumulative(horizon)) == 0.0:
-        return False
-    vals = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for k in range(2, 22):
-            eps = 2.0**-k
-            if eps >= horizon:
-                continue
-            val, _ = quad(
-                lambda s: 1.0 / float(kernel.cumulative(s)), eps, horizon, limit=200
-            )
-            vals.append(val)
-    vals = np.asarray(vals)
-    if not np.all(np.isfinite(vals)):
-        return False
-    tail = np.abs(np.diff(vals)[-4:])
-    return bool(np.all(tail <= 1e-3 * max(vals[-1], 1.0)))
+    """Whether 1/(1*m) is integrable near 0, decided from the small-t law.
+
+    Only the fractional kind has (1*m)(t) ~ t^(1-alpha), so 1/(1*m) ~
+    t^(alpha-1) is integrable.  Every bounded kind has (1*m)(t) <= m(0) t
+    (or (1*m) = 0 near 0 when m(0) = 0), so 1/(1*m) >= 1/(m(0) t) diverges
+    at any scale.  horizon plays no part; it is kept for callers.
+    """
+    return not kernel.bounded_at_zero
 
 
 def _reciprocal_weights(ctx: ResolventContext):
-    """Product weights for the kernel 1/(1*m); closed form when available."""
+    """Product weights for 1/(1*m) of the fractional kind, a power law."""
     kernel = ctx.kernel
-    if kernel.kind == "fractional":
-        from scipy.special import gamma as _g
-
-        scale = (1.0 - kernel.alpha) * _g(kernel.alpha) / kernel.m0
-        rec = HistoryKernel.powerlaw(scale, kernel.alpha - 1.0)
-        return lag_weights(rec.moments, ctx.grid)
-
-    def moments(lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        m0 = np.empty_like(lo)
-        m1 = np.empty_like(lo)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            for idx in range(lo.size):
-                f = lambda s: 1.0 / float(kernel.cumulative(s))
-                m0[idx], _ = quad(f, lo[idx], hi[idx], limit=200)
-                m1[idx], _ = quad(lambda s: s * f(s), lo[idx], hi[idx], limit=200)
-        return m0, m1
-
-    return lag_weights(moments, ctx.grid)
+    scale = (1.0 - kernel.alpha) * math.gamma(kernel.alpha) / kernel.m0
+    rec = HistoryKernel.powerlaw(scale, kernel.alpha - 1.0)
+    return lag_weights(rec.moments, ctx.grid)
 
 
 def _trial_series(rng, t, n_modes):
@@ -373,7 +337,7 @@ def verify_sol_op_bounds(
                     "skip",
                     float("nan"),
                     float("nan"),
-                    "reciprocal cumulative kernel fails the integrability probe",
+                    "1/(1*m) is not integrable at t = 0 for a kernel bounded there",
                 )
             )
     else:

@@ -14,6 +14,10 @@ weights
 over the lag cell [a, b] = [t_i - t_{j+1}, t_i - t_j], h = b - a.  Both are
 integrals of k against nonnegative hat functions, hence >= 0 for k >= 0.
 
+``endpoint_weights`` is the one place these two formulas are written, and
+``fftconvolve`` (numpy rfft/irfft along axis 0) is the one FFT convolution;
+every lag convolution below is assembled from the two.
+
 Second-kind equations x + lam*(a conv x) = rhs are stepped implicitly.  The
 piecewise-linear (trapezoid) rule is second order but loses positivity once
 lam * left[0] > 1 (the same mechanism as Crank-Nicolson ringing); those stiff
@@ -27,11 +31,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .grids import TimeGrid
 
 __all__ = [
+    "endpoint_weights",
     "LagWeights",
     "lag_weights",
     "product_convolve",
@@ -45,6 +49,44 @@ __all__ = [
 Moments = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 STIFF_THRESHOLD = 0.9
+
+
+def _fast_length(n: int) -> int:
+    """Smallest 2**a 3**b 5**c >= n (the length scipy.fft.next_fast_len picks
+    for real transforms)."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best = min(best, p << max(-(-n // p) - 1, 0).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
+
+
+def fftconvolve(a, b) -> np.ndarray:
+    """Full linear convolution of a and b along axis 0.
+
+    A 1-d operand next to a 2-d one acts as a column shared by every column
+    of the other; two 1-d operands give a 1-d result.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim < b.ndim:
+        a = a[:, None]
+    elif b.ndim < a.ndim:
+        b = b[:, None]
+    n = a.shape[0] + b.shape[0] - 1
+    size = _fast_length(n)
+    spectrum = np.fft.rfft(a, size, axis=0) * np.fft.rfft(b, size, axis=0)
+    return np.fft.irfft(spectrum, size, axis=0)[:n]
+
+
+def endpoint_weights(moments: Moments, lo, hi, h) -> Tuple[np.ndarray, np.ndarray]:
+    """(left, right) weights of the cells [lo, hi] of width h (module docstring)."""
+    a0, a1 = moments(lo, hi)
+    return (a1 - lo * a0) / h, (hi * a0 - a1) / h
 
 
 @dataclass(frozen=True)
@@ -67,13 +109,8 @@ class LagWeights:
 def lag_weights(moments: Moments, grid: TimeGrid) -> LagWeights:
     if not grid.is_uniform:
         raise ValueError("lag weights require a uniform grid")
-    h = grid.dt
     edges = grid.nodes
-    lo, hi = edges[:-1], edges[1:]
-    a0, a1 = moments(lo, hi)
-    left = (a1 - lo * a0) / h
-    right = (hi * a0 - a1) / h
-    return LagWeights(left, right)
+    return LagWeights(*endpoint_weights(moments, edges[:-1], edges[1:], grid.dt))
 
 
 def product_convolve(weights: LagWeights, phi: np.ndarray) -> np.ndarray:
@@ -82,93 +119,69 @@ def product_convolve(weights: LagWeights, phi: np.ndarray) -> np.ndarray:
     phi has shape (N+1,) or (N+1, M); columns are convolved independently.
     """
     phi = np.asarray(phi, dtype=float)
-    squeeze = phi.ndim == 1
-    if squeeze:
-        phi = phi[:, None]
     n = phi.shape[0] - 1
-    u = weights.left[:n, None]
-    v = weights.right[:n, None]
-    conv_u = fftconvolve(u, phi, axes=0)
-    conv_v = fftconvolve(v, phi, axes=0)
+    v = weights.right[:n]
     out = np.zeros_like(phi)
-    idx = np.arange(1, n + 1)
-    out[1:] = conv_u[idx - 1] + conv_v[idx]
+    out[1:] = fftconvolve(weights.left[:n], phi)[:n] + fftconvolve(v, phi)[1 : n + 1]
     # the full convolution (right * phi)_i picks up the k = i term
     # right_i * phi_0, which lies outside the i-1 lag cells; remove it
-    mask = idx <= n - 1
-    out[1:][mask] -= v[idx[mask], 0][:, None] * phi[0]
-    if squeeze:
-        return out[:, 0]
+    out[1:n] -= np.multiply.outer(v[1:], phi[0])
     return out
 
 
 def _uniform_second_kind(
-    weights: LagWeights,
-    lams: np.ndarray,
-    rhs: np.ndarray,
-    stiff_threshold: float,
-) -> Tuple[np.ndarray, str]:
+    weights: LagWeights, lams: np.ndarray, rhs: np.ndarray, trap: bool
+) -> np.ndarray:
     u, v = weights.left, weights.right
     a0 = weights.cell
     n = u.size
     x = np.zeros((n + 1, lams.size))
     x[0] = rhs[0]
-    # one scheme for the whole call so columns stay mutually comparable
-    # (mixing rules breaks monotonicity across lambda at the switch point)
-    if np.max(lams) * u[0] <= stiff_threshold:
+    if trap:
         denom = 1.0 + lams * v[0]
         for i in range(1, n + 1):
             past = u[i - 1 :: -1] @ x[:i]
             if i > 1:
                 past = past + v[i - 1 : 0 : -1] @ x[1:i]
             x[i] = (rhs[i] - lams * past) / denom
-        return x, "trapezoid"
+        return x
     denom = 1.0 + lams * a0[0]
     for i in range(1, n + 1):
         past = a0[i - 1 : 0 : -1] @ x[1:i] if i > 1 else 0.0
         x[i] = (rhs[i] - lams * past) / denom
-    return x, "rectangle"
+    return x
 
 
 def _graded_second_kind(
-    moments: Moments,
-    grid: TimeGrid,
-    lams: np.ndarray,
-    rhs: np.ndarray,
-    stiff_threshold: float,
-) -> Tuple[np.ndarray, str]:
+    moments: Moments, grid: TimeGrid, lams: np.ndarray, rhs: np.ndarray, trap: bool
+) -> np.ndarray:
     t = grid.nodes
     steps = grid.steps()
     n = grid.n_steps
-    # newest-cell left weight per row controls stiffness of the implicit step
-    _, m1_first = moments(np.zeros_like(steps), steps)
-    u0 = m1_first / steps
     x = np.zeros((n + 1, lams.size))
     x[0] = rhs[0]
-    trap = bool(np.max(lams) * np.max(u0) <= stiff_threshold)
     for i in range(1, n + 1):
         hi = t[i] - t[:i]
         lo = t[i] - t[1 : i + 1]
-        a0, a1 = moments(lo, hi)
         if trap:
-            left = (a1 - lo * a0) / steps[:i]
-            right = (hi * a0 - a1) / steps[:i]
+            left, right = endpoint_weights(moments, lo, hi, steps[:i])
             past = left @ x[:i]
             if i > 1:
                 past = past + right[:-1] @ x[1:i]
             x[i] = (rhs[i] - lams * past) / (1.0 + lams * right[-1])
         else:
+            a0, _ = moments(lo, hi)
             past = a0[:-1] @ x[1:i] if i > 1 else 0.0
             x[i] = (rhs[i] - lams * past) / (1.0 + lams * a0[-1])
-    return x, "trapezoid" if trap else "rectangle"
+    return x
 
 
 def newest_left_weight(moments: Moments, grid: TimeGrid) -> float:
     """Largest left weight of the newest lag cell; lam times this measures
     the stiffness of the implicit trapezoid step."""
     steps = grid.steps()
-    _, m1_first = moments(np.zeros_like(steps), steps)
-    return float(np.max(m1_first / steps))
+    left, _ = endpoint_weights(moments, np.zeros_like(steps), steps, steps)
+    return float(np.max(left))
 
 
 def second_kind_solve(
@@ -176,7 +189,6 @@ def second_kind_solve(
     grid: TimeGrid,
     lam,
     rhs,
-    stiff_threshold: float = STIFF_THRESHOLD,
     scheme: Optional[str] = None,
 ) -> Tuple[np.ndarray, str]:
     """Solve x + lam * (a conv x) = rhs by implicit product integration.
@@ -191,7 +203,7 @@ def second_kind_solve(
         Right-hand side samples on the grid nodes.
     scheme : None | "trapezoid" | "rectangle"
         None resolves automatically: trapezoid only when max(lam) times the
-        newest-cell left weight stays below the stiffness threshold.  Forcing
+        newest-cell left weight stays below STIFF_THRESHOLD.  Forcing
         "trapezoid" on a stiff batch gives damped ringing on the stiff
         columns (useful when those columns are known to carry zero data);
         forcing "rectangle" trades accuracy for unconditional positivity.
@@ -207,20 +219,21 @@ def second_kind_solve(
         raise ValueError("lam must be positive")
     if scheme not in (None, "trapezoid", "rectangle"):
         raise ValueError("scheme must be None, 'trapezoid' or 'rectangle'")
-    if scheme is not None:
-        threshold = np.inf if scheme == "trapezoid" else -np.inf
-    else:
-        threshold = stiff_threshold
     rhs_arr = np.broadcast_to(np.asarray(rhs, dtype=float), grid.nodes.shape).astype(float)
-    if grid.is_uniform:
-        x, used = _uniform_second_kind(
-            lag_weights(moments, grid), lams, rhs_arr, threshold
-        )
+    weights = lag_weights(moments, grid) if grid.is_uniform else None
+    if scheme is None:
+        # one scheme for the whole call so columns stay mutually comparable
+        # (mixing rules breaks monotonicity across lambda at the switch point)
+        u0 = weights.left[0] if weights is not None else newest_left_weight(moments, grid)
+        scheme = "trapezoid" if np.max(lams) * u0 <= STIFF_THRESHOLD else "rectangle"
+    trap = scheme == "trapezoid"
+    if weights is not None:
+        x = _uniform_second_kind(weights, lams, rhs_arr, trap)
     else:
-        x, used = _graded_second_kind(moments, grid, lams, rhs_arr, threshold)
+        x = _graded_second_kind(moments, grid, lams, rhs_arr, trap)
     if np.isscalar(lam) or np.ndim(lam) == 0:
-        return x[:, 0], used
-    return x, used
+        return x[:, 0], scheme
+    return x, scheme
 
 
 def first_kind_solve(moments: Moments, grid: TimeGrid, rhs) -> Tuple[np.ndarray, float]:
@@ -265,19 +278,11 @@ def rectangle_convolve(kernel_samples: np.ndarray, phi: np.ndarray, dt: float) -
     response of a strongly damped column at the size of its true convolution
     mass instead of dt/2 (the trapezoid rule's newest weight).
     """
-    K = np.asarray(kernel_samples, dtype=float)
     G = np.asarray(phi, dtype=float)
-    squeeze = G.ndim == 1
-    if squeeze:
-        G = G[:, None]
-    if K.ndim == 1:
-        K = K[:, None]
     n = G.shape[0] - 1
-    out = np.zeros_like(G, shape=(n + 1, G.shape[1]))
+    out = np.zeros_like(G)
     if n >= 1:
-        out[1:] = dt * fftconvolve(K[1:], G, axes=0)[:n]
-    if squeeze:
-        return out[:, 0]
+        out[1:] = dt * fftconvolve(np.asarray(kernel_samples)[1:], G)[:n]
     return out
 
 
@@ -289,15 +294,9 @@ def trapezoid_convolve(kernel_samples: np.ndarray, phi: np.ndarray, dt: float) -
     """
     K = np.asarray(kernel_samples, dtype=float)
     G = np.asarray(phi, dtype=float)
-    squeeze = G.ndim == 1
-    if squeeze:
-        G = G[:, None]
-    if K.ndim == 1:
+    if K.ndim < G.ndim:
         K = K[:, None]
-    n = G.shape[0] - 1
-    full = fftconvolve(K, G, axes=0)[: n + 1]
+    full = fftconvolve(K, G)[: G.shape[0]]
     out = dt * (full - 0.5 * K * G[0] - 0.5 * K[0] * G)
     out[0] = 0.0
-    if squeeze:
-        return out[:, 0]
     return out

@@ -3,10 +3,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rstokes
 from rstokes import (
     Interval,
     InverseProblem,
@@ -176,6 +179,26 @@ def test_verify_report_layout(tmp_path):
     assert summary["certificates"]["conv_smoothing_l2"] == "pass"
 
 
+def test_verify_tabulated_kernel_vanishing_at_zero(tmp_path):
+    # m = 0 near t = 0 makes 1/(1*m) infinite there; the reciprocal row skips
+    table = tmp_path / "m.csv"
+    table.write_text("t,m\n0.5,0.0\n1.0,1.0\n")
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "domain": {"shape": "interval", "L": 1.0, "N": 4},
+            "grid": {"T": 1.0, "N_t": 128},
+            "kernel": {"kind": "tabulated", "table_path": str(table)},
+            "verify": {"trials": 5},
+        },
+    )
+    out = tmp_path / "run"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    _, rows = read_table(out / "verify_report.csv")
+    by_name = {r[0]: r for r in rows}
+    assert by_name["conv_smoothing_reciprocal"][3] == "skip"
+
+
 def test_certify_emits_one_row_per_theta_and_branch(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -324,6 +347,43 @@ def test_nonconvergence_exits_2_but_keeps_artifacts(tmp_path):
     assert summary["artifacts"] == ["iterations.csv"]
     _, rows = read_table(out / "iterations.csv")
     assert len(rows) == 1
+
+
+def test_diverging_solve_exits_2_with_artifacts(tmp_path):
+    # the README solve config driven far outside the small-data regime
+    payload = {
+        "domain": {"shape": "interval", "L": 1.0, "N": 8},
+        "grid": {"T": 1.0, "N_t": 1024},
+        "kernel": {"kind": "fractional", "m0": 1.0, "alpha": 0.5},
+        "nonlinearity": {"kind": "polynomial_power", "power": 3.0, "scale": 50.0},
+        "history_kernel": {"kind": "exponential", "amplitude": 1.0, "decay": 1.0},
+        "initial": {"preset": "first_mode", "amplitude": 5.0},
+        "problem": {"tol": 1e-10, "gamma": 0.4},
+    }
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "run"
+    with np.errstate(over="ignore"):
+        code = main(["solve", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == 2
+
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "non-convergence"
+    assert summary["artifacts"] == ["iterations.csv"]
+    _, rows = read_table(out / "iterations.csv")
+    residuals = [float(r[1]) for r in rows]
+    assert len(residuals) >= 2 and residuals[1] > residuals[0]
+
+
+def test_cli_import_skips_heavy_scipy_subpackages():
+    src = os.path.dirname(os.path.dirname(rstokes.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, rstokes.cli; print(' '.join(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    heavy = {"scipy.signal", "scipy.integrate", "scipy.special", "scipy.fft", "scipy.stats"}
+    assert not heavy & set(loaded)
 
 
 def test_set_overrides_and_grid_shortcut(tmp_path):

@@ -22,7 +22,7 @@ from rstokes import (
     small_data_gate,
     spectral_gap_gate,
 )
-from rstokes.nonlinear import history_apply, history_series
+from rstokes.nonlinear import history_series
 
 BASIS = build_basis(Interval(1.0), 6)
 
@@ -172,20 +172,6 @@ def test_history_series_linear_data_powerlaw_oracle():
     out = history_series(ell, t[:, None], grid)
     exact = t**1.5 * beta_fn(0.5, 2.0)
     np.testing.assert_allclose(out[:, 0], exact, atol=1e-12)
-
-
-def test_history_apply_matches_series_rows():
-    grid = TimeGrid.uniform(1.0, 32)
-    ell = HistoryKernel.exponential(2.0, 1.5)
-    rng = np.random.default_rng(21)
-    series = rng.standard_normal((33, 3))
-    full = history_series(ell, series, grid)
-    for i in (0, 1, 7, 32):
-        np.testing.assert_allclose(
-            history_apply(ell, series, grid, i), full[i], atol=1e-12
-        )
-    with pytest.raises(IndexError):
-        history_apply(ell, series[:5], grid, 10)
 
 
 def test_zero_history_shortcut():

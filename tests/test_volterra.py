@@ -6,6 +6,7 @@ import pytest
 from rstokes import HistoryKernel, MemoryKernel, TimeGrid
 from rstokes.volterra import (
     STIFF_THRESHOLD,
+    _fast_length,
     first_kind_solve,
     lag_weights,
     newest_left_weight,
@@ -49,18 +50,27 @@ def test_lag_weights_need_uniform_grid():
 
 def test_product_convolve_matches_direct_loop():
     rng = np.random.default_rng(7)
-    grid = TimeGrid.uniform(1.0, 40)
-    w = lag_weights(MemoryKernel.fractional(1.0, 0.3).moments, grid)
-    phi = rng.standard_normal((41, 3))
-    np.testing.assert_allclose(
-        product_convolve(w, phi), direct_product_convolve(w, phi), atol=1e-12
-    )
-    # 1-d input round-trips through the same path
-    np.testing.assert_allclose(
-        product_convolve(w, phi[:, 0]),
-        direct_product_convolve(w, phi[:, 0])[:, 0],
-        atol=1e-12,
-    )
+    # full convolution lengths 80 (5-smooth) and 74 (padded to 75)
+    for n in (40, 37):
+        grid = TimeGrid.uniform(1.0, n)
+        w = lag_weights(MemoryKernel.fractional(1.0, 0.3).moments, grid)
+        phi = rng.standard_normal((n + 1, 3))
+        np.testing.assert_allclose(
+            product_convolve(w, phi), direct_product_convolve(w, phi), atol=1e-12
+        )
+        # 1-d input round-trips through the same path
+        np.testing.assert_allclose(
+            product_convolve(w, phi[:, 0]),
+            direct_product_convolve(w, phi[:, 0])[:, 0],
+            atol=1e-12,
+        )
+
+
+def test_fft_length_is_the_5_smooth_length_scipy_picks():
+    from scipy.fft import next_fast_len
+
+    for n in range(1, 3000):
+        assert _fast_length(n) == next_fast_len(n, True), n
 
 
 def test_product_convolve_is_exact_for_linear_data():
@@ -79,32 +89,36 @@ def test_product_convolve_is_exact_for_linear_data():
 
 def test_trapezoid_convolve_matches_direct_loop():
     rng = np.random.default_rng(3)
-    n, dt = 30, 0.05
-    k = rng.random(n + 1)
-    phi = rng.standard_normal((n + 1, 2))
-    out = trapezoid_convolve(k, phi, dt)
-    ref = np.zeros_like(phi)
-    for i in range(1, n + 1):
-        vals = k[:i + 1][::-1, None] * phi[: i + 1]
-        ref[i] = dt * (vals[0] / 2 + vals[1:-1].sum(axis=0) + vals[-1] / 2)
-    np.testing.assert_allclose(out, ref, atol=1e-12)
+    dt = 0.05
+    # full convolution lengths 61 (padded to 64) and 77 (padded to 80)
+    for n in (30, 38):
+        k = rng.random(n + 1)
+        phi = rng.standard_normal((n + 1, 2))
+        out = trapezoid_convolve(k, phi, dt)
+        ref = np.zeros_like(phi)
+        for i in range(1, n + 1):
+            vals = k[:i + 1][::-1, None] * phi[: i + 1]
+            ref[i] = dt * (vals[0] / 2 + vals[1:-1].sum(axis=0) + vals[-1] / 2)
+        np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
 def test_rectangle_convolve_matches_direct_loop():
     rng = np.random.default_rng(4)
-    n, dt = 25, 0.04
-    k = rng.random(n + 1)
-    phi = rng.standard_normal(n + 1)
-    out = rectangle_convolve(k, phi, dt)
-    ref = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        ref[i] = dt * sum(k[j] * phi[i - j] for j in range(1, i + 1))
-    np.testing.assert_allclose(out, ref, atol=1e-12)
-    assert out[0] == 0.0
-    # k[0] never enters: poisoning it changes nothing
-    k_poisoned = k.copy()
-    k_poisoned[0] = np.inf
-    np.testing.assert_allclose(rectangle_convolve(k_poisoned, phi, dt), out)
+    dt = 0.04
+    # full convolution lengths 50 (5-smooth) and 74 (padded to 75)
+    for n in (25, 37):
+        k = rng.random(n + 1)
+        phi = rng.standard_normal(n + 1)
+        out = rectangle_convolve(k, phi, dt)
+        ref = np.zeros(n + 1)
+        for i in range(1, n + 1):
+            ref[i] = dt * sum(k[j] * phi[i - j] for j in range(1, i + 1))
+        np.testing.assert_allclose(out, ref, atol=1e-12)
+        assert out[0] == 0.0
+        # k[0] never enters: poisoning it changes nothing
+        k_poisoned = k.copy()
+        k_poisoned[0] = np.inf
+        np.testing.assert_allclose(rectangle_convolve(k_poisoned, phi, dt), out)
 
 
 def test_newest_left_weight_is_first_cell_left_moment():
