@@ -111,6 +111,7 @@ def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
         beta=problem.get("beta", 0.0),
     )
     ctx = build_resolvent(kernel, basis, grid)
+    certificates["scheme"] = ctx.table.scheme
     try:
         sol = picard_solve(ctx, spec, ell, xi, opts)
     except NonConvergence as exc:

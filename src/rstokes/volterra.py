@@ -22,7 +22,22 @@ Second-kind equations x + lam*(a conv x) = rhs are stepped implicitly.  The
 piecewise-linear (trapezoid) rule is second order but loses positivity once
 lam * left[0] > 1 (the same mechanism as Crank-Nicolson ringing); those stiff
 columns switch to the piecewise-constant right-endpoint rule, which is first
-order but preserves positivity and monotonicity for nonincreasing kernels.
+order but preserves positivity for nonincreasing kernels (and
+monotonicity where the kernel is completely positive).
+
+Cost for N steps and M columns:
+
+* uniform rectangle rule and uniform first-kind solve: O(M N log^2 N).
+  Both are lower-triangular Toeplitz systems, solved by ``_toeplitz_solve``
+  (blocked divide and conquer with FFT middle products).
+* uniform trapezoid rule: O(M N^2), a row loop.  It is Toeplitz too once
+  x_0 moves to the right-hand side, but any reordering of its sums (this
+  recursion, or a blocked matrix product) moves the omega difference
+  quotients that ``certify_completely_positive`` reports at dt = 1/8192 by
+  2-3e-8 relative, beyond the 1e-8 that ``perfbench/reference.json`` allows.
+* graded grids, both rules and the first-kind solve: O(M N^2).  The lag
+  cells t_i - t_j differ from row to row, so the system is not Toeplitz and
+  every row needs its own weights.
 """
 
 from __future__ import annotations
@@ -50,6 +65,10 @@ Moments = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 STIFF_THRESHOLD = 0.9
 
+# rows per leaf of _toeplitz_solve (row loop below, FFT middle products above);
+# of 16..256, 64 was fastest for 8192 steps x 32 columns
+_TOEPLITZ_BLOCK = 64
+
 
 def _fast_length(n: int) -> int:
     """Smallest 2**a 3**b 5**c >= n (the length scipy.fft.next_fast_len picks
@@ -65,11 +84,14 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def fftconvolve(a, b) -> np.ndarray:
-    """Full linear convolution of a and b along axis 0.
+def fftconvolve(a, b, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """Rows start..stop-1 of the full linear convolution of a and b along axis 0.
 
     A 1-d operand next to a 2-d one acts as a column shared by every column
-    of the other; two 1-d operands give a 1-d result.
+    of the other; two 1-d operands give a 1-d result.  The circular length
+    is the shortest 5-smooth one that keeps the requested rows free of
+    wrap-around, so a window that skips the first rows (the middle product
+    of ``_toeplitz_solve``) costs one transform of about len(a) rows.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -78,9 +100,10 @@ def fftconvolve(a, b) -> np.ndarray:
     elif b.ndim < a.ndim:
         b = b[:, None]
     n = a.shape[0] + b.shape[0] - 1
-    size = _fast_length(n)
+    stop = n if stop is None else stop
+    size = _fast_length(max(n - start, stop))
     spectrum = np.fft.rfft(a, size, axis=0) * np.fft.rfft(b, size, axis=0)
-    return np.fft.irfft(spectrum, size, axis=0)[:n]
+    return np.fft.irfft(spectrum, size, axis=0)[start:stop]
 
 
 def endpoint_weights(moments: Moments, lo, hi, h) -> Tuple[np.ndarray, np.ndarray]:
@@ -129,25 +152,56 @@ def product_convolve(weights: LagWeights, phi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _toeplitz_solve(
+    c: np.ndarray, scale, denom, x: np.ndarray, lo: int = 1, hi: Optional[int] = None
+) -> np.ndarray:
+    """Overwrite rows lo..hi-1 of x, which hold r on entry, with the solution of
+
+        denom * x_i + scale * sum_{j=lo}^{i-1} c[i-j] x_j = r_i
+
+    (lower-triangular Toeplitz; columns of x are independent, scale and
+    denom broadcast over them).  Divide and conquer after Hairer, Lubich &
+    Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985): blocks of at most
+    _TOEPLITZ_BLOCK rows run the row loop, and each solved left half is
+    subtracted from the right half's r by one FFT middle product, so n rows
+    cost O(n log^2 n) per column.
+    """
+    if hi is None:
+        hi = x.shape[0]
+    if hi - lo <= _TOEPLITZ_BLOCK:
+        for i in range(lo, hi):
+            if i > lo:
+                x[i] -= scale * (c[i - lo : 0 : -1] @ x[lo:i])
+            x[i] /= denom
+        return x
+    mid = (lo + hi) // 2
+    _toeplitz_solve(c, scale, denom, x, lo, mid)
+    # lags 1..hi-lo-1 from rows lo..mid-1 onto rows mid..hi-1
+    x[mid:hi] -= scale * fftconvolve(
+        c[1 : hi - lo], x[lo:mid], mid - lo - 1, hi - lo - 1
+    )
+    return _toeplitz_solve(c, scale, denom, x, mid, hi)
+
+
 def _uniform_second_kind(
     weights: LagWeights, lams: np.ndarray, rhs: np.ndarray, trap: bool
 ) -> np.ndarray:
+    """Implicit steps on a uniform grid.
+
+    The right-endpoint sums of the rectangle rule start at x_1, so its rows
+    1..N are one Toeplitz solve; the trapezoid rule keeps its row loop
+    (module docstring).
+    """
+    x = np.repeat(rhs[:, None], lams.size, axis=1)
+    if not trap:
+        a0 = weights.cell
+        return _toeplitz_solve(a0, lams, 1.0 + lams * a0[0], x)
     u, v = weights.left, weights.right
-    a0 = weights.cell
-    n = u.size
-    x = np.zeros((n + 1, lams.size))
-    x[0] = rhs[0]
-    if trap:
-        denom = 1.0 + lams * v[0]
-        for i in range(1, n + 1):
-            past = u[i - 1 :: -1] @ x[:i]
-            if i > 1:
-                past = past + v[i - 1 : 0 : -1] @ x[1:i]
-            x[i] = (rhs[i] - lams * past) / denom
-        return x
-    denom = 1.0 + lams * a0[0]
-    for i in range(1, n + 1):
-        past = a0[i - 1 : 0 : -1] @ x[1:i] if i > 1 else 0.0
+    denom = 1.0 + lams * v[0]
+    for i in range(1, u.size + 1):
+        past = u[i - 1 :: -1] @ x[:i]
+        if i > 1:
+            past = past + v[i - 1 : 0 : -1] @ x[1:i]
         x[i] = (rhs[i] - lams * past) / denom
     return x
 
@@ -208,6 +262,10 @@ def second_kind_solve(
         columns (useful when those columns are known to carry zero data);
         forcing "rectangle" trades accuracy for unconditional positivity.
 
+    Cost is O(len(lam) N log^2 N) for the rectangle rule on a uniform grid
+    and O(len(lam) N^2) for the trapezoid rule or a graded grid (see the
+    module docstring for why).
+
     Returns
     -------
     x : ndarray, shape (N+1,) for scalar lam else (N+1, len(lam))
@@ -242,20 +300,21 @@ def first_kind_solve(moments: Moments, grid: TimeGrid, rhs) -> Tuple[np.ndarray,
     k is constant on each cell (t_{j-1}, t_j]; the value is attributed to the
     right endpoint, so the returned samples live on nodes[1:].  Returns the
     samples and the smallest diagonal weight (conditioning indicator).
+
+    On a uniform grid the system is Toeplitz and costs O(N log^2 N)
+    (``_toeplitz_solve``); a graded grid is substituted row by row, O(N^2).
     """
     t = grid.nodes
     n = grid.n_steps
     rhs_arr = np.broadcast_to(np.asarray(rhs, dtype=float), t.shape)
-    k = np.zeros(n + 1)
     if grid.is_uniform:
         a0, _ = moments(t[:-1], t[1:])
         diag = float(a0[0])
         if diag <= 0.0:
             raise ValueError("first-kind diagonal weight vanished")
-        for i in range(1, n + 1):
-            past = a0[i - 1 : 0 : -1] @ k[1:i] if i > 1 else 0.0
-            k[i] = (rhs_arr[i] - past) / diag
+        k = _toeplitz_solve(a0, 1.0, diag, rhs_arr.copy())
         return k[1:], diag
+    k = np.zeros(n + 1)
     min_diag = np.inf
     for i in range(1, n + 1):
         hi = t[i] - t[:i]

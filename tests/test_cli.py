@@ -122,6 +122,9 @@ def test_solve_zero_reaction_reduces_to_relaxation(tmp_path):
     assert summary["certificates"]["picard_converged"] == "pass"
     assert summary["certificates"]["holder_seminorm_finite"] == "pass"
     assert "iterations.csv" in summary["artifacts"]
+    # solve records the stepper it ran, the same one relax picks
+    relax_summary = json.loads((ref / "summary.json").read_text())
+    assert summary["certificates"]["scheme"] == relax_summary["certificates"]["scheme"]
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -344,6 +347,7 @@ def test_nonconvergence_exits_2_but_keeps_artifacts(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "non-convergence"
     assert summary["certificates"]["picard_converged"] == "fail"
+    assert summary["certificates"]["scheme"] in ("trapezoid", "rectangle")
     assert summary["artifacts"] == ["iterations.csv"]
     _, rows = read_table(out / "iterations.csv")
     assert len(rows) == 1

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rstokes import HistoryKernel, MemoryKernel, TimeGrid
 from rstokes.volterra import (
     STIFF_THRESHOLD,
+    LagWeights,
     _fast_length,
+    _toeplitz_solve,
+    _uniform_second_kind,
+    fftconvolve,
     first_kind_solve,
     lag_weights,
     newest_left_weight,
@@ -25,6 +30,38 @@ def direct_product_convolve(weights, phi):
         for k in range(i):
             out[i] += weights.left[k] * phi[i - 1 - k] + weights.right[k] * phi[i - k]
     return out
+
+
+def rectangle_loop(weights, lams, rhs):
+    # O(N^2) row loop of the implicit rectangle rule: oracle for the
+    # blocked-FFT Toeplitz solve
+    a0 = weights.cell
+    n = a0.size
+    x = np.zeros((n + 1, lams.size))
+    x[0] = rhs[0]
+    denom = 1.0 + lams * a0[0]
+    for i in range(1, n + 1):
+        past = a0[i - 1 : 0 : -1] @ x[1:i] if i > 1 else 0.0
+        x[i] = (rhs[i] - lams * past) / denom
+    return x
+
+
+def first_kind_loop(a0, rhs):
+    # O(N^2) forward substitution of the uniform first-kind solve
+    n = a0.size
+    k = np.zeros(n + 1)
+    for i in range(1, n + 1):
+        past = a0[i - 1 : 0 : -1] @ k[1:i] if i > 1 else 0.0
+        k[i] = (rhs[i] - past) / a0[0]
+    return k[1:]
+
+
+def rectangle_weights(kernel, n):
+    # lag weights of n cells of width 1/n; a grid needs two steps, so n = 1
+    # keeps the first cell of a two-step grid of the same width
+    steps = max(n, 2)
+    w = lag_weights(kernel.a_moments, TimeGrid.uniform(steps / n, steps))
+    return LagWeights(w.left[:n], w.right[:n])
 
 
 def test_lag_weights_nonnegative_and_telescoping():
@@ -63,6 +100,18 @@ def test_product_convolve_matches_direct_loop():
             product_convolve(w, phi[:, 0]),
             direct_product_convolve(w, phi[:, 0])[:, 0],
             atol=1e-12,
+        )
+
+
+def test_fftconvolve_window_matches_full_convolution():
+    # a window that skips leading rows wraps around onto them only
+    rng = np.random.default_rng(11)
+    for la, lb, start, stop in ((63, 32, 31, 63), (100, 50, 49, 100), (37, 37, 0, 20)):
+        a = rng.standard_normal(la)
+        b = rng.standard_normal((lb, 3))
+        full = fftconvolve(a, b)
+        np.testing.assert_allclose(
+            fftconvolve(a, b, start, stop), full[start:stop], atol=1e-12
         )
 
 
@@ -218,3 +267,110 @@ def test_first_kind_recovers_sonine_pair():
     # constant near the singular end, small by the horizon
     assert float(np.max(err[t >= 0.25])) < 6e-3
     assert err[-1] < 5e-4
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [MemoryKernel.fractional(1.0, 0.5), MemoryKernel.exponential(2.0, 3.0)],
+    ids=["fractional", "exponential"],
+)
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 1000])
+@pytest.mark.parametrize("m", [1, 7])
+def test_toeplitz_fast_paths_match_row_loops(kernel, n, m):
+    # block edges at 64 rows: one leaf, a leaf boundary, and deep recursion
+    rng = np.random.default_rng(n * 10 + m)
+    w = rectangle_weights(kernel, n)
+    lams = np.sort(rng.uniform(0.5, 5e4, m))
+    rhs = 1.0 + rng.standard_normal(n + 1)
+    fast = _uniform_second_kind(w, lams, rhs, trap=False)
+    ref = rectangle_loop(w, lams, rhs)
+    assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+    a0 = w.cell
+    k = _toeplitz_solve(a0, 1.0, a0[0], rhs.copy())[1:]
+    k_ref = first_kind_loop(a0, rhs)
+    assert np.max(np.abs(k - k_ref)) <= 1e-12 * np.max(np.abs(k_ref))
+
+
+def test_first_kind_solve_matches_substitution():
+    grid = TimeGrid.uniform(2.0, 300)
+    kernel = MemoryKernel.fractional(1.0, 0.4)
+    a0 = lag_weights(kernel.a_moments, grid).cell
+    rhs = np.cos(grid.nodes)
+    k, diag = first_kind_solve(kernel.a_moments, grid, rhs)
+    assert diag == a0[0]
+    ref = first_kind_loop(a0, rhs)
+    assert np.max(np.abs(k - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_rectangle_solves_the_discrete_equation():
+    # x_i + lam * sum_{j=1..i} A0[i-j] x_j = rhs_i: right-endpoint cell sums,
+    # x_0 enters nowhere; 300 rows run through the blocked recursion
+    grid = TimeGrid.uniform(1.0, 300)
+    kernel = MemoryKernel.fractional(1.0, 0.5)
+    lams = np.array([3.0, 250.0, 2e4])
+    rhs = np.exp(-grid.nodes)
+    x, scheme = second_kind_solve(kernel.a_moments, grid, lams, rhs, scheme="rectangle")
+    assert scheme == "rectangle"
+    a0 = lag_weights(kernel.a_moments, grid).cell
+    cell_sums = np.array([a0[i - 1 :: -1] @ x[1 : i + 1] for i in range(1, 301)])
+    residual = x[1:] + lams * cell_sums - rhs[1:, None]
+    np.testing.assert_allclose(residual, 0.0, atol=1e-12)
+    np.testing.assert_array_equal(x[0], rhs[0])
+
+
+@st.composite
+def nonincreasing_tables(draw):
+    # nonnegative, nonincreasing samples at increasing breakpoints t > 0
+    size = draw(st.integers(2, 6))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
+    drops = draw(st.lists(st.floats(0.0, 5.0), min_size=size, max_size=size))
+    return MemoryKernel.tabulated(np.cumsum(gaps), np.cumsum(drops[::-1])[::-1])
+
+
+ascending_lams = st.lists(st.floats(1e-2, 1e5), min_size=1, max_size=6).map(np.sort)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    kernel=nonincreasing_tables(),
+    lams=ascending_lams,
+    n=st.integers(2, 400),
+    horizon=st.floats(0.1, 4.0),
+)
+def test_rectangle_fast_path_and_positivity(kernel, lams, n, horizon):
+    # the step coefficients c = (1 + lam*A0[0], lam*A0[1], ...) of a
+    # nonincreasing kernel are nonincreasing, so (1 - z) * sum_k c_k z^k has
+    # one positive coefficient and the rest <= 0: its reciprocal, the
+    # generating function of omega_1, omega_2, ..., has coefficients >= 0;
+    # and omega_i <= 1 / c_0 because every past term enters with a minus
+    grid = TimeGrid.uniform(horizon, n)
+    omega, _ = second_kind_solve(kernel.a_moments, grid, lams, 1.0, scheme="rectangle")
+    ref = rectangle_loop(lag_weights(kernel.a_moments, grid), lams, np.ones(n + 1))
+    assert np.max(np.abs(omega - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert omega.min() >= -1e-12
+    assert omega.max() <= 1.0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    weights=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3),
+    decays=st.lists(st.floats(0.0, 20.0), min_size=3, max_size=3),
+    lams=ascending_lams,
+    n=st.integers(2, 400),
+    horizon=st.floats(0.1, 4.0),
+)
+def test_rectangle_relaxation_is_monotone(weights, decays, lams, n, horizon):
+    # m sampled on the grid nodes from a mixture of exponentials: 1 + m is
+    # log-convex there, so are its cell masses, and by Kaluza's theorem the
+    # rectangle rule's omega is nonincreasing in t and in lambda.  (Breaks
+    # off the grid add linear pieces, which are not log-convex; a table
+    # with a kink can make omega rebound, see verify_relaxation.)
+    grid = TimeGrid.uniform(horizon, n)
+    t = grid.nodes
+    samples = sum(w * np.exp(-d * t) for w, d in zip(weights, decays))
+    # a table starts at t > 0; a first break at 1e-300 stands in for t = 0
+    kernel = MemoryKernel.tabulated(np.concatenate([[1e-300], t[1:]]), samples)
+    omega, _ = second_kind_solve(kernel.a_moments, grid, lams, 1.0, scheme="rectangle")
+    assert np.diff(omega, axis=0).max() <= 1e-12
+    if lams.size > 1:
+        assert np.diff(omega, axis=1).max() <= 1e-12
