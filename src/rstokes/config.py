@@ -255,7 +255,7 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
     grid = _section(cfg, "grid", problems, required=True)
     if grid is not None:
         _num(grid, "T", "grid", problems, required=True, exclusive_min=0.0)
-        _num(grid, "N_t", "grid", problems, required=True, integer=True, minimum=1)
+        _num(grid, "N_t", "grid", problems, required=True, integer=True, minimum=2)
         _num(grid, "grading", "grid", problems, minimum=1.0)
 
     kernel = _section(cfg, "kernel", problems, required=True)

@@ -23,7 +23,7 @@ import numpy as np
 from .grids import TimeGrid
 from .kernels import HistoryKernel
 from .resolvent import ResolventContext, convolve_sol_op
-from .spectral import SpectralBasis, SpectralField, hnorm, project
+from .spectral import SpectralBasis, SpectralField, hnorm, project, synthesize
 from .volterra import endpoint_weights, lag_weights, product_convolve
 
 __all__ = [
@@ -55,15 +55,34 @@ class NonConvergence(RuntimeError):
         self.residuals = residuals
 
 
-def _check_finite(samples: np.ndarray, basis: SpectralBasis, what: str) -> None:
+# samples per row block of the node-space paths: bounds their working memory
+# (8 MiB an array) while keeping each block one large matrix product
+_SAMPLE_BUDGET = 1 << 20
+
+
+def _row_blocks(rows: int, basis: SpectralBasis):
+    """Slices of at most _SAMPLE_BUDGET // nodes rows (at least one)."""
+    step = max(1, _SAMPLE_BUDGET // basis.nodes.shape[0])
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
+def _check_finite(
+    samples: np.ndarray, basis: SpectralBasis, what: str, first_row: int = 0
+) -> None:
     if np.all(np.isfinite(samples)):
         return
     flat = np.argwhere(~np.isfinite(np.atleast_2d(samples)))
     i, j = flat[0]
-    node = basis.nodes[j] if basis.nodes.ndim == 1 else tuple(basis.nodes[j])
     raise OverflowDiagnostic(
-        f"{what} produced a non-finite sample at node {node} (time row {i})"
+        f"{what} produced a non-finite sample at node {_node(basis, j)} "
+        f"(time row {first_row + i})"
     )
+
+
+def _node(basis: SpectralBasis, j: int):
+    """Collocation node j as a float or a tuple of floats."""
+    x = basis.nodes[j]
+    return float(x) if basis.nodes.ndim == 1 else tuple(float(c) for c in x)
 
 
 @dataclass(frozen=True)
@@ -181,27 +200,34 @@ class Nonlinearity:
                 raise ValueError("diagonal coefficient count does not match basis")
             return V * self.coeffs[None, :]
         if self.kind == "power":
-            samples = V @ basis.synthesis.T
-            # overflow surfaces through the finiteness check below, not as
-            # a stray warning
-            with np.errstate(over="ignore"):
+            what = f"pointwise power {self.power}"
+            out = np.empty_like(V)
+            for rows in _row_blocks(V.shape[0], basis):
+                samples = synthesize(basis, V[rows])
+                # sign(s) |s|^p, computed in one buffer; overflow surfaces
+                # through the finiteness check below, not as a stray warning
+                mapped = np.abs(samples)
+                with np.errstate(over="ignore"):
+                    mapped **= self.power
                 if self.signed:
-                    mapped = np.sign(samples) * np.abs(samples) ** self.power
-                else:
-                    mapped = np.abs(samples) ** self.power
-            mapped *= self.scale
-            _check_finite(mapped, basis, f"pointwise power {self.power}")
-            return project(basis, mapped)
+                    np.copysign(mapped, samples, out=mapped)
+                mapped *= self.scale
+                _check_finite(mapped, basis, what, rows.start)
+                out[rows] = project(basis, mapped)
+            return out
         if self.kind == "advection":
-            grads = basis.gradients
-            if len(self.chi) != len(grads):
+            if len(self.chi) != basis.domain.ndim:
                 raise ValueError("advection vector length does not match domain")
-            samples = np.zeros((W.shape[0], basis.nodes.shape[0]))
-            for c, g in zip(self.chi, grads):
-                if c != 0.0:
-                    samples += c * (W @ g.T)
-            _check_finite(samples, basis, "advected history")
-            return project(basis, samples)
+            # linear in w: project chi . grad e_n once per mode, then combine
+            modes = np.eye(basis.n_modes)
+            M = np.empty_like(modes)
+            for rows in _row_blocks(basis.n_modes, basis):
+                M[rows] = project(basis, basis._directional(modes[rows], self.chi))
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = W @ M
+            if not np.all(np.isfinite(out)):
+                self._advection_overflow(W, out, basis)
+            return out
         if self.kind == "sum":
             out = np.zeros_like(V)
             for p in self.parts:
@@ -214,6 +240,18 @@ class Nonlinearity:
             _check_finite(out, basis, "custom reaction")
             return out
         raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+
+    def _advection_overflow(self, W, out, basis: SpectralBasis) -> None:
+        """Raise for the first time row whose advected history is not finite."""
+        i = int(np.argwhere(~np.isfinite(out))[0, 0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = basis._directional(W[i : i + 1], self.chi)
+        _check_finite(samples, basis, "advected history", i)
+        j = int(np.argmax(np.abs(samples[0])))
+        raise OverflowDiagnostic(
+            "advected history projected to a non-finite coefficient (time row "
+            f"{i}; largest sample {samples[0, j]:.3e} at node {_node(basis, j)})"
+        )
 
     def __call__(self, v: SpectralField, w: SpectralField) -> SpectralField:
         out = self.apply_series(v.coeffs[None, :], w.coeffs[None, :], v.basis)
@@ -241,7 +279,7 @@ class Nonlinearity:
             return (lambda rho: lstar), (lambda rho: 0.0)
         if self.kind == "power":
             # |u|_inf <= sup|e_n| * sqrt(sum lam^-mu) * |u|_mu on the truncation
-            sup_e = float(np.max(np.abs(basis.synthesis)))
+            sup_e = basis._sup_mode()
             c_inf = sup_e * float(np.sqrt(np.sum(lam ** (-self.mu))))
             c_l2 = float(lam[0] ** (-self.mu / 2.0))
             p, s = self.power, abs(self.scale)
@@ -506,7 +544,9 @@ def _history_weighted_sup(ell: HistoryKernel, grid: TimeGrid, gamma: float, i_mi
     abs_ell = np.abs(np.asarray(ell(t), dtype=float))
     conv = product_convolve(w, abs_ell)
     vals = t[i_min:] ** gamma * conv[i_min:]
-    return float(np.max(vals))
+    # no node at or after t_min (grids shorter than t_min): an empty sup, as
+    # for the seminorm itself
+    return float(np.max(vals, initial=0.0))
 
 
 def holder_estimate(

@@ -4,11 +4,27 @@ Fields are coefficient vectors in the orthonormal eigenbasis of the negative
 Laplacian; all norms, fractional powers, and gradient pairings are diagonal.
 Collocation uses 2N+1 equispaced interior nodes per axis, which makes the
 discrete sine transform an exact quadrature for products of basis functions.
+
+Every mode is a product of one sine per axis, so a basis keeps one table per
+axis: the normalized sines (and their derivatives) of indices 1..J_a at that
+axis's nodes, J_a being the largest index of the axis among the modes.
+Synthesis at the nodes and projection scatter the coefficients into a
+(rows, J_1, ..., J_d) index grid and contract it with the tables one axis at
+a time.  On a rectangle with n_x x n_y nodes a row costs about
+n_x n_y J_y + n_x J_x J_y multiply-adds, against n_x n_y N for a dense
+(nodes x modes) matrix: for 64 modes on the square (J = 9 per axis, 16,641
+nodes) that is 6.6x fewer, and the tables hold 2 x 129 x 9 values instead of
+16,641 x 64.  On an interval the one table is the dense matrix itself, and
+the results keep its bits.  No scipy.fft DST is used: importing scipy.fft
+costs more than these contractions, and cosines at the sine nodes (the
+gradients) are not a DST-I grid anyway.  The dense matrices remain as lazy
+attributes for inspection; no solver path builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +76,17 @@ def _axis_nodes(length: float, n_modes: int):
     return q * length / m, length / m
 
 
+def _sines(length: float, n, x) -> np.ndarray:
+    """sqrt(2/L) sin(n pi x / L), shape (x.size, n.size)."""
+    return np.sqrt(2.0 / length) * np.sin(n[None, :] * np.pi * x[:, None] / length)
+
+
+def _sine_slopes(length: float, n, x) -> np.ndarray:
+    """x-derivatives of ``_sines``, same shape."""
+    freq = n[None, :] * np.pi / length
+    return np.sqrt(2.0 / length) * freq * np.cos(freq * x[:, None])
+
+
 class SpectralBasis:
     """Eigenpairs sorted ascending by eigenvalue with deterministic ties.
 
@@ -80,6 +107,7 @@ class SpectralBasis:
             xs, wx = _axis_nodes(domain.length, n_modes)
             self.nodes = xs
             self.node_weights = np.full(xs.size, wx)
+            axes = [(domain.length, xs, n)]
         elif isinstance(domain, Rectangle):
             j, k = np.meshgrid(
                 np.arange(1, n_modes + 1), np.arange(1, n_modes + 1), indexing="ij"
@@ -94,10 +122,73 @@ class SpectralBasis:
             gx, gy = np.meshgrid(xs, ys, indexing="ij")
             self.nodes = np.stack([gx.ravel(), gy.ravel()], axis=1)
             self.node_weights = np.full(self.nodes.shape[0], wx * wy)
+            axes = [
+                (domain.lx, xs, self.indices[:, 0]),
+                (domain.ly, ys, self.indices[:, 1]),
+            ]
         else:
             raise TypeError(f"unsupported domain {domain!r}")
-        self.synthesis = self.eval_modes(self.nodes)
-        self.gradients = self.eval_grad_modes(self.nodes)
+        # per-axis tables of indices 1..J_a at the axis nodes, and the flat
+        # position of each mode in the (J_1, ..., J_d) index grid
+        tables, slopes = [], []
+        for length, x, idx in axes:
+            n = np.arange(1, int(idx.max()) + 1)
+            tables.append(_sines(length, n, x))
+            slopes.append(_sine_slopes(length, n, x))
+        self._tables, self._slopes = tuple(tables), tuple(slopes)
+        self._grid_shape = tuple(t.shape[1] for t in tables)
+        self._flat = np.ravel_multi_index(
+            tuple(idx - 1 for _, _, idx in axes), self._grid_shape
+        )
+
+    @cached_property
+    def synthesis(self) -> np.ndarray:
+        """Dense (nodes, modes) values; built on first use, for inspection."""
+        return self.eval_modes(self.nodes)
+
+    @cached_property
+    def gradients(self):
+        """Dense per-axis derivative matrices; built on first use."""
+        return self.eval_grad_modes(self.nodes)
+
+    def _synthesize(self, coeffs: np.ndarray, tables) -> np.ndarray:
+        """(rows, n_modes) coefficients to (rows, nodes) values via ``tables``."""
+        rows = coeffs.shape[0]
+        grid = np.zeros((rows, int(np.prod(self._grid_shape))))
+        grid[:, self._flat] = coeffs
+        out = grid.reshape((rows,) + self._grid_shape)
+        for table in tables:
+            # contract the leading index axis; the node axis lands last
+            moved = np.moveaxis(out, 1, -1)
+            flat = moved.reshape(-1, table.shape[1]) @ table.T
+            out = flat.reshape(moved.shape[:-1] + (table.shape[0],))
+        return out.reshape(rows, -1)
+
+    def _project(self, samples: np.ndarray) -> np.ndarray:
+        """(rows, nodes) samples to (rows, n_modes) coefficients."""
+        rows = samples.shape[0]
+        shape = tuple(t.shape[0] for t in self._tables)
+        # weights first, as in (s * w) @ E: on an interval this is that product
+        out = (samples * self.node_weights).reshape((rows,) + shape)
+        for table in reversed(self._tables):
+            # contract the trailing node axis; the index axis moves to the front
+            flat = out.reshape(-1, table.shape[0]) @ table
+            out = np.moveaxis(flat.reshape(out.shape[:-1] + (table.shape[1],)), -1, 1)
+        return out.reshape(rows, -1)[:, self._flat]
+
+    def _directional(self, coeffs: np.ndarray, direction) -> np.ndarray:
+        """Node values of direction . grad u for (rows, n_modes) coefficients."""
+        out = np.zeros((coeffs.shape[0], self.nodes.shape[0]))
+        for axis, c in enumerate(direction):
+            if c != 0.0:
+                tables = list(self._tables)
+                tables[axis] = self._slopes[axis]
+                out += self._synthesize(c * coeffs, tables)
+        return out
+
+    def _sup_mode(self) -> float:
+        """Bound on max |e_n| at the nodes: the product of per-axis maxima."""
+        return float(np.prod([np.max(np.abs(t)) for t in self._tables]))
 
     def __eq__(self, other):
         return (
@@ -116,9 +207,7 @@ class SpectralBasis:
         """Eigenfunction values, shape (n_points, n_modes)."""
         pts = np.asarray(points, dtype=float)
         if isinstance(self.domain, Interval):
-            L = self.domain.length
-            x = pts.reshape(-1, 1)
-            return np.sqrt(2.0 / L) * np.sin(self.indices[None, :] * np.pi * x / L)
+            return _sines(self.domain.length, self.indices, pts.reshape(-1))
         lx, ly = self.domain.lx, self.domain.ly
         pts = pts.reshape(-1, 2)
         j = self.indices[:, 0][None, :]
@@ -131,10 +220,7 @@ class SpectralBasis:
         """Per-axis eigenfunction derivatives, tuple of (n_points, n_modes)."""
         pts = np.asarray(points, dtype=float)
         if isinstance(self.domain, Interval):
-            L = self.domain.length
-            x = pts.reshape(-1, 1)
-            freq = self.indices[None, :] * np.pi / L
-            return (np.sqrt(2.0 / L) * freq * np.cos(freq * x),)
+            return (_sine_slopes(self.domain.length, self.indices, pts.reshape(-1)),)
         lx, ly = self.domain.lx, self.domain.ly
         pts = pts.reshape(-1, 2)
         j = self.indices[:, 0][None, :]
@@ -176,14 +262,22 @@ def project(basis: SpectralBasis, samples) -> np.ndarray:
     s = np.asarray(samples, dtype=float)
     if s.shape[-1] != basis.nodes.shape[0]:
         raise ValueError("sample count does not match collocation nodes")
-    return (s * basis.node_weights) @ basis.synthesis
+    out = basis._project(s.reshape(-1, s.shape[-1]))
+    return out.reshape(s.shape[:-1] + (basis.n_modes,))
 
 
 def synthesize(basis: SpectralBasis, coeffs, points=None) -> np.ndarray:
-    """Point values of the field; defaults to the collocation nodes."""
+    """Point values of the field; defaults to the collocation nodes.
+
+    coeffs: (n_modes,) or (..., n_modes); leading axes are preserved.
+    """
     c = np.asarray(coeffs, dtype=float)
-    E = basis.synthesis if points is None else basis.eval_modes(points)
-    return c @ E.T
+    if points is not None:
+        return c @ basis.eval_modes(points).T
+    if c.shape[-1] != basis.n_modes:
+        raise ValueError("coefficient count does not match the basis")
+    out = basis._synthesize(c.reshape(-1, basis.n_modes), basis._tables)
+    return out.reshape(c.shape[:-1] + (basis.nodes.shape[0],))
 
 
 def hnorm(coeffs, basis: SpectralBasis, rho: float = 0.0):

@@ -5,9 +5,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rstokes
 from rstokes import (
@@ -376,6 +378,59 @@ def test_diverging_solve_exits_2_with_artifacts(tmp_path):
     _, rows = read_table(out / "iterations.csv")
     residuals = [float(r[1]) for r in rows]
     assert len(residuals) >= 2 and residuals[1] > residuals[0]
+
+
+def _reaction(kind, ndim, power, scale, chi):
+    if kind == "power":
+        return {"kind": "polynomial_power", "power": power, "scale": scale}
+    if kind == "advection":
+        return {"kind": "advection_history", "chi": chi[:ndim]}
+    return {"kind": "sum", "parts": [_reaction("power", ndim, power, scale, chi),
+                                     _reaction("advection", ndim, power, scale, chi)]}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    rectangle=st.booleans(),
+    n_modes=st.integers(1, 12),
+    n_steps=st.integers(2, 64),
+    kind=st.sampled_from(["power", "advection", "sum"]),
+    power=st.floats(1.1, 4.0),
+    scale=st.floats(-50.0, 50.0),
+    chi=st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=2),
+    amplitude=st.floats(-1e3, 1e3),
+    max_iter=st.integers(1, 40),
+)
+def test_solve_exits_0_or_2_with_a_summary(
+    rectangle, n_modes, n_steps, kind, power, scale, chi, amplitude, max_iter
+):
+    # from the small-data regime up to diverging amplitudes: a valid config
+    # ends in a converged run or a non-convergence exit, never a traceback
+    domain = (
+        {"shape": "rectangle", "Lx": 1.0, "Ly": 1.5, "N": n_modes}
+        if rectangle
+        else {"shape": "interval", "L": 1.0, "N": n_modes}
+    )
+    payload = {
+        "domain": domain,
+        "grid": {"T": 1.0, "N_t": n_steps},
+        "kernel": {"kind": "exponential", "m0": 1.0, "decay": 2.0},
+        "nonlinearity": _reaction(kind, 2 if rectangle else 1, power, scale, chi),
+        "history_kernel": {"kind": "exponential", "amplitude": 1.0, "decay": 1.0},
+        "initial": {"preset": "first_mode", "amplitude": amplitude},
+        "problem": {"tol": 1e-10, "max_iter": max_iter},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as handle:
+            json.dump(payload, handle)
+        out = os.path.join(tmp, "run")
+        with np.errstate(all="ignore"):
+            code = main(["solve", "--config", cfg, "--out", out, "--quiet"])
+        assert code in (0, 2)
+        with open(os.path.join(out, "summary.json")) as handle:
+            summary = json.load(handle)
+    assert summary["status"] == ("ok" if code == 0 else "non-convergence")
 
 
 def test_cli_import_skips_heavy_scipy_subpackages():

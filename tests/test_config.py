@@ -102,6 +102,13 @@ def test_gamma_band_is_enforced():
         validate_config(cfg, "solve")
 
 
+def test_grid_needs_two_steps():
+    # a one-step grid used to pass validation and fail in TimeGrid.uniform
+    with pytest.raises(ConfigError, match="N_t must be >= 2"):
+        validate_config(solve_cfg(grid={"T": 1.0, "N_t": 1}), "solve")
+    validate_config(solve_cfg(grid={"T": 1.0, "N_t": 2}), "solve")
+
+
 def test_apply_overrides_parses_json_values():
     cfg = {"grid": {"N_t": 64}}
     apply_overrides(

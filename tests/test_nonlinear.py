@@ -1,5 +1,7 @@
 """Reaction terms, the fixed-point solver, solvability gates, regularity."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
@@ -12,6 +14,7 @@ from rstokes import (
     NonConvergence,
     Nonlinearity,
     PicardOptions,
+    Rectangle,
     TimeGrid,
     build_basis,
     build_resolvent,
@@ -22,7 +25,7 @@ from rstokes import (
     small_data_gate,
     spectral_gap_gate,
 )
-from rstokes.nonlinear import history_series
+from rstokes.nonlinear import OverflowDiagnostic, history_series
 
 BASIS = build_basis(Interval(1.0), 6)
 
@@ -145,6 +148,40 @@ def test_power_overflow_is_diagnosed():
     V = np.full((1, 3), 1e200)
     with pytest.raises(RuntimeError, match="overflow|finite"):
         Nonlinearity.polynomial_power(3.0).apply_series(V, 0 * V, basis)
+
+
+def _overflow_from_row(first_bad: int, huge: float):
+    # 64 modes on the square: 16,641 nodes, so rows run in blocks of 63 and
+    # row 150 sits inside the third block
+    basis = build_basis(Rectangle(1.0, 1.0), 64)
+    rng = np.random.default_rng(8)
+    series = 1e-3 * rng.standard_normal((200, 64))
+    series[first_bad:] = huge
+    return basis, series
+
+
+def test_power_overflow_names_the_true_time_row():
+    basis, V = _overflow_from_row(150, 1e200)
+    spec = Nonlinearity.polynomial_power(3.0)
+    with pytest.raises(OverflowDiagnostic, match=r"time row 150\)") as info:
+        spec.apply_series(V, np.zeros_like(V), basis)
+    assert "pointwise power 3.0" in str(info.value)
+    assert "at node (" in str(info.value)
+
+
+def test_advection_overflow_names_the_true_time_row_and_a_node():
+    basis, W = _overflow_from_row(150, 1e308)
+    spec = Nonlinearity.advection_history((0.3, 0.2))
+    with pytest.raises(OverflowDiagnostic, match=r"time row 150\)") as info:
+        spec.apply_series(np.zeros_like(W), W, basis)
+    message = str(info.value)
+    assert "advected history" in message
+    # the named node is one where the synthesized row really is not finite
+    node = [float(x) for x in re.search(r"at node \(([^)]*)\)", message)[1].split(",")]
+    grads = basis.eval_grad_modes(np.array([node]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = sum(c * (W[150] @ g[0]) for c, g in zip(spec.chi, grads))
+    assert not np.isfinite(value)
 
 
 # -- history operator ---------------------------------------------------------
@@ -359,6 +396,15 @@ def test_holder_weights_constant_history_kernel_exactly():
     # moment t^g int_0^t (t-s)^{-g} ds = t/(1-g) peaks at the horizon
     assert report.ell_star1 == pytest.approx(0.5, rel=1e-12)
     assert report.ell_star2 == pytest.approx(1.0 / 0.6, rel=1e-10)
+
+
+def test_holder_on_a_grid_shorter_than_t_min():
+    # N_t = 2 puts the default t_min = 4 dt past the horizon: both sups run
+    # over no node and read 0 (the history one used to raise ValueError)
+    sol = manufactured_solution(lambda t: t, n_t=2)
+    report = holder_estimate(sol, gamma=0.4, ell=HistoryKernel.exponential(1.0, 1.0))
+    assert report.seminorm == 0.0 and np.isnan(report.t_at)
+    assert report.ell_star2 == 0.0
 
 
 def test_holder_gate_value_formula():

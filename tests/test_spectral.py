@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from rstokes import (
     Interval,
+    Nonlinearity,
     Rectangle,
     SpectralField,
     build_basis,
@@ -15,6 +17,39 @@ from rstokes import (
     project,
     synthesize,
 )
+
+
+# -- dense oracle: the (nodes x modes) matrices the per-axis path replaced --
+
+
+def dense_synthesize(basis, coeffs):
+    return coeffs @ basis.eval_modes(basis.nodes).T
+
+
+def dense_project(basis, samples):
+    return (samples * basis.node_weights) @ basis.eval_modes(basis.nodes)
+
+
+def dense_power(basis, V, power, scale, signed):
+    s = dense_synthesize(basis, V)
+    mapped = np.abs(s) ** power
+    if signed:
+        mapped = np.sign(s) * mapped
+    return dense_project(basis, scale * mapped)
+
+
+def dense_advection_samples(basis, W, chi):
+    grads = basis.eval_grad_modes(basis.nodes)
+    return sum(c * (W @ g.T) for c, g in zip(chi, grads))
+
+
+def term_sums(basis, samples):
+    """Sum of the absolute terms of each projected coefficient.
+
+    A floating-point sum errs relative to this, not to its own value, which
+    may cancel to rounding (one mode: the advection integral of e_1' e_1 is 0).
+    """
+    return (np.abs(samples) * basis.node_weights) @ np.abs(basis.eval_modes(basis.nodes))
 
 
 def test_interval_eigenvalues():
@@ -141,3 +176,89 @@ def test_basis_equality_is_structural():
     assert a != c
     with pytest.raises(ValueError):
         build_basis(Interval(1.0), 0)
+
+
+def assert_matches(got, want, terms):
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * float(np.max(terms)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    rectangle=st.booleans(),
+    lx=st.floats(0.3, 3.0),
+    ly=st.floats(0.3, 3.0),
+    n_modes=st.integers(1, 80),
+    rows=st.integers(1, 4),
+    power=st.sampled_from([2.0, 3.0, 2.5]),
+    scale=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_axis_path_matches_dense_oracle(
+    rectangle, lx, ly, n_modes, rows, power, scale, seed
+):
+    # lx != ly gives bases whose largest index differs per axis; each check
+    # is to 1e-13 of the largest output magnitude, or of the largest sum of
+    # absolute terms where the output cancels
+    domain = Rectangle(lx, ly) if rectangle else Interval(lx)
+    basis = build_basis(domain, n_modes)
+    rng = np.random.default_rng(seed)
+    decay = np.arange(1, n_modes + 1) ** 2.0
+    V = rng.standard_normal((rows, n_modes)) / decay
+    W = rng.standard_normal((rows, n_modes)) / decay
+
+    samples = synthesize(basis, V)
+    E = basis.eval_modes(basis.nodes)
+    assert_matches(samples, dense_synthesize(basis, V), np.abs(V) @ np.abs(E).T)
+    assert_matches(
+        project(basis, samples), dense_project(basis, samples), term_sums(basis, samples)
+    )
+    for signed in (True, False):
+        spec = Nonlinearity.polynomial_power(power, scale=scale, signed=signed)
+        want = dense_power(basis, V, power, scale, signed)
+        assert_matches(
+            spec.apply_series(V, W, basis),
+            want,
+            term_sums(basis, scale * np.abs(samples) ** power),
+        )
+    chi = tuple(rng.standard_normal(domain.ndim))
+    adv = dense_advection_samples(basis, W, chi)
+    assert_matches(
+        Nonlinearity.advection_history(chi).apply_series(V, W, basis),
+        dense_project(basis, adv),
+        term_sums(basis, adv),
+    )
+
+
+def test_interval_path_is_the_dense_matrix_bit_for_bit():
+    # one axis: the table is eval_modes at the nodes, so nothing is reordered
+    rng = np.random.default_rng(4)
+    basis = build_basis(Interval(1.3), 32)
+    V = rng.standard_normal((65, 32))
+    assert np.array_equal(synthesize(basis, V), dense_synthesize(basis, V))
+    S = rng.standard_normal((65, basis.nodes.size))
+    assert np.array_equal(project(basis, S), dense_project(basis, S))
+    spec = Nonlinearity.polynomial_power(2.0, scale=0.5)
+    assert np.array_equal(
+        spec.apply_series(V, V, basis), dense_power(basis, V, 2.0, 0.5, True)
+    )
+
+
+def test_rectangle_tables_are_sized_per_axis():
+    # 64 modes on the square reach index 9 per axis; the nodes stay 2N+1
+    basis = build_basis(Rectangle(1.0, 1.0), 64)
+    assert basis.nodes.shape == (129 * 129, 2)
+    assert [t.shape for t in basis._tables] == [(129, 9), (129, 9)]
+    assert "synthesis" not in vars(basis) and "gradients" not in vars(basis)
+    wide = build_basis(Rectangle(3.0, 1.0), 20)
+    assert wide._tables[0].shape[1] > wide._tables[1].shape[1]
+
+
+def test_synthesize_and_project_keep_leading_axes():
+    rng = np.random.default_rng(5)
+    basis = build_basis(Rectangle(1.0, 2.0), 7)
+    series = rng.standard_normal((2, 3, 7))
+    samples = synthesize(basis, series)
+    assert samples.shape == (2, 3, basis.nodes.shape[0])
+    np.testing.assert_allclose(project(basis, samples), series, atol=1e-12)
+    with pytest.raises(ValueError):
+        synthesize(basis, np.ones(6))
