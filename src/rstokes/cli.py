@@ -78,9 +78,7 @@ def cmd_relax(cfg: Dict, out: str, artifacts: List[str],
     kernel, lams, grid = _relax_inputs(cfg)
     table = relaxation_batch(kernel, lams, grid)
     header = ["t"] + [f"omega(lambda_{i + 1})" for i in range(lams.size)]
-    rows = (
-        [grid.nodes[i]] + list(table.omega[i]) for i in range(grid.nodes.size)
-    )
+    rows = np.column_stack((grid.nodes, table.omega))
     _emit(os.path.join(out, "omega.csv"), header, rows, artifacts, quiet)
 
     tol = cfg.get("verify", {}).get("tol", 1e-8)
@@ -133,10 +131,7 @@ def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
     header = ["t", "||u||_L2", "||u||_Hmu"] + [
         f"coeff_{j + 1}" for j in range(k_cols)
     ]
-    rows = (
-        [grid.nodes[i], l2[i], hm[i]] + list(sol.coeffs[i, :k_cols])
-        for i in range(grid.nodes.size)
-    )
+    rows = np.column_stack((grid.nodes, l2, hm, sol.coeffs[:, :k_cols]))
     _emit(os.path.join(out, "states.csv"), header, rows, artifacts, quiet)
     _emit(
         os.path.join(out, "iterations.csv"),
@@ -330,14 +325,14 @@ def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
     _emit(
         os.path.join(out, "p_recovered.csv"),
         ["t", "p"],
-        ((nodes[i], rec.p[i]) for i in range(nodes.size)),
+        np.column_stack((nodes, rec.p)),
         artifacts,
         quiet,
     )
     _emit(
         os.path.join(out, "residual.csv"),
         ["t", "measurement_residual"],
-        ((nodes[i], rec.measurement_residual[i]) for i in range(nodes.size)),
+        np.column_stack((nodes, rec.measurement_residual)),
         artifacts,
         quiet,
     )

@@ -184,7 +184,9 @@ def _validate_history(section: Dict, where: str, problems: List[str]) -> None:
             problems.append(f"{where}.table_path does not exist: {path}")
 
 
-def _validate_nonlinearity(section: Dict, where: str, problems: List[str]) -> None:
+def _validate_nonlinearity(section: Dict, where: str, problems: List[str],
+                           ndim: Optional[int]) -> None:
+    """ndim is the domain's dimension, or None when the domain is invalid."""
     kind = _choice(section, "kind", where, NONLINEARITY_KINDS, problems, required=True)
     _num(section, "mu", where, problems, minimum=0.0)
     _num(section, "delta", where, problems, exclusive_min=0.0, maximum=1.0)
@@ -201,6 +203,9 @@ def _validate_nonlinearity(section: Dict, where: str, problems: List[str]) -> No
         if not ok and not (isinstance(chi, list) and chi and all(
                 isinstance(c, (int, float)) and not isinstance(c, bool) for c in chi)):
             problems.append(f"{where}.chi must be a number or list of numbers")
+        elif ndim is not None and (1 if ok else len(chi)) != ndim:
+            problems.append(f"{where}.chi must have one component per domain "
+                            f"dimension ({ndim}), got {chi!r}")
     if kind == "sum":
         parts = section.get("parts")
         if not isinstance(parts, list) or not parts:
@@ -212,7 +217,7 @@ def _validate_nonlinearity(section: Dict, where: str, problems: List[str]) -> No
                 elif part.get("kind") == "sum":
                     problems.append(f"{where}.parts[{i}]: nested sums are not supported")
                 else:
-                    _validate_nonlinearity(part, f"{where}.parts[{i}]", problems)
+                    _validate_nonlinearity(part, f"{where}.parts[{i}]", problems, ndim)
 
 
 def _validate_initial(section: Dict, where: str, problems: List[str]) -> None:
@@ -236,11 +241,13 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
     """Raise ConfigError listing every violation for the given subcommand."""
     problems: List[str] = []
 
+    ndim = None
     domain = _section(cfg, "domain", problems,
                       required=subcommand in ("solve", "verify", "inverse"))
     if domain is not None:
         shape = _choice(domain, "shape", "domain", ("interval", "rectangle"),
                         problems, required=True)
+        ndim = {"interval": 1, "rectangle": 2}.get(shape)
         if shape == "interval":
             _num(domain, "L", "domain", problems, required=True, exclusive_min=0.0)
         elif shape == "rectangle":
@@ -286,7 +293,7 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
     if subcommand == "solve":
         nl = _section(cfg, "nonlinearity", problems, required=True)
         if nl is not None:
-            _validate_nonlinearity(nl, "nonlinearity", problems)
+            _validate_nonlinearity(nl, "nonlinearity", problems, ndim)
         hist = _section(cfg, "history_kernel", problems, required=True)
         if hist is not None:
             _validate_history(hist, "history_kernel", problems)
@@ -333,7 +340,7 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
                 if not isinstance(f1, dict):
                     problems.append("inverse.f1 must be a JSON object")
                 else:
-                    _validate_nonlinearity(f1, "inverse.f1", problems)
+                    _validate_nonlinearity(f1, "inverse.f1", problems, ndim)
             _num(inv, "pairing_floor", "inverse", problems, exclusive_min=0.0)
             _num(inv, "tol", "inverse", problems, exclusive_min=0.0)
             _num(inv, "max_iter", "inverse", problems, integer=True, minimum=1)

@@ -34,7 +34,12 @@ def format_value(value) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Write rows atomically; returns the final path."""
+    """Write rows atomically; returns the final path.
+
+    rows is an iterable of row sequences, or one 2-D float array, which is
+    formatted in blocks of _BLOCK_ROWS rows with one %.17g template per
+    block (the same bytes as the row-by-row path, several times faster).
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -42,14 +47,29 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str
         with os.fdopen(fd, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([format_value(v) for v in row])
+            if isinstance(rows, np.ndarray):
+                _write_float_blocks(handle, rows)
+            else:
+                for row in rows:
+                    writer.writerow([format_value(v) for v in row])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
     return path
+
+
+_BLOCK_ROWS = 256
+
+
+def _write_float_blocks(handle, table: np.ndarray) -> None:
+    if table.ndim != 2 or table.dtype.kind != "f":
+        raise ValueError("an array of rows must be a 2-D float table")
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for lo in range(0, table.shape[0], _BLOCK_ROWS):
+        block = table[lo : lo + _BLOCK_ROWS]
+        handle.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def write_field_csv(path: str, eigenvalues: np.ndarray, coeffs: np.ndarray) -> str:

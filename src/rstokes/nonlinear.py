@@ -237,7 +237,13 @@ class Nonlinearity:
             out = np.asarray(self.series_fn(V, W, basis), dtype=float)
             if out.shape != V.shape:
                 raise ValueError("custom series callback returned a bad shape")
-            _check_finite(out, basis, "custom reaction")
+            if not np.all(np.isfinite(out)):
+                # the callback returns coefficients: name a mode, not a node
+                i, j = np.argwhere(~np.isfinite(out))[0]
+                raise OverflowDiagnostic(
+                    f"custom reaction produced a non-finite coefficient in mode "
+                    f"{j + 1} of {basis.n_modes} (time row {i})"
+                )
             return out
         raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
 

@@ -166,12 +166,33 @@ def _reciprocal_weights(ctx: ResolventContext):
     return lag_weights(rec.moments, ctx.grid)
 
 
-def _trial_series(rng, t, n_modes):
-    # smooth random coefficient paths: per-mode amplitude and phase
-    amp = rng.standard_normal(n_modes)
-    phase = rng.uniform(0.0, 2.0 * np.pi, n_modes)
+def _trial_series(amp, phase, t):
+    # smooth random coefficient path: per-mode amplitude and phase
     profile = 1.0 + 0.5 * np.sin(2.0 * np.pi * t[:, None] / t[-1] + phase[None, :])
     return amp[None, :] * profile
+
+
+class _Worst:
+    """Running worst (smallest) margin over trials and the time it occurs."""
+
+    def __init__(self):
+        self.margin, self.t = np.inf, 0.0
+
+    def fold(self, margin, t):
+        i = int(np.argmin(margin))
+        if margin[i] < self.margin:
+            self.margin, self.t = float(margin[i]), float(t[i])
+
+    def row(self, label, tol):
+        status = "pass" if self.margin >= -tol else "fail"
+        return BoundCheck(label, status, self.margin, self.t)
+
+
+def _skip(label, reason):
+    return BoundCheck(label, "skip", float("nan"), float("nan"), reason)
+
+
+_GRADED_SKIP = "graded grid: lag-aligned quadrature unavailable"
 
 
 def verify_sol_op_bounds(
@@ -182,7 +203,12 @@ def verify_sol_op_bounds(
     seed: int = 0,
     tol: float = 1e-8,
 ) -> ResolventReport:
-    """Evaluate the operator estimates on random trials; report worst margins."""
+    """Evaluate the operator estimates on random trials; report worst margins.
+
+    The three conv_smoothing rows share one pass over the trials: a trial
+    series and its convolution with the table exist only while that trial is
+    checked, so memory does not grow with n_trials.
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if n_trials < 1:
@@ -192,164 +218,97 @@ def verify_sol_op_bounds(
     omega = ctx.table.omega
     basis = ctx.basis
     n_modes = basis.n_modes
-    rows = []
+    uniform = ctx.grid.is_uniform
 
     # sol_op_bound: diagonal action vs the slowest mode's profile
-    worst, t_at = np.inf, 0.0
+    sol_op = _Worst()
     for _ in range(n_trials):
         xi = rng.standard_normal(n_modes)
         lhs = hnorm(omega * xi[None, :], basis, 0.0)
-        margin = omega[:, 0] * hnorm(xi, basis, 0.0) - lhs
-        i = int(np.argmin(margin))
-        if margin[i] < worst:
-            worst, t_at = float(margin[i]), float(t[i])
-    rows.append(
-        BoundCheck("sol_op_bound", "pass" if worst >= -tol else "fail", worst, t_at)
-    )
+        sol_op.fold(omega[:, 0] * hnorm(xi, basis, 0.0) - lhs, t)
 
-    uniform = ctx.grid.is_uniform
-    rectangle = ctx.table.scheme == "rectangle"
-    if uniform:
-        dt = ctx.grid.dt
-        trials = [_trial_series(rng, t, n_modes) for _ in range(n_trials)]
-        convs = [convolve_sol_op(ctx, g) for g in trials]
-
-        def smoothing_rhs(weight_at_nodes, weight_moments, q):
-            # quadrature matched to the table's scheme; the right-endpoint
-            # rule never evaluates a singular weight at lag zero and
-            # underestimates the cell integral of a decreasing weight, so
-            # the rectangle branch is the conservative side of the bound
-            if rectangle:
-                k = np.concatenate(([0.0], weight_at_nodes))
-                return rectangle_convolve(k, q, dt)
-            return weight_moments(q)
-
-        # conv_smoothing_l2
-        worst, t_at = np.inf, 0.0
-        for g, conv in zip(trials, convs):
-            lhs = hnorm(conv, basis, mu) ** 2
-            q = hnorm(g, basis, mu - 1.0) ** 2
-            rhs = smoothing_rhs(
-                omega[1:, 0], lambda q: trapezoid_convolve(omega[:, 0], q, dt), q
-            )
-            margin = rhs - lhs
-            i = int(np.argmin(margin))
-            if margin[i] < worst:
-                worst, t_at = float(margin[i]), float(t[i])
-        rows.append(
-            BoundCheck(
-                "conv_smoothing_l2", "pass" if worst >= -tol else "fail", worst, t_at
-            )
-        )
-    else:
-        rows.append(
-            BoundCheck(
-                "conv_smoothing_l2",
-                "skip",
-                float("nan"),
-                float("nan"),
-                "graded grid: lag-aligned quadrature unavailable",
-            )
-        )
+    # the trial draws come before the derivative_decay draws; the series
+    # themselves are built one at a time in the smoothing pass below
+    draws = [
+        (rng.standard_normal(n_modes), rng.uniform(0.0, 2.0 * np.pi, n_modes))
+        for _ in range(n_trials if uniform else 0)
+    ]
 
     # derivative_decay, forward difference quotients, first 4 cells excluded
-    if ctx.kernel.nonincreasing:
-        worst, t_at = np.inf, 0.0
+    if not ctx.kernel.nonincreasing:
+        decay_row = _skip("derivative_decay", "kernel is not nonincreasing")
+    elif t.size < 6:
+        decay_row = _skip("derivative_decay", "grid has no cell past the first 4")
+    else:
+        decay = _Worst()
         steps = ctx.grid.steps()
+        t4 = t[4:-1]
         for _ in range(n_trials):
             xi = rng.standard_normal(n_modes)
             norm_xi = hnorm(xi, basis, 0.0)
             dq = hnorm(np.diff(omega, axis=0) * xi[None, :], basis, 0.0) / steps
-            margin = 1.0 / t[4:-1] - dq[4:] / norm_xi
-            i = int(np.argmin(margin))
-            if margin[i] < worst:
-                worst, t_at = float(margin[i]), float(t[4 + i])
-        rows.append(
-            BoundCheck(
-                "derivative_decay", "pass" if worst >= -tol else "fail", worst, t_at
-            )
+            decay.fold(1.0 / t4 - dq[4:] / norm_xi, t4)
+        decay_row = decay.row("derivative_decay", tol)
+
+    if not uniform:
+        return ResolventReport(
+            (
+                sol_op.row("sol_op_bound", tol),
+                _skip("conv_smoothing_l2", _GRADED_SKIP),
+                decay_row,
+                _skip("conv_smoothing_singular", _GRADED_SKIP),
+                _skip("conv_smoothing_reciprocal", _GRADED_SKIP),
+            ),
+            mu,
+            delta,
+            interpolated_lags=True,
         )
+
+    # one rule per conv_smoothing row for the right-hand side, applied to
+    # the squared trial norm.  The quadrature matches the table's scheme; the
+    # right-endpoint rule never evaluates a singular weight at lag zero and
+    # underestimates the cell integral of a decreasing weight, so the
+    # rectangle branch is the conservative side of the bound
+    dt = ctx.grid.dt
+    reciprocal = reciprocal_cumulative_integrable(ctx.kernel, ctx.grid.horizon)
+    if ctx.table.scheme == "rectangle":
+
+        def rule(weight_at_lags):
+            k = np.concatenate(([0.0], weight_at_lags))
+            return lambda q: rectangle_convolve(k, q, dt)
+
+        rules = [rule(omega[1:, 0]), rule(t[1:] ** (-delta))]
+        if reciprocal:
+            rules.append(rule(1.0 / np.asarray(ctx.kernel.cumulative(t[1:]), float)))
     else:
+        w_sing = lag_weights(HistoryKernel.powerlaw(1.0, -delta).moments, ctx.grid)
+        rules = [
+            lambda q: trapezoid_convolve(omega[:, 0], q, dt),
+            lambda q: product_convolve(w_sing, q),
+        ]
+        if reciprocal:
+            w_rec = _reciprocal_weights(ctx)
+            rules.append(lambda q: product_convolve(w_rec, q))
+    labels = ("conv_smoothing_l2", "conv_smoothing_singular", "conv_smoothing_reciprocal")
+    orders = (mu - 1.0, mu - 1.0 - delta, mu - 2.0)
+    worst = [_Worst() for _ in rules]
+    for amp, phase in draws:
+        g = _trial_series(amp, phase, t)
+        lhs = hnorm(convolve_sol_op(ctx, g), basis, mu) ** 2
+        for rho, rhs, w in zip(orders, rules, worst):
+            w.fold(rhs(hnorm(g, basis, rho) ** 2) - lhs, t)
+    rows = [w.row(label, tol) for label, w in zip(labels, worst)]
+    if not reciprocal:
         rows.append(
-            BoundCheck(
-                "derivative_decay",
-                "skip",
-                float("nan"),
-                float("nan"),
-                "kernel is not nonincreasing",
+            _skip(
+                labels[2],
+                "1/(1*m) is not integrable at t = 0 for a kernel bounded there",
             )
         )
-
-    if uniform:
-        # conv_smoothing_singular: (t-tau)^(-delta) weight
-        singular = HistoryKernel.powerlaw(1.0, -delta)
-        w_sing = lag_weights(singular.moments, ctx.grid)
-        worst, t_at = np.inf, 0.0
-        for g, conv in zip(trials, convs):
-            lhs = hnorm(conv, basis, mu) ** 2
-            q = hnorm(g, basis, mu - 1.0 - delta) ** 2
-            rhs = smoothing_rhs(
-                t[1:] ** (-delta), lambda q: product_convolve(w_sing, q), q
-            )
-            margin = rhs - lhs
-            i = int(np.argmin(margin))
-            if margin[i] < worst:
-                worst, t_at = float(margin[i]), float(t[i])
-        rows.append(
-            BoundCheck(
-                "conv_smoothing_singular",
-                "pass" if worst >= -tol else "fail",
-                worst,
-                t_at,
-            )
-        )
-
-        if reciprocal_cumulative_integrable(ctx.kernel, ctx.grid.horizon):
-            if rectangle:
-                rec_vals = 1.0 / np.asarray(ctx.kernel.cumulative(t[1:]), float)
-                w_rec = None
-            else:
-                rec_vals = None
-                w_rec = _reciprocal_weights(ctx)
-            worst, t_at = np.inf, 0.0
-            for g, conv in zip(trials, convs):
-                lhs = hnorm(conv, basis, mu) ** 2
-                q = hnorm(g, basis, mu - 2.0) ** 2
-                rhs = smoothing_rhs(
-                    rec_vals, lambda q: product_convolve(w_rec, q), q
-                )
-                margin = rhs - lhs
-                i = int(np.argmin(margin))
-                if margin[i] < worst:
-                    worst, t_at = float(margin[i]), float(t[i])
-            rows.append(
-                BoundCheck(
-                    "conv_smoothing_reciprocal",
-                    "pass" if worst >= -tol else "fail",
-                    worst,
-                    t_at,
-                )
-            )
-        else:
-            rows.append(
-                BoundCheck(
-                    "conv_smoothing_reciprocal",
-                    "skip",
-                    float("nan"),
-                    float("nan"),
-                    "1/(1*m) is not integrable at t = 0 for a kernel bounded there",
-                )
-            )
-    else:
-        for label in ("conv_smoothing_singular", "conv_smoothing_reciprocal"):
-            rows.append(
-                BoundCheck(
-                    label,
-                    "skip",
-                    float("nan"),
-                    float("nan"),
-                    "graded grid: lag-aligned quadrature unavailable",
-                )
-            )
-
-    return ResolventReport(tuple(rows), mu, delta, interpolated_lags=not uniform)
+    l2, singular, recip = rows
+    return ResolventReport(
+        (sol_op.row("sol_op_bound", tol), l2, decay_row, singular, recip),
+        mu,
+        delta,
+        interpolated_lags=False,
+    )

@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import rstokes
 from rstokes import (
@@ -380,6 +380,17 @@ def test_diverging_solve_exits_2_with_artifacts(tmp_path):
     assert len(residuals) >= 2 and residuals[1] > residuals[0]
 
 
+def _run(command, payload, tmp):
+    cfg = os.path.join(tmp, "cfg.json")
+    with open(cfg, "w") as handle:
+        json.dump(payload, handle)
+    out = os.path.join(tmp, "run")
+    code = main([command, "--config", cfg, "--out", out, "--quiet"])
+    with open(os.path.join(out, "summary.json")) as handle:
+        summary = json.load(handle)
+    return code, out, summary
+
+
 def _reaction(kind, ndim, power, scale, chi):
     if kind == "power":
         return {"kind": "polynomial_power", "power": power, "scale": scale}
@@ -389,7 +400,6 @@ def _reaction(kind, ndim, power, scale, chi):
                                      _reaction("advection", ndim, power, scale, chi)]}
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     rectangle=st.booleans(),
     n_modes=st.integers(1, 12),
@@ -420,17 +430,105 @@ def test_solve_exits_0_or_2_with_a_summary(
         "initial": {"preset": "first_mode", "amplitude": amplitude},
         "problem": {"tol": 1e-10, "max_iter": max_iter},
     }
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "cfg.json")
-        with open(cfg, "w") as handle:
-            json.dump(payload, handle)
-        out = os.path.join(tmp, "run")
-        with np.errstate(all="ignore"):
-            code = main(["solve", "--config", cfg, "--out", out, "--quiet"])
-        assert code in (0, 2)
-        with open(os.path.join(out, "summary.json")) as handle:
-            summary = json.load(handle)
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        code, _, summary = _run("solve", payload, tmp)
+    assert code in (0, 2)
     assert summary["status"] == ("ok" if code == 0 else "non-convergence")
+
+
+def _kernel_section(kind, m0, shape, tmp):
+    if kind == "zero":
+        return {"kind": "zero"}
+    if kind == "constant":
+        return {"kind": "constant", "m0": m0}
+    if kind == "fractional":
+        return {"kind": "fractional", "m0": m0, "alpha": shape}
+    if kind == "exponential":
+        return {"kind": "exponential", "m0": m0, "decay": 20.0 * shape}
+    # a two-point nonincreasing table
+    table = os.path.join(tmp, "m.csv")
+    with open(table, "w") as handle:
+        handle.write(f"t,m\n{shape},{m0}\n1.0,{m0 * shape}\n")
+    return {"kind": "tabulated", "table_path": table}
+
+
+KERNEL_KINDS = ["zero", "constant", "fractional", "exponential", "tabulated"]
+
+
+@given(
+    kind=st.sampled_from(KERNEL_KINDS),
+    m0=st.floats(0.01, 100.0),
+    shape=st.floats(0.05, 0.95),
+    rectangle=st.booleans(),
+    n_modes=st.integers(1, 8),
+    n_steps=st.integers(2, 64),
+    grading=st.sampled_from([1.0, 2.0]),
+    trials=st.integers(1, 5),
+    seed=st.integers(0, 2**31),
+    mu=st.floats(0.0, 2.0),
+    delta=st.floats(0.05, 1.0, exclude_max=True),
+)
+def test_verify_exits_0_with_a_matching_summary(
+    kind, m0, shape, rectangle, n_modes, n_steps, grading, trials, seed, mu, delta
+):
+    domain = (
+        {"shape": "rectangle", "Lx": 1.0, "Ly": 1.5, "N": n_modes}
+        if rectangle
+        else {"shape": "interval", "L": 1.0, "N": n_modes}
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        payload = {
+            "domain": domain,
+            "grid": {"T": 1.0, "N_t": n_steps, "grading": grading},
+            "kernel": _kernel_section(kind, m0, shape, tmp),
+            "verify": {"trials": trials, "seed": seed, "mu": mu, "delta": delta},
+        }
+        with np.errstate(all="ignore"):
+            code, out, summary = _run("verify", payload, tmp)
+        _, rows = read_table(os.path.join(out, "verify_report.csv"))
+    assert code == 0
+    assert summary["subcommand"] == "verify" and summary["status"] == "ok"
+    assert summary["artifacts"] == ["verify_report.csv"]
+    assert summary["certificates"] == {r[0]: r[3] for r in rows}
+    labels = [r[0] for r in rows]
+    assert labels[-5:] == [
+        "sol_op_bound",
+        "conv_smoothing_l2",
+        "derivative_decay",
+        "conv_smoothing_singular",
+        "conv_smoothing_reciprocal",
+    ]
+
+
+@given(
+    kind=st.sampled_from(KERNEL_KINDS),
+    m0=st.floats(0.01, 100.0),
+    shape=st.floats(0.05, 0.95),
+    n_steps=st.integers(2, 64),
+    grading=st.sampled_from([1.0, 2.0]),
+    thetas=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+)
+def test_certify_exits_0_with_a_matching_summary(
+    kind, m0, shape, n_steps, grading, thetas
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        payload = {
+            "grid": {"T": 1.0, "N_t": n_steps, "grading": grading},
+            "kernel": _kernel_section(kind, m0, shape, tmp),
+            "certify": {"thetas": thetas},
+        }
+        with np.errstate(all="ignore"):
+            code, out, summary = _run("certify", payload, tmp)
+        _, rows = read_table(os.path.join(out, "certificates.csv"))
+    assert code == 0
+    assert summary["subcommand"] == "certify" and summary["status"] == "ok"
+    assert summary["artifacts"] == ["certificates.csv"]
+    assert len(rows) == 2 * len(thetas) + 1
+    positive = all(r[3] == "pass" for r in rows[:-1])
+    certs = summary["certificates"]
+    assert certs["completely_positive"] == ("pass" if positive else "fail")
+    assert rows[-1][0] == "unbounded_splitting"
+    assert certs["unbounded_splitting"] == rows[-1][3]
 
 
 def test_cli_import_skips_heavy_scipy_subpackages():

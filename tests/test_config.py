@@ -218,3 +218,34 @@ def test_build_initial_presets_and_lists():
     np.testing.assert_array_equal(listed, [1.0, 2.0, 0.0, 0.0])
     with pytest.raises(ConfigError):
         build_initial({"initial": {"coefficients": [1.0] * 9}}, basis)
+
+
+def test_advection_chi_must_match_the_domain_dimension():
+    rectangle = {"shape": "rectangle", "Lx": 1.0, "Ly": 1.0, "N": 4}
+    scalar = {"kind": "advection_history", "chi": 0.3}
+    bad = [
+        solve_cfg(domain=rectangle, nonlinearity=scalar),
+        solve_cfg(domain=rectangle, nonlinearity={
+            "kind": "sum",
+            "parts": [{"kind": "polynomial_power", "power": 2.0}, scalar],
+        }),
+        solve_cfg(nonlinearity={"kind": "advection_history", "chi": [0.3, 0.2]}),
+    ]
+    for cfg, where in zip(bad, ("nonlinearity.chi", "nonlinearity.parts[1].chi",
+                                "nonlinearity.chi")):
+        with pytest.raises(ConfigError) as info:
+            validate_config(cfg, "solve")
+        assert [p for p in info.value.problems if p.startswith(where)], info.value
+    validate_config(solve_cfg(nonlinearity=scalar), "solve")
+    validate_config(solve_cfg(nonlinearity={"kind": "advection_history", "chi": [0.3]}),
+                    "solve")
+    validate_config(
+        solve_cfg(domain=rectangle,
+                  nonlinearity={"kind": "advection_history", "chi": [0.3, 0.2]}),
+        "solve",
+    )
+    # an invalid domain gives no dimension to check against
+    with pytest.raises(ConfigError) as info:
+        validate_config(solve_cfg(domain={"shape": "triangle", "N": 4},
+                                  nonlinearity=scalar), "solve")
+    assert not [p for p in info.value.problems if "chi" in p]

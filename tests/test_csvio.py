@@ -93,3 +93,25 @@ def test_series_csv_requires_increasing_time(tmp_path):
     open(path, "w").write("t,value\n")
     with pytest.raises(ValueError, match="no data"):
         read_series_csv(path)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 600])
+def test_float_table_blocks_match_the_row_path_byte_for_byte(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    table = rng.standard_normal((n_rows, 4)) * 10.0 ** rng.integers(-300, 300, (n_rows, 4))
+    if n_rows:
+        table[0] = [np.nan, np.inf, -np.inf, -0.0]
+    blocks = str(tmp_path / "blocks.csv")
+    rows = str(tmp_path / "rows.csv")
+    write_csv(blocks, ["a", "b", "c", "d"], table)
+    write_csv(rows, ["a", "b", "c", "d"], (list(r) for r in table))
+    assert open(blocks, "rb").read() == open(rows, "rb").read()
+
+
+def test_float_table_must_be_2d_float(tmp_path):
+    path = str(tmp_path / "bad.csv")
+    with pytest.raises(ValueError):
+        write_csv(path, ["a"], np.arange(3))
+    with pytest.raises(ValueError):
+        write_csv(path, ["a"], np.ones(3))
+    assert not os.path.exists(path)

@@ -132,6 +132,24 @@ def test_custom_series_shape_is_checked():
         bad.apply_series(np.zeros((2, 6)), np.zeros((2, 6)), BASIS)
 
 
+def test_custom_overflow_names_the_mode_and_time_row():
+    # the callback's output is coefficients, so the message names the mode
+    # (1-based, as in the CSV columns) rather than a collocation node
+    basis = build_basis(Interval(1.0), 4)
+
+    def blow_up(V, W, basis):
+        out = np.zeros_like(V)
+        out[2, 3] = np.inf
+        return out
+
+    spec = Nonlinearity.custom_series(blow_up, mu=1.0)
+    with pytest.raises(OverflowDiagnostic) as info:
+        spec.apply_series(np.zeros((5, 4)), np.zeros((5, 4)), basis)
+    message = str(info.value)
+    assert "mode 4 of 4 (time row 2)" in message
+    assert "node" not in message
+
+
 def test_parameter_domains():
     with pytest.raises(ValueError):
         Nonlinearity.zero(mu=2.5)

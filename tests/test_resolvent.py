@@ -1,7 +1,11 @@
 """Solution-operator family: diagonal action, convolution, verified bounds."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rstokes import (
     Interval,
@@ -14,7 +18,15 @@ from rstokes import (
     reciprocal_cumulative_integrable,
     verify_sol_op_bounds,
 )
-from rstokes.volterra import rectangle_convolve, trapezoid_convolve
+from rstokes.kernels import HistoryKernel
+from rstokes.resolvent import BoundCheck, ResolventReport, _reciprocal_weights
+from rstokes.spectral import hnorm
+from rstokes.volterra import (
+    lag_weights,
+    product_convolve,
+    rectangle_convolve,
+    trapezoid_convolve,
+)
 
 KERNELS = {
     "zero": MemoryKernel.zero(),
@@ -143,3 +155,209 @@ def test_report_margins_are_reproducible():
     b = verify_sol_op_bounds(ctx, n_trials=5, seed=42)
     for ra, rb in zip(a.rows, b.rows):
         assert ra == rb
+
+
+def _oracle_trial_series(rng, t, n_modes):
+    amp = rng.standard_normal(n_modes)
+    phase = rng.uniform(0.0, 2.0 * np.pi, n_modes)
+    profile = 1.0 + 0.5 * np.sin(2.0 * np.pi * t[:, None] / t[-1] + phase[None, :])
+    return amp[None, :] * profile
+
+
+def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
+    """The list-based report: every trial series and convolution built first."""
+    rng = np.random.default_rng(seed)
+    t = ctx.grid.nodes
+    omega = ctx.table.omega
+    basis = ctx.basis
+    n_modes = basis.n_modes
+    rows = []
+
+    def worst_row(label, worst, t_at):
+        return BoundCheck(label, "pass" if worst >= -tol else "fail", worst, t_at)
+
+    def skip(label, reason):
+        return BoundCheck(label, "skip", float("nan"), float("nan"), reason)
+
+    graded = "graded grid: lag-aligned quadrature unavailable"
+
+    worst, t_at = np.inf, 0.0
+    for _ in range(n_trials):
+        xi = rng.standard_normal(n_modes)
+        lhs = hnorm(omega * xi[None, :], basis, 0.0)
+        margin = omega[:, 0] * hnorm(xi, basis, 0.0) - lhs
+        i = int(np.argmin(margin))
+        if margin[i] < worst:
+            worst, t_at = float(margin[i]), float(t[i])
+    rows.append(worst_row("sol_op_bound", worst, t_at))
+
+    uniform = ctx.grid.is_uniform
+    rectangle = ctx.table.scheme == "rectangle"
+
+    def smoothing(trials, convs, rho, weight_at_nodes, weight_moments):
+        worst, t_at = np.inf, 0.0
+        for g, conv in zip(trials, convs):
+            lhs = hnorm(conv, basis, mu) ** 2
+            q = hnorm(g, basis, rho) ** 2
+            if rectangle:
+                k = np.concatenate(([0.0], weight_at_nodes))
+                rhs = rectangle_convolve(k, q, ctx.grid.dt)
+            else:
+                rhs = weight_moments(q)
+            margin = rhs - lhs
+            i = int(np.argmin(margin))
+            if margin[i] < worst:
+                worst, t_at = float(margin[i]), float(t[i])
+        return worst, t_at
+
+    if uniform:
+        dt = ctx.grid.dt
+        trials = [_oracle_trial_series(rng, t, n_modes) for _ in range(n_trials)]
+        convs = [convolve_sol_op(ctx, g) for g in trials]
+        l2 = smoothing(
+            trials, convs, mu - 1.0, omega[1:, 0],
+            lambda q: trapezoid_convolve(omega[:, 0], q, dt),
+        )
+        rows.append(worst_row("conv_smoothing_l2", *l2))
+    else:
+        rows.append(skip("conv_smoothing_l2", graded))
+
+    if ctx.kernel.nonincreasing:
+        worst, t_at = np.inf, 0.0
+        steps = ctx.grid.steps()
+        for _ in range(n_trials):
+            xi = rng.standard_normal(n_modes)
+            norm_xi = hnorm(xi, basis, 0.0)
+            dq = hnorm(np.diff(omega, axis=0) * xi[None, :], basis, 0.0) / steps
+            margin = 1.0 / t[4:-1] - dq[4:] / norm_xi
+            i = int(np.argmin(margin))
+            if margin[i] < worst:
+                worst, t_at = float(margin[i]), float(t[4 + i])
+        rows.append(worst_row("derivative_decay", worst, t_at))
+    else:
+        rows.append(skip("derivative_decay", "kernel is not nonincreasing"))
+
+    if uniform:
+        w_sing = lag_weights(HistoryKernel.powerlaw(1.0, -delta).moments, ctx.grid)
+        singular = smoothing(
+            trials, convs, mu - 1.0 - delta, t[1:] ** (-delta),
+            lambda q: product_convolve(w_sing, q),
+        )
+        rows.append(worst_row("conv_smoothing_singular", *singular))
+        if reciprocal_cumulative_integrable(ctx.kernel, ctx.grid.horizon):
+            if rectangle:
+                rec_vals = 1.0 / np.asarray(ctx.kernel.cumulative(t[1:]), float)
+                w_rec = None
+            else:
+                rec_vals, w_rec = None, _reciprocal_weights(ctx)
+            recip = smoothing(
+                trials, convs, mu - 2.0, rec_vals,
+                lambda q: product_convolve(w_rec, q),
+            )
+            rows.append(worst_row("conv_smoothing_reciprocal", *recip))
+        else:
+            rows.append(
+                skip(
+                    "conv_smoothing_reciprocal",
+                    "1/(1*m) is not integrable at t = 0 for a kernel bounded there",
+                )
+            )
+    else:
+        rows.append(skip("conv_smoothing_singular", graded))
+        rows.append(skip("conv_smoothing_reciprocal", graded))
+    return ResolventReport(tuple(rows), mu, delta, interpolated_lags=not uniform)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def assert_same_report(a, b):
+    assert (a.mu, a.delta, a.interpolated_lags) == (b.mu, b.delta, b.interpolated_lags)
+    assert [r.label for r in a.rows] == [r.label for r in b.rows]
+    for ra, rb in zip(a.rows, b.rows):
+        assert (ra.label, ra.status, ra.reason) == (rb.label, rb.status, rb.reason)
+        assert _bits(ra.worst_margin) == _bits(rb.worst_margin), ra.label
+        assert _bits(ra.t_worst) == _bits(rb.t_worst), ra.label
+
+
+@st.composite
+def verify_kernels(draw):
+    kind = draw(st.sampled_from(["fractional", "exponential", "constant", "tabulated"]))
+    m0 = draw(st.floats(0.1, 10.0))
+    if kind == "fractional":
+        return MemoryKernel.fractional(m0, draw(st.floats(0.1, 0.9)))
+    if kind == "exponential":
+        return MemoryKernel.exponential(m0, draw(st.floats(0.1, 20.0)))
+    if kind == "constant":
+        return MemoryKernel.constant(m0)
+    # any nonnegative table, so both derivative_decay branches are drawn
+    size = draw(st.integers(2, 6))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
+    values = draw(st.lists(st.floats(0.0, 5.0), min_size=size, max_size=size))
+    return MemoryKernel.tabulated(np.cumsum(gaps), values)
+
+
+@given(
+    kernel=verify_kernels(),
+    scheme=st.sampled_from(["trapezoid", "rectangle"]),
+    grading=st.sampled_from([1.0, 1.5, 2.5]),
+    n_modes=st.integers(1, 6),
+    n_steps=st.integers(5, 80),
+    n_trials=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    mu=st.floats(0.0, 2.0),
+    delta=st.floats(0.05, 0.95),
+)
+def test_streamed_report_equals_list_oracle_bit_for_bit(
+    kernel, scheme, grading, n_modes, n_steps, n_trials, seed, mu, delta
+):
+    basis = build_basis(Interval(1.0), n_modes)
+    if grading > 1.0:
+        grid = TimeGrid.graded(1.0, n_steps, grading)
+    else:
+        grid = TimeGrid.uniform(1.0, n_steps)
+    ctx = build_resolvent(kernel, basis, grid, scheme)
+    with np.errstate(all="ignore"):
+        streamed = verify_sol_op_bounds(ctx, mu, delta, n_trials, seed)
+        oracle = verify_oracle(ctx, mu, delta, n_trials, seed)
+    assert_same_report(streamed, oracle)
+
+
+@pytest.mark.parametrize("kind", ["fractional", "exponential"])
+def test_streamed_report_equals_oracle_at_workload_shape(kind):
+    # the automatic scheme: rectangle for the stiff fractional batch,
+    # trapezoid for the smooth kernel
+    ctx = small_ctx(KERNELS[kind], n_modes=16, n_t=1024)
+    assert_same_report(
+        verify_sol_op_bounds(ctx, n_trials=20, seed=7),
+        verify_oracle(ctx, n_trials=20, seed=7),
+    )
+
+
+def test_verify_memory_does_not_grow_with_trials():
+    # one trial series (and its convolution) alive at a time: 38 more trials
+    # may add their amplitude and phase draws, not their series
+    ctx = small_ctx(KERNELS["fractional"], n_modes=16, n_t=1024)
+    series = ctx.table.omega.nbytes
+
+    def peak(n_trials):
+        tracemalloc.start()
+        try:
+            verify_sol_op_bounds(ctx, n_trials=n_trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # warm any lazily built state first
+    assert peak(40) - peak(2) < 2 * series
+
+
+def test_derivative_decay_skips_on_grids_of_four_steps_or_fewer():
+    for n_t in (2, 4):
+        ctx = small_ctx(KERNELS["fractional"], n_modes=3, n_t=n_t)
+        report = verify_sol_op_bounds(ctx, n_trials=2)
+        assert report.row("derivative_decay").status == "skip"
+        assert report.row("sol_op_bound").status == "pass"
+    ctx = small_ctx(KERNELS["fractional"], n_modes=3, n_t=5)
+    assert verify_sol_op_bounds(ctx, n_trials=2).row("derivative_decay").status == "pass"

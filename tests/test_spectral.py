@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from rstokes import (
@@ -182,7 +182,6 @@ def assert_matches(got, want, terms):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * float(np.max(terms)))
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     rectangle=st.booleans(),
     lx=st.floats(0.3, 3.0),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from rstokes import HistoryKernel, MemoryKernel, TimeGrid
 from rstokes.volterra import (
@@ -330,7 +330,6 @@ def nonincreasing_tables(draw):
 ascending_lams = st.lists(st.floats(1e-2, 1e5), min_size=1, max_size=6).map(np.sort)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     kernel=nonincreasing_tables(),
     lams=ascending_lams,
@@ -351,7 +350,6 @@ def test_rectangle_fast_path_and_positivity(kernel, lams, n, horizon):
     assert omega.max() <= 1.0
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     weights=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3),
     decays=st.lists(st.floats(0.0, 20.0), min_size=3, max_size=3),
