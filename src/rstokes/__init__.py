@@ -21,10 +21,7 @@ from .spectral import (
     Interval,
     Rectangle,
     SpectralBasis,
-    SpectralField,
     build_basis,
-    fractional_laplacian,
-    gradient_pairing,
     hnorm,
     project,
     synthesize,
@@ -33,13 +30,11 @@ from .relaxation import (
     RelaxationReport,
     RelaxationTable,
     relaxation_batch,
-    solve_relaxation,
     verify_relaxation,
 )
 from .resolvent import (
     ResolventContext,
     ResolventReport,
-    apply_sol_op,
     build_resolvent,
     convolve_sol_op,
     reciprocal_cumulative_integrable,
@@ -81,22 +76,17 @@ __all__ = [
     "Interval",
     "Rectangle",
     "SpectralBasis",
-    "SpectralField",
     "build_basis",
     "project",
     "synthesize",
     "hnorm",
-    "fractional_laplacian",
-    "gradient_pairing",
     "RelaxationTable",
     "RelaxationReport",
-    "solve_relaxation",
     "relaxation_batch",
     "verify_relaxation",
     "ResolventContext",
     "ResolventReport",
     "build_resolvent",
-    "apply_sol_op",
     "convolve_sol_op",
     "reciprocal_cumulative_integrable",
     "verify_sol_op_bounds",

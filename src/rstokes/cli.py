@@ -64,6 +64,16 @@ def _emit(path: str, header, rows, artifacts: List[str], quiet: bool) -> None:
         print(f"wrote {path}")
 
 
+def _emit_iterations(out: str, residuals, artifacts: List[str], quiet: bool) -> None:
+    _emit(
+        os.path.join(out, "iterations.csv"),
+        ["iteration", "residual"],
+        ((i + 1, r) for i, r in enumerate(residuals)),
+        artifacts,
+        quiet,
+    )
+
+
 def _relax_inputs(cfg: Dict):
     problem = cfg.get("problem", {})
     if problem.get("lambdas"):
@@ -113,13 +123,7 @@ def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
     try:
         sol = picard_solve(ctx, spec, ell, xi, opts)
     except NonConvergence as exc:
-        _emit(
-            os.path.join(out, "iterations.csv"),
-            ["iteration", "residual"],
-            ((i + 1, r) for i, r in enumerate(exc.residuals)),
-            artifacts,
-            quiet,
-        )
+        _emit_iterations(out, exc.residuals, artifacts, quiet)
         certificates["picard_converged"] = "fail"
         raise
 
@@ -133,16 +137,10 @@ def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
     ]
     rows = np.column_stack((grid.nodes, l2, hm, sol.coeffs[:, :k_cols]))
     _emit(os.path.join(out, "states.csv"), header, rows, artifacts, quiet)
-    _emit(
-        os.path.join(out, "iterations.csv"),
-        ["iteration", "residual"],
-        ((i + 1, r) for i, r in enumerate(sol.residuals)),
-        artifacts,
-        quiet,
-    )
+    _emit_iterations(out, sol.residuals, artifacts, quiet)
 
     gamma = problem.get("gamma", 0.4)
-    holder = holder_estimate(sol, gamma, ell=ell)
+    holder = holder_estimate(sol, gamma, ell=ell, delta=spec.delta)
     holder_rows = [
         ("gamma", holder.gamma),
         ("mu", holder.mu),
@@ -271,25 +269,10 @@ def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
 
     g = read_field_csv(inv["g_path"], n)
     kappa = read_field_csv(inv["kappa_path"], n)
-    t_psi, psi = read_series_csv(inv["psi_path"])
-    if psi.size != grid.nodes.size or not np.allclose(
-        t_psi, grid.nodes, rtol=0.0, atol=1e-12 * max(1.0, grid.horizon)
-    ):
-        raise ConfigError(
-            [
-                f"inverse.psi_path: time column does not match the grid "
-                f"({psi.size} samples vs {grid.nodes.size} nodes)"
-            ]
-        )
+    psi = _read_series_on_grid(inv, "psi_path", grid)
     psi_prime = None
     if inv.get("psi_prime_path"):
-        t_prime, psi_prime = read_series_csv(inv["psi_prime_path"])
-        if psi_prime.size != grid.nodes.size or not np.allclose(
-            t_prime, grid.nodes, rtol=0.0, atol=1e-12 * max(1.0, grid.horizon)
-        ):
-            raise ConfigError(
-                ["inverse.psi_prime_path: time column does not match the grid"]
-            )
+        psi_prime = _read_series_on_grid(inv, "psi_prime_path", grid)
 
     xi = build_initial(cfg, basis)
     f1 = _nonlinearity_or_none(cfg)
@@ -311,13 +294,7 @@ def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
     try:
         rec = reconstruct(problem, opts)
     except NonConvergence as exc:
-        _emit(
-            os.path.join(out, "iterations.csv"),
-            ["iteration", "residual"],
-            ((i + 1, r) for i, r in enumerate(exc.residuals)),
-            artifacts,
-            quiet,
-        )
+        _emit_iterations(out, exc.residuals, artifacts, quiet)
         certificates["reconstruction_converged"] = "fail"
         raise
 
@@ -336,18 +313,27 @@ def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
         artifacts,
         quiet,
     )
-    _emit(
-        os.path.join(out, "iterations.csv"),
-        ["iteration", "residual"],
-        ((i + 1, r) for i, r in enumerate(rec.solution.residuals)),
-        artifacts,
-        quiet,
-    )
+    _emit_iterations(out, rec.solution.residuals, artifacts, quiet)
     certificates["reconstruction_converged"] = (
         "pass" if rec.solution.converged else "fail"
     )
     certificates["max_measurement_residual"] = rec.max_residual
     certificates["pairing"] = rec.pairing
+
+
+def _read_series_on_grid(inv: Dict, key: str, grid) -> np.ndarray:
+    """Values of the (t, value) CSV at inverse.<key>; t must be the grid's nodes."""
+    t, values = read_series_csv(inv[key])
+    if values.size != grid.nodes.size or not np.allclose(
+        t, grid.nodes, rtol=0.0, atol=1e-12 * max(1.0, grid.horizon)
+    ):
+        raise ConfigError(
+            [
+                f"inverse.{key}: time column does not match the grid "
+                f"({values.size} samples vs {grid.nodes.size} nodes)"
+            ]
+        )
+    return values
 
 
 def _nonlinearity_or_none(cfg: Dict):

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .csvio import read_field_csv, read_series_csv
+from .csvio import read_series_csv
 from .grids import TimeGrid
 from .kernels import HistoryKernel, MemoryKernel
 from .nonlinear import Nonlinearity
@@ -37,8 +37,6 @@ __all__ = [
     "build_initial",
 ]
 
-KERNEL_KINDS = ("zero", "constant", "fractional", "exponential", "tabulated")
-HISTORY_KINDS = ("zero", "constant", "exponential", "powerlaw", "tabulated")
 NONLINEARITY_KINDS = (
     "zero",
     "linear_diagonal",
@@ -151,8 +149,16 @@ def _section(cfg: Dict, name: str, problems: List[str], required: bool) -> Optio
     return value
 
 
+def _table_path(section: Dict, where: str, problems: List[str]) -> None:
+    path = section.get("table_path")
+    if not isinstance(path, str) or not path:
+        problems.append(f"{where}.table_path is required for tabulated kernels")
+    elif not os.path.exists(path):
+        problems.append(f"{where}.table_path does not exist: {path}")
+
+
 def _validate_kernel(section: Dict, where: str, problems: List[str]) -> None:
-    kind = _choice(section, "kind", where, KERNEL_KINDS, problems, required=True)
+    kind = _choice(section, "kind", where, MemoryKernel.KINDS, problems, required=True)
     if kind in ("constant", "fractional", "exponential"):
         _num(section, "m0", where, problems, required=True, exclusive_min=0.0)
     if kind == "fractional":
@@ -161,15 +167,11 @@ def _validate_kernel(section: Dict, where: str, problems: List[str]) -> None:
     if kind == "exponential":
         _num(section, "decay", where, problems, required=True, exclusive_min=0.0)
     if kind == "tabulated":
-        path = section.get("table_path")
-        if not isinstance(path, str) or not path:
-            problems.append(f"{where}.table_path is required for tabulated kernels")
-        elif not os.path.exists(path):
-            problems.append(f"{where}.table_path does not exist: {path}")
+        _table_path(section, where, problems)
 
 
 def _validate_history(section: Dict, where: str, problems: List[str]) -> None:
-    kind = _choice(section, "kind", where, HISTORY_KINDS, problems, required=True)
+    kind = _choice(section, "kind", where, HistoryKernel.KINDS, problems, required=True)
     if kind in ("constant", "exponential", "powerlaw"):
         _num(section, "amplitude", where, problems, required=True)
     if kind == "exponential":
@@ -177,11 +179,7 @@ def _validate_history(section: Dict, where: str, problems: List[str]) -> None:
     if kind == "powerlaw":
         _num(section, "exponent", where, problems, required=True, exclusive_min=-1.0)
     if kind == "tabulated":
-        path = section.get("table_path")
-        if not isinstance(path, str) or not path:
-            problems.append(f"{where}.table_path is required for tabulated kernels")
-        elif not os.path.exists(path):
-            problems.append(f"{where}.table_path does not exist: {path}")
+        _table_path(section, where, problems)
 
 
 def _validate_nonlinearity(section: Dict, where: str, problems: List[str],
@@ -263,7 +261,12 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
     if grid is not None:
         _num(grid, "T", "grid", problems, required=True, exclusive_min=0.0)
         _num(grid, "N_t", "grid", problems, required=True, integer=True, minimum=2)
-        _num(grid, "grading", "grid", problems, minimum=1.0)
+        grading = _num(grid, "grading", "grid", problems, minimum=1.0)
+        if subcommand == "solve" and grading is not None and grading > 1.0:
+            problems.append(
+                f"grid.grading must be 1 for solve, got {grading}: the Holder "
+                "estimate of holder.csv takes dyadic increments of a uniform grid"
+            )
 
     kernel = _section(cfg, "kernel", problems, required=True)
     if kernel is not None:
@@ -271,9 +274,11 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
 
     problem = _section(cfg, "problem", problems, required=False)
     if problem is not None:
-        _num(problem, "mu", "problem", problems, minimum=0.0)
-        _num(problem, "delta", "problem", problems, exclusive_min=0.0, maximum=1.0)
-        _num(problem, "theta", "problem", problems)
+        for key in ("mu", "delta", "theta"):
+            if key in problem:
+                problems.append(
+                    f"problem.{key} is not read; set nonlinearity.{key} instead"
+                )
         _num(problem, "beta", "problem", problems, minimum=0.0)
         _num(problem, "tol", "problem", problems, exclusive_min=0.0)
         _num(problem, "max_iter", "problem", problems, integer=True, minimum=1)
@@ -411,8 +416,6 @@ def nonlinearity_from_section(section: Dict) -> Nonlinearity:
     for key in ("mu", "delta", "theta"):
         if key in section:
             kw[key] = float(section[key])
-    if section.get("weak_mode"):
-        kw["weak_mode"] = True
     if kind == "zero":
         return Nonlinearity.zero(**kw)
     if kind == "linear_diagonal":
@@ -432,8 +435,8 @@ def nonlinearity_from_section(section: Dict) -> Nonlinearity:
     return Nonlinearity.sum_of(*parts, **kw)
 
 
-def build_nonlinearity(cfg: Dict, key: str = "nonlinearity") -> Nonlinearity:
-    return nonlinearity_from_section(cfg[key])
+def build_nonlinearity(cfg: Dict) -> Nonlinearity:
+    return nonlinearity_from_section(cfg["nonlinearity"])
 
 
 def build_initial(cfg: Dict, basis: SpectralBasis) -> np.ndarray:

@@ -22,7 +22,7 @@ from .kernels import HistoryKernel, MemoryKernel
 from .nonlinear import MildSolution, Nonlinearity, PicardOptions, history_series, picard_solve
 from .resolvent import ResolventContext, build_resolvent
 from .spectral import SpectralBasis
-from .volterra import STIFF_THRESHOLD, newest_left_weight
+from .volterra import stiffness_scheme
 
 __all__ = [
     "PairingTooSmall",
@@ -41,6 +41,10 @@ class PairingTooSmall(ValueError):
 
 class KernelGateFailed(ValueError):
     """The memory kernel's derivative fails the integrability requirement."""
+
+
+# relative tolerance of the t = 0 identity psi(0) = (xi, kappa)
+_CONSISTENCY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,6 @@ class InverseProblem:
     psi: Optional[np.ndarray] = None
     psi_prime: Optional[np.ndarray] = None
     pairing_floor: float = 1e-12
-    consistency_tol: float = 1e-6
 
     def __post_init__(self):
         for name in ("g", "kappa", "xi"):
@@ -117,15 +120,14 @@ def _solve_scheme(problem: InverseProblem) -> Optional[str]:
     the padding modes are the stiff ones.  Any reaction term may couple
     modes, so then the automatic joint rule decides.
     """
-    f1 = _f1_spec(problem)
-    if f1.kind != "zero":
+    if _f1_spec(problem).kind != "zero":
         return None
     active = (problem.g != 0.0) | (problem.xi != 0.0)
     if not np.any(active):
         return None
-    lam_max = float(np.max(problem.basis.eigenvalues[active]))
-    u0 = newest_left_weight(problem.kernel.a_moments, problem.grid)
-    return "trapezoid" if lam_max * u0 <= STIFF_THRESHOLD else None
+    return stiffness_scheme(
+        problem.kernel.a_moments, problem.grid, problem.basis.eigenvalues[active]
+    )
 
 
 def forward_simulate(
@@ -158,7 +160,6 @@ class ReconstructionResult:
     psi_prime: np.ndarray
     measurement_residual: np.ndarray
     pairing: float
-    m_at_zero: float
 
     @property
     def max_residual(self) -> float:
@@ -192,8 +193,9 @@ def reconstruct(
             "this measurement weight"
         )
     kernel = problem.kernel
-    horizon = problem.grid.horizon
-    if not kernel.derivative_integrable(horizon):
+    # |m'| is bounded for every kind but the one unbounded at t = 0, whose
+    # |m'| ~ t^(-alpha-1) is not integrable there at any scale
+    if not kernel.bounded_at_zero:
         raise KernelGateFailed(
             f"kernel kind {kernel.kind!r} fails the integrability gate: |m'| "
             "is not integrable near t = 0; the elimination formula needs "
@@ -203,7 +205,7 @@ def reconstruct(
         psi0 = float(problem.psi[0])
         xi_k = float(problem.xi @ problem.kappa)
         scale = max(abs(psi0), abs(xi_k), 1.0)
-        if abs(psi0 - xi_k) > problem.consistency_tol * scale:
+        if abs(psi0 - xi_k) > _CONSISTENCY_TOL * scale:
             raise ValueError(
                 f"psi(0) = {psi0:.6e} disagrees with (xi, kappa) = {xi_k:.6e} "
                 "beyond the consistency tolerance"
@@ -251,5 +253,4 @@ def reconstruct(
         psi_prime=psi_prime,
         measurement_residual=residual,
         pairing=pairing,
-        m_at_zero=m0,
     )

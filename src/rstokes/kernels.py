@@ -115,10 +115,10 @@ class MemoryKernel:
     table_t: Optional[np.ndarray] = None
     table_m: Optional[np.ndarray] = None
 
-    _KINDS = ("zero", "constant", "fractional", "exponential", "tabulated")
+    KINDS = ("zero", "constant", "fractional", "exponential", "tabulated")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown memory kernel kind {self.kind!r}")
         if self.kind in ("constant", "fractional", "exponential") and self.m0 < 0.0:
             raise ValueError("m0 must be nonnegative")
@@ -234,11 +234,6 @@ class MemoryKernel:
     # -- structural flags ----------------------------------------------------
 
     @property
-    def exact_moments(self) -> bool:
-        """True when cell moments come from closed-form antiderivatives."""
-        return self.kind != "tabulated"
-
-    @property
     def bounded_at_zero(self) -> bool:
         return self.kind != "fractional"
 
@@ -262,7 +257,9 @@ class MemoryKernel:
         """m' as a history kernel (for the convolution m' * u).
 
         Tabulated kernels use the piecewise-constant derivative of the
-        interpolant, re-sampled at segment midpoints.
+        interpolant, re-sampled at segment midpoints and extended flat like
+        any table; a two-sample table has one segment, so its m' is that
+        segment's slope throughout.
         """
         if self.kind == "fractional":
             raise ValueError("fractional kernel has no integrable derivative at 0")
@@ -272,17 +269,10 @@ class MemoryKernel:
             return HistoryKernel.exponential(-self.m0 * self.decay, self.decay)
         t = self.table_t
         slopes = np.diff(self.table_m) / np.diff(t)
+        if slopes.size == 1:
+            return HistoryKernel.constant(float(slopes[0]))
         mid = 0.5 * (t[:-1] + t[1:])
         return HistoryKernel.tabulated(mid, slopes)
-
-    def derivative_integrable(self, horizon: float) -> bool:
-        """Whether m' is integrable on (0, horizon), from the small-t law.
-
-        |m'| is bounded for every kind but the fractional one, whose
-        |m'| ~ t^(-alpha-1) is not integrable at 0 at any scale.  horizon
-        plays no part; it is kept for callers.
-        """
-        return self.bounded_at_zero
 
 
 @dataclass(frozen=True)
@@ -301,10 +291,10 @@ class HistoryKernel:
     table_t: Optional[np.ndarray] = None
     table_v: Optional[np.ndarray] = None
 
-    _KINDS = ("zero", "constant", "exponential", "powerlaw", "tabulated")
+    KINDS = ("zero", "constant", "exponential", "powerlaw", "tabulated")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown history kernel kind {self.kind!r}")
         if self.kind == "exponential" and self.decay <= 0.0:
             raise ValueError("exponential decay rate must be positive")
@@ -476,6 +466,9 @@ class PCCertificate:
 
 DEFAULT_THETAS = (0.1, 1.0, 10.0)
 
+# smallest diagonal weight of the first-kind system that certify_pc trusts
+_DIAG_FLOOR = 1e-12
+
 
 def certify_completely_positive(
     kernel: MemoryKernel,
@@ -513,7 +506,6 @@ def certify_pc(
     kernel: MemoryKernel,
     grid: TimeGrid,
     tol: float = 1e-8,
-    diag_floor: float = 1e-12,
 ) -> PCCertificate:
     """Certify the zero-slack splitting k * a = 1 with k >= 0 nonincreasing.
 
@@ -528,11 +520,11 @@ def certify_pc(
         )
     rhs = np.ones_like(grid.nodes)
     k, diag = first_kind_solve(kernel.a_moments, grid, rhs)
-    if diag < diag_floor:
+    if diag < _DIAG_FLOOR:
         return PCCertificate(
             status="fail",
             reason=f"ill-conditioned first-kind system: diagonal weight {diag:.3e} "
-            f"below floor {diag_floor:.3e}",
+            f"below floor {_DIAG_FLOOR:.3e}",
             tol=tol,
             diagonal=diag,
         )

@@ -23,7 +23,7 @@ import numpy as np
 from .grids import TimeGrid
 from .kernels import HistoryKernel
 from .resolvent import ResolventContext, convolve_sol_op
-from .spectral import SpectralBasis, SpectralField, hnorm, project, synthesize
+from .spectral import SpectralBasis, hnorm, project, synthesize
 from .volterra import endpoint_weights, lag_weights, product_convolve
 
 __all__ = [
@@ -91,19 +91,17 @@ class Nonlinearity:
 
     kind is one of zero | linear_diagonal | power | advection | sum | custom;
     use the factory classmethods rather than the constructor.  mu is the
-    regularity order of the state, delta the time-integrability exponent of
-    the damping estimate; theta (the dual output order, reported alongside
-    field norms) defaults to 1 + delta - mu.  weak_mode marks specs whose
-    convolution estimate targets the weaker dual order 2 - mu, which needs
-    an integrable reciprocal cumulative kernel; the flag only affects which
-    verification rows apply, never the iteration itself.
+    regularity order of the state (the norm of the Picard residual and of
+    the Holder estimate), delta the time-integrability exponent of the
+    damping estimate (the gates and the Holder range delta/2 < gamma < 1/2);
+    theta, the dual output order, defaults to 1 + delta - mu and must be
+    positive.
     """
 
     kind: str
     mu: float = 1.0
     delta: float = 0.5
     theta: Optional[float] = None
-    weak_mode: bool = False
     coeffs: Optional[np.ndarray] = None
     power: float = 2.0
     scale: float = 1.0
@@ -259,10 +257,6 @@ class Nonlinearity:
             f"{i}; largest sample {samples[0, j]:.3e} at node {_node(basis, j)})"
         )
 
-    def __call__(self, v: SpectralField, w: SpectralField) -> SpectralField:
-        out = self.apply_series(v.coeffs[None, :], w.coeffs[None, :], v.basis)
-        return SpectralField(v.basis, out[0])
-
     # -- Lipschitz data ------------------------------------------------------
 
     def lipschitz_curves(self, basis: SpectralBasis):
@@ -366,12 +360,6 @@ class MildSolution:
     mu: float
     beta: float
     converged: bool
-
-    def state(self, i: int) -> SpectralField:
-        return SpectralField(self.basis, self.coeffs[i])
-
-    def norms(self, rho: float) -> np.ndarray:
-        return hnorm(self.coeffs, self.basis, rho)
 
 
 def picard_solve(
@@ -480,13 +468,16 @@ def spectral_gap_gate(
     return GateDecision("spectral_gap_gate", float(value), float(lambda1), bool(value < lambda1))
 
 
+# select_invariant_radius tries the radii 2^k * 2|xi| for k < _MAX_DOUBLINGS
+_MAX_DOUBLINGS = 60
+
+
 def select_invariant_radius(
     spec: Nonlinearity,
     basis: SpectralBasis,
     xi_norm: float,
     ell_l1: float,
     horizon: float,
-    max_doublings: int = 60,
 ) -> float:
     """Smallest radius 2^k * 2|xi| whose local constants satisfy the gate.
 
@@ -499,7 +490,7 @@ def select_invariant_radius(
     L, K = spec.lipschitz_curves(basis)
     coef = 8.0 * horizon ** (1.0 - spec.delta) / (1.0 - spec.delta)
     rho = 2.0 * xi_norm
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         value = coef * (L(rho) ** 2 + K(rho * ell_l1) ** 2 * ell_l1**2)
         if value <= 1.0:
             return rho

@@ -22,7 +22,6 @@ from .volterra import second_kind_solve
 
 __all__ = [
     "RelaxationTable",
-    "solve_relaxation",
     "relaxation_batch",
     "PropertyCheck",
     "RelaxationReport",
@@ -48,29 +47,6 @@ class RelaxationTable:
             raise ValueError("eigenvalues must be sorted ascending")
         if self.omega.shape != (self.grid.nodes.size, lam.size):
             raise ValueError("omega shape does not match grid x lambdas")
-
-    @property
-    def n_columns(self) -> int:
-        return self.lambdas.size
-
-    def column(self, lam: float) -> np.ndarray:
-        idx = np.nonzero(self.lambdas == lam)[0]
-        if idx.size == 0:
-            raise KeyError(f"lambda {lam!r} not in table")
-        return self.omega[:, idx[0]]
-
-
-def solve_relaxation(
-    kernel: MemoryKernel,
-    lam: float,
-    grid: TimeGrid,
-    scheme: Optional[str] = None,
-) -> np.ndarray:
-    """omega(t, lam) samples on the grid nodes; omega[0] = 1."""
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    x, _ = second_kind_solve(kernel.a_moments, grid, float(lam), 1.0, scheme)
-    return x
 
 
 def relaxation_batch(
@@ -174,7 +150,7 @@ def verify_relaxation(
                 "integral_bound", lam, m_int, m_int >= -tol, t[np.argmin(slack)]
             )
         )
-    for n in range(table.n_columns - 1):
+    for n in range(table.lambdas.size - 1):
         # equal lambdas (degenerate eigenvalues) must agree exactly
         diff = table.omega[:, n] - table.omega[:, n + 1]
         m = float(diff.min())

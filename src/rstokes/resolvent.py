@@ -41,7 +41,6 @@ from .volterra import (
 __all__ = [
     "ResolventContext",
     "build_resolvent",
-    "apply_sol_op",
     "convolve_sol_op",
     "BoundCheck",
     "ResolventReport",
@@ -74,18 +73,6 @@ def build_resolvent(
 ) -> ResolventContext:
     table = relaxation_batch(kernel, basis.eigenvalues, grid, scheme)
     return ResolventContext(basis, grid, table, kernel)
-
-
-def apply_sol_op(ctx: ResolventContext, xi, i: Optional[int] = None) -> np.ndarray:
-    """S(t_i) xi coefficients; all nodes at once when i is None."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (ctx.basis.n_modes,):
-        raise ValueError("coefficient length does not match the context basis")
-    if i is None:
-        return ctx.table.omega * xi[None, :]
-    if not 0 <= i < ctx.grid.nodes.size:
-        raise IndexError("grid index out of range")
-    return ctx.table.omega[i] * xi
 
 
 def convolve_sol_op(ctx: ResolventContext, g: np.ndarray) -> np.ndarray:
@@ -153,7 +140,7 @@ def reciprocal_cumulative_integrable(kernel: MemoryKernel, horizon: float) -> bo
     Only the fractional kind has (1*m)(t) ~ t^(1-alpha), so 1/(1*m) ~
     t^(alpha-1) is integrable.  Every bounded kind has (1*m)(t) <= m(0) t
     (or (1*m) = 0 near 0 when m(0) = 0), so 1/(1*m) >= 1/(m(0) t) diverges
-    at any scale.  horizon plays no part; it is kept for callers.
+    at any scale: the answer is the same for every horizon.
     """
     return not kernel.bounded_at_zero
 

@@ -1,7 +1,7 @@
 """Dirichlet sine eigenbases on interval and rectangle domains.
 
 Fields are coefficient vectors in the orthonormal eigenbasis of the negative
-Laplacian; all norms, fractional powers, and gradient pairings are diagonal.
+Laplacian; Hilbert-scale norms and gradient pairings are diagonal.
 Collocation uses 2N+1 equispaced interior nodes per axis, which makes the
 discrete sine transform an exact quadrature for products of basis functions.
 
@@ -33,12 +33,9 @@ __all__ = [
     "Rectangle",
     "SpectralBasis",
     "build_basis",
-    "SpectralField",
     "project",
     "synthesize",
     "hnorm",
-    "fractional_laplacian",
-    "gradient_pairing",
 ]
 
 
@@ -237,23 +234,6 @@ def build_basis(domain, n_modes: int) -> SpectralBasis:
     return SpectralBasis(domain, n_modes)
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """A field as coefficients in the eigenbasis."""
-
-    basis: SpectralBasis
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", c)
-        if c.shape != (self.basis.n_modes,):
-            raise ValueError("coefficient length does not match basis")
-
-    def norm(self, rho: float = 0.0) -> float:
-        return float(hnorm(self.coeffs, self.basis, rho))
-
-
 def project(basis: SpectralBasis, samples) -> np.ndarray:
     """Coefficients from samples at the collocation nodes.
 
@@ -285,15 +265,3 @@ def hnorm(coeffs, basis: SpectralBasis, rho: float = 0.0):
     c = np.asarray(coeffs, dtype=float)
     w = basis.eigenvalues**rho
     return np.sqrt(np.sum(w * c * c, axis=-1))
-
-
-def fractional_laplacian(coeffs, basis: SpectralBasis, gamma: float):
-    """Spectral fractional Laplacian: coefficients scaled by lambda_n^gamma."""
-    return np.asarray(coeffs, dtype=float) * basis.eigenvalues**gamma
-
-
-def gradient_pairing(coeffs, kappa, basis: SpectralBasis):
-    """(grad u, grad kappa) = sum lambda_n u_n kappa_n (Green's identity)."""
-    c = np.asarray(coeffs, dtype=float)
-    k = np.asarray(kappa, dtype=float)
-    return c @ (basis.eigenvalues * k)

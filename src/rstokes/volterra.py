@@ -54,7 +54,7 @@ __all__ = [
     "LagWeights",
     "lag_weights",
     "product_convolve",
-    "newest_left_weight",
+    "stiffness_scheme",
     "second_kind_solve",
     "first_kind_solve",
     "trapezoid_convolve",
@@ -230,12 +230,18 @@ def _graded_second_kind(
     return x
 
 
-def newest_left_weight(moments: Moments, grid: TimeGrid) -> float:
-    """Largest left weight of the newest lag cell; lam times this measures
-    the stiffness of the implicit trapezoid step."""
-    steps = grid.steps()
+def stiffness_scheme(moments: Moments, grid: TimeGrid, lam) -> str:
+    """The rule ``second_kind_solve`` picks for lam when none is forced.
+
+    The trapezoid step loses positivity once lam times the newest lag cell's
+    left weight passes 1 (module docstring), so it is kept only when max(lam)
+    times that weight stays within STIFF_THRESHOLD; otherwise every column
+    takes the rectangle rule.  The weight is that of the first cell [0, dt]
+    on a uniform grid, and the largest over the rows of a graded one.
+    """
+    steps = np.array([grid.dt]) if grid.is_uniform else grid.steps()
     left, _ = endpoint_weights(moments, np.zeros_like(steps), steps, steps)
-    return float(np.max(left))
+    return "trapezoid" if np.max(lam) * np.max(left) <= STIFF_THRESHOLD else "rectangle"
 
 
 def second_kind_solve(
@@ -256,8 +262,7 @@ def second_kind_solve(
     rhs : scalar or array of shape (N+1,)
         Right-hand side samples on the grid nodes.
     scheme : None | "trapezoid" | "rectangle"
-        None resolves automatically: trapezoid only when max(lam) times the
-        newest-cell left weight stays below STIFF_THRESHOLD.  Forcing
+        None resolves automatically through ``stiffness_scheme``.  Forcing
         "trapezoid" on a stiff batch gives damped ringing on the stiff
         columns (useful when those columns are known to carry zero data);
         forcing "rectangle" trades accuracy for unconditional positivity.
@@ -282,8 +287,7 @@ def second_kind_solve(
     if scheme is None:
         # one scheme for the whole call so columns stay mutually comparable
         # (mixing rules breaks monotonicity across lambda at the switch point)
-        u0 = weights.left[0] if weights is not None else newest_left_weight(moments, grid)
-        scheme = "trapezoid" if np.max(lams) * u0 <= STIFF_THRESHOLD else "rectangle"
+        scheme = stiffness_scheme(moments, grid, lams)
     trap = scheme == "trapezoid"
     if weights is not None:
         x = _uniform_second_kind(weights, lams, rhs_arr, trap)

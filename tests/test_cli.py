@@ -1,8 +1,12 @@
 """End-to-end runs of the command line entry point against tmp dirs."""
 
+import contextlib
 import csv
+import importlib
+import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -19,8 +23,10 @@ from rstokes import (
     TimeGrid,
     build_basis,
     forward_simulate,
+    relaxation_batch,
 )
 from rstokes.cli import main
+from rstokes.config import build_domain_basis, build_grid, build_kernel
 from rstokes.csvio import write_csv, write_field_csv
 from rstokes.kernels import DEFAULT_THETAS
 
@@ -127,6 +133,18 @@ def test_solve_zero_reaction_reduces_to_relaxation(tmp_path):
     # solve records the stepper it ran, the same one relax picks
     relax_summary = json.loads((ref / "summary.json").read_text())
     assert summary["certificates"]["scheme"] == relax_summary["certificates"]["scheme"]
+
+
+def test_holder_gamma_range_follows_the_nonlinearity_delta(tmp_path):
+    # gamma = 0.4 lies below delta / 2 = 0.45, outside (delta/2, 1/2)
+    payload = dict(SOLVE_CFG, nonlinearity={"kind": "zero", "delta": 0.9},
+                   problem={"gamma": 0.4})
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "run"
+    with pytest.warns(UserWarning, match="outside"):
+        assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    values = dict(read_table(out / "holder.csv")[1])
+    assert values["gamma_in_range"] == "false"
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -305,6 +323,14 @@ def test_invalid_config_exits_1_with_all_problems(tmp_path, capsys):
     assert "grid.T" in err and "kernel.kind" in err
     assert not out.exists()
 
+    # a graded solve is refused before any work: holder.csv needs a uniform grid
+    graded = dict(SOLVE_CFG, grid={"T": 1.0, "N_t": 64, "grading": 2.0})
+    cfg = write_cfg(tmp_path, graded, name="graded.json")
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "grid.grading" in err and "Holder" in err
+    assert not out.exists()
+
 
 def test_runtime_failure_exits_1_without_summary(tmp_path, capsys):
     # orthogonal weights make the measurement pairing vanish mid-run
@@ -452,11 +478,8 @@ def _kernel_section(kind, m0, shape, tmp):
     return {"kind": "tabulated", "table_path": table}
 
 
-KERNEL_KINDS = ["zero", "constant", "fractional", "exponential", "tabulated"]
-
-
 @given(
-    kind=st.sampled_from(KERNEL_KINDS),
+    kind=st.sampled_from(MemoryKernel.KINDS),
     m0=st.floats(0.01, 100.0),
     shape=st.floats(0.05, 0.95),
     rectangle=st.booleans(),
@@ -501,7 +524,7 @@ def test_verify_exits_0_with_a_matching_summary(
 
 
 @given(
-    kind=st.sampled_from(KERNEL_KINDS),
+    kind=st.sampled_from(MemoryKernel.KINDS),
     m0=st.floats(0.01, 100.0),
     shape=st.floats(0.05, 0.95),
     n_steps=st.integers(2, 64),
@@ -529,6 +552,140 @@ def test_certify_exits_0_with_a_matching_summary(
     assert certs["completely_positive"] == ("pass" if positive else "fail")
     assert rows[-1][0] == "unbounded_splitting"
     assert certs["unbounded_splitting"] == rows[-1][3]
+
+
+@given(
+    kind=st.sampled_from(MemoryKernel.KINDS),
+    m0=st.floats(0.01, 100.0),
+    shape=st.floats(0.05, 0.95),
+    source=st.sampled_from(["lambdas", "interval", "rectangle"]),
+    lambdas=st.lists(st.floats(1e-3, 1e5), min_size=1, max_size=6),
+    n_modes=st.integers(1, 6),
+    n_steps=st.integers(2, 64),
+    grading=st.sampled_from([1.0, 2.0]),
+)
+def test_relax_exits_0_with_a_matching_summary(
+    kind, m0, shape, source, lambdas, n_modes, n_steps, grading
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        payload = {
+            "grid": {"T": 1.0, "N_t": n_steps, "grading": grading},
+            "kernel": _kernel_section(kind, m0, shape, tmp),
+        }
+        if source == "lambdas":
+            payload["problem"] = {"lambdas": sorted(lambdas)}
+            lams = sorted(lambdas)
+        else:
+            payload["domain"] = (
+                {"shape": "rectangle", "Lx": 1.0, "Ly": 1.5, "N": n_modes}
+                if source == "rectangle"
+                else {"shape": "interval", "L": 1.0, "N": n_modes}
+            )
+            lams = build_domain_basis(payload).eigenvalues
+        table = relaxation_batch(build_kernel(payload), lams, build_grid(payload))
+        with np.errstate(all="ignore"):
+            code, out, summary = _run("relax", payload, tmp)
+        omega = np.loadtxt(os.path.join(out, "omega.csv"), delimiter=",", skiprows=1,
+                           ndmin=2)
+        _, rows = read_table(os.path.join(out, "properties.csv"))
+    assert code == 0
+    assert summary["subcommand"] == "relax" and summary["status"] == "ok"
+    assert summary["artifacts"] == ["omega.csv", "properties.csv"]
+    assert summary["certificates"]["scheme"] == table.scheme
+    np.testing.assert_array_equal(omega[:, 1:], table.omega)
+    passed = all(r[3] == "true" for r in rows)
+    assert summary["certificates"]["relaxation_properties"] == (
+        "pass" if passed else "fail"
+    )
+
+
+@given(
+    kind=st.sampled_from(MemoryKernel.KINDS),
+    m0=st.floats(0.01, 10.0),
+    shape=st.floats(0.05, 0.95),
+    n_modes=st.integers(1, 6),
+    n_steps=st.integers(2, 64),
+    g=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    kappa=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    xi=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    phase=st.floats(0.0, 2.0 * np.pi),
+    analytic_slope=st.booleans(),
+    max_iter=st.integers(1, 40),
+)
+def test_inverse_exits_0_or_2_with_a_matching_summary(
+    kind, m0, shape, n_modes, n_steps, g, kappa, xi, phase, analytic_slope, max_iter
+):
+    # a measurement made by forward_simulate on the same grid; exit 1 is
+    # allowed only for the two documented problem-data rejections
+    g, kappa, xi = (np.array(v[:n_modes]) for v in (g, kappa, xi))
+    with tempfile.TemporaryDirectory() as tmp:
+        payload = {
+            "domain": {"shape": "interval", "L": 1.0, "N": n_modes},
+            "grid": {"T": 1.0, "N_t": n_steps},
+            "kernel": _kernel_section(kind, m0, shape, tmp),
+            "initial": {"coefficients": xi.tolist()},
+            "inverse": {"max_iter": max_iter},
+        }
+        basis, grid = build_domain_basis(payload), build_grid(payload)
+        problem = InverseProblem(
+            basis=basis, grid=grid, kernel=build_kernel(payload), g=g, kappa=kappa,
+            xi=xi,
+        )
+        with np.errstate(all="ignore"):
+            _, psi = forward_simulate(problem, 1.0 + np.sin(2.0 * np.pi * grid.nodes
+                                                            + phase))
+        paths = {k: os.path.join(tmp, f"{k}.csv")
+                 for k in ("psi", "psi_prime", "g", "kappa")}
+        write_csv(paths["psi"], ["t", "psi"], zip(grid.nodes, psi))
+        write_field_csv(paths["g"], basis.eigenvalues, g)
+        write_field_csv(paths["kappa"], basis.eigenvalues, kappa)
+        for key in ("psi", "g", "kappa"):
+            payload["inverse"][f"{key}_path"] = paths[key]
+        if analytic_slope:
+            write_csv(paths["psi_prime"], ["t", "psi_prime"],
+                      zip(grid.nodes, np.gradient(psi, grid.nodes)))
+            payload["inverse"]["psi_prime_path"] = paths["psi_prime"]
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as handle:
+            json.dump(payload, handle)
+        out = os.path.join(tmp, "run")
+        err = io.StringIO()
+        with np.errstate(all="ignore"), contextlib.redirect_stderr(err):
+            code = main(["inverse", "--config", cfg, "--out", out, "--quiet"])
+        summary_path = os.path.join(out, "summary.json")
+        if code == 1:
+            assert not os.path.exists(summary_path)
+            assert ("invisible to this measurement weight" in err.getvalue()
+                    or "fails the integrability gate" in err.getvalue()), err.getvalue()
+            return
+        with open(summary_path) as handle:
+            summary = json.load(handle)
+        certs = summary["certificates"]
+        _, iterations = read_table(os.path.join(out, "iterations.csv"))
+        assert 1 <= len(iterations) <= max_iter
+        if code == 2:
+            assert summary["status"] == "non-convergence"
+            assert summary["artifacts"] == ["iterations.csv"]
+            assert certs["reconstruction_converged"] == "fail"
+            return
+        assert code == 0
+        assert summary["status"] == "ok"
+        assert summary["artifacts"] == ["p_recovered.csv", "residual.csv",
+                                        "iterations.csv"]
+        assert certs["reconstruction_converged"] == "pass"
+        assert certs["pairing"] == float(g @ kappa)
+        residual = numeric_column(os.path.join(out, "residual.csv"), 1)
+        assert certs["max_measurement_residual"] == float(np.max(np.abs(residual)))
+
+
+def test_every_exported_name_resolves():
+    star = {}
+    exec("from rstokes import *", star)
+    assert set(rstokes.__all__) <= set(star)
+    for info in pkgutil.iter_modules(rstokes.__path__):
+        module = importlib.import_module(f"rstokes.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"rstokes.{info.name}.{name}"
 
 
 def test_cli_import_skips_heavy_scipy_subpackages():

@@ -102,6 +102,20 @@ def test_gamma_band_is_enforced():
         validate_config(cfg, "solve")
 
 
+def test_nonlinearity_orders_are_refused_under_problem():
+    # problem.mu / delta / theta used to pass validation and change nothing
+    cfg = solve_cfg(problem={"mu": 0.1, "delta": 0.5, "theta": -5.0, "tol": 1e-8})
+    with pytest.raises(ConfigError) as info:
+        validate_config(cfg, "solve")
+    for key in ("mu", "delta", "theta"):
+        assert f"problem.{key} is not read; set nonlinearity.{key} instead" in (
+            info.value.problems
+        )
+    assert len(info.value.problems) == 3
+    validate_config(solve_cfg(nonlinearity={"kind": "zero", "mu": 0.5, "delta": 0.4}),
+                    "solve")
+
+
 def test_grid_needs_two_steps():
     # a one-step grid used to pass validation and fail in TimeGrid.uniform
     with pytest.raises(ConfigError, match="N_t must be >= 2"):

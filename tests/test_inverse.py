@@ -114,11 +114,13 @@ def test_orthogonal_weight_is_rejected():
 
 
 def test_fractional_kernel_fails_the_derivative_gate():
-    problem = make_problem(
-        kernel=MemoryKernel.fractional(1.0, 0.5), psi=np.zeros(257)
-    )
-    with pytest.raises(KernelGateFailed, match="integrability"):
-        reconstruct(problem)
+    # at every scale: |m'| ~ t^(-alpha-1) near 0 however small m0 is
+    for m0 in (1.0, 1e-12):
+        problem = make_problem(
+            kernel=MemoryKernel.fractional(m0, 0.5), psi=np.zeros(257)
+        )
+        with pytest.raises(KernelGateFailed, match="integrability"):
+            reconstruct(problem)
 
 
 def test_initial_consistency_is_enforced():
@@ -154,7 +156,6 @@ def test_single_mode_round_trip():
     # the residual floor is the O(h^2) time-stepping error, not solver tol
     assert rec.max_residual < 5e-5
     assert rec.pairing == pytest.approx(1.0)
-    assert rec.m_at_zero == pytest.approx(1.0)
 
 
 def test_reconstruction_is_linear_in_the_measurement():

@@ -69,7 +69,6 @@ def test_tabulated_interpolates_and_extends_flat():
     assert kernel(5.0) == pytest.approx(1.0)  # flat right extension
     ref, _ = quad(kernel, 0.0, 3.0, points=[0.5, 1.0, 2.0])
     assert kernel.cumulative(3.0) == pytest.approx(ref, abs=1e-9)
-    assert not kernel.exact_moments
 
 
 def test_structural_flags():
@@ -101,15 +100,17 @@ def test_kernel_argument_validation():
 
 
 def test_derivative_integrability_probe():
-    horizon = 1.0
-    assert MemoryKernel.exponential(1.0, 2.0).derivative_integrable(horizon)
-    assert MemoryKernel.constant(1.0).derivative_integrable(horizon)
-    assert MemoryKernel.zero().derivative_integrable(horizon)
+    # m' is integrable at 0 exactly when m is bounded there; the inverse
+    # gate reads bounded_at_zero
+    assert MemoryKernel.exponential(1.0, 2.0).bounded_at_zero
+    assert MemoryKernel.constant(1.0).bounded_at_zero
+    assert MemoryKernel.zero().bounded_at_zero
+    assert MemoryKernel.tabulated([0.5, 1.0], [2.0, 1.0]).bounded_at_zero
     # |m'| ~ t^(-alpha-1) is not integrable at 0
-    assert not MemoryKernel.fractional(1.0, 0.5).derivative_integrable(horizon)
+    assert not MemoryKernel.fractional(1.0, 0.5).bounded_at_zero
     # the answer does not depend on the kernel's scale
-    assert not MemoryKernel.fractional(1e-12, 0.5).derivative_integrable(horizon)
-    assert MemoryKernel.exponential(1.0, 100.0).derivative_integrable(horizon)
+    assert not MemoryKernel.fractional(1e-12, 0.5).bounded_at_zero
+    assert MemoryKernel.exponential(1.0, 100.0).bounded_at_zero
 
 
 def test_derivative_history_kernel_of_exponential():

@@ -252,14 +252,10 @@ def test_zero_reaction_reproduces_the_homogeneous_solution():
     assert sol.converged
     assert sol.iterations == 1
     np.testing.assert_allclose(sol.coeffs, ctx.table.omega * xi[None, :], atol=1e-14)
-    # state accessor returns the same rows
-    np.testing.assert_allclose(sol.state(10).coeffs, sol.coeffs[10])
 
 
 def test_single_mode_linear_reaction_matches_scalar_resolvent():
     # f(u) = c u on one mode folds into the scalar equation with lam - c
-    from rstokes import solve_relaxation
-
     ctx = solver_ctx(MemoryKernel.zero(), n_modes=1, n_t=2048)
     lam = ctx.basis.eigenvalues[0]
     c = 2.0
@@ -324,7 +320,7 @@ def test_solution_stays_inside_the_selected_ball():
     rho = select_invariant_radius(spec, ctx.basis, xi_norm, 0.0, 1.0)
     sol = picard_solve(ctx, spec, ell, xi, PicardOptions(tol=1e-12))
     assert sol.converged
-    assert float(np.max(sol.norms(1.0))) <= rho + 1e-12
+    assert float(np.max(hnorm(sol.coeffs, ctx.basis, 1.0))) <= rho + 1e-12
 
 
 def test_residual_contraction_on_small_data():
@@ -382,7 +378,7 @@ def test_invariant_radius_scan():
     assert rho == 1.0  # the very first candidate 2|xi| already passes
     blowup = Nonlinearity.polynomial_power(2.0, scale=1e6)
     with pytest.raises(ValueError, match="invariant radius"):
-        select_invariant_radius(blowup, BASIS, 10.0, 0.0, 1.0, max_doublings=8)
+        select_invariant_radius(blowup, BASIS, 10.0, 0.0, 1.0)
 
 
 # -- weighted Holder seminorm ---------------------------------------------

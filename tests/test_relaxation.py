@@ -8,9 +8,9 @@ from rstokes import (
     TimeGrid,
     certify_completely_positive,
     relaxation_batch,
-    solve_relaxation,
     verify_relaxation,
 )
+from rstokes.volterra import second_kind_solve
 
 LAMBDAS = np.array([1.0, np.pi**2, 20.0])
 
@@ -18,7 +18,7 @@ LAMBDAS = np.array([1.0, np.pi**2, 20.0])
 def test_zero_kernel_is_plain_exponential():
     grid = TimeGrid.uniform(1.0, 2048)
     for lam in LAMBDAS:
-        w = solve_relaxation(MemoryKernel.zero(), lam, grid)
+        w = relaxation_batch(MemoryKernel.zero(), [lam], grid).omega[:, 0]
         err = np.max(np.abs(w - np.exp(-lam * grid.nodes)))
         assert err < 5e-5, f"lambda={lam}: {err}"
 
@@ -28,7 +28,7 @@ def test_constant_kernel_rescales_time():
     grid = TimeGrid.uniform(1.0, 2048)
     kernel = MemoryKernel.constant(1.0)
     for lam in LAMBDAS:
-        w = solve_relaxation(kernel, lam, grid)
+        w = relaxation_batch(kernel, [lam], grid).omega[:, 0]
         err = np.max(np.abs(w - np.exp(-2.0 * lam * grid.nodes)))
         assert err < 2e-4, f"lambda={lam}: {err}"
 
@@ -42,11 +42,8 @@ def test_batch_columns_match_single_solves_and_record_scheme():
     np.testing.assert_allclose(table.omega[0], 1.0)
     for j, lam in enumerate(LAMBDAS):
         # single solves run under the batch's joint scheme for comparability
-        single = solve_relaxation(kernel, lam, grid, scheme=table.scheme)
+        single, _ = second_kind_solve(kernel.a_moments, grid, lam, 1.0, table.scheme)
         np.testing.assert_allclose(table.omega[:, j], single, atol=1e-14)
-    np.testing.assert_allclose(table.column(np.pi**2), table.omega[:, 1])
-    with pytest.raises(KeyError):
-        table.column(123.0)
 
 
 def test_batch_validates_lambdas():
@@ -57,7 +54,7 @@ def test_batch_validates_lambdas():
     with pytest.raises(ValueError):
         relaxation_batch(kernel, [], grid)
     with pytest.raises(ValueError):
-        solve_relaxation(kernel, -1.0, grid)
+        relaxation_batch(kernel, [-1.0], grid)
 
 
 @pytest.mark.parametrize(

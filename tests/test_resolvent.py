@@ -11,7 +11,6 @@ from rstokes import (
     Interval,
     MemoryKernel,
     TimeGrid,
-    apply_sol_op,
     build_basis,
     build_resolvent,
     convolve_sol_op,
@@ -40,20 +39,6 @@ def small_ctx(kernel, n_modes=6, n_t=128):
     basis = build_basis(Interval(1.0), n_modes)
     grid = TimeGrid.uniform(1.0, n_t)
     return build_resolvent(kernel, basis, grid)
-
-
-def test_apply_sol_op_is_diagonal():
-    ctx = small_ctx(KERNELS["exponential"])
-    rng = np.random.default_rng(0)
-    xi = rng.standard_normal(6)
-    full = apply_sol_op(ctx, xi)
-    np.testing.assert_allclose(full, ctx.table.omega * xi[None, :])
-    np.testing.assert_allclose(apply_sol_op(ctx, xi, 17), full[17])
-    np.testing.assert_allclose(apply_sol_op(ctx, xi, 0), xi)
-    with pytest.raises(IndexError):
-        apply_sol_op(ctx, xi, 999)
-    with pytest.raises(ValueError):
-        apply_sol_op(ctx, np.ones(5))
 
 
 def test_convolve_matches_scheme_quadrature():

@@ -9,10 +9,7 @@ from rstokes import (
     Interval,
     Nonlinearity,
     Rectangle,
-    SpectralField,
     build_basis,
-    fractional_laplacian,
-    gradient_pairing,
     hnorm,
     project,
     synthesize,
@@ -108,15 +105,9 @@ def test_hnorm_weights_by_eigenvalue_powers():
     np.testing.assert_allclose(hnorm(series, basis, 0.0), [np.sqrt(5), 2 * np.sqrt(5)])
 
 
-def test_fractional_laplacian_scales_coefficients():
-    basis = build_basis(Interval(1.0), 4)
-    c = np.ones(4)
-    np.testing.assert_allclose(
-        fractional_laplacian(c, basis, 0.5), basis.eigenvalues**0.5
-    )
-
-
 def test_gradient_pairing_matches_quadrature():
+    # Green's identity (grad u, grad kappa) = sum lambda_n u_n kappa_n, the
+    # pairing the inverse elimination formula weights its states with
     basis = build_basis(Interval(1.0), 4)
     u = np.array([0.5, -0.2, 0.0, 0.1])
     kappa = np.array([1.0, 0.3, -0.4, 0.0])
@@ -130,7 +121,7 @@ def test_gradient_pairing_matches_quadrature():
         )
 
     ref, _ = quad(lambda x: du(x) * dk(x), 0.0, 1.0, limit=100)
-    assert gradient_pairing(u, kappa, basis) == pytest.approx(ref, abs=1e-9)
+    assert u @ (basis.eigenvalues * kappa) == pytest.approx(ref, abs=1e-9)
 
 
 def test_rectangle_modes_sorted_with_lexicographic_ties():
@@ -158,14 +149,6 @@ def test_rectangle_node_weights_cover_the_area():
     basis = build_basis(Rectangle(1.0, 2.0), 4)
     total = float(np.sum(basis.node_weights))
     assert total == pytest.approx(2.0 * (9.0 / 10.0) ** 2, rel=1e-12)
-
-
-def test_spectral_field_validates_length():
-    basis = build_basis(Interval(1.0), 3)
-    field = SpectralField(basis, np.array([1.0, 0.0, 0.0]))
-    assert field.norm() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        SpectralField(basis, np.ones(4))
 
 
 def test_basis_equality_is_structural():

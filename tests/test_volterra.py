@@ -11,13 +11,14 @@ from rstokes.volterra import (
     _fast_length,
     _toeplitz_solve,
     _uniform_second_kind,
+    endpoint_weights,
     fftconvolve,
     first_kind_solve,
     lag_weights,
-    newest_left_weight,
     product_convolve,
     rectangle_convolve,
     second_kind_solve,
+    stiffness_scheme,
     trapezoid_convolve,
 )
 
@@ -171,16 +172,31 @@ def test_rectangle_convolve_matches_direct_loop():
 
 
 def test_newest_left_weight_is_first_cell_left_moment():
-    grid = TimeGrid.uniform(1.0, 50)
+    # the rule switches where max(lam) times the newest lag cell's left
+    # weight crosses STIFF_THRESHOLD: the first cell's on a uniform grid, the
+    # largest over the rows on a graded one
     kernel = MemoryKernel.fractional(1.0, 0.5)
-    w = lag_weights(kernel.a_moments, grid)
-    assert newest_left_weight(kernel.a_moments, grid) == pytest.approx(w.left[0])
+    uniform = TimeGrid.uniform(1.0, 50)
+    graded = TimeGrid.graded(1.0, 50, 2.0)
+    steps = graded.steps()
+    newest = [
+        (uniform, lag_weights(kernel.a_moments, uniform).left[0]),
+        (graded, np.max(endpoint_weights(kernel.a_moments, 0.0 * steps, steps, steps)[0])),
+    ]
+    for grid, u0 in newest:
+        edge = STIFF_THRESHOLD / u0
+        below = [0.5 * edge, edge * (1.0 - 1e-12)]
+        above = [0.5 * edge, edge * (1.0 + 1e-12)]
+        assert stiffness_scheme(kernel.a_moments, grid, below) == "trapezoid"
+        assert stiffness_scheme(kernel.a_moments, grid, above) == "rectangle"
+        assert second_kind_solve(kernel.a_moments, grid, below, 1.0)[1] == "trapezoid"
+        assert second_kind_solve(kernel.a_moments, grid, above, 1.0)[1] == "rectangle"
 
 
 def test_second_kind_scheme_selection_is_joint():
     grid = TimeGrid.uniform(1.0, 64)
     kernel = MemoryKernel.fractional(1.0, 0.5)
-    u0 = newest_left_weight(kernel.a_moments, grid)
+    u0 = lag_weights(kernel.a_moments, grid).left[0]
     lam_soft = 0.5 * STIFF_THRESHOLD / u0
     lam_stiff = 4.0 * STIFF_THRESHOLD / u0
     _, scheme = second_kind_solve(kernel.a_moments, grid, lam_soft, 1.0)
