@@ -182,12 +182,40 @@ def _validate_history(section: Dict, where: str, problems: List[str]) -> None:
         _table_path(section, where, problems)
 
 
+def _validate_orders(section: Dict, where: str, problems: List[str],
+                     kind: Optional[str]) -> None:
+    """The ranges ``Nonlinearity`` accepts: 0 < mu < 2, 0 < delta < 1 and
+    theta > 0, theta defaulting to 1 + delta - mu.  A sum without its own mu
+    or delta takes its first part's, as ``Nonlinearity.sum_of`` does."""
+    before = len(problems)
+    mu = _num(section, "mu", where, problems, exclusive_min=0.0, exclusive_max=2.0)
+    delta = _num(section, "delta", where, problems, exclusive_min=0.0,
+                 exclusive_max=1.0)
+    _num(section, "theta", where, problems, exclusive_min=0.0)
+    if len(problems) > before or "theta" in section:
+        return
+    parts = section.get("parts")
+    first = parts[0] if kind == "sum" and isinstance(parts, list) and parts else None
+    inherited = first if isinstance(first, dict) else {}
+    mu = inherited.get("mu", 1.0) if mu is None else mu
+    delta = inherited.get("delta", 0.5) if delta is None else delta
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (mu, delta))
+    if not (numbers and 0.0 < mu < 2.0 and 0.0 < delta < 1.0):
+        return  # an inherited order out of range is reported with its part
+    if 1.0 + delta - mu <= 0.0:
+        problems.append(
+            f"{where}.theta defaults to 1 + delta - mu = {1.0 + delta - mu:g} "
+            f"(mu = {mu:g}, delta = {delta:g}), which must be positive; lower "
+            f"{where}.mu or set {where}.theta"
+        )
+
+
 def _validate_nonlinearity(section: Dict, where: str, problems: List[str],
                            ndim: Optional[int]) -> None:
     """ndim is the domain's dimension, or None when the domain is invalid."""
     kind = _choice(section, "kind", where, NONLINEARITY_KINDS, problems, required=True)
-    _num(section, "mu", where, problems, minimum=0.0)
-    _num(section, "delta", where, problems, exclusive_min=0.0, maximum=1.0)
+    _validate_orders(section, where, problems, kind)
     if kind == "linear_diagonal":
         coeffs = section.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
@@ -313,7 +341,8 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
             _num(verify, "trials", "verify", problems, integer=True, minimum=1)
             _num(verify, "seed", "verify", problems, integer=True, minimum=0)
             _num(verify, "mu", "verify", problems, minimum=0.0)
-            _num(verify, "delta", "verify", problems, exclusive_min=0.0, maximum=1.0)
+            _num(verify, "delta", "verify", problems, exclusive_min=0.0,
+                 exclusive_max=1.0)
 
     if subcommand == "certify":
         certify = _section(cfg, "certify", problems, required=False)

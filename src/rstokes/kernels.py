@@ -256,10 +256,9 @@ class MemoryKernel:
     def derivative_history_kernel(self) -> "HistoryKernel":
         """m' as a history kernel (for the convolution m' * u).
 
-        Tabulated kernels use the piecewise-constant derivative of the
-        interpolant, re-sampled at segment midpoints and extended flat like
-        any table; a two-sample table has one segment, so its m' is that
-        segment's slope throughout.
+        A tabulated kernel's m' is the exact derivative of its interpolant:
+        each segment's slope between its samples, and 0 before the first
+        sample and after the last, where the interpolant is flat.
         """
         if self.kind == "fractional":
             raise ValueError("fractional kernel has no integrable derivative at 0")
@@ -268,11 +267,7 @@ class MemoryKernel:
         if self.kind == "exponential":
             return HistoryKernel.exponential(-self.m0 * self.decay, self.decay)
         t = self.table_t
-        slopes = np.diff(self.table_m) / np.diff(t)
-        if slopes.size == 1:
-            return HistoryKernel.constant(float(slopes[0]))
-        mid = 0.5 * (t[:-1] + t[1:])
-        return HistoryKernel.tabulated(mid, slopes)
+        return HistoryKernel._steps(t, np.diff(self.table_m) / np.diff(t))
 
 
 @dataclass(frozen=True)
@@ -328,6 +323,22 @@ class HistoryKernel:
             table_t=np.asarray(t, dtype=float),
             table_v=np.asarray(values, dtype=float),
         )
+
+    @classmethod
+    def _steps(cls, t, values) -> "HistoryKernel":
+        """Tabulated kind holding the step function values[i] on
+        [t[i], t[i+1]), 0 before t[0] and from t[-1] on.
+
+        table_v lists the step's value from each t_i on (values, then 0); the
+        kernel is that step function, not the linear interpolant of table_v.
+        """
+        t = np.asarray(t, dtype=float)
+        v = np.asarray(values, dtype=float)
+        kernel = cls.tabulated(t, np.append(v, 0.0))
+        c0 = np.concatenate([[0.0], v, [0.0]])
+        step = _PiecewiseLinear(np.concatenate([[0.0], t]), c0, np.zeros_like(c0))
+        object.__setattr__(kernel, "_interp", step)
+        return kernel
 
     @property
     def bounded_at_zero(self) -> bool:

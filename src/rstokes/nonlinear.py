@@ -9,6 +9,18 @@ Fixed-point iteration on that formula converges geometrically whenever the
 data are small enough; ``small_data_gate`` and ``spectral_gap_gate`` evaluate
 the sufficient conditions and ``holder_estimate`` measures time regularity
 of a computed trajectory.
+
+What ``picard_solve`` does once per solve and what it does per sweep:
+
+* once: the head S(t) xi, the lag weights of ell (``_history_operator``),
+  and the advection matrix M = project(chi . grad e_n), which the basis
+  keeps for each chi (``SpectralBasis._advection_matrix``);
+* per sweep: w = ell * u (one transform of u shared by both weight
+  columns), f(u, w), the convolution S * f and the residual.  f's power term
+  synthesizes u at the nodes in row blocks and maps, weights and projects
+  each block in one buffer; its advection term is the product W @ M.
+
+No spectrum of (N_t + 1) rows is kept from one sweep to the next.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ import numpy as np
 from .grids import TimeGrid
 from .kernels import HistoryKernel
 from .resolvent import ResolventContext, convolve_sol_op
-from .spectral import SpectralBasis, hnorm, project, synthesize
+from .spectral import SpectralBasis, hnorm, synthesize
 from .volterra import endpoint_weights, lag_weights, product_convolve
 
 __all__ = [
@@ -53,17 +65,6 @@ class NonConvergence(RuntimeError):
     def __init__(self, message: str, residuals: Tuple[float, ...]):
         super().__init__(message)
         self.residuals = residuals
-
-
-# samples per row block of the node-space paths: bounds their working memory
-# (8 MiB an array) while keeping each block one large matrix product
-_SAMPLE_BUDGET = 1 << 20
-
-
-def _row_blocks(rows: int, basis: SpectralBasis):
-    """Slices of at most _SAMPLE_BUDGET // nodes rows (at least one)."""
-    step = max(1, _SAMPLE_BUDGET // basis.nodes.shape[0])
-    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
 def _check_finite(
@@ -198,29 +199,15 @@ class Nonlinearity:
                 raise ValueError("diagonal coefficient count does not match basis")
             return V * self.coeffs[None, :]
         if self.kind == "power":
-            what = f"pointwise power {self.power}"
             out = np.empty_like(V)
-            for rows in _row_blocks(V.shape[0], basis):
-                samples = synthesize(basis, V[rows])
-                # sign(s) |s|^p, computed in one buffer; overflow surfaces
-                # through the finiteness check below, not as a stray warning
-                mapped = np.abs(samples)
-                with np.errstate(over="ignore"):
-                    mapped **= self.power
-                if self.signed:
-                    np.copysign(mapped, samples, out=mapped)
-                mapped *= self.scale
-                _check_finite(mapped, basis, what, rows.start)
-                out[rows] = project(basis, mapped)
+            for rows in basis._row_blocks(V.shape[0]):
+                out[rows] = self._power_block(V, rows, basis)
             return out
         if self.kind == "advection":
             if len(self.chi) != basis.domain.ndim:
                 raise ValueError("advection vector length does not match domain")
-            # linear in w: project chi . grad e_n once per mode, then combine
-            modes = np.eye(basis.n_modes)
-            M = np.empty_like(modes)
-            for rows in _row_blocks(basis.n_modes, basis):
-                M[rows] = project(basis, basis._directional(modes[rows], self.chi))
+            # linear in w: the projected chi . grad e_n, built once per basis
+            M = basis._advection_matrix(self.chi)
             with np.errstate(over="ignore", invalid="ignore"):
                 out = W @ M
             if not np.all(np.isfinite(out)):
@@ -244,6 +231,57 @@ class Nonlinearity:
                 )
             return out
         raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+
+    def _power_samples(self, samples: np.ndarray) -> np.ndarray:
+        """scale * sign(s) |s|^p (or scale * |s|^p), in the buffer of samples.
+
+        The bits are those of the three-pass form |s|, **p, copysign: |s|^2
+        is s * s, copysign is a negation where the sign bit was set, and a
+        unit scale is skipped.  One buffer a block keeps glibc from trimming
+        and refaulting the heap between blocks.  Overflow shows as a
+        non-finite sample, not as a warning.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            negative = np.signbit(samples) if self.signed else None
+            if self.power == 2.0:
+                np.square(samples, out=samples)
+            else:
+                np.abs(samples, out=samples)
+                samples **= self.power
+            if self.signed:
+                np.negative(samples, out=samples, where=negative)
+            if self.scale != 1.0:
+                samples *= self.scale
+        return samples
+
+    def _power_block(self, V, rows: slice, basis: SpectralBasis) -> np.ndarray:
+        """Coefficients of the power term for V[rows].
+
+        The node values are mapped, weighted and contracted in one buffer,
+        which dies with the call, so no two blocks' buffers are alive at once.
+        Finiteness is judged on the coefficients.
+        """
+        mapped = self._power_samples(synthesize(basis, V[rows]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mapped *= basis.node_weights
+            coeffs = basis._project_weighted(mapped)
+        if not np.all(np.isfinite(coeffs)):
+            self._power_overflow(V, rows, coeffs, basis)
+        return coeffs
+
+    def _power_overflow(self, V, rows: slice, coeffs, basis: SpectralBasis) -> None:
+        """Raise for a row block whose coefficients are not all finite.
+
+        Names the block's first non-finite sample, recomputed without the
+        node weights; if every sample is finite, the projection overflowed.
+        """
+        what = f"pointwise power {self.power}"
+        samples = self._power_samples(synthesize(basis, V[rows]))
+        _check_finite(samples, basis, what, rows.start)
+        i = rows.start + int(np.argwhere(~np.isfinite(coeffs))[0, 0])
+        raise OverflowDiagnostic(
+            f"{what} projected to a non-finite coefficient (time row {i})"
+        )
 
     def _advection_overflow(self, W, out, basis: SpectralBasis) -> None:
         """Raise for the first time row whose advected history is not finite."""
@@ -316,10 +354,22 @@ def history_series(ell: HistoryKernel, series: np.ndarray, grid: TimeGrid) -> np
     series = np.asarray(series, dtype=float)
     if series.shape[0] != grid.nodes.size:
         raise ValueError("series rows do not match the grid")
+    return _history_operator(ell, grid)(series)
+
+
+def _history_operator(ell: HistoryKernel, grid: TimeGrid) -> Callable:
+    """series -> ell * series on grid; a uniform grid's lag weights are built
+    here, once, so a Picard solve reuses them in every sweep."""
     if ell.kind == "zero":
-        return np.zeros_like(series)
+        return np.zeros_like
     if grid.is_uniform:
-        return product_convolve(lag_weights(ell.moments, grid), series)
+        weights = lag_weights(ell.moments, grid)
+        return lambda series: product_convolve(weights, series)
+    return lambda series: _graded_history(ell, series, grid)
+
+
+def _graded_history(ell: HistoryKernel, series: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    # the lag cells differ from row to row: weights per row, O(N^2)
     t = grid.nodes
     steps = grid.steps()
     out = np.zeros_like(series)
@@ -390,10 +440,11 @@ def picard_solve(
         if forcing.shape != head.shape:
             raise ValueError("forcing series shape does not match grid x modes")
 
+    history = _history_operator(ell, grid)
     u = head
     residuals = []
     for _ in range(opts.max_iter):
-        w = history_series(ell, u, grid)
+        w = history(u)
         try:
             f_rows = spec.apply_series(u, w, basis)
         except OverflowDiagnostic as exc:

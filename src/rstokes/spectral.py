@@ -18,7 +18,9 @@ nodes) that is 6.6x fewer, and the tables hold 2 x 129 x 9 values instead of
 the results keep its bits.  No scipy.fft DST is used: importing scipy.fft
 costs more than these contractions, and cosines at the sine nodes (the
 gradients) are not a DST-I grid anyway.  The dense matrices remain as lazy
-attributes for inspection; no solver path builds them.
+attributes for inspection; no solver path builds them.  What a basis does
+keep is the projected advection matrix of each direction it is asked for,
+n_modes^2 values that a Picard solve would otherwise rebuild every sweep.
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ class Rectangle:
     @property
     def ndim(self) -> int:
         return 2
+
+
+# samples per row block of the node-space paths: bounds their working memory
+# (8 MiB an array) while keeping each block one large matrix product
+_SAMPLE_BUDGET = 1 << 20
 
 
 def _axis_nodes(length: float, n_modes: int):
@@ -137,6 +144,7 @@ class SpectralBasis:
         self._flat = np.ravel_multi_index(
             tuple(idx - 1 for _, _, idx in axes), self._grid_shape
         )
+        self._advection = {}
 
     @cached_property
     def synthesis(self) -> np.ndarray:
@@ -162,11 +170,20 @@ class SpectralBasis:
         return out.reshape(rows, -1)
 
     def _project(self, samples: np.ndarray) -> np.ndarray:
-        """(rows, nodes) samples to (rows, n_modes) coefficients."""
-        rows = samples.shape[0]
+        """(rows, nodes) samples to (rows, n_modes) coefficients.
+
+        The node weights come first, as in (s * w) @ E: on an interval this
+        is that product.  A caller that owns its samples can weight them in
+        place and call ``_project_weighted``, which gives the same bits
+        without the weighted copy made here.
+        """
+        return self._project_weighted(samples * self.node_weights)
+
+    def _project_weighted(self, weighted: np.ndarray) -> np.ndarray:
+        """``_project`` of samples already multiplied by ``node_weights``."""
+        rows = weighted.shape[0]
         shape = tuple(t.shape[0] for t in self._tables)
-        # weights first, as in (s * w) @ E: on an interval this is that product
-        out = (samples * self.node_weights).reshape((rows,) + shape)
+        out = weighted.reshape((rows,) + shape)
         for table in reversed(self._tables):
             # contract the trailing node axis; the index axis moves to the front
             flat = out.reshape(-1, table.shape[0]) @ table
@@ -182,6 +199,32 @@ class SpectralBasis:
                 tables[axis] = self._slopes[axis]
                 out += self._synthesize(c * coeffs, tables)
         return out
+
+    def _row_blocks(self, rows: int):
+        """Slices of at most _SAMPLE_BUDGET // nodes rows (at least one)."""
+        step = max(1, _SAMPLE_BUDGET // self.nodes.shape[0])
+        return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+    def _advection_matrix(self, direction) -> np.ndarray:
+        """M with (W @ M)[:, n] the coefficients of direction . grad w.
+
+        Row m is the projection of direction . grad e_m.  M depends only on
+        the basis and the direction, so it is built once per direction and
+        kept on the basis (n_modes^2 values).  Each block of node values is
+        weighted in place, as the power term's are.
+        """
+        key = tuple(float(c) for c in direction)
+        M = self._advection.get(key)
+        if M is None:
+            modes = np.eye(self.n_modes)
+            M = np.empty_like(modes)
+            for rows in self._row_blocks(self.n_modes):
+                samples = self._directional(modes[rows], key)
+                samples *= self.node_weights
+                M[rows] = self._project_weighted(samples)
+                del samples  # not alive while the next block is made
+            self._advection[key] = M
+        return M
 
     def _sup_mode(self) -> float:
         """Bound on max |e_n| at the nodes: the product of per-axis maxima."""

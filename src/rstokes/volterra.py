@@ -84,7 +84,7 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def fftconvolve(a, b, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+def fftconvolve(a, b, start: int = 0, stop: Optional[int] = None):
     """Rows start..stop-1 of the full linear convolution of a and b along axis 0.
 
     A 1-d operand next to a 2-d one acts as a column shared by every column
@@ -92,18 +92,31 @@ def fftconvolve(a, b, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
     is the shortest 5-smooth one that keeps the requested rows free of
     wrap-around, so a window that skips the first rows (the middle product
     of ``_toeplitz_solve``) costs one transform of about len(a) rows.
+
+    a may also be a tuple of equally long kernels: b is then transformed
+    once, and a list of windows comes back, one per kernel.  Each product
+    takes the kernel's spectrum first; numpy's complex multiply is not
+    bitwise commutative, so this order is part of the result.
     """
-    a = np.asarray(a, dtype=float)
+    kernels = [np.asarray(k, dtype=float) for k in (a if isinstance(a, tuple) else (a,))]
     b = np.asarray(b, dtype=float)
-    if a.ndim < b.ndim:
-        a = a[:, None]
-    elif b.ndim < a.ndim:
+    if any(k.ndim > b.ndim for k in kernels):
         b = b[:, None]
-    n = a.shape[0] + b.shape[0] - 1
+    kernels = [k[:, None] if k.ndim < b.ndim else k for k in kernels]
+    n = kernels[0].shape[0] + b.shape[0] - 1
     stop = n if stop is None else stop
     size = _fast_length(max(n - start, stop))
-    spectrum = np.fft.rfft(a, size, axis=0) * np.fft.rfft(b, size, axis=0)
-    return np.fft.irfft(spectrum, size, axis=0)[start:stop]
+    b_hat = np.fft.rfft(b, size, axis=0)
+    out = []
+    for i, k in enumerate(kernels):
+        # the last product overwrites b_hat where the shapes allow (same
+        # bits), and each product is dropped before the next kernel's
+        fits = np.broadcast_shapes(k.shape[1:], b.shape[1:]) == b.shape[1:]
+        into = b_hat if fits and i == len(kernels) - 1 else None
+        spectrum = np.multiply(np.fft.rfft(k, size, axis=0), b_hat, out=into)
+        out.append(np.fft.irfft(spectrum, size, axis=0)[start:stop])
+        del spectrum
+    return out if isinstance(a, tuple) else out[0]
 
 
 def endpoint_weights(moments: Moments, lo, hi, h) -> Tuple[np.ndarray, np.ndarray]:
@@ -140,12 +153,17 @@ def product_convolve(weights: LagWeights, phi: np.ndarray) -> np.ndarray:
     """(k * phi)(t_i) at every node for piecewise-linear phi (uniform grid).
 
     phi has shape (N+1,) or (N+1, M); columns are convolved independently.
+    The left and right weight columns share one transform of phi (one
+    ``fftconvolve`` call with two kernels), with the bits of two separate
+    convolutions.
     """
     phi = np.asarray(phi, dtype=float)
     n = phi.shape[0] - 1
     v = weights.right[:n]
     out = np.zeros_like(phi)
-    out[1:] = fftconvolve(weights.left[:n], phi)[:n] + fftconvolve(v, phi)[1 : n + 1]
+    # one transform of phi serves both weight columns
+    older, newer = fftconvolve((weights.left[:n], v), phi)
+    out[1:] = older[:n] + newer[1 : n + 1]
     # the full convolution (right * phi)_i picks up the k = i term
     # right_i * phi_0, which lies outside the i-1 lag cells; remove it
     out[1:n] -= np.multiply.outer(v[1:], phi[0])

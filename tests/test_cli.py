@@ -332,6 +332,20 @@ def test_invalid_config_exits_1_with_all_problems(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nonlinearity_orders_outside_their_ranges_exit_1_before_any_output(
+    tmp_path, capsys
+):
+    # both used to pass validation; the run then created its output directory
+    # and died on mu alone
+    payload = dict(SOLVE_CFG, nonlinearity={"kind": "zero", "mu": 2.5, "delta": 1.0})
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "never"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "nonlinearity.mu" in err and "nonlinearity.delta" in err
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_1_without_summary(tmp_path, capsys):
     # orthogonal weights make the measurement pairing vanish mid-run
     basis = build_basis(Interval(1.0), 2)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rstokes import Interval, Rectangle
 from rstokes.config import (
@@ -114,6 +115,59 @@ def test_nonlinearity_orders_are_refused_under_problem():
     assert len(info.value.problems) == 3
     validate_config(solve_cfg(nonlinearity={"kind": "zero", "mu": 0.5, "delta": 0.4}),
                     "solve")
+
+
+def _maybe(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+@settings(max_examples=200)
+@given(
+    mu=_maybe(st.floats(-0.5, 2.5)),
+    delta=_maybe(st.floats(-0.5, 1.5)),
+    theta=_maybe(st.floats(-1.0, 2.0)),
+    where=st.sampled_from(["plain", "part", "sum"]),
+)
+def test_nonlinearity_orders_are_validated_as_the_constructor_checks(
+    mu, delta, theta, where
+):
+    # mu >= 2 or delta = 1 used to pass validation and fail in Nonlinearity;
+    # so did mu >= 1 + delta with the default theta
+    orders = {k: v for k, v in (("mu", mu), ("delta", delta), ("theta", theta))
+              if v is not None}
+    section = {"kind": "zero", **(orders if where == "plain" else {})}
+    if where == "part":
+        section = {"kind": "sum", "parts": [{"kind": "zero", **orders}]}
+    elif where == "sum":
+        section = {"kind": "sum", "parts": [section], **orders}
+    try:
+        nonlinearity_from_section(section)
+        builds = True
+    except ValueError:
+        builds = False
+    try:
+        validate_config(solve_cfg(nonlinearity=section), "solve")
+        valid = True
+    except ConfigError:
+        valid = False
+    assert valid == builds
+
+
+def test_inherited_orders_set_a_sum_s_default_theta():
+    # the sum takes mu and delta from its first part but not its theta
+    part = {"kind": "zero", "mu": 1.9, "delta": 0.5, "theta": 0.3}
+    with pytest.raises(ConfigError) as info:
+        validate_config(solve_cfg(nonlinearity={"kind": "sum", "parts": [part]}),
+                        "solve")
+    assert list(info.value.problems) == [
+        "nonlinearity.theta defaults to 1 + delta - mu = -0.4 (mu = 1.9, "
+        "delta = 0.5), which must be positive; lower nonlinearity.mu or set "
+        "nonlinearity.theta"
+    ]
+    validate_config(
+        solve_cfg(nonlinearity={"kind": "sum", "parts": [part], "theta": 0.3}),
+        "solve",
+    )
 
 
 def test_grid_needs_two_steps():

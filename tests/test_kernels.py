@@ -121,6 +121,35 @@ def test_derivative_history_kernel_of_exponential():
     np.testing.assert_allclose(hk(t), -m0 * c * np.exp(-c * t), rtol=1e-13)
 
 
+def _step_integrals(edges, values, lo, hi):
+    """int and int s * (.) of the step values[i] on [edges[i], edges[i+1])."""
+    a = np.clip(lo[:, None], edges[:-1], edges[1:])
+    b = np.clip(hi[:, None], edges[:-1], edges[1:])
+    return (b - a) @ values, (b**2 - a**2) / 2.0 @ values
+
+
+@pytest.mark.parametrize(
+    "t, m, slopes",
+    [([0.5, 1.0, 2.0], [4.0, 2.0, 1.0], [-4.0, -1.0]), ([0.5, 1.0], [4.0, 2.0], [-4.0])],
+)
+def test_derivative_history_kernel_of_a_table_is_the_interpolant_s_slope(t, m, slopes):
+    # m' used to keep the first slope on [0, t_0] and the last one past the
+    # table (and a two-sample table's slope everywhere), where m is flat
+    hk = MemoryKernel.tabulated(t, m).derivative_history_kernel()
+    probes = [0.1, 0.75, 1.5, 3.0] if len(t) == 3 else [0.1, 0.75, 1.5]
+    expect = [0.0, -4.0, -1.0, 0.0] if len(t) == 3 else [0.0, -4.0, 0.0]
+    np.testing.assert_array_equal(hk(np.array(probes)), expect)
+    edges = np.array(t)
+    lo = np.array([0.0, 0.2, 0.7, 0.9, 1.2, 0.0, 2.5])
+    hi = np.array([0.5, 0.8, 0.95, 1.1, 2.7, 4.0, 3.0])
+    a0, a1 = hk.moments(lo, hi)
+    e0, e1 = _step_integrals(edges, np.array(slopes), lo, hi)
+    np.testing.assert_allclose(a0, e0, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(a1, e1, rtol=1e-14, atol=1e-15)
+    # m(T) - m(0) over any horizon: the table's total drop
+    assert hk.cumulative(10.0) == pytest.approx(m[-1] - m[0], rel=1e-14)
+
+
 # -- complete positivity ------------------------------------------------------
 
 

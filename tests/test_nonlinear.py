@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import beta as beta_fn
 
 from rstokes import (
@@ -26,6 +27,7 @@ from rstokes import (
     spectral_gap_gate,
 )
 from rstokes.nonlinear import OverflowDiagnostic, history_series
+from rstokes.spectral import SpectralBasis, project, synthesize
 
 BASIS = build_basis(Interval(1.0), 6)
 
@@ -200,6 +202,115 @@ def test_advection_overflow_names_the_true_time_row_and_a_node():
     with np.errstate(over="ignore", invalid="ignore"):
         value = sum(c * (W[150] @ g[0]) for c, g in zip(spec.chi, grads))
     assert not np.isfinite(value)
+
+
+def three_pass_power(spec, V, basis):
+    # the power term as computed before the one-pass rewrite: |s|, **p,
+    # copysign and * scale in turn, a node scan of every block, then a
+    # weighted copy inside project.  The oracle, bit for bit and message
+    # for message
+    what = f"pointwise power {spec.power}"
+    out = np.empty_like(V)
+    for rows in basis._row_blocks(V.shape[0]):
+        samples = synthesize(basis, V[rows])
+        with np.errstate(over="ignore", invalid="ignore"):
+            mapped = np.abs(samples)
+            mapped **= spec.power
+            if spec.signed:
+                np.copysign(mapped, samples, out=mapped)
+            mapped *= spec.scale
+        bad = np.argwhere(~np.isfinite(mapped))
+        if bad.size:
+            i, j = bad[0]
+            node = tuple(float(c) for c in np.atleast_1d(basis.nodes[j]))
+            node = node[0] if basis.nodes.ndim == 1 else node
+            raise OverflowDiagnostic(
+                f"{what} produced a non-finite sample at node {node} "
+                f"(time row {rows.start + i})"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[rows] = project(basis, mapped)
+    return out
+
+
+SQUARE = build_basis(Rectangle(1.0, 1.0), 64)  # 16,641 nodes, blocks of 63 rows
+
+
+@given(
+    power=st.sampled_from([1.5, 2.0, 3.0]),
+    signed=st.booleans(),
+    scale=st.sampled_from([1.0, 0.5, -2.0]),
+    rectangle=st.booleans(),
+    rows=st.integers(1, 130),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_power_matches_the_three_pass_oracle_bit_for_bit(
+    power, signed, scale, rectangle, rows, seed
+):
+    basis = SQUARE if rectangle else BASIS
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((rows, basis.n_modes)) / np.arange(1, basis.n_modes + 1)
+    V[rng.random(V.shape) < 0.2] = 0.0
+    spec = Nonlinearity.polynomial_power(power, scale=scale, signed=signed)
+    got = spec.apply_series(V, np.zeros_like(V), basis)
+    assert got.tobytes() == three_pass_power(spec, V, basis).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
+@pytest.mark.parametrize("power, signed", [(2.0, True), (2.0, False), (3.0, True)])
+def test_non_finite_samples_raise_the_oracle_s_message(bad, power, signed):
+    basis, V = _overflow_from_row(150, 0.0)
+    V[150:] = 1e-3
+    V[150, 5] = bad
+    spec = Nonlinearity.polynomial_power(power, scale=-2.0, signed=signed)
+    with pytest.raises(OverflowDiagnostic) as expected:
+        three_pass_power(spec, V, basis)
+    with pytest.raises(OverflowDiagnostic) as info:
+        spec.apply_series(V, np.zeros_like(V), basis)
+    assert str(info.value) == str(expected.value)
+    assert "time row 150)" in str(info.value)
+
+
+def test_finite_samples_whose_projection_overflows_are_diagnosed():
+    # every sample is finite, but not the weighted ones (node weight 100/14):
+    # the old code returned an infinite coefficient here without a word
+    basis = build_basis(Interval(100.0), 6)
+    V = np.zeros((3, 6))
+    V[2, 0] = 7.0  # samples up to 0.99
+    spec = Nonlinearity.polynomial_power(2.0, scale=1.5e308)
+    assert not np.all(np.isfinite(three_pass_power(spec, V, basis)))
+    with pytest.raises(OverflowDiagnostic, match=r"projected to a non-finite "
+                       r"coefficient \(time row 2\)"):
+        spec.apply_series(V, np.zeros_like(V), basis)
+
+
+def test_advection_matrix_is_built_once_per_basis(monkeypatch):
+    # the node values of chi . grad e_n are made only to build M
+    calls = []
+    real = SpectralBasis._directional
+
+    def counting(basis, coeffs, direction):
+        calls.append(coeffs.shape)
+        return real(basis, coeffs, direction)
+
+    monkeypatch.setattr(SpectralBasis, "_directional", counting)
+    basis = build_basis(Rectangle(1.0, 1.5), 12)  # 625 nodes: one block
+    chi = (0.3, 0.2)
+    spec = Nonlinearity.sum_of(
+        Nonlinearity.polynomial_power(2.0), Nonlinearity.advection_history(chi)
+    )
+    ctx = build_resolvent(MemoryKernel.exponential(1.0, 2.0), basis,
+                          TimeGrid.uniform(1.0, 64))
+    xi = 0.05 * np.eye(12)[0]
+    ell = HistoryKernel.exponential(1.0, 1.0)
+    sol = picard_solve(ctx, spec, ell, xi, PicardOptions(tol=1e-12))
+    assert sol.converged and sol.iterations >= 3
+    assert calls == [(12, 12)]
+    picard_solve(ctx, spec, ell, xi, PicardOptions(tol=1e-12))
+    assert len(calls) == 1
+    # the kept matrix is the one the per-sweep build made
+    M = project(basis, real(basis, np.eye(12), chi))
+    assert basis._advection_matrix(chi).tobytes() == M.tobytes()
 
 
 # -- history operator ---------------------------------------------------------

@@ -33,6 +33,35 @@ def direct_product_convolve(weights, phi):
     return out
 
 
+def one_kernel_fftconvolve(a, b):
+    # fftconvolve before it took several kernels: a 1-d operand next to a
+    # 2-d one becomes a column, and both spectra are made here
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim < b.ndim:
+        a = a[:, None]
+    elif b.ndim < a.ndim:
+        b = b[:, None]
+    size = _fast_length(a.shape[0] + b.shape[0] - 1)
+    spectrum = np.fft.rfft(a, size, axis=0) * np.fft.rfft(b, size, axis=0)
+    return np.fft.irfft(spectrum, size, axis=0)
+
+
+def two_transform_product_convolve(weights, phi):
+    # product_convolve as two convolutions that each transform phi again:
+    # the oracle for the shared transform, bit for bit
+    phi = np.asarray(phi, dtype=float)
+    n = phi.shape[0] - 1
+    v = weights.right[:n]
+    out = np.zeros_like(phi)
+    out[1:] = (
+        one_kernel_fftconvolve(weights.left[:n], phi)[:n]
+        + one_kernel_fftconvolve(v, phi)[1 : n + 1]
+    )
+    out[1:n] -= np.multiply.outer(v[1:], phi[0])
+    return out
+
+
 def rectangle_loop(weights, lams, rhs):
     # O(N^2) row loop of the implicit rectangle rule: oracle for the
     # blocked-FFT Toeplitz solve
@@ -102,6 +131,57 @@ def test_product_convolve_matches_direct_loop():
             direct_product_convolve(w, phi[:, 0])[:, 0],
             atol=1e-12,
         )
+
+
+HISTORY_KERNELS = (
+    HistoryKernel.exponential(-2.0, 3.0),
+    HistoryKernel.powerlaw(1.0, -0.5),
+    HistoryKernel.tabulated([0.2, 0.5, 0.9], [1.0, -2.0, 0.5]),
+)
+
+
+@given(
+    n=st.integers(2, 400),
+    columns=st.integers(0, 4),
+    kernel=st.sampled_from(HISTORY_KERNELS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_product_convolve_matches_the_two_transform_oracle_bit_for_bit(
+    n, columns, kernel, seed
+):
+    grid = TimeGrid.uniform(1.0, n)
+    w = lag_weights(kernel.moments, grid)
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((n + 1, columns) if columns else n + 1)
+    assert product_convolve(w, phi).tobytes() == (
+        two_transform_product_convolve(w, phi).tobytes()
+    )
+
+
+@pytest.mark.parametrize("n, columns", [(20000, 0), (8192, 4), (4096, 32)])
+def test_product_convolve_keeps_its_bits_where_numpy_reuses_temporaries(n, columns):
+    # spectra of 256 KiB and more: numpy may multiply into a temporary
+    # operand in place, which is where an operand swap would change bits
+    grid = TimeGrid.uniform(1.0, n)
+    w = lag_weights(HISTORY_KERNELS[0].moments, grid)
+    rng = np.random.default_rng(n)
+    phi = rng.standard_normal((n + 1, columns) if columns else n + 1)
+    assert product_convolve(w, phi).tobytes() == (
+        two_transform_product_convolve(w, phi).tobytes()
+    )
+
+
+def test_fftconvolve_of_several_kernels_is_each_kernel_alone():
+    rng = np.random.default_rng(12)
+    b = rng.standard_normal((50, 3))
+    kernels = (rng.standard_normal(40), rng.standard_normal(40))
+    for start, stop in ((0, None), (39, 89)):
+        both = fftconvolve(kernels, b, start, stop)
+        assert len(both) == 2
+        for k, got in zip(kernels, both):
+            assert got.tobytes() == fftconvolve(k, b, start, stop).tobytes()
+    # 1-d operands stay 1-d
+    assert fftconvolve(kernels, b[:, 0])[0].shape == (89,)
 
 
 def test_fftconvolve_window_matches_full_convolution():
