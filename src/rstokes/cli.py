@@ -3,7 +3,8 @@
 Loads a JSON config, applies dotted --set overrides, validates every field
 up front, runs the requested pipeline, and lands CSV artifacts plus a
 summary.json recording versions, the config hash, wall time, and the
-pass/fail certificates of the run.
+pass/fail certificates of the run; ``solve`` adds its Picard residuals,
+their sweep-to-sweep ratios and whether the sweeps convolved the history.
 
 Exit codes: 0 success, 1 invalid config or problem data, 2 solver
 non-convergence (artifacts produced before the failure are kept).
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -74,6 +76,20 @@ def _emit_iterations(out: str, residuals, artifacts: List[str], quiet: bool) -> 
     )
 
 
+def _picard_record(residuals, history_convolution: bool) -> Dict:
+    """summary.json["picard"]: each sweep's residual, its ratio to the
+    previous sweep's, and whether the sweeps evaluated ell * u (only for a
+    reaction that reads it).  A diverging solve can leave an infinite
+    residual, which strict JSON cannot hold: non-finite values are null."""
+    residuals = [float(r) for r in residuals]
+    ratios = [b / a for a, b in zip(residuals, residuals[1:])]
+    return {
+        "residuals": [r if math.isfinite(r) else None for r in residuals],
+        "ratios": [r if math.isfinite(r) else None for r in ratios],
+        "history_convolution": history_convolution,
+    }
+
+
 def _relax_inputs(cfg: Dict):
     problem = cfg.get("problem", {})
     if problem.get("lambdas"):
@@ -84,7 +100,8 @@ def _relax_inputs(cfg: Dict):
 
 
 def cmd_relax(cfg: Dict, out: str, artifacts: List[str],
-              certificates: Dict, quiet: bool) -> None:
+              records: Dict, quiet: bool) -> None:
+    certificates = records["certificates"]
     kernel, lams, grid = _relax_inputs(cfg)
     table = relaxation_batch(kernel, lams, grid)
     header = ["t"] + [f"omega(lambda_{i + 1})" for i in range(lams.size)]
@@ -105,7 +122,8 @@ def cmd_relax(cfg: Dict, out: str, artifacts: List[str],
 
 
 def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
-              certificates: Dict, quiet: bool) -> None:
+              records: Dict, quiet: bool) -> None:
+    certificates = records["certificates"]
     basis = build_domain_basis(cfg)
     kernel = build_kernel(cfg)
     grid = build_grid(cfg)
@@ -124,8 +142,10 @@ def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
         sol = picard_solve(ctx, spec, ell, xi, opts)
     except NonConvergence as exc:
         _emit_iterations(out, exc.residuals, artifacts, quiet)
+        records["picard"] = _picard_record(exc.residuals, spec.reads_history)
         certificates["picard_converged"] = "fail"
         raise
+    records["picard"] = _picard_record(sol.residuals, spec.reads_history)
 
     mu = spec.mu
     k_cols = int(problem.get("coeff_columns", min(8, basis.eigenvalues.size)))
@@ -166,7 +186,8 @@ def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
 
 
 def cmd_verify(cfg: Dict, out: str, artifacts: List[str],
-               certificates: Dict, quiet: bool) -> None:
+               records: Dict, quiet: bool) -> None:
+    certificates = records["certificates"]
     basis = build_domain_basis(cfg)
     kernel = build_kernel(cfg)
     grid = build_grid(cfg)
@@ -223,7 +244,8 @@ def cmd_verify(cfg: Dict, out: str, artifacts: List[str],
 
 
 def cmd_certify(cfg: Dict, out: str, artifacts: List[str],
-                certificates: Dict, quiet: bool) -> None:
+                records: Dict, quiet: bool) -> None:
+    certificates = records["certificates"]
     kernel = build_kernel(cfg)
     grid = build_grid(cfg)
     opts = cfg.get("certify", {})
@@ -260,7 +282,8 @@ def cmd_certify(cfg: Dict, out: str, artifacts: List[str],
 
 
 def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
-                certificates: Dict, quiet: bool) -> None:
+                records: Dict, quiet: bool) -> None:
+    certificates = records["certificates"]
     basis = build_domain_basis(cfg)
     kernel = build_kernel(cfg)
     grid = build_grid(cfg)
@@ -411,12 +434,13 @@ def main(argv=None) -> int:
 
     os.makedirs(out, exist_ok=True)
     artifacts: List[str] = []
-    certificates: Dict = {}
+    # top-level summary entries a command records, its certificates included
+    records: Dict = {"certificates": {}}
     started = time.perf_counter()
     status = "ok"
     exit_code = 0
     try:
-        COMMANDS[args.command](cfg, out, artifacts, certificates, args.quiet)
+        COMMANDS[args.command](cfg, out, artifacts, records, args.quiet)
     except NonConvergence as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         status = "non-convergence"
@@ -435,7 +459,7 @@ def main(argv=None) -> int:
         "wall_time_s": time.perf_counter() - started,
         "status": status,
         "artifacts": [os.path.basename(a) for a in artifacts],
-        "certificates": certificates,
+        **records,
     }
     summary_path = os.path.join(out, "summary.json")
     with open(summary_path, "w") as handle:

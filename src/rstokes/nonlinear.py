@@ -20,6 +20,11 @@ What ``picard_solve`` does once per solve and what it does per sweep:
   synthesizes u at the nodes in row blocks and maps, weights and projects
   each block in one buffer; its advection term is the product W @ M.
 
+Only f decides whether w is needed: ``Nonlinearity.reads_history`` is false
+for the zero, diagonal and power kinds (and sums of them), and then no lag
+weights are built and no sweep convolves the history; f gets zeros for w,
+which it does not read.
+
 No spectrum of (N_t + 1) rows is kept from one sweep to the next.
 """
 
@@ -183,6 +188,14 @@ class Nonlinearity:
     def custom_series(cls, fn: Callable, **kw) -> "Nonlinearity":
         """fn maps coefficient arrays (V, W, basis) -> array, vectorized in t."""
         return cls(kind="custom", series_fn=fn, **kw)
+
+    @property
+    def reads_history(self) -> bool:
+        """Whether f reads its history argument w: advection and custom
+        terms do, and so does a sum with such a part."""
+        if self.kind == "sum":
+            return any(p.reads_history for p in self.parts)
+        return self.kind in ("advection", "custom")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -440,7 +453,12 @@ def picard_solve(
         if forcing.shape != head.shape:
             raise ValueError("forcing series shape does not match grid x modes")
 
-    history = _history_operator(ell, grid)
+    if spec.reads_history:
+        history = _history_operator(ell, grid)
+    else:
+        # f never reads w: one zero series serves every sweep
+        zeros = np.zeros(head.shape)
+        history = lambda series: zeros
     u = head
     residuals = []
     for _ in range(opts.max_iter):

@@ -229,13 +229,16 @@ def verify_sol_op_bounds(
     else:
         decay = _Worst()
         steps = ctx.grid.steps()
+        increments = np.diff(omega, axis=0)
         t4 = t[4:-1]
         for _ in range(n_trials):
             xi = rng.standard_normal(n_modes)
             norm_xi = hnorm(xi, basis, 0.0)
-            dq = hnorm(np.diff(omega, axis=0) * xi[None, :], basis, 0.0) / steps
+            dq = hnorm(increments * xi[None, :], basis, 0.0) / steps
             decay.fold(1.0 / t4 - dq[4:] / norm_xi, t4)
         decay_row = decay.row("derivative_decay", tol)
+        # an (N_t x modes) table the smoothing pass below must not carry
+        del increments
 
     if not uniform:
         return ResolventReport(

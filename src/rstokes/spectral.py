@@ -69,8 +69,9 @@ class Rectangle:
 
 
 # samples per row block of the node-space paths: bounds their working memory
-# (8 MiB an array) while keeping each block one large matrix product
-_SAMPLE_BUDGET = 1 << 20
+# (2 MiB an array, about one core's L2 cache) while keeping each block one
+# large matrix product
+_SAMPLE_BUDGET = 1 << 18
 
 
 def _axis_nodes(length: float, n_modes: int):

@@ -418,6 +418,45 @@ def test_diverging_solve_exits_2_with_artifacts(tmp_path):
     _, rows = read_table(out / "iterations.csv")
     residuals = [float(r[1]) for r in rows]
     assert len(residuals) >= 2 and residuals[1] > residuals[0]
+    # the last residual overflowed: the summary stays strict JSON
+    assert residuals[-1] == np.inf and summary["picard"]["residuals"][-1] is None
+    json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
+
+
+POWER = {"kind": "polynomial_power", "power": 2.0}
+ADVECTION = {"kind": "advection_history", "chi": [0.5]}
+EXPONENTIAL = {"kind": "exponential", "amplitude": 1.0, "decay": 1.0}
+
+
+@pytest.mark.parametrize(
+    "nonlinearity, history_kernel, history",
+    [
+        (POWER, EXPONENTIAL, False),
+        (ADVECTION, EXPONENTIAL, True),
+        ({"kind": "sum", "parts": [POWER, ADVECTION]}, EXPONENTIAL, True),
+        ({"kind": "sum", "parts": [POWER, ADVECTION]}, {"kind": "zero"}, True),
+    ],
+)
+@pytest.mark.parametrize("max_iter", [2, 200])
+def test_solve_summary_records_the_picard_sweeps(
+    tmp_path, nonlinearity, history_kernel, history, max_iter
+):
+    payload = dict(SOLVE_CFG, nonlinearity=nonlinearity, history_kernel=history_kernel,
+                   problem={"tol": 1e-12, "max_iter": max_iter})
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "run"
+    code = main(["solve", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == (2 if max_iter == 2 else 0)
+
+    summary = json.loads((out / "summary.json").read_text())
+    picard = summary["picard"]
+    assert "picard" not in summary["certificates"]
+    assert picard["history_convolution"] is history
+    residuals = numeric_column(out / "iterations.csv", 1)
+    assert picard["residuals"] == residuals.tolist()
+    assert len(residuals) >= 2
+    assert picard["ratios"] == [b / a for a, b in zip(residuals, residuals[1:])]
+    assert all(r < 1.0 for r in picard["ratios"])
 
 
 def _run(command, payload, tmp):
@@ -471,9 +510,18 @@ def test_solve_exits_0_or_2_with_a_summary(
         "problem": {"tol": 1e-10, "max_iter": max_iter},
     }
     with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
-        code, _, summary = _run("solve", payload, tmp)
+        code, out, summary = _run("solve", payload, tmp)
+        residuals = numeric_column(os.path.join(out, "iterations.csv"), 1)
     assert code in (0, 2)
     assert summary["status"] == ("ok" if code == 0 else "non-convergence")
+    # the Picard record, on both exits, matches iterations.csv; a diverged
+    # sweep's infinite residual is null there (strict JSON has no inf)
+    picard = summary["picard"]
+    assert picard["history_convolution"] == (kind != "power")
+    recorded = np.array([np.nan if r is None else r for r in picard["residuals"]])
+    finite = np.where(np.isfinite(residuals), residuals, np.nan)
+    assert np.array_equal(recorded, finite, equal_nan=True)
+    assert len(picard["ratios"]) == max(len(residuals) - 1, 0)
 
 
 def _kernel_section(kind, m0, shape, tmp):

@@ -26,6 +26,7 @@ from rstokes import (
     small_data_gate,
     spectral_gap_gate,
 )
+from rstokes import nonlinear
 from rstokes.nonlinear import OverflowDiagnostic, history_series
 from rstokes.spectral import SpectralBasis, project, synthesize
 
@@ -311,6 +312,93 @@ def test_advection_matrix_is_built_once_per_basis(monkeypatch):
     # the kept matrix is the one the per-sweep build made
     M = project(basis, real(basis, np.eye(12), chi))
     assert basis._advection_matrix(chi).tobytes() == M.tobytes()
+
+
+RECTANGLE = build_basis(Rectangle(1.0, 1.5), 5)
+SIMPLE_KINDS = ["zero", "linear_diagonal", "power", "advection", "custom"]
+
+
+def _reaction(kind, basis, rng):
+    n = basis.n_modes
+    if kind == "zero":
+        return Nonlinearity.zero()
+    if kind == "linear_diagonal":
+        return Nonlinearity.linear_diagonal(rng.standard_normal(n))
+    if kind == "power":
+        return Nonlinearity.polynomial_power(rng.choice([1.5, 2.0, 3.0]),
+                                             signed=bool(rng.integers(2)))
+    if kind == "advection":
+        return Nonlinearity.advection_history(rng.standard_normal(basis.domain.ndim))
+    return Nonlinearity.custom_series(lambda V, W, basis: V * W + W)
+
+
+@given(
+    kind=st.sampled_from(SIMPLE_KINDS + ["sum"]),
+    parts=st.lists(st.sampled_from(SIMPLE_KINDS), min_size=1, max_size=3),
+    rectangle=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reads_history_says_whether_w_changes_f(kind, parts, rectangle, seed):
+    # a reaction that does not read w gives the bits of w = 0; one that
+    # reads it (advection, custom, a sum with such a part) does not
+    basis = RECTANGLE if rectangle else BASIS
+    rng = np.random.default_rng(seed)
+    if kind == "sum":
+        spec = Nonlinearity.sum_of(*(_reaction(p, basis, rng) for p in parts))
+        reads = any(p in ("advection", "custom") for p in parts)
+    else:
+        spec = _reaction(kind, basis, rng)
+        reads = kind in ("advection", "custom")
+    assert spec.reads_history == reads
+    V = 0.1 * rng.standard_normal((7, basis.n_modes))
+    W = rng.standard_normal((7, basis.n_modes))
+    with_w = spec.apply_series(V, W, basis)
+    without = spec.apply_series(V, np.zeros_like(W), basis)
+    assert (with_w.tobytes() == without.tobytes()) == (not reads)
+
+
+def _count_history_operators(monkeypatch):
+    calls = []
+    real = nonlinear._history_operator
+
+    def counting(ell, grid):
+        calls.append(ell.kind)
+        return real(ell, grid)
+
+    monkeypatch.setattr(nonlinear, "_history_operator", counting)
+    return calls
+
+
+def test_a_power_solve_never_convolves_the_history(monkeypatch):
+    calls = _count_history_operators(monkeypatch)
+    ctx = solver_ctx(n_t=256)
+    xi = np.zeros(6)
+    xi[0] = 0.3
+    spec = Nonlinearity.polynomial_power(2.0, scale=0.5)
+    ell = HistoryKernel.exponential(1.0, 1.0)
+    sol = picard_solve(ctx, spec, ell, xi, PicardOptions(tol=1e-12))
+    assert sol.converged and sol.iterations >= 3
+    assert calls == []
+    plain = picard_solve(ctx, spec, HistoryKernel.zero(), xi, PicardOptions(tol=1e-12))
+    assert sol.coeffs.tobytes() == plain.coeffs.tobytes()
+    assert sol.residuals == plain.residuals
+
+
+@pytest.mark.parametrize("with_power", [False, True])
+def test_a_reaction_that_reads_the_history_convolves_it(monkeypatch, with_power):
+    calls = _count_history_operators(monkeypatch)
+    ctx = solver_ctx(n_t=256)
+    xi = np.zeros(6)
+    xi[0] = 0.3
+    spec = Nonlinearity.advection_history((0.5,))
+    if with_power:
+        spec = Nonlinearity.sum_of(Nonlinearity.polynomial_power(2.0), spec)
+    ell = HistoryKernel.exponential(1.0, 1.0)
+    sol = picard_solve(ctx, spec, ell, xi, PicardOptions(tol=1e-12))
+    assert sol.converged
+    assert calls == ["exponential"]
+    plain = picard_solve(ctx, spec, HistoryKernel.zero(), xi, PicardOptions(tol=1e-12))
+    assert not np.array_equal(sol.coeffs, plain.coeffs)
 
 
 # -- history operator ---------------------------------------------------------

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from rstokes import HistoryKernel, MemoryKernel, TimeGrid
+from rstokes import HistoryKernel, MemoryKernel, TimeGrid, volterra
 from rstokes.volterra import (
     STIFF_THRESHOLD,
     LagWeights,
@@ -45,6 +45,28 @@ def one_kernel_fftconvolve(a, b):
     size = _fast_length(a.shape[0] + b.shape[0] - 1)
     spectrum = np.fft.rfft(a, size, axis=0) * np.fft.rfft(b, size, axis=0)
     return np.fft.irfft(spectrum, size, axis=0)
+
+
+def axis0_fftconvolve(a, b, start=0, stop=None):
+    # fftconvolve as it was before it transformed contiguous (columns, rows)
+    # copies: every transform along axis 0 of the (rows, columns) operands
+    kernels = [np.asarray(k, dtype=float) for k in (a if isinstance(a, tuple) else (a,))]
+    b = np.asarray(b, dtype=float)
+    if any(k.ndim > b.ndim for k in kernels):
+        b = b[:, None]
+    kernels = [k[:, None] if k.ndim < b.ndim else k for k in kernels]
+    n = kernels[0].shape[0] + b.shape[0] - 1
+    stop = n if stop is None else stop
+    size = _fast_length(max(n - start, stop))
+    b_hat = np.fft.rfft(b, size, axis=0)
+    out = []
+    for i, k in enumerate(kernels):
+        fits = np.broadcast_shapes(k.shape[1:], b.shape[1:]) == b.shape[1:]
+        into = b_hat if fits and i == len(kernels) - 1 else None
+        spectrum = np.multiply(np.fft.rfft(k, size, axis=0), b_hat, out=into)
+        out.append(np.fft.irfft(spectrum, size, axis=0)[start:stop])
+        del spectrum
+    return out if isinstance(a, tuple) else out[0]
 
 
 def two_transform_product_convolve(weights, phi):
@@ -182,6 +204,70 @@ def test_fftconvolve_of_several_kernels_is_each_kernel_alone():
             assert got.tobytes() == fftconvolve(k, b, start, stop).tobytes()
     # 1-d operands stay 1-d
     assert fftconvolve(kernels, b[:, 0])[0].shape == (89,)
+
+
+# operand lengths with a prime factor above 5, next to 5-smooth ones
+LENGTHS = st.one_of(st.sampled_from([1, 2, 7, 64, 97, 127, 250, 263, 331]),
+                    st.integers(1, 400))
+
+
+@given(
+    n_kernel=LENGTHS,
+    n_operand=LENGTHS,
+    columns=st.integers(0, 40),
+    kernel_form=st.sampled_from(["column", "table", "pair", "table pair"]),
+    operand_1d=st.booleans(),
+    window=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans()),
+    block=st.sampled_from([volterra._FFT_BLOCK, 1, 900]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120)
+def test_fftconvolve_matches_the_axis0_oracle_bit_for_bit(
+    n_kernel, n_operand, columns, kernel_form, operand_1d, window, block, seed
+):
+    # columns = 0 makes every operand 1-d; a "column" kernel is 1-d next to
+    # a 2-d operand, a "table" one has the operand's columns; "pair" forms
+    # pass a tuple of two kernels against one operand.  Small copy blocks
+    # send the columns through one or a few at a time
+    rng = np.random.default_rng(seed)
+    two_d = columns > 0
+    kernel_shape = (n_kernel, columns) if two_d and "table" in kernel_form else (n_kernel,)
+    if "pair" in kernel_form:
+        a = (rng.standard_normal(kernel_shape), rng.standard_normal(kernel_shape))
+    else:
+        a = rng.standard_normal(kernel_shape)
+    b_shape = (n_operand, columns) if two_d and not operand_1d else (n_operand,)
+    b = rng.standard_normal(b_shape)
+    n = n_kernel + n_operand - 1
+    lo, hi, whole = window
+    start = min(int(lo * n), n - 1)
+    stop = None if whole else start + 1 + int(hi * (n - 1 - start))
+    default, volterra._FFT_BLOCK = volterra._FFT_BLOCK, block
+    try:
+        got = fftconvolve(a, b, start, stop)
+    finally:
+        volterra._FFT_BLOCK = default
+    want = axis0_fftconvolve(a, b, start, stop)
+    if not isinstance(a, tuple):
+        got, want = [got], [want]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("rows, columns", [(8193, 32), (4097, 32), (8193, 16)])
+def test_fftconvolve_keeps_the_axis0_bits_at_solver_sizes(rows, columns):
+    # the S * f, ell * u and relaxation-table sizes of the solve commands
+    rng = np.random.default_rng(rows + columns)
+    b = rng.standard_normal((rows, columns))
+    table = rng.standard_normal((rows - 1, columns))
+    pair = (rng.standard_normal(rows - 1), rng.standard_normal(rows - 1))
+    for a in (table, pair):
+        got, want = fftconvolve(a, b), axis0_fftconvolve(a, b)
+        for g, w in zip(got if isinstance(a, tuple) else [got],
+                        want if isinstance(a, tuple) else [want]):
+            assert g.tobytes() == w.tobytes()
 
 
 def test_fftconvolve_window_matches_full_convolution():
