@@ -21,7 +21,6 @@ import time
 from typing import Dict, List
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import (
@@ -454,7 +453,6 @@ def main(argv=None) -> int:
         "package_version": __version__,
         "python_version": sys.version.split()[0],
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "config_hash": config_hash(cfg),
         "wall_time_s": time.perf_counter() - started,
         "status": status,

@@ -182,17 +182,21 @@ def _validate_history(section: Dict, where: str, problems: List[str]) -> None:
         _table_path(section, where, problems)
 
 
+_THETA_UNREAD = "theta is not read; the orders need only mu < 1 + delta"
+
+
 def _validate_orders(section: Dict, where: str, problems: List[str],
                      kind: Optional[str]) -> None:
     """The ranges ``Nonlinearity`` accepts: 0 < mu < 2, 0 < delta < 1 and
-    theta > 0, theta defaulting to 1 + delta - mu.  A sum without its own mu
-    or delta takes its first part's, as ``Nonlinearity.sum_of`` does."""
+    mu < 1 + delta.  A sum without its own mu or delta takes its first
+    part's, as ``Nonlinearity.sum_of`` does."""
+    if "theta" in section:
+        problems.append(f"{where}.{_THETA_UNREAD}")
     before = len(problems)
     mu = _num(section, "mu", where, problems, exclusive_min=0.0, exclusive_max=2.0)
     delta = _num(section, "delta", where, problems, exclusive_min=0.0,
                  exclusive_max=1.0)
-    _num(section, "theta", where, problems, exclusive_min=0.0)
-    if len(problems) > before or "theta" in section:
+    if len(problems) > before:
         return
     parts = section.get("parts")
     first = parts[0] if kind == "sum" and isinstance(parts, list) and parts else None
@@ -203,11 +207,10 @@ def _validate_orders(section: Dict, where: str, problems: List[str],
                   for v in (mu, delta))
     if not (numbers and 0.0 < mu < 2.0 and 0.0 < delta < 1.0):
         return  # an inherited order out of range is reported with its part
-    if 1.0 + delta - mu <= 0.0:
+    if mu >= 1.0 + delta:
         problems.append(
-            f"{where}.theta defaults to 1 + delta - mu = {1.0 + delta - mu:g} "
-            f"(mu = {mu:g}, delta = {delta:g}), which must be positive; lower "
-            f"{where}.mu or set {where}.theta"
+            f"{where}.mu = {mu:g} must be below 1 + delta = {1.0 + delta:g} "
+            f"(delta = {delta:g})"
         )
 
 
@@ -302,11 +305,13 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
 
     problem = _section(cfg, "problem", problems, required=False)
     if problem is not None:
-        for key in ("mu", "delta", "theta"):
+        for key in ("mu", "delta"):
             if key in problem:
                 problems.append(
                     f"problem.{key} is not read; set nonlinearity.{key} instead"
                 )
+        if "theta" in problem:
+            problems.append(f"problem.{_THETA_UNREAD}")
         _num(problem, "beta", "problem", problems, minimum=0.0)
         _num(problem, "tol", "problem", problems, exclusive_min=0.0)
         _num(problem, "max_iter", "problem", problems, integer=True, minimum=1)
@@ -442,7 +447,7 @@ def build_history_kernel(cfg: Dict) -> HistoryKernel:
 def nonlinearity_from_section(section: Dict) -> Nonlinearity:
     kind = section["kind"]
     kw = {}
-    for key in ("mu", "delta", "theta"):
+    for key in ("mu", "delta"):
         if key in section:
             kw[key] = float(section[key])
     if kind == "zero":

@@ -2,9 +2,10 @@
 
 Forward: solve the state equation with separable forcing g * p(t) and record
 psi(t) = (u(t), kappa).  Inverse: given psi, eliminate p through the time
-derivative of the measurement identity, which turns the pair (u, p) into a
-single fixed-point problem for u with forcing psi'(t) g / (g, kappa), then
-read p back from the displayed elimination formula.
+derivative of the measurement identity.  That leaves one fixed-point problem
+for u with reaction g p(u) + f1(u) and no forcing.  p(u), the elimination
+formula of ``reconstruct``, is written once, and its history term convolves
+m' with the one pairing column (grad u, grad kappa), not with the state.
 
 The elimination needs m'(t) integrable on (0, T); kernels with a
 non-integrable derivative (the weakly singular kind) are rejected up front.
@@ -12,14 +13,14 @@ non-integrable derivative (the weakly singular kind) are rejected up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .grids import TimeGrid
 from .kernels import HistoryKernel, MemoryKernel
-from .nonlinear import MildSolution, Nonlinearity, PicardOptions, history_series, picard_solve
+from .nonlinear import MildSolution, Nonlinearity, PicardOptions, _history_operator, picard_solve
 from .resolvent import ResolventContext, build_resolvent
 from .spectral import SpectralBasis
 from .volterra import stiffness_scheme
@@ -70,6 +71,8 @@ class InverseProblem:
     pairing_floor: float = 1e-12
 
     def __post_init__(self):
+        if self.f1 is None:
+            object.__setattr__(self, "f1", Nonlinearity.zero())
         for name in ("g", "kappa", "xi"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (self.basis.n_modes,):
@@ -107,10 +110,6 @@ def derivative_psi(psi: np.ndarray, grid: TimeGrid, psi_prime: Optional[np.ndarr
     return np.gradient(psi, grid.nodes, edge_order=2)
 
 
-def _f1_spec(problem: InverseProblem) -> Nonlinearity:
-    return problem.f1 if problem.f1 is not None else Nonlinearity.zero()
-
-
 def _solve_scheme(problem: InverseProblem) -> Optional[str]:
     """Pick the quadrature rule for the identification solves.
 
@@ -120,7 +119,7 @@ def _solve_scheme(problem: InverseProblem) -> Optional[str]:
     the padding modes are the stiff ones.  Any reaction term may couple
     modes, so then the automatic joint rule decides.
     """
-    if _f1_spec(problem).kind != "zero":
+    if problem.f1.kind != "zero":
         return None
     active = (problem.g != 0.0) | (problem.xi != 0.0)
     if not np.any(active):
@@ -128,6 +127,17 @@ def _solve_scheme(problem: InverseProblem) -> Optional[str]:
     return stiffness_scheme(
         problem.kernel.a_moments, problem.grid, problem.basis.eigenvalues[active]
     )
+
+
+def _solve(problem: InverseProblem, spec: Nonlinearity, forcing, opts: PicardOptions,
+           ctx: Optional[ResolventContext]) -> MildSolution:
+    """u = S xi + S * (f(u) + forcing) on the problem's data, with no ell."""
+    if ctx is None:
+        ctx = build_resolvent(
+            problem.kernel, problem.basis, problem.grid, scheme=_solve_scheme(problem)
+        )
+    opts = replace(opts, forcing=forcing)
+    return picard_solve(ctx, spec, HistoryKernel.zero(), problem.xi, opts)
 
 
 def forward_simulate(
@@ -140,17 +150,9 @@ def forward_simulate(
     p_samples = np.asarray(p_samples, dtype=float)
     if p_samples.shape != problem.grid.nodes.shape:
         raise ValueError("p series length does not match the grid")
-    if ctx is None:
-        ctx = build_resolvent(
-            problem.kernel, problem.basis, problem.grid, scheme=_solve_scheme(problem)
-        )
     forcing = p_samples[:, None] * problem.g[None, :]
-    run_opts = PicardOptions(
-        tol=opts.tol, max_iter=opts.max_iter, beta=opts.beta, forcing=forcing
-    )
-    sol = picard_solve(ctx, _f1_spec(problem), HistoryKernel.zero(), problem.xi, run_opts)
-    psi = sol.coeffs @ problem.kappa
-    return sol, psi
+    sol = _solve(problem, problem.f1, forcing, opts, ctx)
+    return sol, sol.coeffs @ problem.kappa
 
 
 @dataclass(frozen=True)
@@ -174,10 +176,11 @@ def reconstruct(
     """Recover the source intensity p(t) from the measurement psi.
 
     Validates the pairing floor, the kernel derivative gate, and t = 0
-    consistency, then solves the eliminated fixed-point problem and emits
+    consistency, then solves the eliminated fixed-point problem for u and
+    emits p = p(u), where
 
-        p = (g,kappa)^{-1} [psi' + (1+m(0)) (grad u, grad kappa)
-                            + (m' * (grad u, grad kappa)) - (f1(u), kappa)].
+        p(u) = (g,kappa)^{-1} [psi' + (1+m(0)) (grad u, grad kappa)
+                               + (m' * (grad u, grad kappa)) - (f1(u), kappa)].
 
     The default fixed-point tolerance is deliberately no tighter than the
     time-stepping error: the measurement residual (u, kappa) - psi bottoms
@@ -213,35 +216,26 @@ def reconstruct(
 
     psi_prime = derivative_psi(problem.psi, problem.grid, problem.psi_prime)
     m0 = kernel.value_at_zero()
-    m1 = kernel.derivative_history_kernel()
-    lam = problem.basis.eigenvalues
+    history = _history_operator(kernel.derivative_history_kernel(), problem.grid)
     kappa = problem.kappa
+    grad_weight = problem.basis.eigenvalues * kappa
     c = 1.0 / pairing
-    f1 = _f1_spec(problem)
-    grad_weight = lam * kappa
+    f1 = problem.f1
+
+    def source(V, f1_rows):
+        # p(u) rows; the state enters the history term through gpu alone
+        gpu = V @ grad_weight
+        return c * (psi_prime + (1.0 + m0) * gpu + history(gpu) - f1_rows @ kappa)
 
     def eliminated(V, W, basis):
-        # W is m' * V, supplied by the solver's history pass
-        f1_rows = f1.apply_series(V, np.zeros_like(V), basis)
-        f2 = (1.0 + m0) * (V @ grad_weight) + W @ grad_weight - f1_rows @ kappa
-        return problem.g[None, :] * (c * f2)[:, None] + f1_rows
+        # g p(u) + f1(u); the solve has no ell, so W is zero
+        f1_rows = f1.apply_series(V, W, basis)
+        return problem.g[None, :] * source(V, f1_rows)[:, None] + f1_rows
 
     spec = Nonlinearity.custom_series(eliminated, mu=f1.mu, delta=f1.delta)
-    forcing = (c * psi_prime)[:, None] * problem.g[None, :]
-    if ctx is None:
-        ctx = build_resolvent(
-            kernel, problem.basis, problem.grid, scheme=_solve_scheme(problem)
-        )
-    run_opts = PicardOptions(
-        tol=opts.tol, max_iter=opts.max_iter, beta=opts.beta, forcing=forcing
-    )
-    sol = picard_solve(ctx, spec, m1, problem.xi, run_opts)
-
+    sol = _solve(problem, spec, None, opts, ctx)
     U = sol.coeffs
-    gpu = U @ grad_weight
-    conv_gpu = history_series(m1, gpu[:, None], problem.grid)[:, 0]
-    f1_pair = f1.apply_series(U, np.zeros_like(U), problem.basis) @ kappa
-    p = c * (psi_prime + (1.0 + m0) * gpu + conv_gpu - f1_pair)
+    p = source(U, f1.apply_series(U, np.zeros_like(U), problem.basis))
 
     if problem.psi is not None:
         residual = U @ kappa - problem.psi

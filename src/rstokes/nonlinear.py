@@ -23,7 +23,7 @@ What ``picard_solve`` does once per solve and what it does per sweep:
 Only f decides whether w is needed: ``Nonlinearity.reads_history`` is false
 for the zero, diagonal and power kinds (and sums of them), and then no lag
 weights are built and no sweep convolves the history; f gets zeros for w,
-which it does not read.
+which it does not read.  A zero ell gives f one zero series for every sweep.
 
 No spectrum of (N_t + 1) rows is kept from one sweep to the next.
 """
@@ -100,14 +100,12 @@ class Nonlinearity:
     regularity order of the state (the norm of the Picard residual and of
     the Holder estimate), delta the time-integrability exponent of the
     damping estimate (the gates and the Holder range delta/2 < gamma < 1/2);
-    theta, the dual output order, defaults to 1 + delta - mu and must be
-    positive.
+    mu < 1 + delta keeps the dual output order 1 + delta - mu positive.
     """
 
     kind: str
     mu: float = 1.0
     delta: float = 0.5
-    theta: Optional[float] = None
     coeffs: Optional[np.ndarray] = None
     power: float = 2.0
     scale: float = 1.0
@@ -125,10 +123,8 @@ class Nonlinearity:
             raise ValueError("mu must lie in (0, 2)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.theta is None:
-            object.__setattr__(self, "theta", 1.0 + self.delta - self.mu)
-        if self.theta <= 0.0:
-            raise ValueError("theta must be positive")
+        if self.mu >= 1.0 + self.delta:
+            raise ValueError("mu must be below 1 + delta")
 
     # -- factories ---------------------------------------------------------
 
@@ -453,10 +449,10 @@ def picard_solve(
         if forcing.shape != head.shape:
             raise ValueError("forcing series shape does not match grid x modes")
 
-    if spec.reads_history:
+    if spec.reads_history and ell.kind != "zero":
         history = _history_operator(ell, grid)
     else:
-        # f never reads w: one zero series serves every sweep
+        # w is zero or unread: one zero series serves every sweep
         zeros = np.zeros(head.shape)
         history = lambda series: zeros
     u = head
@@ -473,8 +469,12 @@ def picard_solve(
         if forcing is not None:
             f_rows = f_rows + forcing
         u_new = head + convolve_sol_op(ctx, f_rows)
-        res = float(np.max(damp * hnorm(u_new - u, basis, spec.mu)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = float(np.max(damp * hnorm(u_new - u, basis, spec.mu)))
         residuals.append(res)
+        if not math.isfinite(res):
+            raise NonConvergence(f"iteration diverged at sweep {len(residuals)}: "
+                                 f"the residual is {res}", tuple(residuals))
         u = u_new
         if res < opts.tol:
             return MildSolution(

@@ -134,13 +134,13 @@ class ResolventReport:
         raise KeyError(label)
 
 
-def reciprocal_cumulative_integrable(kernel: MemoryKernel, horizon: float) -> bool:
+def reciprocal_cumulative_integrable(kernel: MemoryKernel) -> bool:
     """Whether 1/(1*m) is integrable near 0, decided from the small-t law.
 
     Only the fractional kind has (1*m)(t) ~ t^(1-alpha), so 1/(1*m) ~
     t^(alpha-1) is integrable.  Every bounded kind has (1*m)(t) <= m(0) t
     (or (1*m) = 0 near 0 when m(0) = 0), so 1/(1*m) >= 1/(m(0) t) diverges
-    at any scale: the answer is the same for every horizon.
+    at any scale, on every horizon.
     """
     return not kernel.bounded_at_zero
 
@@ -260,7 +260,7 @@ def verify_sol_op_bounds(
     # underestimates the cell integral of a decreasing weight, so the
     # rectangle branch is the conservative side of the bound
     dt = ctx.grid.dt
-    reciprocal = reciprocal_cumulative_integrable(ctx.kernel, ctx.grid.horizon)
+    reciprocal = reciprocal_cumulative_integrable(ctx.kernel)
     if ctx.table.scheme == "rectangle":
 
         def rule(weight_at_lags):

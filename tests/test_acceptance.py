@@ -103,7 +103,7 @@ def test_operator_family_bounds_hold_on_random_fields(kernel):
         assert report.row(label).worst_margin >= -1e-8
 
     reciprocal = report.row("conv_smoothing_reciprocal")
-    if reciprocal_cumulative_integrable(kernel, grid.horizon):
+    if reciprocal_cumulative_integrable(kernel):
         assert reciprocal.status == "pass"
         assert reciprocal.worst_margin >= -1e-8
     else:

@@ -108,13 +108,28 @@ def test_nonlinearity_orders_are_refused_under_problem():
     cfg = solve_cfg(problem={"mu": 0.1, "delta": 0.5, "theta": -5.0, "tol": 1e-8})
     with pytest.raises(ConfigError) as info:
         validate_config(cfg, "solve")
-    for key in ("mu", "delta", "theta"):
-        assert f"problem.{key} is not read; set nonlinearity.{key} instead" in (
-            info.value.problems
-        )
-    assert len(info.value.problems) == 3
+    assert list(info.value.problems) == [
+        "problem.mu is not read; set nonlinearity.mu instead",
+        "problem.delta is not read; set nonlinearity.delta instead",
+        "problem.theta is not read; the orders need only mu < 1 + delta",
+    ]
     validate_config(solve_cfg(nonlinearity={"kind": "zero", "mu": 0.5, "delta": 0.4}),
                     "solve")
+
+
+@pytest.mark.parametrize("where", ["plain", "part"])
+def test_nonlinearity_theta_is_refused(where):
+    # nothing reads theta: the orders need only mu < 1 + delta
+    section = {"kind": "zero", "theta": 0.5}
+    name = "nonlinearity"
+    if where == "part":
+        section = {"kind": "sum", "parts": [section]}
+        name = "nonlinearity.parts[0]"
+    with pytest.raises(ConfigError) as info:
+        validate_config(solve_cfg(nonlinearity=section), "solve")
+    assert list(info.value.problems) == [
+        f"{name}.theta is not read; the orders need only mu < 1 + delta"
+    ]
 
 
 def _maybe(strategy):
@@ -125,16 +140,14 @@ def _maybe(strategy):
 @given(
     mu=_maybe(st.floats(-0.5, 2.5)),
     delta=_maybe(st.floats(-0.5, 1.5)),
-    theta=_maybe(st.floats(-1.0, 2.0)),
     where=st.sampled_from(["plain", "part", "sum"]),
 )
 def test_nonlinearity_orders_are_validated_as_the_constructor_checks(
-    mu, delta, theta, where
+    mu, delta, where
 ):
-    # mu >= 2 or delta = 1 used to pass validation and fail in Nonlinearity;
-    # so did mu >= 1 + delta with the default theta
-    orders = {k: v for k, v in (("mu", mu), ("delta", delta), ("theta", theta))
-              if v is not None}
+    # validation refuses exactly the orders Nonlinearity refuses: mu outside
+    # (0, 2), delta outside (0, 1), and mu >= 1 + delta
+    orders = {k: v for k, v in (("mu", mu), ("delta", delta)) if v is not None}
     section = {"kind": "zero", **(orders if where == "plain" else {})}
     if where == "part":
         section = {"kind": "sum", "parts": [{"kind": "zero", **orders}]}
@@ -153,19 +166,22 @@ def test_nonlinearity_orders_are_validated_as_the_constructor_checks(
     assert valid == builds
 
 
-def test_inherited_orders_set_a_sum_s_default_theta():
-    # the sum takes mu and delta from its first part but not its theta
-    part = {"kind": "zero", "mu": 1.9, "delta": 0.5, "theta": 0.3}
+def test_a_sum_checks_its_own_mu_against_its_first_part_s_delta():
+    # the sum takes delta from its first part: mu = 1.6 >= 1 + 0.5 fails
+    # there, though the part itself (mu = 1.0) passes
+    part = {"kind": "zero", "mu": 1.0, "delta": 0.5}
     with pytest.raises(ConfigError) as info:
-        validate_config(solve_cfg(nonlinearity={"kind": "sum", "parts": [part]}),
-                        "solve")
+        validate_config(
+            solve_cfg(nonlinearity={"kind": "sum", "parts": [part], "mu": 1.6}),
+            "solve",
+        )
     assert list(info.value.problems) == [
-        "nonlinearity.theta defaults to 1 + delta - mu = -0.4 (mu = 1.9, "
-        "delta = 0.5), which must be positive; lower nonlinearity.mu or set "
-        "nonlinearity.theta"
+        "nonlinearity.mu = 1.6 must be below 1 + delta = 1.5 (delta = 0.5)"
     ]
+    with pytest.raises(ValueError, match="1 \\+ delta"):
+        nonlinearity_from_section({"kind": "sum", "parts": [part], "mu": 1.6})
     validate_config(
-        solve_cfg(nonlinearity={"kind": "sum", "parts": [part], "theta": 0.3}),
+        solve_cfg(nonlinearity={"kind": "sum", "parts": [part], "mu": 1.4}),
         "solve",
     )
 

@@ -1,8 +1,12 @@
 """Source recovery: elimination formula, gates, and round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rstokes import nonlinear
 from rstokes import (
     HistoryKernel,
     Interval,
@@ -14,8 +18,10 @@ from rstokes import (
     PicardOptions,
     TimeGrid,
     build_basis,
+    build_resolvent,
     derivative_psi,
     forward_simulate,
+    picard_solve,
     reconstruct,
 )
 
@@ -225,3 +231,106 @@ def test_problem_shape_validation():
             kappa=np.ones(3),
             xi=np.zeros(3),
         )
+
+
+# -- the one-column formula against the all-modes oracle ----------------------
+
+
+def reconstruct_all_modes(problem, opts, ctx):
+    """(solution, p) by the all-modes form of the elimination, the oracle of
+    ``reconstruct``: the sweeps convolve m' with every mode of the state and
+    take c psi' g as forcing, and p is formed a second time on the solved
+    state."""
+    psi_prime = derivative_psi(problem.psi, problem.grid, problem.psi_prime)
+    kernel = problem.kernel
+    m0 = kernel.value_at_zero()
+    m1 = kernel.derivative_history_kernel()
+    kappa = problem.kappa
+    c = 1.0 / problem.pairing
+    f1 = problem.f1
+    grad_weight = problem.basis.eigenvalues * kappa
+
+    def eliminated(V, W, basis):
+        # W is m' * V, supplied by the solver's history pass
+        f1_rows = f1.apply_series(V, np.zeros_like(V), basis)
+        f2 = (1.0 + m0) * (V @ grad_weight) + W @ grad_weight - f1_rows @ kappa
+        return problem.g[None, :] * (c * f2)[:, None] + f1_rows
+
+    spec = Nonlinearity.custom_series(eliminated, mu=f1.mu, delta=f1.delta)
+    forcing = (c * psi_prime)[:, None] * problem.g[None, :]
+    sol = picard_solve(ctx, spec, m1, problem.xi, replace(opts, forcing=forcing))
+    U = sol.coeffs
+    gpu = U @ grad_weight
+    conv_gpu = nonlinear.history_series(m1, gpu[:, None], problem.grid)[:, 0]
+    f1_pair = f1.apply_series(U, np.zeros_like(U), problem.basis) @ kappa
+    return sol, c * (psi_prime + (1.0 + m0) * gpu + conv_gpu - f1_pair)
+
+
+KERNEL_KINDS = {
+    "exponential": lambda m0, r: MemoryKernel.exponential(m0, 1.0 + 3.0 * r),
+    "constant": lambda m0, r: MemoryKernel.constant(m0),
+    # samples inside (0, T): m' is 0 before the first and after the last
+    "tabulated": lambda m0, r: MemoryKernel.tabulated(
+        [0.1, 0.4 + 0.3 * r, 0.9], [m0, 0.5 * m0, 0.2 * m0]
+    ),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KERNEL_KINDS)),
+    m0=st.floats(0.1, 2.0),
+    r=st.floats(0.0, 1.0),
+    n_modes=st.integers(1, 4),
+    n_t=st.sampled_from([32, 64, 128]),
+    power=st.sampled_from([None, 2.0, 3.0]),
+    analytic=st.booleans(),
+    wobble=st.floats(-0.5, 0.5),
+)
+def test_one_column_formula_matches_the_all_modes_oracle(
+    kind, m0, r, n_modes, n_t, power, analytic, wobble
+):
+    basis = build_basis(Interval(1.0), n_modes)
+    grid = TimeGrid.uniform(1.0, n_t)
+    n = np.arange(1, n_modes + 1)
+    f1 = None if power is None else Nonlinearity.polynomial_power(power, scale=0.5)
+    base = dict(
+        basis=basis, grid=grid, kernel=KERNEL_KINDS[kind](m0, r),
+        g=1.0 / n**2, kappa=1.0 / n, xi=0.05 / n**3, f1=f1,
+    )
+    t = grid.nodes
+    _, psi = forward_simulate(
+        InverseProblem(**base), 1.0 + wobble * np.sin(3.0 * t), PicardOptions(tol=1e-12)
+    )
+    data = dict(psi_prime=derivative_psi(psi, grid)) if analytic else dict(psi=psi)
+    problem = InverseProblem(**base, **data)
+    ctx = build_resolvent(problem.kernel, basis, grid)
+    opts = PicardOptions(tol=1e-12)
+
+    rec = reconstruct(problem, opts, ctx)
+    sol, p = reconstruct_all_modes(problem, opts, ctx)
+    assert rec.solution.iterations == sol.iterations
+    np.testing.assert_allclose(rec.p, p, rtol=0.0, atol=1e-12 * np.max(np.abs(p)))
+    np.testing.assert_allclose(
+        rec.solution.coeffs, sol.coeffs, rtol=0.0,
+        atol=1e-12 * np.max(np.abs(sol.coeffs)),
+    )
+
+
+def test_reconstruct_convolves_only_the_pairing_column(monkeypatch):
+    # the state reaches m' * (grad u, grad kappa) through one column: no
+    # history convolution of reconstruct sees the modes of the state
+    seen = []
+    convolve = nonlinear.product_convolve
+
+    def recording(weights, phi):
+        seen.append(np.shape(phi))
+        return convolve(weights, phi)
+
+    problem = make_problem(n_modes=6, n_t=128)
+    _, psi = forward_simulate(problem, 1.0 + 0.5 * problem.grid.nodes)
+    monkeypatch.setattr(nonlinear, "product_convolve", recording)
+    rec = reconstruct(make_problem(n_modes=6, n_t=128, psi=psi))
+    # one convolution a sweep and one for p
+    assert len(seen) == rec.solution.iterations + 1
+    assert all(shape == (129,) for shape in seen)

@@ -160,8 +160,11 @@ def test_parameter_domains():
         Nonlinearity.zero(delta=1.0)
     with pytest.raises(ValueError):
         Nonlinearity.polynomial_power(1.0)
-    with pytest.raises(ValueError):
-        Nonlinearity.zero(mu=1.9, delta=0.5, theta=None)  # theta = -0.4
+    with pytest.raises(ValueError, match="1 \\+ delta"):
+        Nonlinearity.zero(mu=1.5, delta=0.5)  # 1 + delta - mu = 0
+    Nonlinearity.zero(mu=1.4, delta=0.5)
+    with pytest.raises(TypeError):
+        Nonlinearity.zero(theta=0.5)  # no such parameter
 
 
 def test_power_overflow_is_diagnosed():

@@ -92,16 +92,14 @@ def test_bound_report_passes_on_uniform_grids(kind):
 
 
 def test_reciprocal_integrability_probe():
-    assert reciprocal_cumulative_integrable(KERNELS["fractional"], 1.0)
-    assert not reciprocal_cumulative_integrable(KERNELS["zero"], 1.0)
-    assert not reciprocal_cumulative_integrable(KERNELS["constant"], 1.0)
-    assert not reciprocal_cumulative_integrable(KERNELS["exponential"], 1.0)
+    assert reciprocal_cumulative_integrable(KERNELS["fractional"])
+    assert not reciprocal_cumulative_integrable(KERNELS["zero"])
+    assert not reciprocal_cumulative_integrable(KERNELS["constant"])
+    assert not reciprocal_cumulative_integrable(KERNELS["exponential"])
     # 1/(m0 t) diverges at every scale m0
     for m0 in (1e3, 1e4):
-        assert not reciprocal_cumulative_integrable(MemoryKernel.constant(m0), 1.0)
-        assert not reciprocal_cumulative_integrable(
-            MemoryKernel.exponential(m0, 2.0), 1.0
-        )
+        assert not reciprocal_cumulative_integrable(MemoryKernel.constant(m0))
+        assert not reciprocal_cumulative_integrable(MemoryKernel.exponential(m0, 2.0))
 
 
 def test_derivative_decay_skips_on_increasing_tables():
@@ -229,7 +227,7 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
             lambda q: product_convolve(w_sing, q),
         )
         rows.append(worst_row("conv_smoothing_singular", *singular))
-        if reciprocal_cumulative_integrable(ctx.kernel, ctx.grid.horizon):
+        if reciprocal_cumulative_integrable(ctx.kernel):
             if rectangle:
                 rec_vals = 1.0 / np.asarray(ctx.kernel.cumulative(t[1:]), float)
                 w_rec = None
