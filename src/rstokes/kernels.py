@@ -498,14 +498,21 @@ def certify_completely_positive(
     right-hand side for singular kernels, so it is collocated in integrated
     form: w = 1 conv r satisfies w + theta*(a conv w) = t + (1*m)(t), and r is
     recovered as the cellwise difference quotient of w.
+
+    Both equations are one solve: every theta twice, the s columns first,
+    each column with its own right-hand side.  A batched column keeps the
+    bits of its own solve, so this equals two separate solves.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.size == 0 or np.any(thetas <= 0.0):
         raise ValueError("theta samples must be nonempty and positive")
     t = grid.nodes
-    s, _ = second_kind_solve(kernel.a_moments, grid, thetas, np.ones_like(t))
-    rhs_w = t + kernel.cumulative(t)
-    w, _ = second_kind_solve(kernel.a_moments, grid, thetas, rhs_w)
+    k = thetas.size
+    rhs = np.empty((t.size, 2 * k))
+    rhs[:, :k] = 1.0
+    rhs[:, k:] = (t + kernel.cumulative(t))[:, None]
+    sw, _ = second_kind_solve(kernel.a_moments, grid, np.tile(thetas, 2), rhs)
+    s, w = sw[:, :k], sw[:, k:]
     r = np.diff(w, axis=0) / grid.steps()[:, None]
     min_s = s.min(axis=0)
     min_r = r.min(axis=0)

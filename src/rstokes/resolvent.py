@@ -49,6 +49,11 @@ __all__ = [
 ]
 
 
+# samples per block of the table when a profile is convolved with it (mode
+# columns), and when verify_sol_op_bounds sums a trial's norm (rows)
+_BLOCK = 1 << 15
+
+
 @dataclass(frozen=True)
 class ResolventContext:
     basis: SpectralBasis
@@ -76,7 +81,9 @@ def build_resolvent(
 
 
 def convolve_sol_op(ctx: ResolventContext, g: np.ndarray) -> np.ndarray:
-    """(S * g)(t_i) for a coefficient series g of shape (N+1, n_modes).
+    """(S * g)(t_i) for a coefficient series g of shape (N+1, n_modes), or for
+    a time profile of shape (N+1,) shared by every mode; the result has shape
+    (N+1, n_modes) either way.
 
     The quadrature follows the table's scheme: trapezoid rule for trapezoid
     tables, right-endpoint rule for rectangle tables.  Mixing them is not
@@ -85,24 +92,39 @@ def convolve_sol_op(ctx: ResolventContext, g: np.ndarray) -> np.ndarray:
     stiff column and breaks the smoothing estimates the family must obey.
     """
     g = np.asarray(g, dtype=float)
-    if g.shape != ctx.table.omega.shape:
+    omega = ctx.table.omega
+    if g.shape not in (omega.shape, omega.shape[:1]):
         raise ValueError("series shape does not match grid x modes")
+    if g.ndim == 2:
+        return _convolve_columns(ctx, omega, g)
+    # a shared profile: a few mode columns at a time, so the transform
+    # temporaries are the size of a block, not of the table
+    out = np.empty(omega.shape)
+    step = max(1, _BLOCK // omega.shape[0])
+    for lo in range(0, omega.shape[1], step):
+        cols = slice(lo, lo + step)
+        out[:, cols] = _convolve_columns(ctx, omega[:, cols], g[:, None])
+    return out
+
+
+def _convolve_columns(ctx: ResolventContext, omega: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # the one place the lag rule is chosen; g is (N+1, columns of omega) or
+    # (N+1, 1), a profile shared by them
     if ctx.grid.is_uniform:
         if ctx.table.scheme == "trapezoid":
-            return trapezoid_convolve(ctx.table.omega, g, ctx.grid.dt)
-        return rectangle_convolve(ctx.table.omega, g, ctx.grid.dt)
-    return _convolve_interpolated(ctx, g)
+            return trapezoid_convolve(omega, g, ctx.grid.dt)
+        return rectangle_convolve(omega, g, ctx.grid.dt)
+    return _convolve_interpolated(ctx.grid.nodes, omega, g)
 
 
-def _convolve_interpolated(ctx: ResolventContext, g: np.ndarray) -> np.ndarray:
+def _convolve_interpolated(t: np.ndarray, omega: np.ndarray, g: np.ndarray) -> np.ndarray:
     # graded grids: omega at off-grid lags by linear interpolation
-    t = ctx.grid.nodes
-    out = np.zeros_like(g)
+    out = np.zeros(np.broadcast_shapes(omega.shape, g.shape))
     for i in range(1, t.size):
         lag = t[i] - t[: i + 1]
-        om = np.empty((i + 1, g.shape[1]))
-        for n in range(g.shape[1]):
-            om[:, n] = np.interp(lag, t, ctx.table.omega[:, n])
+        om = np.empty((i + 1, omega.shape[1]))
+        for n in range(omega.shape[1]):
+            om[:, n] = np.interp(lag, t, omega[:, n])
         out[i] = np.trapezoid(om * g[: i + 1], t[: i + 1], axis=0)
     return out
 
@@ -153,10 +175,22 @@ def _reciprocal_weights(ctx: ResolventContext):
     return lag_weights(rec.moments, ctx.grid)
 
 
-def _trial_series(amp, phase, t):
-    # smooth random coefficient path: per-mode amplitude and phase
-    profile = 1.0 + 0.5 * np.sin(2.0 * np.pi * t[:, None] / t[-1] + phase[None, :])
-    return amp[None, :] * profile
+# the trial series amp * (1 + sin(2 pi t/T + phase)/2) of each mode, written
+# as amp * (E0 + a E1 + b E2) over the time profiles E = (1, sin 2 pi t/T,
+# cos 2 pi t/T), with a = cos(phase)/2 and b = sin(phase)/2; its squared
+# norm is a sum over the products E_j E_k of these index pairs
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _profiles(t: np.ndarray) -> np.ndarray:
+    arg = 2.0 * np.pi * t / t[-1]
+    return np.stack((np.ones_like(t), np.sin(arg), np.cos(arg)))
+
+
+def _pair_weights(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of E_j E_k (``_PAIRS``) in sum_n w_n (1 + a_n E1 + b_n E2)^2."""
+    return np.array([w.sum(), 2.0 * (w @ a), 2.0 * (w @ b),
+                     w @ (a * a), 2.0 * (w @ (a * b)), w @ (b * b)])
 
 
 class _Worst:
@@ -192,9 +226,12 @@ def verify_sol_op_bounds(
 ) -> ResolventReport:
     """Evaluate the operator estimates on random trials; report worst margins.
 
-    The three conv_smoothing rows share one pass over the trials: a trial
-    series and its convolution with the table exist only while that trial is
-    checked, so memory does not grow with n_trials.
+    The three conv_smoothing rows rest on superposition: S* and every
+    rule are linear, and each trial series is amp * (E0 + a E1 + b E2) over
+    three fixed time profiles (``_PAIRS``).  The profiles are convolved with
+    the table once, and the six products E_j E_k with each rule once, so a
+    trial costs O(N modes) arithmetic and no transform, and memory does not
+    grow with n_trials.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -214,8 +251,8 @@ def verify_sol_op_bounds(
         lhs = hnorm(omega * xi[None, :], basis, 0.0)
         sol_op.fold(omega[:, 0] * hnorm(xi, basis, 0.0) - lhs, t)
 
-    # the trial draws come before the derivative_decay draws; the series
-    # themselves are built one at a time in the smoothing pass below
+    # the trial draws come before the derivative_decay draws; the smoothing
+    # pass below never builds the series they stand for
     draws = [
         (rng.standard_normal(n_modes), rng.uniform(0.0, 2.0 * np.pi, n_modes))
         for _ in range(n_trials if uniform else 0)
@@ -281,12 +318,31 @@ def verify_sol_op_bounds(
             rules.append(lambda q: product_convolve(w_rec, q))
     labels = ("conv_smoothing_l2", "conv_smoothing_singular", "conv_smoothing_reciprocal")
     orders = (mu - 1.0, mu - 1.0 - delta, mu - 2.0)
+    profiles = _profiles(t)
+    # each rule applied to the six E_j E_k, then S*E_k for each profile
+    # (in this order, so the rules' transforms run before the S*E_k exist)
+    products = np.stack([profiles[j] * profiles[k] for j, k in _PAIRS], axis=1)
+    rule_tables = [rhs(products) for rhs in rules]
+    del products
+    p0, p1, p2 = (convolve_sol_op(ctx, e) for e in profiles)
+    lam = basis.eigenvalues
+    step = max(1, _BLOCK // n_modes)
+    lhs = np.empty_like(t)
     worst = [_Worst() for _ in rules]
     for amp, phase in draws:
-        g = _trial_series(amp, phase, t)
-        lhs = hnorm(convolve_sol_op(ctx, g), basis, mu) ** 2
-        for rho, rhs, w in zip(orders, rules, worst):
-            w.fold(rhs(hnorm(g, basis, rho) ** 2) - lhs, t)
+        a, b = 0.5 * np.cos(phase), 0.5 * np.sin(phase)
+        weight = lam**mu * amp * amp
+        # |S*g|_mu^2 with S*g = amp * (P0 + a P1 + b P2), a block of rows at
+        # a time, so no (N_t x modes) temporary is made per trial
+        for lo in range(0, t.size, step):
+            block = slice(lo, lo + step)
+            conv = p1[block] * a
+            conv += p0[block]
+            conv += p2[block] * b
+            conv *= conv
+            lhs[block] = conv @ weight
+        for rho, table, w in zip(orders, rule_tables, worst):
+            w.fold(table @ _pair_weights(lam**rho * amp * amp, a, b) - lhs, t)
     rows = [w.row(label, tol) for label, w in zip(labels, worst)]
     if not reciprocal:
         rows.append(

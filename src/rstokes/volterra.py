@@ -42,10 +42,30 @@ Cost for N steps and M columns:
   2.2e-16, and the finite-difference psi' amplifies that to 1.0e-13 at row
   372, against an allowance of 1.74e-14.  The reconstruction alone on the
   Toeplitz path moves no p_recovered row by more than 0.0032 of its
-  allowance.
+  allowance.  The loop itself stays as written; the alternatives measured
+  on a 2-vCPU host (8192 rows, 6 columns, fractional kernel, the w-equation
+  of ``certify_completely_positive``) either change its bits or are
+  slower:
+
+  - ``u[i-1::-1] @ x[:i]`` reads u with a negative stride, so numpy does
+    not call BLAS and sums each column on its own, oldest node first.  A
+    contiguous copy of u goes to BLAS: 0.31 s against 0.48 s, but w moves
+    by 6e-15 relative, and the certificate's r = diff(w)/dt at theta = 10
+    by 1.4e-8 relative, past the 1e-8 of the reference check.
+  - A vectorized "push" form (each solved row added into running sums of
+    the rows after it) and an axis-0 ``add.reduce`` form keep the bits,
+    but ran 3.0x and 4.7x slower.
+  - Two threads over the columns, three each, ran slower than one (0.58 to
+    0.66 s against 0.43 to 0.51 s): the per-row Python work holds the GIL.
 * graded grids, both rules and the first-kind solve: O(M N^2).  The lag
   cells t_i - t_j differ from row to row, so the system is not Toeplitz and
-  every row needs its own weights.
+  every row needs its own weights.  The second-kind rows read their weights
+  backwards as well, so numpy sums each column on its own there too.
+
+Every second-kind path sums each column on its own, so the columns of one
+``second_kind_solve`` call, each with its own right-hand side, keep the bits
+of single-column calls; ``certify_completely_positive`` relies on that to
+solve its two equations at once.
 """
 
 from __future__ import annotations
@@ -257,7 +277,7 @@ def _uniform_second_kind(
     1..N are one Toeplitz solve; the trapezoid rule keeps its row loop
     (module docstring).
     """
-    x = np.repeat(rhs[:, None], lams.size, axis=1)
+    x = np.repeat(rhs[:, None], lams.size, axis=1) if rhs.ndim == 1 else rhs.copy()
     if not trap:
         a0 = weights.cell
         return _toeplitz_solve(a0, lams, 1.0 + lams * a0[0], x)
@@ -280,18 +300,21 @@ def _graded_second_kind(
     x = np.zeros((n + 1, lams.size))
     x[0] = rhs[0]
     for i in range(1, n + 1):
-        hi = t[i] - t[:i]
-        lo = t[i] - t[1 : i + 1]
+        # lag cells newest first, as on a uniform grid: cell k is
+        # [t_i - t_{i-k}, t_i - t_{i-1-k}], read backwards by the dot products
+        # (a negative stride, so numpy sums each column on its own)
+        hi = t[i] - t[i - 1 :: -1]
+        lo = t[i] - t[i:0:-1]
         if trap:
-            left, right = endpoint_weights(moments, lo, hi, steps[:i])
-            past = left @ x[:i]
+            left, right = endpoint_weights(moments, lo, hi, steps[i - 1 :: -1])
+            past = left[::-1] @ x[:i]
             if i > 1:
-                past = past + right[:-1] @ x[1:i]
-            x[i] = (rhs[i] - lams * past) / (1.0 + lams * right[-1])
+                past = past + right[:0:-1] @ x[1:i]
+            x[i] = (rhs[i] - lams * past) / (1.0 + lams * right[0])
         else:
             a0, _ = moments(lo, hi)
-            past = a0[:-1] @ x[1:i] if i > 1 else 0.0
-            x[i] = (rhs[i] - lams * past) / (1.0 + lams * a0[-1])
+            past = a0[:0:-1] @ x[1:i] if i > 1 else 0.0
+            x[i] = (rhs[i] - lams * past) / (1.0 + lams * a0[0])
     return x
 
 
@@ -324,8 +347,11 @@ def second_kind_solve(
         Exact cell moments of the kernel a.
     lam : positive scalar or 1-d array
         One column is solved per value, sharing the weight table.
-    rhs : scalar or array of shape (N+1,)
-        Right-hand side samples on the grid nodes.
+    rhs : scalar, array of shape (N+1,), or array of shape (N+1, len(lam))
+        Right-hand side samples on the grid nodes, shared by every column,
+        or one column of samples per lam value.  Every path sums each
+        column on its own, so a column of a batched call has the bits of
+        its own single-column call.
     scheme : None | "trapezoid" | "rectangle"
         None resolves automatically through ``stiffness_scheme``.  Forcing
         "trapezoid" on a stiff batch gives damped ringing on the stiff
@@ -347,7 +373,12 @@ def second_kind_solve(
         raise ValueError("lam must be positive")
     if scheme not in (None, "trapezoid", "rectangle"):
         raise ValueError("scheme must be None, 'trapezoid' or 'rectangle'")
-    rhs_arr = np.broadcast_to(np.asarray(rhs, dtype=float), grid.nodes.shape).astype(float)
+    if np.ndim(rhs) == 2:
+        rhs_arr = np.asarray(rhs, dtype=float)
+        if rhs_arr.shape != (grid.nodes.size, lams.size):
+            raise ValueError("a 2-d rhs needs one column of N+1 samples per lam")
+    else:
+        rhs_arr = np.broadcast_to(np.asarray(rhs, dtype=float), grid.nodes.shape).astype(float)
     weights = lag_weights(moments, grid) if grid.is_uniform else None
     if scheme is None:
         # one scheme for the whole call so columns stay mutually comparable
@@ -404,13 +435,17 @@ def rectangle_convolve(kernel_samples: np.ndarray, phi: np.ndarray, dt: float) -
     (k * phi)(t_i) ~ dt * sum_{j=1..i} k_j phi_{i-j}.  The newest sample of
     phi is weighted by k at one full step, never by k(0), which keeps the
     response of a strongly damped column at the size of its true convolution
-    mass instead of dt/2 (the trapezoid rule's newest weight).
+    mass instead of dt/2 (the trapezoid rule's newest weight).  A 1-d factor,
+    or a single column, is shared by every column of the other.
     """
+    K = np.asarray(kernel_samples, dtype=float)
     G = np.asarray(phi, dtype=float)
+    if K.ndim < G.ndim:
+        K = K[:, None]
     n = G.shape[0] - 1
-    out = np.zeros_like(G)
+    out = np.zeros(np.broadcast_shapes(K.shape, G.shape))
     if n >= 1:
-        np.multiply(dt, fftconvolve(np.asarray(kernel_samples)[1:], G)[:n], out=out[1:])
+        np.multiply(dt, fftconvolve(K[1:], G)[:n], out=out[1:])
     return out
 
 

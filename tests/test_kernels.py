@@ -3,6 +3,7 @@ against hand-solvable cases."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc, gamma
 
@@ -13,6 +14,7 @@ from rstokes import (
     certify_completely_positive,
     certify_pc,
 )
+from rstokes.volterra import second_kind_solve
 
 ANALYTIC_KERNELS = [
     MemoryKernel.zero(),
@@ -188,6 +190,39 @@ def test_cp_rejects_kinked_table():
     cert = certify_completely_positive(kernel, TimeGrid.uniform(1.0, 512))
     assert not cert.passed
     assert float(np.min(cert.min_r)) < 0.0
+
+
+def two_solve_cp_minima(kernel, grid, thetas):
+    """The certificate's minima from its two equations solved one at a time."""
+    thetas = np.asarray(thetas, dtype=float)
+    t = grid.nodes
+    s, _ = second_kind_solve(kernel.a_moments, grid, thetas, np.ones_like(t))
+    w, _ = second_kind_solve(kernel.a_moments, grid, thetas, t + kernel.cumulative(t))
+    r = np.diff(w, axis=0) / grid.steps()[:, None]
+    return s.min(axis=0), r.min(axis=0)
+
+
+@given(
+    kind=st.sampled_from(["zero", "constant", "fractional", "exponential", "table"]),
+    m0=st.floats(0.1, 10.0),
+    # up to 200 steps, so the rectangle rule reaches the blocked recursion
+    n=st.integers(2, 200),
+    grading=st.sampled_from([1.0, 2.0]),
+    thetas=st.lists(st.floats(1e-2, 1e3), min_size=1, max_size=4),
+)
+def test_cp_one_solve_has_the_bits_of_two(kind, m0, n, grading, thetas):
+    kernel = {
+        "zero": MemoryKernel.zero(),
+        "constant": MemoryKernel.constant(m0),
+        "fractional": MemoryKernel.fractional(m0, 0.5),
+        "exponential": MemoryKernel.exponential(m0, 3.0),
+        "table": MemoryKernel.tabulated([0.25, 0.5, 1.0], [m0, 0.5 * m0, 0.0]),
+    }[kind]
+    grid = TimeGrid.graded(1.0, n, grading) if grading > 1.0 else TimeGrid.uniform(1.0, n)
+    cert = certify_completely_positive(kernel, grid, thetas)
+    min_s, min_r = two_solve_cp_minima(kernel, grid, thetas)
+    assert np.array_equal(cert.min_s, min_s)
+    assert np.array_equal(cert.min_r, min_r)
 
 
 def test_cp_theta_validation():

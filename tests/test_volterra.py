@@ -413,6 +413,63 @@ def test_second_kind_rhs_series():
     np.testing.assert_allclose(x + product_convolve(w, x), rhs, atol=1e-12)
 
 
+@st.composite
+def memory_kernels(draw):
+    kind = draw(st.sampled_from(["fractional", "exponential", "constant", "tabulated"]))
+    m0 = draw(st.floats(0.1, 10.0))
+    if kind == "fractional":
+        return MemoryKernel.fractional(m0, draw(st.floats(0.1, 0.9)))
+    if kind == "exponential":
+        return MemoryKernel.exponential(m0, draw(st.floats(0.1, 20.0)))
+    if kind == "constant":
+        return MemoryKernel.constant(m0)
+    size = draw(st.integers(2, 6))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
+    values = draw(st.lists(st.floats(0.0, 5.0), min_size=size, max_size=size))
+    return MemoryKernel.tabulated(np.cumsum(gaps), values)
+
+
+@given(
+    kernel=memory_kernels(),
+    scheme=st.sampled_from(["trapezoid", "rectangle"]),
+    grading=st.sampled_from([1.0, 2.0]),
+    # past 64 rows the rectangle rule runs the blocked FFT recursion
+    n=st.integers(2, 160),
+    columns=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_columns_have_the_bits_of_single_column_solves(
+    kernel, scheme, grading, n, columns, seed
+):
+    # one right-hand side per lam: every path (uniform trapezoid row loop,
+    # uniform rectangle Toeplitz solve, graded row loop) sums each column on
+    # its own, so a batch is its columns solved one at a time
+    grid = TimeGrid.graded(1.0, n, grading) if grading > 1.0 else TimeGrid.uniform(1.0, n)
+    rng = np.random.default_rng(seed)
+    lams = rng.uniform(0.01, 100.0, columns)
+    rhs = rng.standard_normal((n + 1, columns))
+    x, used = second_kind_solve(kernel.a_moments, grid, lams, rhs, scheme)
+    assert used == scheme and x.shape == (n + 1, columns)
+    for j in range(columns):
+        single, _ = second_kind_solve(kernel.a_moments, grid, lams[j], rhs[:, j], scheme)
+        assert np.array_equal(x[:, j], single), j
+
+
+def test_second_kind_checks_a_per_column_rhs():
+    grid = TimeGrid.uniform(1.0, 8)
+    kernel = MemoryKernel.exponential(1.0, 2.0)
+    with pytest.raises(ValueError):
+        second_kind_solve(kernel.a_moments, grid, [1.0, 2.0], np.ones((9, 3)))
+    with pytest.raises(ValueError):
+        second_kind_solve(kernel.a_moments, grid, [1.0, 2.0], np.ones((8, 2)))
+    # a shared rhs and the same rhs per column give the same bits
+    shared, _ = second_kind_solve(kernel.a_moments, grid, [1.0, 2.0], np.sin(grid.nodes))
+    per_column, _ = second_kind_solve(
+        kernel.a_moments, grid, [1.0, 2.0], np.repeat(np.sin(grid.nodes)[:, None], 2, axis=1)
+    )
+    assert np.array_equal(shared, per_column)
+
+
 def test_second_kind_on_graded_grid():
     # graded path: same equation, per-row weights; check the identity row-wise
     grid = TimeGrid.graded(1.0, 24, r=2.0)
