@@ -452,8 +452,9 @@ def picard_solve(
     if spec.reads_history and ell.kind != "zero":
         history = _history_operator(ell, grid)
     else:
-        # w is zero or unread: one zero series serves every sweep
-        zeros = np.zeros(head.shape)
+        # w is zero or unread: one read-only zero series, no table, serves
+        # every sweep
+        zeros = np.broadcast_to(0.0, head.shape)
         history = lambda series: zeros
     u = head
     residuals = []
@@ -468,7 +469,8 @@ def picard_solve(
             ) from exc
         if forcing is not None:
             f_rows = f_rows + forcing
-        u_new = head + convolve_sol_op(ctx, f_rows)
+        u_new = convolve_sol_op(ctx, f_rows)
+        u_new += head
         with np.errstate(over="ignore", invalid="ignore"):
             res = float(np.max(damp * hnorm(u_new - u, basis, spec.mu)))
         residuals.append(res)
@@ -658,16 +660,16 @@ def holder_estimate(
     h_steps = n // 2
     while h_steps >= 1:
         h = h_steps * dt
-        idx = np.arange(i_min, n - h_steps + 1)
-        if idx.size:
-            diffs = hnorm(sol.coeffs[idx + h_steps] - sol.coeffs[idx], sol.basis, mu)
-            vals = (t[idx] / h) ** gamma * diffs
+        rows = slice(i_min, n - h_steps + 1)
+        if i_min <= n - h_steps:
+            diffs = hnorm(sol.coeffs[i_min + h_steps :] - sol.coeffs[rows], sol.basis, mu)
+            vals = (t[rows] / h) ** gamma * diffs
             j = int(np.argmax(vals))
             if vals[j] > best:
-                best, t_at, h_at = float(vals[j]), float(t[idx[j]]), float(h)
+                best, t_at, h_at = float(vals[j]), float(t[i_min + j]), float(h)
             if ell is not None and ell.kind != "zero":
-                inc = ell.cumulative_abs(t[idx] + h) - ell.cumulative_abs(t[idx])
-                ell1 = max(ell1, float(np.max((t[idx] / h) ** gamma * inc)))
+                inc = ell.cumulative_abs(t[rows] + h) - ell.cumulative_abs(t[rows])
+                ell1 = max(ell1, float(np.max((t[rows] / h) ** gamma * inc)))
         h_steps //= 2
 
     ell2 = 0.0

@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-# samples per block of the table when a profile is convolved with it (mode
-# columns), and when verify_sol_op_bounds sums a trial's norm (rows)
+# samples per block of rows in which verify_sol_op_bounds sums a trial's norm
 _BLOCK = 1 << 15
 
 
@@ -95,21 +94,6 @@ def convolve_sol_op(ctx: ResolventContext, g: np.ndarray) -> np.ndarray:
     omega = ctx.table.omega
     if g.shape not in (omega.shape, omega.shape[:1]):
         raise ValueError("series shape does not match grid x modes")
-    if g.ndim == 2:
-        return _convolve_columns(ctx, omega, g)
-    # a shared profile: a few mode columns at a time, so the transform
-    # temporaries are the size of a block, not of the table
-    out = np.empty(omega.shape)
-    step = max(1, _BLOCK // omega.shape[0])
-    for lo in range(0, omega.shape[1], step):
-        cols = slice(lo, lo + step)
-        out[:, cols] = _convolve_columns(ctx, omega[:, cols], g[:, None])
-    return out
-
-
-def _convolve_columns(ctx: ResolventContext, omega: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # the one place the lag rule is chosen; g is (N+1, columns of omega) or
-    # (N+1, 1), a profile shared by them
     if ctx.grid.is_uniform:
         if ctx.table.scheme == "trapezoid":
             return trapezoid_convolve(omega, g, ctx.grid.dt)
@@ -118,8 +102,10 @@ def _convolve_columns(ctx: ResolventContext, omega: np.ndarray, g: np.ndarray) -
 
 
 def _convolve_interpolated(t: np.ndarray, omega: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # graded grids: omega at off-grid lags by linear interpolation
-    out = np.zeros(np.broadcast_shapes(omega.shape, g.shape))
+    # graded grids: omega at off-grid lags by linear interpolation; a shared
+    # profile as a column
+    g = g.reshape(g.shape[0], -1)
+    out = np.zeros(omega.shape)
     for i in range(1, t.size):
         lag = t[i] - t[: i + 1]
         om = np.empty((i + 1, omega.shape[1]))
@@ -244,12 +230,15 @@ def verify_sol_op_bounds(
     n_modes = basis.n_modes
     uniform = ctx.grid.is_uniform
 
-    # sol_op_bound: diagonal action vs the slowest mode's profile
+    # sol_op_bound: diagonal action vs the slowest mode's profile, with
+    # |S(t) xi|^2 = (omega * omega) @ xi^2 a mat-vec per trial
     sol_op = _Worst()
+    squares = omega * omega
     for _ in range(n_trials):
         xi = rng.standard_normal(n_modes)
-        lhs = hnorm(omega * xi[None, :], basis, 0.0)
+        lhs = np.sqrt(squares @ (xi * xi))
         sol_op.fold(omega[:, 0] * hnorm(xi, basis, 0.0) - lhs, t)
+    del squares
 
     # the trial draws come before the derivative_decay draws; the smoothing
     # pass below never builds the series they stand for
@@ -266,12 +255,14 @@ def verify_sol_op_bounds(
     else:
         decay = _Worst()
         steps = ctx.grid.steps()
+        # squared in place, for the same mat-vec per trial
         increments = np.diff(omega, axis=0)
+        increments *= increments
         t4 = t[4:-1]
         for _ in range(n_trials):
             xi = rng.standard_normal(n_modes)
             norm_xi = hnorm(xi, basis, 0.0)
-            dq = hnorm(increments * xi[None, :], basis, 0.0) / steps
+            dq = np.sqrt(increments @ (xi * xi)) / steps
             decay.fold(1.0 / t4 - dq[4:] / norm_xi, t4)
         decay_row = decay.row("derivative_decay", tol)
         # an (N_t x modes) table the smoothing pass below must not carry

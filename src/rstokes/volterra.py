@@ -15,8 +15,8 @@ over the lag cell [a, b] = [t_i - t_{j+1}, t_i - t_j], h = b - a.  Both are
 integrals of k against nonnegative hat functions, hence >= 0 for k >= 0.
 
 ``endpoint_weights`` is the one place these two formulas are written, and
-``fftconvolve`` (numpy rfft/irfft along the rows of each column, run on
-contiguous (columns, rows) copies) is the one FFT convolution; every lag
+``fftconvolve`` (numpy rfft/irfft along the rows, a block of columns at a
+time, written into the caller's array) is the one FFT convolution; every lag
 convolution below is assembled from the two.
 
 Second-kind equations x + lam*(a conv x) = rhs are stepped implicitly.  The
@@ -93,9 +93,11 @@ Moments = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 STIFF_THRESHOLD = 0.9
 
-# samples per contiguous block that fftconvolve copies a 2-d operand into
-# before its transform (512 KiB of doubles)
-_FFT_BLOCK = 1 << 16
+# samples per contiguous (columns, rows) block that fftconvolve transforms at
+# once (256 KiB of doubles), and the fewest columns a block may hold: at
+# 65537 x 256, one-column blocks ran 1.4x slower than blocks of 4
+_FFT_BLOCK = 1 << 15
+_FFT_MIN_COLUMNS = 4
 
 # rows per leaf of _toeplitz_solve (row loop below, FFT middle products above);
 # of 16..256, 64 was fastest for 8192 steps x 32 columns
@@ -116,74 +118,45 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _row_spectrum(x: np.ndarray, size: int, times=None, out=None) -> np.ndarray:
-    """rfft of x along axis 0, laid out (columns, frequencies); given times,
-    the product rfft(x) * times instead (x's spectrum first), into out.
+def fftconvolve(a, b, out: np.ndarray, start: int = 0) -> np.ndarray:
+    """Rows start..start+len(out)-1 of the full linear convolution of a and b
+    along axis 0, written into out, which is returned.
 
-    A 2-d x is copied to contiguous (columns, rows) blocks of about
-    _FFT_BLOCK samples, and each block's spectrum goes into its rows of the
-    result at once, so neither a full transposed copy of x nor, for a
-    product, x's full spectrum is ever alive next to times.
+    Two 1-d operands give a 1-d out.  Next to a 2-d operand, which has out's
+    columns, a 1-d one is a column shared by every column of out, and is
+    transformed once.  The circular length is the shortest 5-smooth one that
+    keeps the requested rows free of wrap-around, so a window that skips the
+    first rows (the middle product of ``_toeplitz_solve``) costs one
+    transform of about len(a) rows.
+
+    The columns run in blocks of about _FFT_BLOCK samples, never fewer than
+    _FFT_MIN_COLUMNS columns: each block's contiguous (columns, rows) copy is
+    transformed (numpy's FFT reads it far faster than strided columns, with
+    the bits of transforms along axis 0), multiplied in place and transformed
+    back into its window of out, so no temporary outgrows a block.  Each
+    product takes a's spectrum first; numpy's complex multiply is not bitwise
+    commutative, so this order is part of the result.
     """
-    if x.ndim == 1 or x.shape[1] == 1:
-        spectrum = np.fft.rfft(x.T, size)
-        return spectrum if times is None else np.multiply(spectrum, times, out=out)
-    shape = (x.shape[1], size // 2 + 1)
-    if out is None:
-        out = np.empty(shape if times is None else np.broadcast_shapes(shape, times.shape),
-                       dtype=complex)
-    step = max(1, _FFT_BLOCK // x.shape[0])
-    for lo in range(0, x.shape[1], step):
-        rows = slice(lo, lo + step)
-        block = np.ascontiguousarray(x[:, rows].T)
-        if times is None:
-            np.fft.rfft(block, size, out=out[rows])
-        else:
-            factor = times[rows] if times.shape[0] > 1 else times
-            np.multiply(np.fft.rfft(block, size), factor, out=out[rows])
-    return out
-
-
-def fftconvolve(a, b, start: int = 0, stop: Optional[int] = None):
-    """Rows start..stop-1 of the full linear convolution of a and b along axis 0.
-
-    A 1-d operand next to a 2-d one acts as a column shared by every column
-    of the other; two 1-d operands give a 1-d result.  The circular length
-    is the shortest 5-smooth one that keeps the requested rows free of
-    wrap-around, so a window that skips the first rows (the middle product
-    of ``_toeplitz_solve``) costs one transform of about len(a) rows.
-
-    a may also be a tuple of equally long kernels: b is then transformed
-    once, and a list of windows comes back, one per kernel.  Each product
-    takes the kernel's spectrum first; numpy's complex multiply is not
-    bitwise commutative, so this order is part of the result.
-
-    The transforms run along the last axis of contiguous (columns, rows)
-    copies (``_row_spectrum``), which numpy's FFT reads far faster than
-    strided columns, with the bits of transforms along axis 0.  A 2-d
-    window is therefore a transposed view, (rows, columns) over (columns,
-    rows) memory: callers write it into arrays of their own.
-    """
-    kernels = [np.asarray(k, dtype=float) for k in (a if isinstance(a, tuple) else (a,))]
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if any(k.ndim > b.ndim for k in kernels):
-        b = b[:, None]
-    kernels = [k[:, None] if k.ndim < b.ndim else k for k in kernels]
-    n = kernels[0].shape[0] + b.shape[0] - 1
-    stop = n if stop is None else stop
-    size = _fast_length(max(n - start, stop))
-    b_hat = _row_spectrum(b, size)
-    out = []
-    for i, k in enumerate(kernels):
-        # the last product overwrites b_hat where the shapes allow (same
-        # bits), and each product is dropped before the next kernel's
-        fits = np.broadcast_shapes(k.shape[1:], b.shape[1:]) == b.shape[1:]
-        into = b_hat if fits and i == len(kernels) - 1 else None
-        spectrum = _row_spectrum(k, size, b_hat, into)
-        window = np.fft.irfft(spectrum, size)[..., start:stop]
-        del spectrum
-        out.append(window.T)
-    return out if isinstance(a, tuple) else out[0]
+    if out.ndim == 1:
+        fftconvolve(a[:, None], b[:, None], out[:, None], start)
+        return out
+    stop = start + out.shape[0]
+    size = _fast_length(max(a.shape[0] + b.shape[0] - 1 - start, stop))
+    shared = [np.fft.rfft(x, size) if x.ndim == 1 else None for x in (a, b)]
+    step = max(_FFT_MIN_COLUMNS, _FFT_BLOCK // size)
+    for lo in range(0, out.shape[1], step):
+        cols = slice(lo, lo + step)
+        a_hat, b_hat = (
+            np.fft.rfft(np.ascontiguousarray(x[:, cols].T), size) if x_hat is None else x_hat
+            for x, x_hat in zip((a, b), shared)
+        )
+        # the product goes into a spectrum of this block's own
+        spectrum = a_hat if shared[1] is not None else b_hat
+        np.multiply(a_hat, b_hat, out=spectrum)
+        out[:, cols] = np.fft.irfft(spectrum, size)[:, start:stop].T
+    return out
 
 
 def endpoint_weights(moments: Moments, lo, hi, h) -> Tuple[np.ndarray, np.ndarray]:
@@ -220,19 +193,19 @@ def product_convolve(weights: LagWeights, phi: np.ndarray) -> np.ndarray:
     """(k * phi)(t_i) at every node for piecewise-linear phi (uniform grid).
 
     phi has shape (N+1,) or (N+1, M); columns are convolved independently.
-    The left and right weight columns share one transform of phi (one
-    ``fftconvolve`` call with two kernels), with the bits of two separate
-    convolutions.
+    Node m back from t_i carries left[m-1] + right[m], so rows 1..N are one
+    convolution of phi with that node-weight column.
     """
     phi = np.asarray(phi, dtype=float)
     n = phi.shape[0] - 1
     v = weights.right[:n]
+    node = np.zeros(n + 1)
+    node[:n] = v
+    node[1:] += weights.left[:n]
     out = np.zeros_like(phi)
-    # one transform of phi serves both weight columns
-    older, newer = fftconvolve((weights.left[:n], v), phi)
-    np.add(older[:n], newer[1 : n + 1], out=out[1:])
-    # the full convolution (right * phi)_i picks up the k = i term
-    # right_i * phi_0, which lies outside the i-1 lag cells; remove it
+    fftconvolve(node, phi, out[1:], 1)
+    # the full convolution picks up the node-i term right_i * phi_0, which
+    # lies outside the i-1 lag cells of rows i < N; remove it
     out[1:n] -= np.multiply.outer(v[1:], phi[0])
     return out
 
@@ -262,9 +235,9 @@ def _toeplitz_solve(
     mid = (lo + hi) // 2
     _toeplitz_solve(c, scale, denom, x, lo, mid)
     # lags 1..hi-lo-1 from rows lo..mid-1 onto rows mid..hi-1
-    x[mid:hi] -= scale * fftconvolve(
-        c[1 : hi - lo], x[lo:mid], mid - lo - 1, hi - lo - 1
-    )
+    past = fftconvolve(c[1 : hi - lo], x[lo:mid], np.empty_like(x[mid:hi]), mid - lo - 1)
+    past *= scale
+    x[mid:hi] -= past
     return _toeplitz_solve(c, scale, denom, x, mid, hi)
 
 
@@ -429,23 +402,26 @@ def first_kind_solve(moments: Moments, grid: TimeGrid, rhs) -> Tuple[np.ndarray,
     return k[1:], float(min_diag)
 
 
+def _lag_shape(K: np.ndarray, G: np.ndarray) -> Tuple[int, ...]:
+    # phi's rows, and the columns of whichever factor has them
+    return G.shape[:1] + (K.shape[1:] or G.shape[1:])
+
+
 def rectangle_convolve(kernel_samples: np.ndarray, phi: np.ndarray, dt: float) -> np.ndarray:
     """Right-endpoint lag convolution on a uniform grid.
 
     (k * phi)(t_i) ~ dt * sum_{j=1..i} k_j phi_{i-j}.  The newest sample of
     phi is weighted by k at one full step, never by k(0), which keeps the
     response of a strongly damped column at the size of its true convolution
-    mass instead of dt/2 (the trapezoid rule's newest weight).  A 1-d factor,
-    or a single column, is shared by every column of the other.
+    mass instead of dt/2 (the trapezoid rule's newest weight).  A 1-d factor
+    next to a 2-d one is shared by every column of the other.
     """
     K = np.asarray(kernel_samples, dtype=float)
     G = np.asarray(phi, dtype=float)
-    if K.ndim < G.ndim:
-        K = K[:, None]
-    n = G.shape[0] - 1
-    out = np.zeros(np.broadcast_shapes(K.shape, G.shape))
-    if n >= 1:
-        np.multiply(dt, fftconvolve(K[1:], G)[:n], out=out[1:])
+    out = np.zeros(_lag_shape(K, G))
+    if G.shape[0] > 1:
+        fftconvolve(K[1:], G, out[1:])
+        out[1:] *= dt
     return out
 
 
@@ -453,14 +429,17 @@ def trapezoid_convolve(kernel_samples: np.ndarray, phi: np.ndarray, dt: float) -
     """Trapezoid-rule lag convolution on a uniform grid.
 
     (k * phi)(t_i) ~ dt * (sum_{j=0..i} k_{i-j} phi_j - k_i phi_0 / 2
-    - k_0 phi_i / 2).  Both factors are nodal samples; columns are modes.
+    - k_0 phi_i / 2).  Both factors are nodal samples; columns are modes,
+    and a 1-d factor next to a 2-d one is shared by every column of the
+    other.
     """
     K = np.asarray(kernel_samples, dtype=float)
     G = np.asarray(phi, dtype=float)
-    if K.ndim < G.ndim:
-        K = K[:, None]
-    out = np.empty(np.broadcast_shapes(K.shape, G.shape))
-    np.subtract(fftconvolve(K, G)[: G.shape[0]], 0.5 * K * G[0], out=out)
+    out = fftconvolve(K, G, np.empty(_lag_shape(K, G)))
+    if out.ndim == 2:
+        # a shared factor as a column, for the end corrections
+        K, G = K.reshape(K.shape[0], -1), G.reshape(G.shape[0], -1)
+    out -= 0.5 * K * G[0]
     out -= 0.5 * K[0] * G
     out *= dt
     out[0] = 0.0

@@ -263,21 +263,27 @@ def _bits(x):
 def assert_matching_report(a, b):
     """Same rows, statuses, reasons and worst times; margins to rounding.
 
-    The smoothing margins come from superposed profile convolutions, not
-    from one convolution per trial, so they may differ from the oracle's in
-    the last bits: within 1e-12 * max(1, |margin|).  The other rows, the
-    worst times and every skip keep their bits.
+    The smoothing margins come from superposed profile convolutions, and
+    the sol_op_bound and derivative_decay margins from quadratic forms,
+    (omega * omega) @ xi^2, not from one table per trial, so they may differ
+    from the oracle's in the last bits: within 1e-12 * max(1, |margin|).
+    Every skip keeps its bits, and so does every worst time, except where a
+    quadratic-form row's worst margin is itself within that bound of 0:
+    there the margin is rounding at every node (one mode, or omega = 1 at
+    t = 0), and rounding picks the node.
     """
     assert (a.mu, a.delta, a.interpolated_lags) == (b.mu, b.delta, b.interpolated_lags)
     assert [r.label for r in a.rows] == [r.label for r in b.rows]
     for ra, rb in zip(a.rows, b.rows):
         assert (ra.label, ra.status, ra.reason) == (rb.label, rb.status, rb.reason)
-        assert _bits(ra.t_worst) == _bits(rb.t_worst), ra.label
-        if ra.label.startswith("conv_smoothing") and ra.status != "skip":
-            bound = 1e-12 * max(1.0, abs(rb.worst_margin))
-            assert abs(ra.worst_margin - rb.worst_margin) <= bound, ra.label
-        else:
+        if ra.status == "skip":
             assert _bits(ra.worst_margin) == _bits(rb.worst_margin), ra.label
+            assert _bits(ra.t_worst) == _bits(rb.t_worst), ra.label
+            continue
+        bound = 1e-12 * max(1.0, abs(rb.worst_margin))
+        assert abs(ra.worst_margin - rb.worst_margin) <= bound, ra.label
+        if ra.label.startswith("conv_smoothing") or abs(rb.worst_margin) > bound:
+            assert _bits(ra.t_worst) == _bits(rb.t_worst), ra.label
 
 
 @st.composite
@@ -307,8 +313,8 @@ def verify_kernels(draw):
     seed=st.integers(0, 2**32 - 1),
     mu=st.floats(0.0, 2.0),
     delta=st.floats(0.05, 0.95),
-    # the default block size, or blocks small enough that the profile
-    # convolutions and the trial norms run in several (ragged) blocks
+    # the default block size, or blocks small enough that the trial norms
+    # run in several (ragged) row blocks
     small_blocks=st.booleans(),
 )
 def test_streamed_report_matches_the_per_trial_oracle(

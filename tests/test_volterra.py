@@ -1,5 +1,8 @@
 """Product-integration quadrature and the second/first-kind steppers."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,29 +52,32 @@ def one_kernel_fftconvolve(a, b):
 
 def axis0_fftconvolve(a, b, start=0, stop=None):
     # fftconvolve as it was before it transformed contiguous (columns, rows)
-    # copies: every transform along axis 0 of the (rows, columns) operands
-    kernels = [np.asarray(k, dtype=float) for k in (a if isinstance(a, tuple) else (a,))]
+    # blocks: every transform along axis 0 of the (rows, columns) operands,
+    # and a 1-d operand next to a 2-d one as a column
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if any(k.ndim > b.ndim for k in kernels):
+    if a.ndim > b.ndim:
         b = b[:, None]
-    kernels = [k[:, None] if k.ndim < b.ndim else k for k in kernels]
-    n = kernels[0].shape[0] + b.shape[0] - 1
+    elif b.ndim > a.ndim:
+        a = a[:, None]
+    n = a.shape[0] + b.shape[0] - 1
     stop = n if stop is None else stop
     size = _fast_length(max(n - start, stop))
-    b_hat = np.fft.rfft(b, size, axis=0)
-    out = []
-    for i, k in enumerate(kernels):
-        fits = np.broadcast_shapes(k.shape[1:], b.shape[1:]) == b.shape[1:]
-        into = b_hat if fits and i == len(kernels) - 1 else None
-        spectrum = np.multiply(np.fft.rfft(k, size, axis=0), b_hat, out=into)
-        out.append(np.fft.irfft(spectrum, size, axis=0)[start:stop])
-        del spectrum
-    return out if isinstance(a, tuple) else out[0]
+    spectrum = np.fft.rfft(a, size, axis=0) * np.fft.rfft(b, size, axis=0)
+    return np.fft.irfft(spectrum, size, axis=0)[start:stop]
+
+
+def fftconvolve_window(a, b, start=0, stop=None):
+    # the window start..stop-1 (all rows after start by default) into a new
+    # array of the shape the oracle gives
+    rows = a.shape[0] + b.shape[0] - 1 if stop is None else stop
+    columns = a.shape[1:] or b.shape[1:]
+    return fftconvolve(a, b, np.empty((rows - start,) + columns), start)
 
 
 def two_transform_product_convolve(weights, phi):
-    # product_convolve as two convolutions that each transform phi again:
-    # the oracle for the shared transform, bit for bit
+    # product_convolve as two convolutions that each transform phi again,
+    # one per weight column: the oracle for the node-weight column
     phi = np.asarray(phi, dtype=float)
     n = phi.shape[0] - 1
     v = weights.right[:n]
@@ -162,48 +168,48 @@ HISTORY_KERNELS = (
 )
 
 
+def assert_matches_the_two_transform_oracle(w, phi):
+    # one convolution with left[m-1] + right[m] rounds differently from the
+    # sum of two; over n = 2..400, three kernels and random phi the largest
+    # difference was 1.5e-15 of the largest value (the tabulated kernel,
+    # whose signs cancel), so 4e-15 of it
+    got, want = product_convolve(w, phi), two_transform_product_convolve(w, phi)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+
+
 @given(
     n=st.integers(2, 400),
     columns=st.integers(0, 4),
     kernel=st.sampled_from(HISTORY_KERNELS),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_product_convolve_matches_the_two_transform_oracle_bit_for_bit(
-    n, columns, kernel, seed
-):
+def test_product_convolve_matches_the_two_transform_oracle(n, columns, kernel, seed):
     grid = TimeGrid.uniform(1.0, n)
     w = lag_weights(kernel.moments, grid)
     rng = np.random.default_rng(seed)
     phi = rng.standard_normal((n + 1, columns) if columns else n + 1)
-    assert product_convolve(w, phi).tobytes() == (
-        two_transform_product_convolve(w, phi).tobytes()
-    )
+    assert_matches_the_two_transform_oracle(w, phi)
 
 
 @pytest.mark.parametrize("n, columns", [(20000, 0), (8192, 4), (4096, 32)])
 def test_product_convolve_keeps_its_bits_where_numpy_reuses_temporaries(n, columns):
     # spectra of 256 KiB and more: numpy may multiply into a temporary
-    # operand in place, which is where an operand swap would change bits
+    # operand in place, which is where an operand swap would change bits.
+    # The one convolution with the node-weight column through the axis-0
+    # oracle keeps them
     grid = TimeGrid.uniform(1.0, n)
     w = lag_weights(HISTORY_KERNELS[0].moments, grid)
     rng = np.random.default_rng(n)
     phi = rng.standard_normal((n + 1, columns) if columns else n + 1)
-    assert product_convolve(w, phi).tobytes() == (
-        two_transform_product_convolve(w, phi).tobytes()
-    )
-
-
-def test_fftconvolve_of_several_kernels_is_each_kernel_alone():
-    rng = np.random.default_rng(12)
-    b = rng.standard_normal((50, 3))
-    kernels = (rng.standard_normal(40), rng.standard_normal(40))
-    for start, stop in ((0, None), (39, 89)):
-        both = fftconvolve(kernels, b, start, stop)
-        assert len(both) == 2
-        for k, got in zip(kernels, both):
-            assert got.tobytes() == fftconvolve(k, b, start, stop).tobytes()
-    # 1-d operands stay 1-d
-    assert fftconvolve(kernels, b[:, 0])[0].shape == (89,)
+    node = np.zeros(n + 1)
+    node[:n] = w.right[:n]
+    node[1:] += w.left[:n]
+    want = np.zeros_like(phi)
+    want[1:] = axis0_fftconvolve(node, phi, 1, n + 1)
+    want[1:n] -= np.multiply.outer(w.right[1:n], phi[0])
+    assert product_convolve(w, phi).tobytes() == want.tobytes()
+    assert_matches_the_two_transform_oracle(w, phi)
 
 
 # operand lengths with a prime factor above 5, next to 5-smooth ones
@@ -215,45 +221,33 @@ LENGTHS = st.one_of(st.sampled_from([1, 2, 7, 64, 97, 127, 250, 263, 331]),
     n_kernel=LENGTHS,
     n_operand=LENGTHS,
     columns=st.integers(0, 40),
-    kernel_form=st.sampled_from(["column", "table", "pair", "table pair"]),
-    operand_1d=st.booleans(),
+    shapes=st.sampled_from(["column kernel", "column operand", "tables"]),
     window=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans()),
     block=st.sampled_from([volterra._FFT_BLOCK, 1, 900]),
+    min_columns=st.sampled_from([volterra._FFT_MIN_COLUMNS, 1, 7]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=120)
 def test_fftconvolve_matches_the_axis0_oracle_bit_for_bit(
-    n_kernel, n_operand, columns, kernel_form, operand_1d, window, block, seed
+    n_kernel, n_operand, columns, shapes, window, block, min_columns, seed
 ):
-    # columns = 0 makes every operand 1-d; a "column" kernel is 1-d next to
-    # a 2-d operand, a "table" one has the operand's columns; "pair" forms
-    # pass a tuple of two kernels against one operand.  Small copy blocks
-    # send the columns through one or a few at a time
+    # columns = 0 makes both operands 1-d; otherwise one of them may be a
+    # 1-d column shared by the other's.  Small blocks and column floors send
+    # the columns through one or a few at a time, in ragged blocks
     rng = np.random.default_rng(seed)
-    two_d = columns > 0
-    kernel_shape = (n_kernel, columns) if two_d and "table" in kernel_form else (n_kernel,)
-    if "pair" in kernel_form:
-        a = (rng.standard_normal(kernel_shape), rng.standard_normal(kernel_shape))
-    else:
-        a = rng.standard_normal(kernel_shape)
-    b_shape = (n_operand, columns) if two_d and not operand_1d else (n_operand,)
-    b = rng.standard_normal(b_shape)
+    a = rng.standard_normal((n_kernel, columns) if columns and shapes != "column kernel"
+                           else n_kernel)
+    b = rng.standard_normal((n_operand, columns) if columns and shapes != "column operand"
+                            else n_operand)
     n = n_kernel + n_operand - 1
     lo, hi, whole = window
     start = min(int(lo * n), n - 1)
     stop = None if whole else start + 1 + int(hi * (n - 1 - start))
-    default, volterra._FFT_BLOCK = volterra._FFT_BLOCK, block
-    try:
-        got = fftconvolve(a, b, start, stop)
-    finally:
-        volterra._FFT_BLOCK = default
+    with mock.patch.multiple(volterra, _FFT_BLOCK=block, _FFT_MIN_COLUMNS=min_columns):
+        got = fftconvolve_window(a, b, start, stop)
     want = axis0_fftconvolve(a, b, start, stop)
-    if not isinstance(a, tuple):
-        got, want = [got], [want]
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("rows, columns", [(8193, 32), (4097, 32), (8193, 16)])
@@ -261,13 +255,9 @@ def test_fftconvolve_keeps_the_axis0_bits_at_solver_sizes(rows, columns):
     # the S * f, ell * u and relaxation-table sizes of the solve commands
     rng = np.random.default_rng(rows + columns)
     b = rng.standard_normal((rows, columns))
-    table = rng.standard_normal((rows - 1, columns))
-    pair = (rng.standard_normal(rows - 1), rng.standard_normal(rows - 1))
-    for a in (table, pair):
-        got, want = fftconvolve(a, b), axis0_fftconvolve(a, b)
-        for g, w in zip(got if isinstance(a, tuple) else [got],
-                        want if isinstance(a, tuple) else [want]):
-            assert g.tobytes() == w.tobytes()
+    for a in (rng.standard_normal((rows - 1, columns)), rng.standard_normal(rows)):
+        got, want = fftconvolve_window(a, b), axis0_fftconvolve(a, b)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fftconvolve_window_matches_full_convolution():
@@ -276,10 +266,49 @@ def test_fftconvolve_window_matches_full_convolution():
     for la, lb, start, stop in ((63, 32, 31, 63), (100, 50, 49, 100), (37, 37, 0, 20)):
         a = rng.standard_normal(la)
         b = rng.standard_normal((lb, 3))
-        full = fftconvolve(a, b)
+        full = fftconvolve_window(a, b)
         np.testing.assert_allclose(
-            fftconvolve(a, b, start, stop), full[start:stop], atol=1e-12
+            fftconvolve_window(a, b, start, stop), full[start:stop], atol=1e-12
         )
+
+
+@pytest.mark.parametrize("rule", [rectangle_convolve, trapezoid_convolve])
+def test_a_1d_factor_next_to_a_table_is_a_shared_column(rule):
+    # either factor may be the shared one; a square table is the case where
+    # a misread shape would broadcast silently
+    rng = np.random.default_rng(13)
+    for rows, columns in ((6, 6), (33, 5)):
+        table = rng.standard_normal((rows, columns))
+        profile = rng.standard_normal(rows)
+        for got, per_column in (
+            (rule(table, profile, 0.1), lambda j: rule(table[:, j], profile, 0.1)),
+            (rule(profile, table, 0.1), lambda j: rule(profile, table[:, j], 0.1)),
+        ):
+            want = np.stack([per_column(j) for j in range(columns)], axis=1)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "rule, bound", [(rectangle_convolve, 2.0), (product_convolve, 3.0)], ids=["rectangle", "product"]
+)
+def test_convolution_temporaries_are_a_block_not_a_table(rule, bound):
+    # 8193 x 64: the whole-table spectra of the old layout peaked at 5x and
+    # 7x of the result; a block of columns at a time stays near the result
+    rng = np.random.default_rng(5)
+    phi = rng.standard_normal((8193, 64))
+    if rule is product_convolve:
+        weights = lag_weights(HISTORY_KERNELS[0].moments, TimeGrid.uniform(1.0, 8192))
+        run = lambda: product_convolve(weights, phi)
+    else:
+        table = rng.standard_normal(phi.shape)
+        run = lambda: rectangle_convolve(table, phi, 0.1)
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * out.nbytes
 
 
 def test_fft_length_is_the_5_smooth_length_scipy_picks():
