@@ -170,12 +170,18 @@ HISTORY_KERNELS = (
 
 def assert_matches_the_two_transform_oracle(w, phi):
     # one convolution with left[m-1] + right[m] rounds differently from the
-    # sum of two; over n = 2..400, three kernels and random phi the largest
-    # difference was 1.5e-15 of the largest value (the tabulated kernel,
-    # whose signs cancel), so 4e-15 of it
+    # sum of two.  FFT rounding follows the sizes of the inputs, not of the
+    # result (the tabulated kernel's signs cancel), so the bound is the
+    # error size of two FFT convolutions of log2(size) stages each, plus one
+    # for the product: 2 eps (1 + log2 size) sum(|left| + |right|) max|phi|.
+    # Over 60,000 random draws (n = 2..3000, the three kernels, up to 4
+    # columns) the largest difference was 0.30 of it, at n = 2
+    n = phi.shape[0] - 1
     got, want = product_convolve(w, phi), two_transform_product_convolve(w, phi)
     assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+    stages = 1.0 + np.log2(_fast_length(2 * n))
+    size = np.sum(np.abs(w.left[:n]) + np.abs(w.right[:n])) * np.max(np.abs(phi))
+    assert np.max(np.abs(got - want)) <= 2.0 * np.finfo(float).eps * stages * size
 
 
 @given(
