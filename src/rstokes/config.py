@@ -4,6 +4,10 @@ A config is a plain nested dict with sections (domain, kernel, grid,
 problem, nonlinearity, history_kernel, initial, inverse, verify, certify).
 Validation is aggregated: one pass collects every violation so a bad file
 is fixed in one round trip, not one key at a time.
+
+The two kernel sections (kernel, history_kernel) are read from one table
+that lists each kind's keys in the order of its factory's arguments; one
+validator and one builder serve both kernel classes.
 """
 
 from __future__ import annotations
@@ -157,29 +161,41 @@ def _table_path(section: Dict, where: str, problems: List[str]) -> None:
         problems.append(f"{where}.table_path does not exist: {path}")
 
 
-def _validate_kernel(section: Dict, where: str, problems: List[str]) -> None:
-    kind = _choice(section, "kind", where, MemoryKernel.KINDS, problems, required=True)
-    if kind in ("constant", "fractional", "exponential"):
-        _num(section, "m0", where, problems, required=True, exclusive_min=0.0)
-    if kind == "fractional":
-        _num(section, "alpha", where, problems, required=True,
-             exclusive_min=0.0, exclusive_max=1.0)
-    if kind == "exponential":
-        _num(section, "decay", where, problems, required=True, exclusive_min=0.0)
-    if kind == "tabulated":
-        _table_path(section, where, problems)
+_POSITIVE = {"exclusive_min": 0.0}
+
+# each kernel class's kinds -> their config keys, in factory-argument order,
+# with each key's range; a tabulated kind reads table_path instead
+_KERNEL_KEYS = {
+    MemoryKernel: {
+        "zero": (),
+        "constant": (("m0", _POSITIVE),),
+        "fractional": (("m0", _POSITIVE),
+                       ("alpha", {"exclusive_min": 0.0, "exclusive_max": 1.0})),
+        "exponential": (("m0", _POSITIVE), ("decay", _POSITIVE)),
+    },
+    HistoryKernel: {
+        "zero": (),
+        "constant": (("amplitude", {}),),
+        "exponential": (("amplitude", {}), ("decay", _POSITIVE)),
+        "powerlaw": (("amplitude", {}), ("exponent", {"exclusive_min": -1.0})),
+    },
+}
 
 
-def _validate_history(section: Dict, where: str, problems: List[str]) -> None:
-    kind = _choice(section, "kind", where, HistoryKernel.KINDS, problems, required=True)
-    if kind in ("constant", "exponential", "powerlaw"):
-        _num(section, "amplitude", where, problems, required=True)
-    if kind == "exponential":
-        _num(section, "decay", where, problems, required=True, exclusive_min=0.0)
-    if kind == "powerlaw":
-        _num(section, "exponent", where, problems, required=True, exclusive_min=-1.0)
+def _validate_kernel(cls, section: Dict, where: str, problems: List[str]) -> None:
+    kind = _choice(section, "kind", where, cls.KINDS, problems, required=True)
     if kind == "tabulated":
         _table_path(section, where, problems)
+    for key, bounds in _KERNEL_KEYS[cls].get(kind, ()):
+        _num(section, key, where, problems, required=True, **bounds)
+
+
+def _build_kernel(cls, section: Dict):
+    kind = section["kind"]
+    if kind == "tabulated":
+        return cls.tabulated(*read_series_csv(section["table_path"]))
+    args = [float(section[key]) for key, _ in _KERNEL_KEYS[cls][kind]]
+    return getattr(cls, kind)(*args)
 
 
 _THETA_UNREAD = "theta is not read; the orders need only mu < 1 + delta"
@@ -301,7 +317,7 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
 
     kernel = _section(cfg, "kernel", problems, required=True)
     if kernel is not None:
-        _validate_kernel(kernel, "kernel", problems)
+        _validate_kernel(MemoryKernel, kernel, "kernel", problems)
 
     problem = _section(cfg, "problem", problems, required=False)
     if problem is not None:
@@ -334,7 +350,7 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
             _validate_nonlinearity(nl, "nonlinearity", problems, ndim)
         hist = _section(cfg, "history_kernel", problems, required=True)
         if hist is not None:
-            _validate_history(hist, "history_kernel", problems)
+            _validate_kernel(HistoryKernel, hist, "history_kernel", problems)
         init = _section(cfg, "initial", problems, required=True)
         if init is not None:
             _validate_initial(init, "initial", problems)
@@ -411,37 +427,11 @@ def build_domain_basis(cfg: Dict) -> SpectralBasis:
 
 
 def build_kernel(cfg: Dict) -> MemoryKernel:
-    section = cfg["kernel"]
-    kind = section["kind"]
-    if kind == "zero":
-        return MemoryKernel.zero()
-    if kind == "constant":
-        return MemoryKernel.constant(float(section["m0"]))
-    if kind == "fractional":
-        return MemoryKernel.fractional(float(section["m0"]), float(section["alpha"]))
-    if kind == "exponential":
-        return MemoryKernel.exponential(float(section["m0"]), float(section["decay"]))
-    t, values = read_series_csv(section["table_path"])
-    return MemoryKernel.tabulated(t, values)
+    return _build_kernel(MemoryKernel, cfg["kernel"])
 
 
 def build_history_kernel(cfg: Dict) -> HistoryKernel:
-    section = cfg.get("history_kernel", {"kind": "zero"})
-    kind = section["kind"]
-    if kind == "zero":
-        return HistoryKernel.zero()
-    if kind == "constant":
-        return HistoryKernel.constant(float(section["amplitude"]))
-    if kind == "exponential":
-        return HistoryKernel.exponential(
-            float(section["amplitude"]), float(section["decay"])
-        )
-    if kind == "powerlaw":
-        return HistoryKernel.powerlaw(
-            float(section["amplitude"]), float(section["exponent"])
-        )
-    t, values = read_series_csv(section["table_path"])
-    return HistoryKernel.tabulated(t, values)
+    return _build_kernel(HistoryKernel, cfg.get("history_kernel", {"kind": "zero"}))
 
 
 def nonlinearity_from_section(section: Dict) -> Nonlinearity:

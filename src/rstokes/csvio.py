@@ -8,6 +8,7 @@ crashed run never leaves a half-written CSV behind.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import tempfile
 from typing import Iterable, Sequence, Tuple
@@ -113,7 +114,8 @@ def read_field_csv(path: str, n_modes: int) -> np.ndarray:
 
 
 def read_series_csv(path: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Two-column time series (t, value); t must be strictly increasing."""
+    """Two-column time series (t, value) of finite numbers; t must be
+    strictly increasing."""
     ts, vs = [], []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -125,8 +127,11 @@ def read_series_csv(path: str) -> Tuple[np.ndarray, np.ndarray]:
                 continue
             if len(row) < 2:
                 raise ValueError(f"{path}:{line_no}: expected 2 columns")
-            ts.append(float(row[0]))
-            vs.append(float(row[1]))
+            time, value = float(row[0]), float(row[1])
+            if not (math.isfinite(time) and math.isfinite(value)):
+                raise ValueError(f"{path}:{line_no}: t and value must be finite")
+            ts.append(time)
+            vs.append(value)
     if not ts:
         raise ValueError(f"{path}: no data rows")
     t = np.array(ts)

@@ -5,6 +5,11 @@ quadrature downstream consumes cell moments int m ds and int s*m(s) ds rather
 than pointwise values, so weakly singular kinds (t**-alpha) are handled
 without regularization and are never evaluated at t = 0.
 
+Each closed form is written once, on ``HistoryKernel``.  A ``MemoryKernel``
+holds m as a history kernel and adds only its own validation, flags and
+a = 1 + m: the fractional kind is powerlaw(m0 / Gamma(alpha), -alpha), the
+others are the history kind of the same name with amplitude m0.
+
 Certificates:
 
 * ``certify_completely_positive`` solves the two defining Volterra equations
@@ -81,6 +86,8 @@ def _interpolant_from_table(t, values):
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("tabulated kernel needs at least 2 samples")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ValueError("tabulated kernel samples must be finite")
     if t[0] <= 0.0:
         raise ValueError("tabulated kernel samples must start at t > 0")
     if not np.all(np.diff(t) > 0.0):
@@ -106,6 +113,10 @@ class MemoryKernel:
 
     Only the fractional kind is unbounded at t = 0; its pointwise value at 0
     is undefined while its cumulative integral stays finite.
+
+    Values and moments come from the history kernel m built at construction
+    (module docstring); only the fractional cumulative integral keeps its
+    own expression.
     """
 
     kind: str
@@ -130,10 +141,14 @@ class MemoryKernel:
         if self.kind == "exponential" and self.decay <= 0.0:
             raise ValueError("exponential decay rate must be positive")
         if self.kind == "tabulated":
-            interp = _interpolant_from_table(self.table_t, self.table_m)
-            if np.any(np.asarray(self.table_m, dtype=float) < 0.0):
+            m = HistoryKernel.tabulated(self.table_t, self.table_m)
+            if np.any(m.table_v < 0.0):
                 raise ValueError("memory kernel samples must be nonnegative")
-            object.__setattr__(self, "_interp", interp)
+        elif self.kind == "fractional":
+            m = HistoryKernel.powerlaw(self.m0 / math.gamma(self.alpha), -self.alpha)
+        else:
+            m = HistoryKernel(self.kind, amplitude=self.m0, decay=self.decay)
+        object.__setattr__(self, "_m", m)
 
     # -- constructors -------------------------------------------------------
 
@@ -169,60 +184,22 @@ class MemoryKernel:
             raise ValueError(
                 "fractional kernel has no pointwise value at t <= 0; use cumulative/moments"
             )
-        if np.any(t < 0.0):
-            raise ValueError("kernel evaluated at negative time")
-        if self.kind == "zero":
-            return np.zeros_like(t)
-        if self.kind == "constant":
-            return np.full_like(t, self.m0)
-        if self.kind == "fractional":
-            return self.m0 * t ** (-self.alpha) / math.gamma(self.alpha)
-        if self.kind == "exponential":
-            return self.m0 * np.exp(-self.decay * t)
-        return self._interp.value(t)
+        return self._m(t)
 
     def cumulative(self, t):
         """Exact (1*m)(t) = int_0^t m(s) ds; closed form except for tabulated."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0):
             raise ValueError("cumulative integral needs t >= 0")
-        if self.kind == "zero":
-            return np.zeros_like(t)
-        if self.kind == "constant":
-            return self.m0 * t
         if self.kind == "fractional":
+            # its own rounding: certify reads it through a difference quotient
             a = self.alpha
             return self.m0 * t ** (1.0 - a) / ((1.0 - a) * math.gamma(a))
-        if self.kind == "exponential":
-            return self.m0 * (1.0 - np.exp(-self.decay * t)) / self.decay
-        return self._interp.integral0(t)
+        return self._m.cumulative(t)
 
     def moments(self, lo, hi):
         """Exact cell integrals (int_lo^hi m, int_lo^hi s*m(s) ds)."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if self.kind == "zero":
-            z = np.zeros(np.broadcast(lo, hi).shape)
-            return z, z.copy()
-        if self.kind == "constant":
-            return self.m0 * (hi - lo), self.m0 * (hi**2 - lo**2) / 2.0
-        if self.kind == "fractional":
-            a, g = self.alpha, math.gamma(self.alpha)
-            m0 = self.m0 / g
-            return (
-                m0 * (hi ** (1.0 - a) - lo ** (1.0 - a)) / (1.0 - a),
-                m0 * (hi ** (2.0 - a) - lo ** (2.0 - a)) / (2.0 - a),
-            )
-        if self.kind == "exponential":
-            c = self.decay
-            ea, eb = np.exp(-c * lo), np.exp(-c * hi)
-            m0 = self.m0 * (ea - eb) / c
-            m1 = self.m0 * ((lo / c + 1.0 / c**2) * ea - (hi / c + 1.0 / c**2) * eb)
-            return m0, m1
-        return (
-            self._interp.integral0(hi) - self._interp.integral0(lo),
-            self._interp.integral1(hi) - self._interp.integral1(lo),
-        )
+        return self._m.moments(lo, hi)
 
     def a_moments(self, lo, hi):
         """Cell moments of a = 1 + m (the solver-facing kernel)."""
@@ -247,11 +224,7 @@ class MemoryKernel:
         """m(0), flat extension for tabulated kernels; undefined for fractional."""
         if self.kind == "fractional":
             raise ValueError("fractional kernel is unbounded at t = 0")
-        if self.kind == "zero":
-            return 0.0
-        if self.kind in ("constant", "exponential"):
-            return float(self.m0)
-        return float(self.table_m[0])
+        return float(self._m(0.0))
 
     def derivative_history_kernel(self) -> "HistoryKernel":
         """m' as a history kernel (for the convolution m' * u).

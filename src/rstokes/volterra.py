@@ -208,8 +208,10 @@ def product_convolve(weights: LagWeights, phi: np.ndarray) -> np.ndarray:
     out = np.zeros_like(phi)
     fftconvolve(node, phi, out[1:], 1)
     # the full convolution picks up the node-i term right_i * phi_0, which
-    # lies outside the i-1 lag cells of rows i < N; remove it
-    out[1:n] -= np.multiply.outer(v[1:], phi[0])
+    # lies outside the i-1 lag cells of rows i < N; remove it one column at
+    # a time, so no temporary is as large as the table
+    for col in np.ndindex(phi.shape[1:]):
+        out[(slice(1, n), *col)] -= v[1:] * phi[(0, *col)]
     return out
 
 

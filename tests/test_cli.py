@@ -376,6 +376,44 @@ def test_runtime_failure_exits_1_without_summary(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+def _non_finite_inputs(command, tmp_path):
+    """A config for command whose file input holds one nan sample, and the
+    path:line that holds it."""
+    if command != "inverse":
+        table = tmp_path / "m.csv"
+        table.write_text("t,m\n0.5,1.0\n1.0,nan\n")
+        kernel = {"kind": "tabulated", "table_path": str(table)}
+        return write_cfg(tmp_path, dict(RELAX_CFG, kernel=kernel)), "m.csv:3"
+    basis = build_basis(Interval(1.0), 2)
+    grid = TimeGrid.uniform(1.0, 64)
+    g = [1.0, 0.0]
+    psi = 1.0 - np.exp(-grid.nodes)
+    psi[10] = np.nan
+    write_field_csv(str(tmp_path / "g.csv"), basis.eigenvalues, g)
+    write_field_csv(str(tmp_path / "kappa.csv"), basis.eigenvalues, g)
+    write_csv(str(tmp_path / "psi.csv"), ["t", "psi"], zip(grid.nodes, psi))
+    payload = {
+        "domain": {"shape": "interval", "L": 1.0, "N": 2},
+        "grid": {"T": 1.0, "N_t": 64},
+        "kernel": {"kind": "exponential", "m0": 1.0, "decay": 2.0},
+        "inverse": {key + "_path": str(tmp_path / f"{key}.csv")
+                    for key in ("psi", "g", "kappa")},
+    }
+    return write_cfg(tmp_path, payload), "psi.csv:12"
+
+
+@pytest.mark.parametrize("command", ["relax", "certify", "inverse"])
+def test_non_finite_file_samples_exit_1_without_summary(tmp_path, capsys, command):
+    # a nan sample used to be read: relax wrote nan rows with status ok,
+    # certify wrote nan minima, inverse diverged and exited 2
+    cfg, where = _non_finite_inputs(command, tmp_path)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert where in err and "must be finite" in err
+    assert not (out / "summary.json").exists()
+
+
 def test_nonconvergence_exits_2_but_keeps_artifacts(tmp_path):
     payload = dict(SOLVE_CFG)
     payload["nonlinearity"] = {"kind": "polynomial_power", "power": 2.0,

@@ -95,6 +95,14 @@ def test_series_csv_requires_increasing_time(tmp_path):
         read_series_csv(path)
 
 
+@pytest.mark.parametrize("row", ["nan,1.0", "0.5,nan", "0.5,inf", "-inf,1.0"])
+def test_series_csv_rejects_non_finite_samples(tmp_path, row):
+    path = str(tmp_path / "s.csv")
+    open(path, "w").write(f"t,value\n0.25,1.0\n{row}\n1.0,2.0\n")
+    with pytest.raises(ValueError, match="s.csv:3: t and value must be finite"):
+        read_series_csv(path)
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 600])
 def test_float_table_blocks_match_the_row_path_byte_for_byte(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)

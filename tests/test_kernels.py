@@ -1,6 +1,8 @@
 """Memory and history kernels: closed forms against quadrature, certificates
 against hand-solvable cases."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from rstokes import (
     certify_completely_positive,
     certify_pc,
 )
+from rstokes.kernels import _interpolant_from_table
 from rstokes.volterra import second_kind_solve
 
 ANALYTIC_KERNELS = [
@@ -42,6 +45,60 @@ def test_cell_moments_match_quadrature(kernel):
         r1, _ = quad(lambda s: s * kernel(s), lo[i], hi[i], points=[0.0])
         assert m0[i] == pytest.approx(r0, abs=1e-10)
         assert m1[i] == pytest.approx(r1, abs=1e-10)
+
+
+MEMORY_KERNELS = ANALYTIC_KERNELS + [
+    MemoryKernel.fractional(1.3, 0.4),
+    MemoryKernel.fractional(2.9, 0.85),
+    MemoryKernel.exponential(1.0, 2.0),
+    MemoryKernel.tabulated([0.5, 1.0, 2.0], [4.0, 2.0, 1.0]),
+]
+
+
+def _closed_forms(kernel):
+    """(moments, cumulative) of kernel as MemoryKernel wrote them per kind
+    before it held m as a history kernel: the bits that the recorded
+    seed-0 outputs were made with."""
+    m0, a, c = kernel.m0, kernel.alpha, kernel.decay
+    if kernel.kind == "zero":
+        return (lambda lo, hi: (np.zeros(lo.shape), np.zeros(lo.shape)),
+                lambda t: np.zeros_like(t))
+    if kernel.kind == "constant":
+        return (lambda lo, hi: (m0 * (hi - lo), m0 * (hi**2 - lo**2) / 2.0),
+                lambda t: m0 * t)
+    if kernel.kind == "fractional":
+        g = m0 / math.gamma(a)
+        return (
+            lambda lo, hi: (g * (hi ** (1.0 - a) - lo ** (1.0 - a)) / (1.0 - a),
+                            g * (hi ** (2.0 - a) - lo ** (2.0 - a)) / (2.0 - a)),
+            lambda t: m0 * t ** (1.0 - a) / ((1.0 - a) * math.gamma(a)),
+        )
+    if kernel.kind == "exponential":
+        def moments(lo, hi):
+            ea, eb = np.exp(-c * lo), np.exp(-c * hi)
+            return (m0 * (ea - eb) / c,
+                    m0 * ((lo / c + 1.0 / c**2) * ea - (hi / c + 1.0 / c**2) * eb))
+        return moments, lambda t: m0 * (1.0 - np.exp(-c * t)) / c
+    f = _interpolant_from_table(kernel.table_t, kernel.table_m)
+    return (lambda lo, hi: (f.integral0(hi) - f.integral0(lo),
+                            f.integral1(hi) - f.integral1(lo)),
+            f.integral0)
+
+
+@pytest.mark.parametrize(
+    "grid", [TimeGrid.uniform(2.5, 96), TimeGrid.graded(2.5, 96, 2.0)], ids=lambda g: g.kind
+)
+@pytest.mark.parametrize("kernel", MEMORY_KERNELS, ids=lambda k: k.kind)
+def test_memory_closed_forms_keep_their_bits(kernel, grid):
+    t = grid.nodes
+    lo, hi = t[:-1], t[1:]
+    moments, cumulative = _closed_forms(kernel)
+    want = moments(lo, hi)
+    want_a = ((hi - lo) + want[0], (hi**2 - lo**2) / 2.0 + want[1])
+    for got, ref in zip(kernel.moments(lo, hi) + kernel.a_moments(lo, hi),
+                        want + want_a):
+        assert got.tobytes() == ref.tobytes()
+    assert kernel.cumulative(t).tobytes() == cumulative(t).tobytes()
 
 
 def test_a_moments_add_the_identity_part():
@@ -96,6 +153,11 @@ def test_kernel_argument_validation():
         MemoryKernel.tabulated([0.5, 1.0], [1.0, -0.5])
     with pytest.raises(ValueError):
         MemoryKernel.tabulated([0.0, 1.0], [1.0, 0.5])  # sample at t = 0
+    for t, v in (([0.5, np.nan], [1.0, 0.5]), ([0.5, 1.0], [np.inf, 0.5]),
+                 ([0.5, 1.0], [1.0, np.nan])):
+        for cls in (MemoryKernel, HistoryKernel):
+            with pytest.raises(ValueError, match="must be finite"):
+                cls.tabulated(t, v)
 
 
 # -- derivative gate ----------------------------------------------------------

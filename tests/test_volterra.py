@@ -295,7 +295,7 @@ def test_a_1d_factor_next_to_a_table_is_a_shared_column(rule):
 
 
 @pytest.mark.parametrize(
-    "rule, bound", [(rectangle_convolve, 2.0), (product_convolve, 3.0)], ids=["rectangle", "product"]
+    "rule, bound", [(rectangle_convolve, 2.0), (product_convolve, 2.0)], ids=["rectangle", "product"]
 )
 def test_convolution_temporaries_are_a_block_not_a_table(rule, bound):
     # 8193 x 64: the whole-table spectra of the old layout peaked at 5x and
