@@ -53,7 +53,7 @@ from .nonlinear import (
 )
 from .relaxation import relaxation_batch, verify_relaxation
 from .resolvent import build_resolvent, verify_sol_op_bounds
-from .spectral import hnorm
+from .spectral import _row_hnorms
 
 OUT_ENV = "RSTOKES_OUT"
 
@@ -149,8 +149,8 @@ def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
     mu = spec.mu
     k_cols = int(problem.get("coeff_columns", min(8, basis.eigenvalues.size)))
     k_cols = min(k_cols, basis.eigenvalues.size)
-    l2 = hnorm(sol.coeffs, basis, 0.0)
-    hm = hnorm(sol.coeffs, basis, mu)
+    l2 = _row_hnorms(sol.coeffs, basis, 0.0)
+    hm = _row_hnorms(sol.coeffs, basis, mu)
     header = ["t", "||u||_L2", "||u||_Hmu"] + [
         f"coeff_{j + 1}" for j in range(k_cols)
     ]

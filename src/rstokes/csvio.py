@@ -101,7 +101,10 @@ def read_field_csv(path: str, n_modes: int) -> np.ndarray:
                 continue
             if len(row) < 3:
                 raise ValueError(f"{path}:{line_no}: expected 3 columns")
-            idx = int(row[0])
+            try:
+                idx, value = int(row[0]), float(row[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
             if idx < 1 or idx > n_modes:
                 raise ValueError(
                     f"{path}:{line_no}: index {idx} outside 1..{n_modes}"
@@ -109,7 +112,7 @@ def read_field_csv(path: str, n_modes: int) -> np.ndarray:
             if idx in seen:
                 raise ValueError(f"{path}:{line_no}: duplicate index {idx}")
             seen.add(idx)
-            coeffs[idx - 1] = float(row[2])
+            coeffs[idx - 1] = value
     return coeffs
 
 
@@ -127,7 +130,10 @@ def read_series_csv(path: str) -> Tuple[np.ndarray, np.ndarray]:
                 continue
             if len(row) < 2:
                 raise ValueError(f"{path}:{line_no}: expected 2 columns")
-            time, value = float(row[0]), float(row[1])
+            try:
+                time, value = float(row[0]), float(row[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
             if not (math.isfinite(time) and math.isfinite(value)):
                 raise ValueError(f"{path}:{line_no}: t and value must be finite")
             ts.append(time)

@@ -12,20 +12,25 @@ of a computed trajectory.
 
 What ``picard_solve`` does once per solve and what it does per sweep:
 
-* once: the head S(t) xi, the lag weights of ell (``_history_operator``),
-  and the advection matrix M = project(chi . grad e_n), which the basis
-  keeps for each chi (``SpectralBasis._advection_matrix``);
+* once: u_0 = S(t) xi, the lag weights of ell (``_history_operator``), and
+  the advection matrix M = project(chi . grad e_n), which the basis keeps
+  for each chi (``SpectralBasis._advection_matrix``);
 * per sweep: w = ell * u (one transform of u shared by both weight
-  columns), f(u, w), the convolution S * f and the residual.  f's power term
+  columns), f(u, w), the convolution S * f, then S(t) xi added into it and
+  the residual's row norms, both a row block at a time.  f's power term
   synthesizes u at the nodes in row blocks and maps, weights and projects
   each block in one buffer; its advection term is the product W @ M.
+
+A sweep holds four (N_t + 1) x modes tables, omega, u, f and S * f: w dies
+with the call that makes f, and f once S * f exists.
 
 Only f decides whether w is needed: ``Nonlinearity.reads_history`` is false
 for the zero, diagonal and power kinds (and sums of them), and then no lag
 weights are built and no sweep convolves the history; f gets zeros for w,
 which it does not read.  A zero ell gives f one zero series for every sweep.
 
-No spectrum of (N_t + 1) rows is kept from one sweep to the next.
+No spectrum of (N_t + 1) rows is kept from one sweep to the next: omega's
+would save one transform in three and hold as much as two tables.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import numpy as np
 from .grids import TimeGrid
 from .kernels import HistoryKernel
 from .resolvent import ResolventContext, convolve_sol_op
-from .spectral import SpectralBasis, hnorm, synthesize
+from .spectral import SpectralBasis, _row_hnorms, _row_slices, synthesize
 from .volterra import endpoint_weights, lag_weights, product_convolve
 
 __all__ = [
@@ -440,13 +445,12 @@ def picard_solve(
     if not np.all(np.isfinite(xi)):
         raise ValueError("initial coefficients must be finite")
     grid, basis = ctx.grid, ctx.basis
-    t = grid.nodes
-    damp = np.exp(-opts.beta * t)
-    head = ctx.table.omega * xi[None, :]
+    omega = ctx.table.omega
+    damp = np.exp(-opts.beta * grid.nodes)
     forcing = opts.forcing
     if forcing is not None:
         forcing = np.asarray(forcing, dtype=float)
-        if forcing.shape != head.shape:
+        if forcing.shape != omega.shape:
             raise ValueError("forcing series shape does not match grid x modes")
 
     if spec.reads_history and ell.kind != "zero":
@@ -454,25 +458,28 @@ def picard_solve(
     else:
         # w is zero or unread: one read-only zero series, no table, serves
         # every sweep
-        zeros = np.broadcast_to(0.0, head.shape)
+        zeros = np.broadcast_to(0.0, omega.shape)
         history = lambda series: zeros
-    u = head
+    u = omega * xi[None, :]
     residuals = []
     for _ in range(opts.max_iter):
-        w = history(u)
         try:
-            f_rows = spec.apply_series(u, w, basis)
+            # w dies with the call
+            f_rows = spec.apply_series(u, history(u), basis)
         except OverflowDiagnostic as exc:
             raise NonConvergence(
                 f"iteration diverged at sweep {len(residuals) + 1}: {exc}",
                 tuple(residuals),
             ) from exc
         if forcing is not None:
+            # out of place: a custom f may return the caller's own array
             f_rows = f_rows + forcing
         u_new = convolve_sol_op(ctx, f_rows)
-        u_new += head
+        del f_rows  # not alive through the next sweep's f
+        for rows in _row_slices(u_new.shape[0], basis.n_modes):
+            u_new[rows] += omega[rows] * xi[None, :]
         with np.errstate(over="ignore", invalid="ignore"):
-            res = float(np.max(damp * hnorm(u_new - u, basis, spec.mu)))
+            res = float(np.max(damp * _row_hnorms(u_new, basis, spec.mu, u)))
         residuals.append(res)
         if not math.isfinite(res):
             raise NonConvergence(f"iteration diverged at sweep {len(residuals)}: "
@@ -662,7 +669,8 @@ def holder_estimate(
         h = h_steps * dt
         rows = slice(i_min, n - h_steps + 1)
         if i_min <= n - h_steps:
-            diffs = hnorm(sol.coeffs[i_min + h_steps :] - sol.coeffs[rows], sol.basis, mu)
+            later = sol.coeffs[i_min + h_steps :]
+            diffs = _row_hnorms(later, sol.basis, mu, sol.coeffs[rows])
             vals = (t[rows] / h) ** gamma * diffs
             j = int(np.argmax(vals))
             if vals[j] > best:

@@ -30,7 +30,7 @@ import numpy as np
 from .grids import TimeGrid
 from .kernels import HistoryKernel, MemoryKernel
 from .relaxation import RelaxationTable, relaxation_batch
-from .spectral import SpectralBasis, hnorm
+from .spectral import SpectralBasis, _row_slices, hnorm
 from .volterra import (
     lag_weights,
     product_convolve,
@@ -47,10 +47,6 @@ __all__ = [
     "verify_sol_op_bounds",
     "reciprocal_cumulative_integrable",
 ]
-
-
-# samples per block of rows in which verify_sol_op_bounds sums a trial's norm
-_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -317,7 +313,6 @@ def verify_sol_op_bounds(
     del products
     p0, p1, p2 = (convolve_sol_op(ctx, e) for e in profiles)
     lam = basis.eigenvalues
-    step = max(1, _BLOCK // n_modes)
     lhs = np.empty_like(t)
     worst = [_Worst() for _ in rules]
     for amp, phase in draws:
@@ -325,8 +320,7 @@ def verify_sol_op_bounds(
         weight = lam**mu * amp * amp
         # |S*g|_mu^2 with S*g = amp * (P0 + a P1 + b P2), a block of rows at
         # a time, so no (N_t x modes) temporary is made per trial
-        for lo in range(0, t.size, step):
-            block = slice(lo, lo + step)
+        for block in _row_slices(t.size, n_modes):
             conv = p1[block] * a
             conv += p0[block]
             conv += p2[block] * b

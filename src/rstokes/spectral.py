@@ -21,6 +21,11 @@ gradients) are not a DST-I grid anyway.  The dense matrices remain as lazy
 attributes for inspection; no solver path builds them.  What a basis does
 keep is the projected advection matrix of each direction it is asked for,
 n_modes^2 values that a Picard solve would otherwise rebuild every sweep.
+
+``_row_hnorms`` takes the norm of each row of a coefficient table, or of
+the difference of two, with ``hnorm``'s bits in row blocks of _BLOCK = 2^15
+coefficients (256 KiB a temporary): the Picard residual, the Holder
+increments and the CLI's norm columns make no table-sized temporary.
 """
 
 from __future__ import annotations
@@ -67,6 +72,9 @@ class Rectangle:
     def ndim(self) -> int:
         return 2
 
+
+# coefficients per row block of ``_row_slices`` (see the module docstring)
+_BLOCK = 1 << 15
 
 # samples per row block of the node-space paths: bounds their working memory
 # (2 MiB an array, about one core's L2 cache) while keeping each block one
@@ -309,3 +317,20 @@ def hnorm(coeffs, basis: SpectralBasis, rho: float = 0.0):
     c = np.asarray(coeffs, dtype=float)
     w = basis.eigenvalues**rho
     return np.sqrt(np.sum(w * c * c, axis=-1))
+
+
+def _row_slices(rows: int, n_modes: int):
+    """Slices of at most _BLOCK // n_modes rows (at least one)."""
+    step = max(1, _BLOCK // n_modes)
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
+def _row_hnorms(coeffs: np.ndarray, basis: SpectralBasis, rho: float, minus=None):
+    """``hnorm`` of each row of coeffs, or of coeffs - minus, a row block at
+    a time; each row keeps hnorm's bits, since its sum runs along that row."""
+    w = basis.eigenvalues**rho
+    out = np.empty(coeffs.shape[0])
+    for rows in _row_slices(coeffs.shape[0], basis.n_modes):
+        c = coeffs[rows] if minus is None else coeffs[rows] - minus[rows]
+        out[rows] = np.sqrt(np.sum(w * c * c, axis=-1))
+    return out

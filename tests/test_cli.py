@@ -414,6 +414,19 @@ def test_non_finite_file_samples_exit_1_without_summary(tmp_path, capsys, comman
     assert not (out / "summary.json").exists()
 
 
+def test_unparsable_file_sample_exits_1_naming_path_and_line(tmp_path, capsys):
+    # the bare "could not convert string to float" named no file
+    table = tmp_path / "m.csv"
+    table.write_text("t,m\n0.5,1.0\n1.0,abc\n")
+    kernel = {"kind": "tabulated", "table_path": str(table)}
+    cfg = write_cfg(tmp_path, dict(RELAX_CFG, kernel=kernel))
+    out = tmp_path / "run"
+    assert main(["relax", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "m.csv:3: could not convert string to float: 'abc'" in err
+    assert not (out / "summary.json").exists()
+
+
 def test_nonconvergence_exits_2_but_keeps_artifacts(tmp_path):
     payload = dict(SOLVE_CFG)
     payload["nonlinearity"] = {"kind": "polynomial_power", "power": 2.0,

@@ -103,6 +103,34 @@ def test_series_csv_rejects_non_finite_samples(tmp_path, row):
         read_series_csv(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.5,abc", "could not convert string to float: 'abc'"),
+        ("x,1.0", "could not convert string to float: 'x'"),
+    ],
+)
+def test_series_csv_parse_errors_name_path_and_line(tmp_path, row, message):
+    path = str(tmp_path / "s.csv")
+    open(path, "w").write(f"t,value\n0.25,1.0\n{row}\n")
+    with pytest.raises(ValueError, match=f"s.csv:3: {message}"):
+        read_series_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("x,1.0,0.5", "invalid literal for int"),
+        ("2,1.0,abc", "could not convert string to float: 'abc'"),
+    ],
+)
+def test_field_csv_parse_errors_name_path_and_line(tmp_path, row, message):
+    path = str(tmp_path / "g.csv")
+    open(path, "w").write(f"index,lambda,coefficient\n1,1.0,0.5\n{row}\n")
+    with pytest.raises(ValueError, match=f"g.csv:3: {message}"):
+        read_field_csv(path, 3)
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 600])
 def test_float_table_blocks_match_the_row_path_byte_for_byte(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)

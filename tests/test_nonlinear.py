@@ -1,6 +1,9 @@
 """Reaction terms, the fixed-point solver, solvability gates, regularity."""
 
+import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,8 +29,9 @@ from rstokes import (
     small_data_gate,
     spectral_gap_gate,
 )
-from rstokes import nonlinear
+from rstokes import nonlinear, spectral
 from rstokes.nonlinear import OverflowDiagnostic, history_series
+from rstokes.resolvent import convolve_sol_op
 from rstokes.spectral import SpectralBasis, project, synthesize
 
 BASIS = build_basis(Interval(1.0), 6)
@@ -538,6 +542,176 @@ def test_residual_contraction_on_small_data():
     res = np.asarray(sol.residuals)
     ratios = res[1:] / res[:-1]
     assert np.all(ratios[:-1] < 0.55)  # the last ratio can dip into roundoff
+
+
+def head_table_picard(ctx, spec, ell, xi, opts):
+    # the sweep loop as it was before row blocks: a head table omega * xi
+    # added into every S*f, and hnorm of the whole difference table.  The
+    # oracle, bit for bit and message for message; returns (u, residuals)
+    basis = ctx.basis
+    damp = np.exp(-opts.beta * ctx.grid.nodes)
+    head = ctx.table.omega * xi[None, :]
+    if spec.reads_history and ell.kind != "zero":
+        history = nonlinear._history_operator(ell, ctx.grid)
+    else:
+        zeros = np.broadcast_to(0.0, head.shape)
+        history = lambda series: zeros
+    u = head
+    residuals = []
+    for _ in range(opts.max_iter):
+        w = history(u)
+        try:
+            f_rows = spec.apply_series(u, w, basis)
+        except OverflowDiagnostic as exc:
+            raise NonConvergence(
+                f"iteration diverged at sweep {len(residuals) + 1}: {exc}",
+                tuple(residuals),
+            ) from exc
+        if opts.forcing is not None:
+            f_rows = f_rows + opts.forcing
+        u_new = convolve_sol_op(ctx, f_rows)
+        u_new += head
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = float(np.max(damp * hnorm(u_new - u, basis, spec.mu)))
+        residuals.append(res)
+        if not math.isfinite(res):
+            raise NonConvergence(f"iteration diverged at sweep {len(residuals)}: "
+                                 f"the residual is {res}", tuple(residuals))
+        u = u_new
+        if res < opts.tol:
+            return u, tuple(residuals)
+    raise NonConvergence(
+        f"no fixed point after {opts.max_iter} sweeps "
+        f"(last residual {residuals[-1]:.3e})",
+        tuple(residuals),
+    )
+
+
+def _outcome(solve):
+    """(coefficient bytes, residuals) of a solve, or its NonConvergence's
+    (message, residuals)."""
+    try:
+        coeffs, residuals = solve()
+    except NonConvergence as exc:
+        return str(exc), exc.residuals
+    return coeffs.tobytes(), residuals
+
+
+def _assert_sweeps_match_the_oracle(ctx, spec, ell, xi, opts):
+    def row_blocks():
+        sol = picard_solve(ctx, spec, ell, xi, opts)
+        return sol.coeffs, sol.residuals
+
+    expected = _outcome(lambda: head_table_picard(ctx, spec, ell, xi, opts))
+    assert _outcome(row_blocks) == expected
+    return expected
+
+
+@given(
+    kind=st.sampled_from(["power", "advection", "sum", "custom"]),
+    rectangle=st.booleans(),
+    kernel=st.sampled_from(["fractional", "exponential"]),
+    history=st.sampled_from(["zero", "exponential"]),
+    beta=st.sampled_from([0.0, 3.0]),
+    forced=st.booleans(),
+    # the default budget, one row a block, and ragged blocks of a few rows
+    block=st.sampled_from([spectral._BLOCK, 1, 17]),
+    n_t=st.integers(8, 96),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweeps_keep_the_bits_of_the_head_table_loop(
+    kind, rectangle, kernel, history, beta, forced, block, n_t, seed
+):
+    basis = RECTANGLE if rectangle else BASIS
+    rng = np.random.default_rng(seed)
+    if kind == "sum":
+        spec = Nonlinearity.sum_of(
+            _reaction("power", basis, rng), _reaction("advection", basis, rng)
+        )
+    else:
+        spec = _reaction(kind, basis, rng)
+    memory = (MemoryKernel.fractional(1.0, 0.5) if kernel == "fractional"
+              else MemoryKernel.exponential(1.0, 2.0))
+    ctx = build_resolvent(memory, basis, TimeGrid.uniform(1.0, n_t))
+    ell = (HistoryKernel.zero() if history == "zero"
+           else HistoryKernel.exponential(1.0, 1.0))
+    xi = 0.1 * rng.standard_normal(basis.n_modes)
+    forcing = 0.1 * rng.standard_normal((n_t + 1, basis.n_modes)) if forced else None
+    opts = PicardOptions(tol=1e-12, max_iter=8, beta=beta, forcing=forcing)
+    with mock.patch.object(spectral, "_BLOCK", block):
+        _assert_sweeps_match_the_oracle(ctx, spec, ell, xi, opts)
+
+
+@pytest.mark.parametrize(
+    "spec, xi, where",
+    [
+        # sweep 5 overflows in the power term, or in the residual's norm
+        (Nonlinearity.polynomial_power(3.0, scale=1e3), 5.0, "pointwise power"),
+        (Nonlinearity.polynomial_power(3.0, scale=50.0), 5.0, "the residual is inf"),
+    ],
+    ids=["overflow", "residual"],
+)
+def test_a_diverging_sweep_stops_where_the_head_table_loop_stops(spec, xi, where):
+    ctx = solver_ctx(n_t=256)
+    message, residuals = _assert_sweeps_match_the_oracle(
+        ctx, spec, HistoryKernel.exponential(1.0, 1.0), np.full(6, xi), PicardOptions()
+    )
+    assert message.startswith("iteration diverged at sweep 5: ") and where in message
+    assert len(residuals) >= 4
+
+
+def test_a_nan_row_norm_in_the_last_block_ends_the_solve(monkeypatch):
+    # the sup runs over the whole row vector, so a NaN in any row ends the
+    # solve (a max over block maxima could drop it: max(0.0, nan) is 0.0)
+    real = nonlinear._row_hnorms
+
+    def nan_at_the_end(*args):
+        norms = real(*args)
+        norms[-1] = np.nan
+        return norms
+
+    monkeypatch.setattr(nonlinear, "_row_hnorms", nan_at_the_end)
+    with pytest.raises(NonConvergence, match="sweep 1: the residual is nan"):
+        picard_solve(solver_ctx(n_t=32), Nonlinearity.zero(), HistoryKernel.zero(),
+                     np.ones(6))
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sweep_holds_four_tables_not_eight():
+    # 64 x 4096, the interval solve's reaction and history: omega, u, f and
+    # S*f (and the trapezoid rule's end correction) are the only tables; the
+    # head table loop peaked at 6 tables over omega
+    ctx = solver_ctx(n_modes=64, n_t=4096)
+    xi = np.zeros(64)
+    xi[0] = 1.0 / np.pi
+    spec = Nonlinearity.polynomial_power(2.0, scale=0.5)
+    sol, peak = _traced_peak(
+        lambda: picard_solve(ctx, spec, HistoryKernel.exponential(1.0, 1.0), xi)
+    )
+    assert sol.converged
+    assert peak <= 4.5 * sol.coeffs.nbytes
+
+
+def test_holder_increments_hold_a_block_not_a_table():
+    # the dyadic increments are normed a row block at a time; the whole
+    # difference table and hnorm's temporaries peaked at 2 tables
+    coeffs = np.random.default_rng(3).standard_normal((4097, 64))
+    grid = TimeGrid.uniform(1.0, 4096)
+    sol = MildSolution(grid, build_basis(Interval(1.0), 64), coeffs, 1, (0.0,), 1.0,
+                       0.0, True)
+    report, peak = _traced_peak(
+        lambda: holder_estimate(sol, 0.4, ell=HistoryKernel.exponential(1.0, 1.0))
+    )
+    assert report.seminorm > 0.0
+    assert peak <= 0.5 * coeffs.nbytes
 
 
 # -- solvability gates --------------------------------------------------------

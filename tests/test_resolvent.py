@@ -20,7 +20,7 @@ from rstokes import (
     verify_sol_op_bounds,
 )
 from rstokes.kernels import HistoryKernel
-from rstokes import resolvent, volterra
+from rstokes import spectral, volterra
 from rstokes.resolvent import BoundCheck, ResolventReport, _profiles, _reciprocal_weights
 from rstokes.spectral import hnorm
 from rstokes.volterra import (
@@ -344,7 +344,7 @@ def test_streamed_report_matches_the_per_trial_oracle(
         grid = TimeGrid.uniform(1.0, n_steps)
     ctx = build_resolvent(kernel, basis, grid, scheme)
     blocks = (
-        mock.patch.object(resolvent, "_BLOCK", 8)
+        mock.patch.object(spectral, "_BLOCK", 8)
         if small_blocks
         else contextlib.nullcontext()
     )

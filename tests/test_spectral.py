@@ -1,5 +1,7 @@
 """Dirichlet eigenbasis: eigenvalues, collocation projection, norms."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from rstokes import (
     project,
     synthesize,
 )
+from rstokes import spectral
 
 
 # -- dense oracle: the (nodes x modes) matrices the per-axis path replaced --
@@ -103,6 +106,28 @@ def test_hnorm_weights_by_eigenvalue_powers():
     # row-wise over a series
     series = np.stack([c, 2.0 * c])
     np.testing.assert_allclose(hnorm(series, basis, 0.0), [np.sqrt(5), 2 * np.sqrt(5)])
+
+
+@given(
+    n_modes=st.sampled_from([1, 3, 7, 8, 9, 64, 130]),
+    rows=st.integers(1, 300),
+    rho=st.sampled_from([0.0, 1.0, -0.5, 1.7]),
+    difference=st.booleans(),
+    # the default budget, one row a block, and ragged blocks
+    block=st.sampled_from([spectral._BLOCK, 1, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_block_norms_keep_the_bits_of_hnorm(
+    n_modes, rows, rho, difference, block, seed
+):
+    basis = build_basis(Interval(1.0), n_modes)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, n_modes)) * 10.0 ** rng.integers(-5, 5, n_modes)
+    b = rng.standard_normal((rows, n_modes)) if difference else None
+    with mock.patch.object(spectral, "_BLOCK", block):
+        got = spectral._row_hnorms(a, basis, rho, b)
+    want = hnorm(a - b if difference else a, basis, rho)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_gradient_pairing_matches_quadrature():
