@@ -90,6 +90,17 @@ def _check_finite(
     )
 
 
+def _check_coefficients(out: np.ndarray, basis: SpectralBasis, what: str) -> None:
+    # a coefficient series: name a mode, not a node
+    if np.all(np.isfinite(out)):
+        return
+    i, j = np.argwhere(~np.isfinite(out))[0]
+    raise OverflowDiagnostic(
+        f"{what} produced a non-finite coefficient in mode "
+        f"{j + 1} of {basis.n_modes} (time row {i})"
+    )
+
+
 def _node(basis: SpectralBasis, j: int):
     """Collocation node j as a float or a tuple of floats."""
     x = basis.nodes[j]
@@ -211,7 +222,10 @@ class Nonlinearity:
         if self.kind == "linear_diagonal":
             if self.coeffs.size != basis.n_modes:
                 raise ValueError("diagonal coefficient count does not match basis")
-            return V * self.coeffs[None, :]
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = V * self.coeffs[None, :]
+            _check_coefficients(out, basis, "linear diagonal reaction")
+            return out
         if self.kind == "power":
             out = np.empty_like(V)
             for rows in basis._row_blocks(V.shape[0]):
@@ -236,13 +250,7 @@ class Nonlinearity:
             out = np.asarray(self.series_fn(V, W, basis), dtype=float)
             if out.shape != V.shape:
                 raise ValueError("custom series callback returned a bad shape")
-            if not np.all(np.isfinite(out)):
-                # the callback returns coefficients: name a mode, not a node
-                i, j = np.argwhere(~np.isfinite(out))[0]
-                raise OverflowDiagnostic(
-                    f"custom reaction produced a non-finite coefficient in mode "
-                    f"{j + 1} of {basis.n_modes} (time row {i})"
-                )
+            _check_coefficients(out, basis, "custom reaction")
             return out
         raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
 

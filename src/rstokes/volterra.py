@@ -28,44 +28,41 @@ monotonicity where the kernel is completely positive).
 
 Cost for N steps and M columns:
 
-* uniform rectangle rule and uniform first-kind solve: O(M N log^2 N).
-  Both are lower-triangular Toeplitz systems, solved by ``_toeplitz_solve``
-  (blocked divide and conquer with FFT middle products).
+* uniform rectangle rule and uniform first-kind solve: O(M N log N).  Both
+  are lower-triangular Toeplitz systems p(Z) x = r in the shift Z, so
+  x = g * r for the first N coefficients g of the power series 1/p, found
+  by Newton doubling (``_toeplitz_solve``).  A constant r, as in every
+  relaxation table, makes g * r the running sum r * cumsum(g).
 * uniform trapezoid rule: O(M N^2), a row loop.  It is Toeplitz too once
-  x_0 moves to the right-hand side, but any reordering of its sums (this
-  recursion, or a blocked matrix product) moves two seed-0 rows of
-  ``perfbench/reference.json`` past what that file allows.  The omega
-  difference quotients that ``certify_completely_positive`` reports at
-  dt = 1/8192 move by 2-3e-8 relative, beyond the 1e-8 allowed.  And
-  ``p_recovered`` near p = 0 moves through the benchmark's generator, not
-  through the reconstruction: ``forward_simulate`` moves psi by up to
-  2.2e-16, and the finite-difference psi' amplifies that to 1.0e-13 at row
-  372, against an allowance of 1.74e-14.  The reconstruction alone on the
-  Toeplitz path moves no p_recovered row by more than 0.0032 of its
-  allowance.  The loop itself stays as written; the alternatives measured
-  on a 2-vCPU host (8192 rows, 6 columns, fractional kernel, the w-equation
-  of ``certify_completely_positive``) either change its bits or are
-  slower:
+  x_0 moves to the right-hand side, but any reordering of its sums (a
+  Toeplitz solve, or a blocked matrix product) moves two seed-0 rows of
+  ``perfbench/reference.json`` past what that file allows: the omega
+  difference quotients of ``certify_completely_positive`` at dt = 1/8192
+  (by 2-3e-8 relative, against 1e-8), and ``p_recovered`` near p = 0,
+  through the benchmark's generator (``forward_simulate`` moves psi by up
+  to 2.2e-16, and the finite-difference psi' makes that 1.0e-13 at row 372,
+  against 1.74e-14; the reconstruction alone stays within 0.0032 of it).
+  The alternatives measured on a 2-vCPU host (8192 rows, 6 columns,
+  fractional kernel, the w-equation of ``certify_completely_positive``)
+  change its bits or are slower:
 
-  - ``u[i-1::-1] @ x[:i]`` reads u with a negative stride, so numpy does
-    not call BLAS and sums each column on its own, oldest node first.  A
-    contiguous copy of u goes to BLAS: 0.31 s against 0.48 s, but w moves
-    by 6e-15 relative, and the certificate's r = diff(w)/dt at theta = 10
-    by 1.4e-8 relative, past the 1e-8 of the reference check.
-  - A vectorized "push" form (each solved row added into running sums of
-    the rows after it) and an axis-0 ``add.reduce`` form keep the bits,
-    but ran 3.0x and 4.7x slower.
-  - Two threads over the columns, three each, ran slower than one (0.58 to
+  - ``u[i-1::-1] @ x[:i]`` reads u with a negative stride, so numpy sums
+    each column on its own, oldest node first, without BLAS.  A contiguous
+    copy goes to BLAS (0.31 s against 0.48 s), but moves w by 6e-15 and the
+    certificate's r = diff(w)/dt at theta = 10 by 1.4e-8, both relative.
+  - A "push" form (each solved row added into running sums of the rows
+    after it) and an axis-0 ``add.reduce`` keep the bits but ran 3.0x and
+    4.7x slower.  Two threads over the columns ran slower than one (0.58 to
     0.66 s against 0.43 to 0.51 s): the per-row Python work holds the GIL.
 * graded grids, both rules and the first-kind solve: O(M N^2).  The lag
   cells t_i - t_j differ from row to row, so the system is not Toeplitz and
   every row needs its own weights.  The second-kind rows read their weights
   backwards as well, so numpy sums each column on its own there too.
 
-Every second-kind path sums each column on its own, so the columns of one
-``second_kind_solve`` call, each with its own right-hand side, keep the bits
-of single-column calls; ``certify_completely_positive`` relies on that to
-solve its two equations at once.
+Every second-kind path sums (or transforms) each column on its own, so the
+columns of one ``second_kind_solve`` call, each with its own right-hand
+side, keep the bits of single-column calls; ``certify_completely_positive``
+relies on that to solve its two equations at once.
 """
 
 from __future__ import annotations
@@ -96,15 +93,12 @@ STIFF_THRESHOLD = 0.9
 # samples per contiguous (columns, rows) block that fftconvolve transforms at
 # once (256 KiB of doubles), and the fewest columns a block may hold.  The
 # floor decides for long transforms: at 65537 x 256, one-column blocks ran
-# 1.4x slower than blocks of 4.  The budget decides for the short middle
-# products of _toeplitz_solve: an 8192-step, 32-column relaxation table took
-# 80 ms with it, against 104, 94 and 88 ms with fixed blocks of 4, 8 and 16
+# 1.4x slower than blocks of 4.  The budget decides for the short transforms
+# of the early Newton doublings: an 8192-step, 32-column relaxation table
+# took 29-37 ms with it, against 36-41, 32-35, 27-31 and 31-36 ms with fixed
+# blocks of 4, 8, 16 and 32 columns (2-vCPU host, fastest to median of 9)
 _FFT_BLOCK = 1 << 15
 _FFT_MIN_COLUMNS = 4
-
-# rows per leaf of _toeplitz_solve (row loop below, FFT middle products above);
-# of 16..256, 64 was fastest for 8192 steps x 32 columns
-_TOEPLITZ_BLOCK = 64
 
 
 def _fast_length(n: int) -> int:
@@ -129,16 +123,17 @@ def fftconvolve(a, b, out: np.ndarray, start: int = 0) -> np.ndarray:
     columns, a 1-d one is a column shared by every column of out, and is
     transformed once.  The circular length is the shortest 5-smooth one that
     keeps the requested rows free of wrap-around, so a window that skips the
-    first rows (the middle product of ``_toeplitz_solve``) costs one
+    first rows (a middle product of ``_toeplitz_solve``) costs one
     transform of about len(a) rows.
 
     The columns run in blocks of about _FFT_BLOCK samples, never fewer than
     _FFT_MIN_COLUMNS columns: each block's contiguous (columns, rows) copy is
     transformed (numpy's FFT reads it far faster than strided columns, with
     the bits of transforms along axis 0), multiplied in place and transformed
-    back into its window of out, so no temporary outgrows a block.  Each
-    product takes a's spectrum first; numpy's complex multiply is not bitwise
-    commutative, so this order is part of the result.
+    back into its window of out, so no temporary outgrows a block, and out
+    may be a 2-d operand itself.  Each product takes a's spectrum first;
+    numpy's complex multiply is not bitwise commutative, so this order is
+    part of the result.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -215,51 +210,44 @@ def product_convolve(weights: LagWeights, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _toeplitz_solve(
-    c: np.ndarray, scale, denom, x: np.ndarray, lo: int = 1, hi: Optional[int] = None
-) -> np.ndarray:
-    """Overwrite rows lo..hi-1 of x, which hold r on entry, with the solution of
+def _toeplitz_solve(c: np.ndarray, scale, denom, rhs) -> np.ndarray:
+    """Rows 0..N (N = len(c)) of the solution of
 
-        denom * x_i + scale * sum_{j=lo}^{i-1} c[i-j] x_j = r_i
+        denom * x_i + scale * sum_{j=1}^{i-1} c[i-j] x_j = r_i,   i = 1..N,
 
-    (lower-triangular Toeplitz; columns of x are independent, scale and
-    denom broadcast over them).  Divide and conquer after Hairer, Lubich &
-    Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985): blocks of at most
-    _TOEPLITZ_BLOCK rows run the row loop, and each solved left half is
-    subtracted from the right half's r by one FFT middle product, so n rows
-    cost O(n log^2 n) per column.
+    with x_0 = r_0; scale and denom broadcast over the columns, and an (N+1,)
+    r is shared by them.  Rows 1..N are g * r[1:], g the first N coefficients
+    of 1/p for p(z) = denom + scale * sum_{k>=1} c[k] z^k, by Newton doubling
+    (Kung, Numer. Math. 22, 1974): if g holds m of them, p g = 1 + z^m h +
+    O(z^2m), and the next m are -(g * h).  h is a middle product of c with g,
+    which c[0] never enters, so each doubling is two ``fftconvolve`` calls.
     """
-    if hi is None:
-        hi = x.shape[0]
-    if hi - lo <= _TOEPLITZ_BLOCK:
-        for i in range(lo, hi):
-            if i > lo:
-                x[i] -= scale * (c[i - lo : 0 : -1] @ x[lo:i])
-            x[i] /= denom
-        return x
-    mid = (lo + hi) // 2
-    _toeplitz_solve(c, scale, denom, x, lo, mid)
-    # lags 1..hi-lo-1 from rows lo..mid-1 onto rows mid..hi-1
-    past = fftconvolve(c[1 : hi - lo], x[lo:mid], np.empty_like(x[mid:hi]), mid - lo - 1)
-    past *= scale
-    x[mid:hi] -= past
-    return _toeplitz_solve(c, scale, denom, x, mid, hi)
+    n = c.size
+    x = np.empty((n + 1,) + np.broadcast(scale, denom).shape)
+    g = x[1:]
+    g[0] = 1.0 / denom
+    m = 1
+    while m < n:
+        stop = min(2 * m, n)
+        h = fftconvolve(c[:stop], g[:m], np.empty_like(g[m:stop]), m)
+        h *= -scale
+        fftconvolve(g[:m], h, g[m:stop])
+        m = stop
+    if np.ndim(rhs) == 0:
+        np.cumsum(g, axis=0, out=g)
+        g *= rhs
+        x[0] = rhs
+    else:
+        fftconvolve(g, rhs[1:], g)
+        x[0] = rhs[0]
+    return x
 
 
-def _uniform_second_kind(
-    weights: LagWeights, lams: np.ndarray, rhs: np.ndarray, trap: bool
-) -> np.ndarray:
-    """Implicit steps on a uniform grid.
-
-    The right-endpoint sums of the rectangle rule start at x_1, so its rows
-    1..N are one Toeplitz solve; the trapezoid rule keeps its row loop
-    (module docstring).
-    """
-    x = np.repeat(rhs[:, None], lams.size, axis=1) if rhs.ndim == 1 else rhs.copy()
-    if not trap:
-        a0 = weights.cell
-        return _toeplitz_solve(a0, lams, 1.0 + lams * a0[0], x)
+def _uniform_trapezoid(weights: LagWeights, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Implicit trapezoid steps on a uniform grid, row by row (module docstring)."""
     u, v = weights.left, weights.right
+    x = np.empty((u.size + 1, lams.size))
+    x[0] = rhs[0]
     denom = 1.0 + lams * v[0]
     for i in range(1, u.size + 1):
         past = u[i - 1 :: -1] @ x[:i]
@@ -336,9 +324,10 @@ def second_kind_solve(
         columns (useful when those columns are known to carry zero data);
         forcing "rectangle" trades accuracy for unconditional positivity.
 
-    Cost is O(len(lam) N log^2 N) for the rectangle rule on a uniform grid
+    Cost is O(len(lam) N log N) for the rectangle rule on a uniform grid
     and O(len(lam) N^2) for the trapezoid rule or a graded grid (see the
-    module docstring for why).
+    module docstring for why).  There a scalar rhs is a running sum and an
+    array one FFT convolution, so a column of ones rounds unlike rhs = 1.0.
 
     Returns
     -------
@@ -351,22 +340,24 @@ def second_kind_solve(
         raise ValueError("lam must be positive")
     if scheme not in (None, "trapezoid", "rectangle"):
         raise ValueError("scheme must be None, 'trapezoid' or 'rectangle'")
-    if np.ndim(rhs) == 2:
-        rhs_arr = np.asarray(rhs, dtype=float)
-        if rhs_arr.shape != (grid.nodes.size, lams.size):
-            raise ValueError("a 2-d rhs needs one column of N+1 samples per lam")
-    else:
-        rhs_arr = np.broadcast_to(np.asarray(rhs, dtype=float), grid.nodes.shape).astype(float)
+    # a scalar stays 0-d: the rectangle rule's running sum (module docstring)
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim and rhs.shape != (grid.nodes.size, lams.size)[: rhs.ndim]:
+        raise ValueError("rhs needs N+1 samples, shared or one column per lam")
     weights = lag_weights(moments, grid) if grid.is_uniform else None
     if scheme is None:
         # one scheme for the whole call so columns stay mutually comparable
         # (mixing rules breaks monotonicity across lambda at the switch point)
         scheme = stiffness_scheme(moments, grid, lams)
     trap = scheme == "trapezoid"
-    if weights is not None:
-        x = _uniform_second_kind(weights, lams, rhs_arr, trap)
+    if weights is not None and not trap:
+        # right-endpoint sums start at x_1: rows 1..N are one Toeplitz solve
+        a0 = weights.cell
+        x = _toeplitz_solve(a0, lams, 1.0 + lams * a0[0], rhs)
     else:
-        x = _graded_second_kind(moments, grid, lams, rhs_arr, trap)
+        rhs = np.broadcast_to(rhs, grid.nodes.shape + rhs.shape[1:])
+        x = (_uniform_trapezoid(weights, lams, rhs) if weights is not None
+             else _graded_second_kind(moments, grid, lams, rhs, trap))
     if np.isscalar(lam) or np.ndim(lam) == 0:
         return x[:, 0], scheme
     return x, scheme
@@ -379,8 +370,8 @@ def first_kind_solve(moments: Moments, grid: TimeGrid, rhs) -> Tuple[np.ndarray,
     right endpoint, so the returned samples live on nodes[1:].  Returns the
     samples and the smallest diagonal weight (conditioning indicator).
 
-    On a uniform grid the system is Toeplitz and costs O(N log^2 N)
-    (``_toeplitz_solve``); a graded grid is substituted row by row, O(N^2).
+    On a uniform grid the system is Toeplitz, O(N log N) (``_toeplitz_solve``;
+    a scalar rhs is a running sum); a graded grid is substituted row by row.
     """
     t = grid.nodes
     n = grid.n_steps
@@ -390,7 +381,7 @@ def first_kind_solve(moments: Moments, grid: TimeGrid, rhs) -> Tuple[np.ndarray,
         diag = float(a0[0])
         if diag <= 0.0:
             raise ValueError("first-kind diagonal weight vanished")
-        k = _toeplitz_solve(a0, 1.0, diag, rhs_arr.copy())
+        k = _toeplitz_solve(a0, 1.0, diag, float(rhs) if np.ndim(rhs) == 0 else rhs_arr)
         return k[1:], diag
     k = np.zeros(n + 1)
     min_diag = np.inf
@@ -444,8 +435,12 @@ def trapezoid_convolve(kernel_samples: np.ndarray, phi: np.ndarray, dt: float) -
     if out.ndim == 2:
         # a shared factor as a column, for the end corrections
         K, G = K.reshape(K.shape[0], -1), G.reshape(G.shape[0], -1)
-    out -= 0.5 * K * G[0]
-    out -= 0.5 * K[0] * G
-    out *= dt
+    # elementwise: row blocks keep the bits, and temporaries at a block
+    step = max(1, _FFT_BLOCK // (out.size // out.shape[0]))
+    for lo in range(0, out.shape[0], step):
+        rows = slice(lo, lo + step)
+        out[rows] -= 0.5 * K[rows] * G[0]
+        out[rows] -= 0.5 * K[0] * G[rows]
+        out[rows] *= dt
     out[0] = 0.0
     return out

@@ -480,6 +480,29 @@ def test_diverging_solve_exits_2_with_artifacts(tmp_path, capsys):
     json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
 
 
+def test_overflowing_linear_diagonal_reaction_exits_2_naming_the_mode(tmp_path, capsys):
+    # the products overflow in the first sweep: one diagnostic, no numpy warning
+    payload = dict(SOLVE_CFG)
+    payload["grid"] = {"T": 1.0, "N_t": 64}
+    payload["nonlinearity"] = {"kind": "linear_diagonal", "coeffs": [1e300] * 4}
+    payload["initial"] = {"preset": "first_mode", "amplitude": 1e10}
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "run"
+    code = main(["solve", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: solver did not converge: iteration diverged at sweep 1: linear "
+        "diagonal reaction produced a non-finite coefficient in mode 1 of 4 "
+        "(time row 0)"
+    ]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "non-convergence"
+    assert summary["artifacts"] == ["iterations.csv"]
+    assert (out / "iterations.csv").is_file()
+
+
 POWER = {"kind": "polynomial_power", "power": 2.0}
 ADVECTION = {"kind": "advection_history", "chi": [0.5]}
 EXPONENTIAL = {"kind": "exponential", "amplitude": 1.0, "decay": 1.0}
@@ -527,7 +550,9 @@ def _run(command, payload, tmp):
     return code, out, summary
 
 
-def _reaction(kind, ndim, power, scale, chi):
+def _reaction(kind, ndim, power, scale, chi, n_modes=1, magnitude=0):
+    if kind == "linear_diagonal":
+        return {"kind": "linear_diagonal", "coeffs": [scale * 10.0**magnitude] * n_modes}
     if kind == "power":
         return {"kind": "polynomial_power", "power": power, "scale": scale}
     if kind == "advection":
@@ -540,18 +565,21 @@ def _reaction(kind, ndim, power, scale, chi):
     rectangle=st.booleans(),
     n_modes=st.integers(1, 12),
     n_steps=st.integers(2, 64),
-    kind=st.sampled_from(["power", "advection", "sum"]),
+    kind=st.sampled_from(["power", "advection", "sum", "linear_diagonal"]),
     power=st.floats(1.1, 4.0),
     scale=st.floats(-50.0, 50.0),
+    magnitude=st.integers(0, 300),
     chi=st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=2),
     amplitude=st.floats(-1e3, 1e3),
     max_iter=st.integers(1, 40),
 )
 def test_solve_exits_0_or_2_with_a_summary(
-    rectangle, n_modes, n_steps, kind, power, scale, chi, amplitude, max_iter
+    rectangle, n_modes, n_steps, kind, power, scale, magnitude, chi, amplitude, max_iter
 ):
     # from the small-data regime up to diverging amplitudes: a valid config
     # ends in a converged run or a non-convergence exit, never a traceback
+    # and never a numpy warning (the suite turns those into errors); the
+    # linear diagonal coefficients reach scale * 1e300
     domain = (
         {"shape": "rectangle", "Lx": 1.0, "Ly": 1.5, "N": n_modes}
         if rectangle
@@ -561,12 +589,13 @@ def test_solve_exits_0_or_2_with_a_summary(
         "domain": domain,
         "grid": {"T": 1.0, "N_t": n_steps},
         "kernel": {"kind": "exponential", "m0": 1.0, "decay": 2.0},
-        "nonlinearity": _reaction(kind, 2 if rectangle else 1, power, scale, chi),
+        "nonlinearity": _reaction(kind, 2 if rectangle else 1, power, scale, chi,
+                                  n_modes, magnitude),
         "history_kernel": {"kind": "exponential", "amplitude": 1.0, "decay": 1.0},
         "initial": {"preset": "first_mode", "amplitude": amplitude},
         "problem": {"tol": 1e-10, "max_iter": max_iter},
     }
-    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+    with tempfile.TemporaryDirectory() as tmp:
         code, out, summary = _run("solve", payload, tmp)
         residuals = numeric_column(os.path.join(out, "iterations.csv"), 1)
     assert code in (0, 2)
@@ -574,7 +603,7 @@ def test_solve_exits_0_or_2_with_a_summary(
     # the Picard record, on both exits, matches iterations.csv; a diverged
     # sweep's infinite residual is null there (strict JSON has no inf)
     picard = summary["picard"]
-    assert picard["history_convolution"] == (kind != "power")
+    assert picard["history_convolution"] == (kind in ("advection", "sum"))
     recorded = np.array([np.nan if r is None else r for r in picard["residuals"]])
     finite = np.where(np.isfinite(residuals), residuals, np.nan)
     assert np.array_equal(recorded, finite, equal_nan=True)

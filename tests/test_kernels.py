@@ -267,7 +267,7 @@ def two_solve_cp_minima(kernel, grid, thetas):
 @given(
     kind=st.sampled_from(["zero", "constant", "fractional", "exponential", "table"]),
     m0=st.floats(0.1, 10.0),
-    # up to 200 steps, so the rectangle rule reaches the blocked recursion
+    # up to 200 steps: up to eight Newton doublings on the rectangle rule
     n=st.integers(2, 200),
     grading=st.sampled_from([1.0, 2.0]),
     thetas=st.lists(st.floats(1e-2, 1e3), min_size=1, max_size=4),

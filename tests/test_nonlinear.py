@@ -157,6 +157,19 @@ def test_custom_overflow_names_the_mode_and_time_row():
     assert "node" not in message
 
 
+def test_linear_diagonal_overflow_names_the_mode_and_time_row():
+    # an overflowing product is a diagnostic, not a numpy warning
+    basis = build_basis(Interval(1.0), 4)
+    V = np.zeros((5, 4))
+    V[3, 1] = 1e10
+    spec = Nonlinearity.linear_diagonal(np.full(4, 1e300))
+    with pytest.raises(OverflowDiagnostic) as info:
+        spec.apply_series(V, np.zeros_like(V), basis)
+    message = str(info.value)
+    assert message.startswith("linear diagonal reaction")
+    assert "mode 2 of 4 (time row 3)" in message
+
+
 def test_parameter_domains():
     with pytest.raises(ValueError):
         Nonlinearity.zero(mu=2.5)

@@ -13,7 +13,6 @@ from rstokes.volterra import (
     LagWeights,
     _fast_length,
     _toeplitz_solve,
-    _uniform_second_kind,
     endpoint_weights,
     fftconvolve,
     first_kind_solve,
@@ -92,7 +91,7 @@ def two_transform_product_convolve(weights, phi):
 
 def rectangle_loop(weights, lams, rhs):
     # O(N^2) row loop of the implicit rectangle rule: oracle for the
-    # blocked-FFT Toeplitz solve
+    # Toeplitz solve by the reciprocal series
     a0 = weights.cell
     n = a0.size
     x = np.zeros((n + 1, lams.size))
@@ -102,6 +101,12 @@ def rectangle_loop(weights, lams, rhs):
         past = a0[i - 1 : 0 : -1] @ x[1:i] if i > 1 else 0.0
         x[i] = (rhs[i] - lams * past) / denom
     return x
+
+
+def rectangle_solve(weights, lams, rhs):
+    # the uniform rectangle rule's Toeplitz solve, as second_kind_solve calls it
+    a0 = weights.cell
+    return _toeplitz_solve(a0, lams, 1.0 + lams * a0[0], rhs)
 
 
 def first_kind_loop(a0, rhs):
@@ -295,11 +300,15 @@ def test_a_1d_factor_next_to_a_table_is_a_shared_column(rule):
 
 
 @pytest.mark.parametrize(
-    "rule, bound", [(rectangle_convolve, 2.0), (product_convolve, 2.0)], ids=["rectangle", "product"]
+    "rule, bound",
+    [(rectangle_convolve, 2.0), (product_convolve, 2.0), (trapezoid_convolve, 2.0)],
+    ids=["rectangle", "product", "trapezoid"],
 )
 def test_convolution_temporaries_are_a_block_not_a_table(rule, bound):
     # 8193 x 64: the whole-table spectra of the old layout peaked at 5x and
-    # 7x of the result; a block of columns at a time stays near the result
+    # 7x of the result, and the trapezoid rule's table-sized end corrections
+    # at 3.05x; a block of columns (rows, for the corrections) at a time
+    # stays near the result
     rng = np.random.default_rng(5)
     phi = rng.standard_normal((8193, 64))
     if rule is product_convolve:
@@ -307,7 +316,7 @@ def test_convolution_temporaries_are_a_block_not_a_table(rule, bound):
         run = lambda: product_convolve(weights, phi)
     else:
         table = rng.standard_normal(phi.shape)
-        run = lambda: rectangle_convolve(table, phi, 0.1)
+        run = lambda: rule(table, phi, 0.1)
     tracemalloc.start()
     try:
         out = run()
@@ -468,7 +477,7 @@ def memory_kernels(draw):
     kernel=memory_kernels(),
     scheme=st.sampled_from(["trapezoid", "rectangle"]),
     grading=st.sampled_from([1.0, 2.0]),
-    # past 64 rows the rectangle rule runs the blocked FFT recursion
+    # the rectangle rule doubles its reciprocal series up to n rows
     n=st.integers(2, 160),
     columns=st.integers(1, 9),
     seed=st.integers(0, 2**32 - 1),
@@ -551,18 +560,48 @@ def test_first_kind_recovers_sonine_pair():
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 1000])
 @pytest.mark.parametrize("m", [1, 7])
 def test_toeplitz_fast_paths_match_row_loops(kernel, n, m):
-    # block edges at 64 rows: one leaf, a leaf boundary, and deep recursion
+    # Newton doubling edges: 2^k - 1, 2^k and 2^k + 1 rows
     rng = np.random.default_rng(n * 10 + m)
     w = rectangle_weights(kernel, n)
     lams = np.sort(rng.uniform(0.5, 5e4, m))
     rhs = 1.0 + rng.standard_normal(n + 1)
-    fast = _uniform_second_kind(w, lams, rhs, trap=False)
+    fast = rectangle_solve(w, lams, rhs)
     ref = rectangle_loop(w, lams, rhs)
     assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
     a0 = w.cell
     k = _toeplitz_solve(a0, 1.0, a0[0], rhs.copy())[1:]
     k_ref = first_kind_loop(a0, rhs)
     assert np.max(np.abs(k - k_ref)) <= 1e-12 * np.max(np.abs(k_ref))
+
+
+DOUBLING_EDGES = [2**k + d for k in range(1, 13) for d in (-1, 0, 1)]
+
+
+@given(
+    kernel=st.one_of(memory_kernels(), st.just(MemoryKernel.zero())),
+    n=st.one_of(st.sampled_from(DOUBLING_EDGES), st.integers(1, 300)),
+    lams=st.lists(st.floats(1e-2, 1e7), min_size=1, max_size=5).map(np.array),
+    rhs_kind=st.sampled_from(["scalar", "shared", "per column"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_reciprocal_series_solves_match_the_row_loops(kernel, n, lams, rhs_kind, seed):
+    # the rectangle rule and the first-kind solve, each against its row
+    # loop, over kernel families, Newton doubling edges and stiff lam
+    rng = np.random.default_rng(seed)
+    w = rectangle_weights(kernel, n)
+    shape = {"scalar": (), "shared": (n + 1,), "per column": (n + 1, lams.size)}[rhs_kind]
+    rhs = rng.uniform(-2.0, 2.0) if rhs_kind == "scalar" else rng.standard_normal(shape)
+    samples = np.broadcast_to(rhs, shape or (n + 1,))
+    fast = rectangle_solve(w, lams, rhs)
+    ref = rectangle_loop(w, lams, samples)
+    assert fast.shape == ref.shape
+    assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if rhs_kind != "per column":
+        a0 = w.cell
+        k = _toeplitz_solve(a0, 1.0, a0[0], rhs)[1:]
+        k_ref = first_kind_loop(a0, samples)
+        assert np.max(np.abs(k - k_ref)) <= 1e-12 * np.max(np.abs(k_ref))
 
 
 def test_first_kind_solve_matches_substitution():
@@ -578,7 +617,7 @@ def test_first_kind_solve_matches_substitution():
 
 def test_rectangle_solves_the_discrete_equation():
     # x_i + lam * sum_{j=1..i} A0[i-j] x_j = rhs_i: right-endpoint cell sums,
-    # x_0 enters nowhere; 300 rows run through the blocked recursion
+    # x_0 enters nowhere; 300 rows take nine Newton doublings
     grid = TimeGrid.uniform(1.0, 300)
     kernel = MemoryKernel.fractional(1.0, 0.5)
     lams = np.array([3.0, 250.0, 2e4])
