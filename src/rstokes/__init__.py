@@ -6,107 +6,53 @@ them, Picard iteration for history-dependent nonlinearities, numerical
 verification of the structural bounds the theory relies on, kernel
 hypothesis certificates, and recovery of a separable source intensity from
 a scalar measurement.
+
+The package is lazy (PEP 562): importing it loads no submodule, and each
+public name imports its module on first access.  The command line imports
+only the layers its command runs.  The name is looked up on every access,
+never stored in the package's globals, so a patched module attribute is
+seen through the package too.
 """
 
-from .grids import TimeGrid
-from .kernels import (
-    CompletePositivityCertificate,
-    HistoryKernel,
-    MemoryKernel,
-    PCCertificate,
-    certify_completely_positive,
-    certify_pc,
-)
-from .spectral import (
-    Interval,
-    Rectangle,
-    SpectralBasis,
-    build_basis,
-    hnorm,
-    project,
-    synthesize,
-)
-from .relaxation import (
-    RelaxationReport,
-    RelaxationTable,
-    relaxation_batch,
-    verify_relaxation,
-)
-from .resolvent import (
-    ResolventContext,
-    ResolventReport,
-    build_resolvent,
-    convolve_sol_op,
-    reciprocal_cumulative_integrable,
-    verify_sol_op_bounds,
-)
-from .nonlinear import (
-    GateDecision,
-    HolderReport,
-    MildSolution,
-    NonConvergence,
-    Nonlinearity,
-    PicardOptions,
-    holder_estimate,
-    picard_solve,
-    select_invariant_radius,
-    small_data_gate,
-    spectral_gap_gate,
-)
-from .inverse import (
-    InverseProblem,
-    KernelGateFailed,
-    PairingTooSmall,
-    ReconstructionResult,
-    derivative_psi,
-    forward_simulate,
-    reconstruct,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TimeGrid",
-    "MemoryKernel",
-    "HistoryKernel",
-    "CompletePositivityCertificate",
-    "PCCertificate",
-    "certify_completely_positive",
-    "certify_pc",
-    "Interval",
-    "Rectangle",
-    "SpectralBasis",
-    "build_basis",
-    "project",
-    "synthesize",
-    "hnorm",
-    "RelaxationTable",
-    "RelaxationReport",
-    "relaxation_batch",
-    "verify_relaxation",
-    "ResolventContext",
-    "ResolventReport",
-    "build_resolvent",
-    "convolve_sol_op",
-    "reciprocal_cumulative_integrable",
-    "verify_sol_op_bounds",
-    "Nonlinearity",
-    "PicardOptions",
-    "MildSolution",
-    "NonConvergence",
-    "GateDecision",
-    "HolderReport",
-    "picard_solve",
-    "holder_estimate",
-    "small_data_gate",
-    "spectral_gap_gate",
-    "select_invariant_radius",
-    "InverseProblem",
-    "ReconstructionResult",
-    "PairingTooSmall",
-    "KernelGateFailed",
-    "forward_simulate",
-    "reconstruct",
-    "derivative_psi",
-    "__version__",
-]
+# each public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("grids", ("TimeGrid",)),
+        ("kernels", ("MemoryKernel", "HistoryKernel",
+                     "CompletePositivityCertificate", "PCCertificate",
+                     "certify_completely_positive", "certify_pc")),
+        ("spectral", ("Interval", "Rectangle", "SpectralBasis", "build_basis",
+                      "project", "synthesize", "hnorm")),
+        ("relaxation", ("RelaxationTable", "RelaxationReport",
+                        "relaxation_batch", "verify_relaxation")),
+        ("resolvent", ("ResolventContext", "ResolventReport", "build_resolvent",
+                       "convolve_sol_op", "reciprocal_cumulative_integrable",
+                       "verify_sol_op_bounds")),
+        ("nonlinear", ("Nonlinearity", "PicardOptions", "MildSolution",
+                       "NonConvergence", "GateDecision", "HolderReport",
+                       "picard_solve", "holder_estimate", "small_data_gate",
+                       "spectral_gap_gate", "select_invariant_radius")),
+        ("inverse", ("InverseProblem", "ReconstructionResult", "PairingTooSmall",
+                     "KernelGateFailed", "forward_simulate", "reconstruct",
+                     "derivative_psi")),
+    )
+    for name in names
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -8,6 +8,11 @@ their sweep-to-sweep ratios and whether the sweeps convolved the history.
 
 Exit codes: 0 success, 1 invalid config or problem data, 2 solver
 non-convergence (artifacts produced before the failure are kept).
+
+Importing this module loads ``config`` and ``csvio`` (and the grids,
+kernels and volterra modules config reads its kernel keys from); each
+``cmd_*`` imports the layers it runs, so ``certify`` loads no other module
+and only ``inverse`` loads them all.
 """
 
 from __future__ import annotations
@@ -38,22 +43,6 @@ from .config import (
     validate_config,
 )
 from .csvio import read_field_csv, read_series_csv, write_csv
-from .inverse import (
-    InverseProblem,
-    KernelGateFailed,
-    PairingTooSmall,
-    reconstruct,
-)
-from .kernels import DEFAULT_THETAS, certify_completely_positive, certify_pc
-from .nonlinear import (
-    NonConvergence,
-    PicardOptions,
-    holder_estimate,
-    picard_solve,
-)
-from .relaxation import relaxation_batch, verify_relaxation
-from .resolvent import build_resolvent, verify_sol_op_bounds
-from .spectral import _row_hnorms
 
 OUT_ENV = "RSTOKES_OUT"
 
@@ -100,6 +89,8 @@ def _relax_inputs(cfg: Dict):
 
 def cmd_relax(cfg: Dict, out: str, artifacts: List[str],
               records: Dict, quiet: bool) -> None:
+    from .relaxation import relaxation_batch, verify_relaxation
+
     certificates = records["certificates"]
     kernel, lams, grid = _relax_inputs(cfg)
     table = relaxation_batch(kernel, lams, grid)
@@ -122,6 +113,10 @@ def cmd_relax(cfg: Dict, out: str, artifacts: List[str],
 
 def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
               records: Dict, quiet: bool) -> None:
+    from .nonlinear import NonConvergence, PicardOptions, holder_estimate, picard_solve
+    from .resolvent import build_resolvent
+    from .spectral import _row_hnorms
+
     certificates = records["certificates"]
     basis = build_domain_basis(cfg)
     kernel = build_kernel(cfg)
@@ -186,6 +181,9 @@ def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
 
 def cmd_verify(cfg: Dict, out: str, artifacts: List[str],
                records: Dict, quiet: bool) -> None:
+    from .relaxation import verify_relaxation
+    from .resolvent import build_resolvent, verify_sol_op_bounds
+
     certificates = records["certificates"]
     basis = build_domain_basis(cfg)
     kernel = build_kernel(cfg)
@@ -244,6 +242,8 @@ def cmd_verify(cfg: Dict, out: str, artifacts: List[str],
 
 def cmd_certify(cfg: Dict, out: str, artifacts: List[str],
                 records: Dict, quiet: bool) -> None:
+    from .kernels import DEFAULT_THETAS, certify_completely_positive, certify_pc
+
     certificates = records["certificates"]
     kernel = build_kernel(cfg)
     grid = build_grid(cfg)
@@ -282,6 +282,9 @@ def cmd_certify(cfg: Dict, out: str, artifacts: List[str],
 
 def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
                 records: Dict, quiet: bool) -> None:
+    from .inverse import InverseProblem, reconstruct
+    from .nonlinear import NonConvergence, PicardOptions
+
     certificates = records["certificates"]
     basis = build_domain_basis(cfg)
     kernel = build_kernel(cfg)
@@ -365,6 +368,13 @@ def _nonlinearity_or_none(cfg: Dict):
     return nonlinearity_from_section(section)
 
 
+def _non_convergence():
+    """The solver's NonConvergence, or no class before a command has loaded
+    it: only solve and inverse raise it, and both import it first."""
+    nonlinear = sys.modules.get(f"{__package__}.nonlinear")
+    return () if nonlinear is None else nonlinear.NonConvergence
+
+
 COMMANDS = {
     "relax": cmd_relax,
     "solve": cmd_solve,
@@ -440,11 +450,11 @@ def main(argv=None) -> int:
     exit_code = 0
     try:
         COMMANDS[args.command](cfg, out, artifacts, records, args.quiet)
-    except NonConvergence as exc:
+    except _non_convergence() as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         status = "non-convergence"
         exit_code = 2
-    except (PairingTooSmall, KernelGateFailed, ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, PairingTooSmall, KernelGateFailed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

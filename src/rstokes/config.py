@@ -12,19 +12,28 @@ validator and one builder serve both kernel classes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .csvio import read_series_csv
 from .grids import TimeGrid
 from .kernels import HistoryKernel, MemoryKernel
-from .nonlinear import Nonlinearity
-from .spectral import Interval, Rectangle, SpectralBasis, build_basis
+
+if TYPE_CHECKING:
+    from .nonlinear import Nonlinearity
+    from .spectral import SpectralBasis
+
+try:  # CPython's built-in SHA-256; hashlib would map OpenSSL's libcrypto
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "ConfigError",
@@ -91,7 +100,7 @@ def apply_overrides(cfg: Dict, assignments: Sequence[str]) -> Dict:
 
 def config_hash(cfg: Dict) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 def _num(section: Dict, key: str, where: str, problems: List[str], *,
@@ -231,14 +240,18 @@ def _validate_orders(section: Dict, where: str, problems: List[str],
 
 
 def _validate_nonlinearity(section: Dict, where: str, problems: List[str],
-                           ndim: Optional[int]) -> None:
-    """ndim is the domain's dimension, or None when the domain is invalid."""
+                           ndim: Optional[int], n_modes: Optional[int]) -> None:
+    """ndim and n_modes are the domain's dimension and mode count (domain.N),
+    each None when the domain does not give it."""
     kind = _choice(section, "kind", where, NONLINEARITY_KINDS, problems, required=True)
     _validate_orders(section, where, problems, kind)
     if kind == "linear_diagonal":
         coeffs = section.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
             problems.append(f"{where}.coeffs must be a nonempty list")
+        elif n_modes is not None and len(coeffs) != n_modes:
+            problems.append(f"{where}.coeffs must have one entry per mode "
+                            f"(domain.N = {n_modes}), got {len(coeffs)}")
     if kind == "polynomial_power":
         _num(section, "power", where, problems, required=True, exclusive_min=1.0)
         _num(section, "scale", where, problems)
@@ -262,7 +275,8 @@ def _validate_nonlinearity(section: Dict, where: str, problems: List[str],
                 elif part.get("kind") == "sum":
                     problems.append(f"{where}.parts[{i}]: nested sums are not supported")
                 else:
-                    _validate_nonlinearity(part, f"{where}.parts[{i}]", problems, ndim)
+                    _validate_nonlinearity(part, f"{where}.parts[{i}]", problems,
+                                           ndim, n_modes)
 
 
 def _validate_initial(section: Dict, where: str, problems: List[str]) -> None:
@@ -286,7 +300,7 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
     """Raise ConfigError listing every violation for the given subcommand."""
     problems: List[str] = []
 
-    ndim = None
+    ndim = n_modes = None
     domain = _section(cfg, "domain", problems,
                       required=subcommand in ("solve", "verify", "inverse"))
     if domain is not None:
@@ -298,7 +312,8 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
         elif shape == "rectangle":
             _num(domain, "Lx", "domain", problems, required=True, exclusive_min=0.0)
             _num(domain, "Ly", "domain", problems, required=True, exclusive_min=0.0)
-        _num(domain, "N", "domain", problems, required=True, integer=True, minimum=1)
+        n_modes = _num(domain, "N", "domain", problems, required=True, integer=True,
+                       minimum=1)
     elif subcommand == "relax":
         explicit = cfg.get("problem")
         if not (isinstance(explicit, dict) and explicit.get("lambdas")):
@@ -347,7 +362,7 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
     if subcommand == "solve":
         nl = _section(cfg, "nonlinearity", problems, required=True)
         if nl is not None:
-            _validate_nonlinearity(nl, "nonlinearity", problems, ndim)
+            _validate_nonlinearity(nl, "nonlinearity", problems, ndim, n_modes)
         hist = _section(cfg, "history_kernel", problems, required=True)
         if hist is not None:
             _validate_kernel(HistoryKernel, hist, "history_kernel", problems)
@@ -395,7 +410,7 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
                 if not isinstance(f1, dict):
                     problems.append("inverse.f1 must be a JSON object")
                 else:
-                    _validate_nonlinearity(f1, "inverse.f1", problems, ndim)
+                    _validate_nonlinearity(f1, "inverse.f1", problems, ndim, n_modes)
             _num(inv, "pairing_floor", "inverse", problems, exclusive_min=0.0)
             _num(inv, "tol", "inverse", problems, exclusive_min=0.0)
             _num(inv, "max_iter", "inverse", problems, integer=True, minimum=1)
@@ -418,6 +433,8 @@ def build_grid(cfg: Dict) -> TimeGrid:
 
 
 def build_domain_basis(cfg: Dict) -> SpectralBasis:
+    from .spectral import Interval, Rectangle, build_basis
+
     section = cfg["domain"]
     if section["shape"] == "interval":
         domain = Interval(float(section["L"]))
@@ -435,6 +452,8 @@ def build_history_kernel(cfg: Dict) -> HistoryKernel:
 
 
 def nonlinearity_from_section(section: Dict) -> Nonlinearity:
+    from .nonlinear import Nonlinearity
+
     kind = section["kind"]
     kw = {}
     for key in ("mu", "delta"):

@@ -509,8 +509,7 @@ def certify_pc(
             reason="kernel bounded at t = 0: zero-slack splitting not required",
             tol=tol,
         )
-    rhs = np.ones_like(grid.nodes)
-    k, diag = first_kind_solve(kernel.a_moments, grid, rhs)
+    k, diag = first_kind_solve(kernel.a_moments, grid, 1.0)
     if diag < _DIAG_FLOOR:
         return PCCertificate(
             status="fail",

@@ -40,8 +40,9 @@ Cost for N steps and M columns:
   difference quotients of ``certify_completely_positive`` at dt = 1/8192
   (by 2-3e-8 relative, against 1e-8), and ``p_recovered`` near p = 0,
   through the benchmark's generator (``forward_simulate`` moves psi by up
-  to 2.2e-16, and the finite-difference psi' makes that 1.0e-13 at row 372,
-  against 1.74e-14; the reconstruction alone stays within 0.0032 of it).
+  to 2.2e-16, and the finite-difference psi' makes that 1.0e-13 at row 370,
+  against an allowance of 5.3e-14 = 1e-8 * 4.27e-6 + 1e-14; the
+  reconstruction alone stays within 0.0032 of it).
   The alternatives measured on a 2-vCPU host (8192 rows, 6 columns,
   fractional kernel, the w-equation of ``certify_completely_positive``)
   change its bits or are slower:

@@ -346,6 +346,19 @@ def test_nonlinearity_orders_outside_their_ranges_exit_1_before_any_output(
     assert not out.exists()
 
 
+def test_linear_diagonal_coefficient_count_exits_1_before_any_output(
+    tmp_path, capsys
+):
+    payload = dict(SOLVE_CFG, nonlinearity={"kind": "linear_diagonal",
+                                            "coeffs": [1.0, 2.0]})
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "never"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "nonlinearity.coeffs must have one entry per mode (domain.N = 4), got 2" in err
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_1_without_summary(tmp_path, capsys):
     # orthogonal weights make the measurement pairing vanish mid-run
     basis = build_basis(Interval(1.0), 2)
@@ -836,11 +849,42 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"rstokes.{info.name}.{name}"
 
 
-def test_cli_import_skips_heavy_scipy_subpackages():
+def test_the_lazy_package_resolves_each_name_on_access():
+    for name in rstokes.__all__:
+        assert getattr(rstokes, name) is not None, name
+    assert set(rstokes.__all__) <= set(dir(rstokes))
+    assert rstokes.relaxation_batch is importlib.import_module(
+        "rstokes.relaxation").relaxation_batch
+    # looked up on each access, never stored: a patched module attribute shows
+    assert "relaxation_batch" not in vars(rstokes)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(rstokes, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from rstokes import no_such_name", {})
+
+
+# the rstokes submodules a fresh process holds after importing rstokes.cli and
+# after running each command; verify alone draws in numpy.random, whose
+# import of secrets loads OpenSSL through _hashlib
+_CERTIFY_MODULES = {"cli", "config", "csvio", "grids", "kernels", "volterra"}
+_RELAX_MODULES = _CERTIFY_MODULES | {"relaxation", "spectral"}
+_VERIFY_MODULES = _RELAX_MODULES | {"resolvent"}
+_SOLVE_MODULES = _VERIFY_MODULES | {"nonlinear"}
+COMMAND_MODULES = {
+    "certify": _CERTIFY_MODULES,
+    "relax": _RELAX_MODULES,
+    "verify": _VERIFY_MODULES,
+    "solve": _SOLVE_MODULES,
+    "inverse": _SOLVE_MODULES | {"inverse"},
+}
+
+
+def _loaded_modules(code):
+    """The names in sys.modules after a fresh interpreter runs code."""
     src = os.path.dirname(os.path.dirname(rstokes.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, rstokes.cli; print(' '.join(sys.modules))"
+    code += "\nimport sys; print(' '.join(sys.modules))"
     loaded = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
@@ -848,6 +892,49 @@ def test_cli_import_skips_heavy_scipy_subpackages():
     assert not heavy & set(loaded)
     # scipy is a test dependency only: the package itself never imports it
     assert "scipy" not in loaded
+    return set(loaded)
+
+
+def _layers(loaded):
+    return {name.partition(".")[2] for name in loaded if name.startswith("rstokes.")}
+
+
+def test_cli_import_skips_heavy_scipy_subpackages():
+    loaded = _loaded_modules("import rstokes.cli")
+    assert _layers(loaded) == _CERTIFY_MODULES
+    assert "_hashlib" not in loaded
+
+
+def _tiny_config(command, tmp_path):
+    cfg = {
+        "domain": {"shape": "interval", "L": 1.0, "N": 2},
+        "grid": {"T": 1.0, "N_t": 16},
+        "kernel": {"kind": "fractional", "m0": 1.0, "alpha": 0.5},
+        "verify": {"trials": 2},
+    }
+    if command == "solve":
+        cfg.update({key: SOLVE_CFG[key]
+                    for key in ("nonlinearity", "history_kernel", "initial")})
+    if command == "inverse":
+        nodes = np.linspace(0.0, 1.0, 17)
+        paths = {key: str(tmp_path / f"{key}.csv") for key in ("psi", "g", "kappa")}
+        write_csv(paths["psi"], ["t", "psi"], zip(nodes, np.zeros_like(nodes)))
+        for key in ("g", "kappa"):
+            write_field_csv(paths[key], [1.0, 4.0], [1.0, 0.0])
+        cfg["inverse"] = {f"{key}_path": path for key, path in paths.items()}
+        cfg["kernel"] = SOLVE_CFG["kernel"]  # |m'| must be integrable
+    return write_cfg(tmp_path, cfg)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_its_layers(command, tmp_path):
+    argv = [command, "--config", _tiny_config(command, tmp_path),
+            "--out", str(tmp_path / "run"), "--quiet"]
+    loaded = _loaded_modules(
+        f"import rstokes.cli\nassert rstokes.cli.main({argv!r}) == 0"
+    )
+    assert _layers(loaded) == COMMAND_MODULES[command]
+    assert ("_hashlib" in loaded) == (command == "verify")
 
 
 def test_set_overrides_and_grid_shortcut(tmp_path):

@@ -1,5 +1,6 @@
 """Config loading, validation, overrides, and section builders."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -216,6 +217,14 @@ def test_config_hash_is_order_insensitive():
     assert config_hash(a) != config_hash(b)
 
 
+def test_config_hash_is_the_sha256_of_the_canonical_json():
+    # the built-in SHA-256 gives hashlib's digest, so summaries keep their hash
+    for cfg in ({}, solve_cfg(), {"kernel": {"kind": "zero"}, "grid": {"N_t": 64}},
+                {"name": "\u00fcnic\u00f8de", "values": [1, 2.5, None, True]}):
+        canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+        assert config_hash(cfg) == hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def test_load_config_requires_an_object(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps([1, 2, 3]))
@@ -302,6 +311,31 @@ def test_build_initial_presets_and_lists():
     np.testing.assert_array_equal(listed, [1.0, 2.0, 0.0, 0.0])
     with pytest.raises(ConfigError):
         build_initial({"initial": {"coefficients": [1.0] * 9}}, basis)
+
+
+def test_linear_diagonal_needs_one_coefficient_per_mode(tmp_path):
+    # a count other than domain.N used to pass validation and fail inside the
+    # solve with a message that named no key
+    two = {"kind": "linear_diagonal", "coeffs": [1.0, 2.0]}
+    paths = {}
+    for key in ("psi_path", "g_path", "kappa_path"):
+        (tmp_path / key).write_text("")
+        paths[key] = str(tmp_path / key)
+    bad = [
+        (solve_cfg(nonlinearity=two), "solve", "nonlinearity"),
+        (solve_cfg(nonlinearity={"kind": "sum", "parts": [{"kind": "zero"}, two]}),
+         "solve", "nonlinearity.parts[1]"),
+        (solve_cfg(inverse=dict(paths, f1=two)), "inverse", "inverse.f1"),
+    ]
+    for cfg, command, where in bad:
+        with pytest.raises(ConfigError) as info:
+            validate_config(cfg, command)
+        assert list(info.value.problems) == [
+            f"{where}.coeffs must have one entry per mode (domain.N = 4), got 2"
+        ]
+    four = dict(two, coeffs=[1.0] * 4)
+    validate_config(solve_cfg(nonlinearity=four), "solve")
+    validate_config(solve_cfg(inverse=dict(paths, f1=four)), "inverse")
 
 
 def test_advection_chi_must_match_the_domain_dimension():
