@@ -323,12 +323,9 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
     if grid is not None:
         _num(grid, "T", "grid", problems, required=True, exclusive_min=0.0)
         _num(grid, "N_t", "grid", problems, required=True, integer=True, minimum=2)
-        grading = _num(grid, "grading", "grid", problems, minimum=1.0)
-        if subcommand == "solve" and grading is not None and grading > 1.0:
-            problems.append(
-                f"grid.grading must be 1 for solve, got {grading}: the Holder "
-                "estimate of holder.csv takes dyadic increments of a uniform grid"
-            )
+        if "grading" in grid:
+            problems.append("grid.grading is not read; the time grid is uniform, "
+                            "so raise grid.N_t for a finer one")
 
     kernel = _section(cfg, "kernel", problems, required=True)
     if kernel is not None:
@@ -426,9 +423,6 @@ def build_grid(cfg: Dict) -> TimeGrid:
     section = cfg["grid"]
     horizon = float(section["T"])
     n_steps = int(section["N_t"])
-    grading = float(section.get("grading", 1.0))
-    if grading > 1.0:
-        return TimeGrid.graded(horizon, n_steps, grading)
     return TimeGrid.uniform(horizon, n_steps)
 
 

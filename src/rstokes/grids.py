@@ -1,4 +1,4 @@
-"""Time grids on [0, T] for the Volterra solvers."""
+"""Uniform time grids on [0, T] for the Volterra solvers."""
 
 from __future__ import annotations
 
@@ -9,16 +9,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing node sequence with nodes[0] = 0 and nodes[-1] = T.
+    """Uniform node sequence nodes[i] = T * i / N with nodes[0] = 0 and
+    nodes[-1] = T.
 
-    Two kinds are supported: ``uniform`` and ``graded`` with
-    nodes[i] = T * (i/N)**r, which clusters nodes near the t = 0 kernel
-    singularity.
+    The nodes must equal ``np.linspace(0, T, N + 1)`` exactly, which every
+    ``TimeGrid.uniform`` grid does; the lag convolutions and Toeplitz
+    solves of ``volterra`` rest on that.
     """
 
     nodes: np.ndarray
-    kind: str = "uniform"
-    grading: float = 1.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -29,8 +28,8 @@ class TimeGrid:
             raise ValueError("time grid must start at t = 0")
         if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("time grid nodes must be strictly increasing")
-        if self.kind not in ("uniform", "graded"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
+        if not np.array_equal(nodes, np.linspace(0.0, nodes[-1], nodes.size)):
+            raise ValueError("time grid nodes must be uniform: linspace(0, T, N + 1)")
 
     @classmethod
     def uniform(cls, horizon: float, n_steps: int) -> "TimeGrid":
@@ -38,18 +37,7 @@ class TimeGrid:
             raise ValueError("horizon must be positive")
         if n_steps < 2:
             raise ValueError("need at least 2 steps")
-        return cls(np.linspace(0.0, horizon, n_steps + 1), kind="uniform")
-
-    @classmethod
-    def graded(cls, horizon: float, n_steps: int, r: float = 2.0) -> "TimeGrid":
-        if horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        if n_steps < 2:
-            raise ValueError("need at least 2 steps")
-        if r < 1.0:
-            raise ValueError("grading exponent must be >= 1")
-        frac = np.arange(n_steps + 1, dtype=float) / n_steps
-        return cls(horizon * frac**r, kind="graded", grading=float(r))
+        return cls(np.linspace(0.0, horizon, n_steps + 1))
 
     @property
     def horizon(self) -> float:
@@ -60,15 +48,10 @@ class TimeGrid:
         return self.nodes.size - 1
 
     @property
-    def is_uniform(self) -> bool:
-        return self.kind == "uniform"
-
-    @property
     def dt(self) -> float:
-        """Uniform step size; undefined for graded grids."""
-        if not self.is_uniform:
-            raise ValueError("dt is only defined for uniform grids")
+        """Step size."""
         return float(self.nodes[1] - self.nodes[0])
 
     def steps(self) -> np.ndarray:
+        """Cell widths np.diff(nodes), each dt only up to rounding."""
         return np.diff(self.nodes)

@@ -46,7 +46,7 @@ from .grids import TimeGrid
 from .kernels import HistoryKernel
 from .resolvent import ResolventContext, convolve_sol_op
 from .spectral import SpectralBasis, _row_hnorms, _row_slices, synthesize
-from .volterra import endpoint_weights, lag_weights, product_convolve
+from .volterra import lag_weights, product_convolve
 
 __all__ = [
     "Nonlinearity",
@@ -380,27 +380,12 @@ def history_series(ell: HistoryKernel, series: np.ndarray, grid: TimeGrid) -> np
 
 
 def _history_operator(ell: HistoryKernel, grid: TimeGrid) -> Callable:
-    """series -> ell * series on grid; a uniform grid's lag weights are built
-    here, once, so a Picard solve reuses them in every sweep."""
+    """series -> ell * series on grid; the lag weights are built here, once,
+    so a Picard solve reuses them in every sweep."""
     if ell.kind == "zero":
         return np.zeros_like
-    if grid.is_uniform:
-        weights = lag_weights(ell.moments, grid)
-        return lambda series: product_convolve(weights, series)
-    return lambda series: _graded_history(ell, series, grid)
-
-
-def _graded_history(ell: HistoryKernel, series: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    # the lag cells differ from row to row: weights per row, O(N^2)
-    t = grid.nodes
-    steps = grid.steps()
-    out = np.zeros_like(series)
-    for i in range(1, t.size):
-        hi = t[i] - t[:i]
-        lo = t[i] - t[1 : i + 1]
-        left, right = endpoint_weights(ell.moments, lo, hi, steps[:i])
-        out[i] = left @ series[:i] + right @ series[1 : i + 1]
-    return out
+    weights = lag_weights(ell.moments, grid)
+    return lambda series: product_convolve(weights, series)
 
 
 # -- fixed-point solver -------------------------------------------------------
@@ -652,8 +637,6 @@ def holder_estimate(
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    if not sol.grid.is_uniform:
-        raise ValueError("dyadic increments need a uniform grid")
     mu = sol.mu if mu is None else mu
     grid = sol.grid
     t = grid.nodes

@@ -1,9 +1,7 @@
 """The diagonal solution-operator family S(t) and its verified bounds.
 
 S(t) multiplies the n-th eigencoefficient by omega(t, lambda_n); the
-convolution S * g uses the lag quadrature matching the table's scheme on
-uniform grids (graded grids interpolate omega in t, which is flagged in
-reports).
+convolution S * g uses the lag quadrature matching the table's scheme.
 
 ``verify_sol_op_bounds`` checks the operator estimates numerically on random
 trial data and emits one row per estimate:
@@ -90,25 +88,9 @@ def convolve_sol_op(ctx: ResolventContext, g: np.ndarray) -> np.ndarray:
     omega = ctx.table.omega
     if g.shape not in (omega.shape, omega.shape[:1]):
         raise ValueError("series shape does not match grid x modes")
-    if ctx.grid.is_uniform:
-        if ctx.table.scheme == "trapezoid":
-            return trapezoid_convolve(omega, g, ctx.grid.dt)
-        return rectangle_convolve(omega, g, ctx.grid.dt)
-    return _convolve_interpolated(ctx.grid.nodes, omega, g)
-
-
-def _convolve_interpolated(t: np.ndarray, omega: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # graded grids: omega at off-grid lags by linear interpolation; a shared
-    # profile as a column
-    g = g.reshape(g.shape[0], -1)
-    out = np.zeros(omega.shape)
-    for i in range(1, t.size):
-        lag = t[i] - t[: i + 1]
-        om = np.empty((i + 1, omega.shape[1]))
-        for n in range(omega.shape[1]):
-            om[:, n] = np.interp(lag, t, omega[:, n])
-        out[i] = np.trapezoid(om * g[: i + 1], t[: i + 1], axis=0)
-    return out
+    if ctx.table.scheme == "trapezoid":
+        return trapezoid_convolve(omega, g, ctx.grid.dt)
+    return rectangle_convolve(omega, g, ctx.grid.dt)
 
 
 @dataclass(frozen=True)
@@ -125,7 +107,6 @@ class ResolventReport:
     rows: Tuple[BoundCheck, ...]
     mu: float
     delta: float
-    interpolated_lags: bool
 
     @property
     def passed(self) -> bool:
@@ -195,9 +176,6 @@ def _skip(label, reason):
     return BoundCheck(label, "skip", float("nan"), float("nan"), reason)
 
 
-_GRADED_SKIP = "graded grid: lag-aligned quadrature unavailable"
-
-
 def verify_sol_op_bounds(
     ctx: ResolventContext,
     mu: float = 1.0,
@@ -224,7 +202,6 @@ def verify_sol_op_bounds(
     omega = ctx.table.omega
     basis = ctx.basis
     n_modes = basis.n_modes
-    uniform = ctx.grid.is_uniform
 
     # sol_op_bound: diagonal action vs the slowest mode's profile, with
     # |S(t) xi|^2 = (omega * omega) @ xi^2 a mat-vec per trial
@@ -240,7 +217,7 @@ def verify_sol_op_bounds(
     # pass below never builds the series they stand for
     draws = [
         (rng.standard_normal(n_modes), rng.uniform(0.0, 2.0 * np.pi, n_modes))
-        for _ in range(n_trials if uniform else 0)
+        for _ in range(n_trials)
     ]
 
     # derivative_decay, forward difference quotients, first 4 cells excluded
@@ -263,20 +240,6 @@ def verify_sol_op_bounds(
         decay_row = decay.row("derivative_decay", tol)
         # an (N_t x modes) table the smoothing pass below must not carry
         del increments
-
-    if not uniform:
-        return ResolventReport(
-            (
-                sol_op.row("sol_op_bound", tol),
-                _skip("conv_smoothing_l2", _GRADED_SKIP),
-                decay_row,
-                _skip("conv_smoothing_singular", _GRADED_SKIP),
-                _skip("conv_smoothing_reciprocal", _GRADED_SKIP),
-            ),
-            mu,
-            delta,
-            interpolated_lags=True,
-        )
 
     # one rule per conv_smoothing row for the right-hand side, applied to
     # the squared trial norm.  The quadrature matches the table's scheme; the
@@ -338,8 +301,5 @@ def verify_sol_op_bounds(
         )
     l2, singular, recip = rows
     return ResolventReport(
-        (sol_op.row("sol_op_bound", tol), l2, decay_row, singular, recip),
-        mu,
-        delta,
-        interpolated_lags=False,
+        (sol_op.row("sol_op_bound", tol), l2, decay_row, singular, recip), mu, delta
     )

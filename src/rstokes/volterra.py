@@ -28,14 +28,14 @@ monotonicity where the kernel is completely positive).
 
 Cost for N steps and M columns:
 
-* uniform rectangle rule and uniform first-kind solve: O(M N log N).  Both
-  are lower-triangular Toeplitz systems p(Z) x = r in the shift Z, so
-  x = g * r for the first N coefficients g of the power series 1/p, found
-  by Newton doubling (``_toeplitz_solve``).  A constant r, as in every
-  relaxation table, makes g * r the running sum r * cumsum(g).
-* uniform trapezoid rule: O(M N^2), a row loop.  It is Toeplitz too once
-  x_0 moves to the right-hand side, but any reordering of its sums (a
-  Toeplitz solve, or a blocked matrix product) moves two seed-0 rows of
+* rectangle rule and first-kind solve: O(M N log N).  Both are
+  lower-triangular Toeplitz systems p(Z) x = r in the shift Z, so x = g * r
+  for the first N coefficients g of the power series 1/p, found by Newton
+  doubling (``_toeplitz_solve``).  A constant r, as in every relaxation
+  table, makes g * r the running sum r * cumsum(g).
+* trapezoid rule: O(M N^2), a row loop.  It is Toeplitz too once x_0 moves
+  to the right-hand side, but any reordering of its sums (a Toeplitz
+  solve, or a blocked matrix product) moves two seed-0 rows of
   ``perfbench/reference.json`` past what that file allows: the omega
   difference quotients of ``certify_completely_positive`` at dt = 1/8192
   (by 2-3e-8 relative, against 1e-8), and ``p_recovered`` near p = 0,
@@ -55,10 +55,6 @@ Cost for N steps and M columns:
     after it) and an axis-0 ``add.reduce`` keep the bits but ran 3.0x and
     4.7x slower.  Two threads over the columns ran slower than one (0.58 to
     0.66 s against 0.43 to 0.51 s): the per-row Python work holds the GIL.
-* graded grids, both rules and the first-kind solve: O(M N^2).  The lag
-  cells t_i - t_j differ from row to row, so the system is not Toeplitz and
-  every row needs its own weights.  The second-kind rows read their weights
-  backwards as well, so numpy sums each column on its own there too.
 
 Every second-kind path sums (or transforms) each column on its own, so the
 columns of one ``second_kind_solve`` call, each with its own right-hand
@@ -182,8 +178,6 @@ class LagWeights:
 
 
 def lag_weights(moments: Moments, grid: TimeGrid) -> LagWeights:
-    if not grid.is_uniform:
-        raise ValueError("lag weights require a uniform grid")
     edges = grid.nodes
     return LagWeights(*endpoint_weights(moments, edges[:-1], edges[1:], grid.dt))
 
@@ -258,45 +252,17 @@ def _uniform_trapezoid(weights: LagWeights, lams: np.ndarray, rhs: np.ndarray) -
     return x
 
 
-def _graded_second_kind(
-    moments: Moments, grid: TimeGrid, lams: np.ndarray, rhs: np.ndarray, trap: bool
-) -> np.ndarray:
-    t = grid.nodes
-    steps = grid.steps()
-    n = grid.n_steps
-    x = np.zeros((n + 1, lams.size))
-    x[0] = rhs[0]
-    for i in range(1, n + 1):
-        # lag cells newest first, as on a uniform grid: cell k is
-        # [t_i - t_{i-k}, t_i - t_{i-1-k}], read backwards by the dot products
-        # (a negative stride, so numpy sums each column on its own)
-        hi = t[i] - t[i - 1 :: -1]
-        lo = t[i] - t[i:0:-1]
-        if trap:
-            left, right = endpoint_weights(moments, lo, hi, steps[i - 1 :: -1])
-            past = left[::-1] @ x[:i]
-            if i > 1:
-                past = past + right[:0:-1] @ x[1:i]
-            x[i] = (rhs[i] - lams * past) / (1.0 + lams * right[0])
-        else:
-            a0, _ = moments(lo, hi)
-            past = a0[:0:-1] @ x[1:i] if i > 1 else 0.0
-            x[i] = (rhs[i] - lams * past) / (1.0 + lams * a0[0])
-    return x
-
-
 def stiffness_scheme(moments: Moments, grid: TimeGrid, lam) -> str:
     """The rule ``second_kind_solve`` picks for lam when none is forced.
 
     The trapezoid step loses positivity once lam times the newest lag cell's
     left weight passes 1 (module docstring), so it is kept only when max(lam)
     times that weight stays within STIFF_THRESHOLD; otherwise every column
-    takes the rectangle rule.  The weight is that of the first cell [0, dt]
-    on a uniform grid, and the largest over the rows of a graded one.
+    takes the rectangle rule.  The weight is that of the first cell [0, dt].
     """
-    steps = np.array([grid.dt]) if grid.is_uniform else grid.steps()
-    left, _ = endpoint_weights(moments, np.zeros_like(steps), steps, steps)
-    return "trapezoid" if np.max(lam) * np.max(left) <= STIFF_THRESHOLD else "rectangle"
+    dt = np.array([grid.dt])
+    left, _ = endpoint_weights(moments, np.zeros_like(dt), dt, dt)
+    return "trapezoid" if np.max(lam) * left[0] <= STIFF_THRESHOLD else "rectangle"
 
 
 def second_kind_solve(
@@ -325,10 +291,10 @@ def second_kind_solve(
         columns (useful when those columns are known to carry zero data);
         forcing "rectangle" trades accuracy for unconditional positivity.
 
-    Cost is O(len(lam) N log N) for the rectangle rule on a uniform grid
-    and O(len(lam) N^2) for the trapezoid rule or a graded grid (see the
-    module docstring for why).  There a scalar rhs is a running sum and an
-    array one FFT convolution, so a column of ones rounds unlike rhs = 1.0.
+    Cost is O(len(lam) N log N) for the rectangle rule and O(len(lam) N^2)
+    for the trapezoid rule (see the module docstring for why).  In the
+    rectangle rule a scalar rhs is a running sum and an array one FFT
+    convolution, so a column of ones rounds unlike rhs = 1.0.
 
     Returns
     -------
@@ -345,20 +311,18 @@ def second_kind_solve(
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim and rhs.shape != (grid.nodes.size, lams.size)[: rhs.ndim]:
         raise ValueError("rhs needs N+1 samples, shared or one column per lam")
-    weights = lag_weights(moments, grid) if grid.is_uniform else None
+    weights = lag_weights(moments, grid)
     if scheme is None:
         # one scheme for the whole call so columns stay mutually comparable
         # (mixing rules breaks monotonicity across lambda at the switch point)
         scheme = stiffness_scheme(moments, grid, lams)
-    trap = scheme == "trapezoid"
-    if weights is not None and not trap:
+    if scheme == "trapezoid":
+        rhs = np.broadcast_to(rhs, grid.nodes.shape + rhs.shape[1:])
+        x = _uniform_trapezoid(weights, lams, rhs)
+    else:
         # right-endpoint sums start at x_1: rows 1..N are one Toeplitz solve
         a0 = weights.cell
         x = _toeplitz_solve(a0, lams, 1.0 + lams * a0[0], rhs)
-    else:
-        rhs = np.broadcast_to(rhs, grid.nodes.shape + rhs.shape[1:])
-        x = (_uniform_trapezoid(weights, lams, rhs) if weights is not None
-             else _graded_second_kind(moments, grid, lams, rhs, trap))
     if np.isscalar(lam) or np.ndim(lam) == 0:
         return x[:, 0], scheme
     return x, scheme
@@ -369,34 +333,19 @@ def first_kind_solve(moments: Moments, grid: TimeGrid, rhs) -> Tuple[np.ndarray,
 
     k is constant on each cell (t_{j-1}, t_j]; the value is attributed to the
     right endpoint, so the returned samples live on nodes[1:].  Returns the
-    samples and the smallest diagonal weight (conditioning indicator).
+    samples and the diagonal weight (conditioning indicator).
 
-    On a uniform grid the system is Toeplitz, O(N log N) (``_toeplitz_solve``;
-    a scalar rhs is a running sum); a graded grid is substituted row by row.
+    The system is Toeplitz, O(N log N) (``_toeplitz_solve``; a scalar rhs is
+    a running sum).
     """
     t = grid.nodes
-    n = grid.n_steps
     rhs_arr = np.broadcast_to(np.asarray(rhs, dtype=float), t.shape)
-    if grid.is_uniform:
-        a0, _ = moments(t[:-1], t[1:])
-        diag = float(a0[0])
-        if diag <= 0.0:
-            raise ValueError("first-kind diagonal weight vanished")
-        k = _toeplitz_solve(a0, 1.0, diag, float(rhs) if np.ndim(rhs) == 0 else rhs_arr)
-        return k[1:], diag
-    k = np.zeros(n + 1)
-    min_diag = np.inf
-    for i in range(1, n + 1):
-        hi = t[i] - t[:i]
-        lo = t[i] - t[1 : i + 1]
-        a0, _ = moments(lo, hi)
-        diag = float(a0[-1])
-        min_diag = min(min_diag, diag)
-        if diag <= 0.0:
-            raise ValueError("first-kind diagonal weight vanished")
-        past = a0[:-1] @ k[1:i] if i > 1 else 0.0
-        k[i] = (rhs_arr[i] - past) / diag
-    return k[1:], float(min_diag)
+    a0, _ = moments(t[:-1], t[1:])
+    diag = float(a0[0])
+    if diag <= 0.0:
+        raise ValueError("first-kind diagonal weight vanished")
+    k = _toeplitz_solve(a0, 1.0, diag, float(rhs) if np.ndim(rhs) == 0 else rhs_arr)
+    return k[1:], diag
 
 
 def _lag_shape(K: np.ndarray, G: np.ndarray) -> Tuple[int, ...]:

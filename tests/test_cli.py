@@ -26,7 +26,8 @@ from rstokes import (
     relaxation_batch,
 )
 from rstokes.cli import main
-from rstokes.config import build_domain_basis, build_grid, build_kernel
+from rstokes.config import (build_domain_basis, build_grid, build_kernel,
+                            validate_config)
 from rstokes.csvio import write_csv, write_field_csv
 from rstokes.kernels import DEFAULT_THETAS
 
@@ -323,12 +324,36 @@ def test_invalid_config_exits_1_with_all_problems(tmp_path, capsys):
     assert "grid.T" in err and "kernel.kind" in err
     assert not out.exists()
 
-    # a graded solve is refused before any work: holder.csv needs a uniform grid
+    # a graded solve is refused before any work: the time grid is uniform
     graded = dict(SOLVE_CFG, grid={"T": 1.0, "N_t": 64, "grading": 2.0})
     cfg = write_cfg(tmp_path, graded, name="graded.json")
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "grid.grading" in err and "Holder" in err
+    assert "grid.grading" in err and "grid.N_t" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["relax", "certify", "verify", "solve", "inverse"])
+def test_grid_grading_exits_1_before_any_output(tmp_path, capsys, command):
+    # the one problem of each config is the grading key, which every command
+    # refuses, naming the uniform alternative
+    payload = dict(SOLVE_CFG, grid={"T": 1.0, "N_t": 64})
+    if command == "inverse":
+        basis = build_basis(Interval(1.0), 4)
+        g = [1.0, 0.0, 0.0, 0.0]
+        write_field_csv(str(tmp_path / "g.csv"), basis.eigenvalues, g)
+        write_field_csv(str(tmp_path / "kappa.csv"), basis.eigenvalues, g)
+        t = np.linspace(0.0, 1.0, 65)
+        write_csv(str(tmp_path / "psi.csv"), ["t", "psi"], zip(t, 1.0 - np.exp(-t)))
+        payload["inverse"] = {key + "_path": str(tmp_path / f"{key}.csv")
+                              for key in ("psi", "g", "kappa")}
+    validate_config(payload, command)
+    payload["grid"] = {"T": 1.0, "N_t": 64, "grading": 2.0}
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "grid.grading" in err and "grid.N_t" in err
     assert not out.exists()
 
 
@@ -646,14 +671,13 @@ def _kernel_section(kind, m0, shape, tmp):
     rectangle=st.booleans(),
     n_modes=st.integers(1, 8),
     n_steps=st.integers(2, 64),
-    grading=st.sampled_from([1.0, 2.0]),
     trials=st.integers(1, 5),
     seed=st.integers(0, 2**31),
     mu=st.floats(0.0, 2.0),
     delta=st.floats(0.05, 1.0, exclude_max=True),
 )
 def test_verify_exits_0_with_a_matching_summary(
-    kind, m0, shape, rectangle, n_modes, n_steps, grading, trials, seed, mu, delta
+    kind, m0, shape, rectangle, n_modes, n_steps, trials, seed, mu, delta
 ):
     domain = (
         {"shape": "rectangle", "Lx": 1.0, "Ly": 1.5, "N": n_modes}
@@ -663,7 +687,7 @@ def test_verify_exits_0_with_a_matching_summary(
     with tempfile.TemporaryDirectory() as tmp:
         payload = {
             "domain": domain,
-            "grid": {"T": 1.0, "N_t": n_steps, "grading": grading},
+            "grid": {"T": 1.0, "N_t": n_steps},
             "kernel": _kernel_section(kind, m0, shape, tmp),
             "verify": {"trials": trials, "seed": seed, "mu": mu, "delta": delta},
         }
@@ -689,15 +713,12 @@ def test_verify_exits_0_with_a_matching_summary(
     m0=st.floats(0.01, 100.0),
     shape=st.floats(0.05, 0.95),
     n_steps=st.integers(2, 64),
-    grading=st.sampled_from([1.0, 2.0]),
     thetas=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
 )
-def test_certify_exits_0_with_a_matching_summary(
-    kind, m0, shape, n_steps, grading, thetas
-):
+def test_certify_exits_0_with_a_matching_summary(kind, m0, shape, n_steps, thetas):
     with tempfile.TemporaryDirectory() as tmp:
         payload = {
-            "grid": {"T": 1.0, "N_t": n_steps, "grading": grading},
+            "grid": {"T": 1.0, "N_t": n_steps},
             "kernel": _kernel_section(kind, m0, shape, tmp),
             "certify": {"thetas": thetas},
         }
@@ -723,14 +744,13 @@ def test_certify_exits_0_with_a_matching_summary(
     lambdas=st.lists(st.floats(1e-3, 1e5), min_size=1, max_size=6),
     n_modes=st.integers(1, 6),
     n_steps=st.integers(2, 64),
-    grading=st.sampled_from([1.0, 2.0]),
 )
 def test_relax_exits_0_with_a_matching_summary(
-    kind, m0, shape, source, lambdas, n_modes, n_steps, grading
+    kind, m0, shape, source, lambdas, n_modes, n_steps
 ):
     with tempfile.TemporaryDirectory() as tmp:
         payload = {
-            "grid": {"T": 1.0, "N_t": n_steps, "grading": grading},
+            "grid": {"T": 1.0, "N_t": n_steps},
             "kernel": _kernel_section(kind, m0, shape, tmp),
         }
         if source == "lambdas":

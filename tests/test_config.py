@@ -187,6 +187,17 @@ def test_a_sum_checks_its_own_mu_against_its_first_part_s_delta():
     )
 
 
+@pytest.mark.parametrize("command", ["relax", "certify", "verify", "solve", "inverse"])
+def test_grid_grading_is_refused_for_every_command(command):
+    # the time grid is uniform; a finer one comes from a larger N_t
+    for grading in (1.0, 2.0):
+        cfg = solve_cfg(grid={"T": 1.0, "N_t": 64, "grading": grading})
+        with pytest.raises(ConfigError) as info:
+            validate_config(cfg, command)
+        assert ("grid.grading is not read; the time grid is uniform, so raise "
+                "grid.N_t for a finer one") in info.value.problems
+
+
 def test_grid_needs_two_steps():
     # a one-step grid used to pass validation and fail in TimeGrid.uniform
     with pytest.raises(ConfigError, match="N_t must be >= 2"):
@@ -238,13 +249,12 @@ def test_load_config_requires_an_object(tmp_path):
 
 
 def test_build_grid_uniform_and_graded():
-    uniform = build_grid({"grid": {"T": 2.0, "N_t": 8}})
-    assert uniform.is_uniform and uniform.horizon == 2.0
-    graded = build_grid({"grid": {"T": 1.0, "N_t": 8, "grading": 2.0}})
-    assert not graded.is_uniform
-    assert graded.grading == 2.0
-    # grading 1.0 means uniform, not a degenerate graded grid
-    assert build_grid({"grid": {"T": 1.0, "N_t": 8, "grading": 1.0}}).is_uniform
+    grid = build_grid({"grid": {"T": 2.0, "N_t": 8}})
+    assert grid.horizon == 2.0 and grid.n_steps == 8
+    assert np.array_equal(grid.nodes, np.linspace(0.0, 2.0, 9))
+    # a graded grid never reaches build_grid: validation refuses the key
+    with pytest.raises(ConfigError, match="grid.grading"):
+        validate_config(solve_cfg(grid={"T": 1.0, "N_t": 8, "grading": 2.0}), "solve")
 
 
 def test_build_domain_basis_shapes():

@@ -8,34 +8,19 @@ def test_uniform_nodes():
     grid = TimeGrid.uniform(2.0, 8)
     assert grid.n_steps == 8
     assert grid.horizon == 2.0
-    assert grid.is_uniform
     np.testing.assert_allclose(grid.nodes, np.linspace(0.0, 2.0, 9), atol=0.0)
     assert grid.dt == 0.25
     np.testing.assert_allclose(grid.steps(), np.full(8, 0.25))
 
 
-def test_graded_nodes_cluster_at_origin():
-    grid = TimeGrid.graded(1.0, 16, r=2.0)
-    assert not grid.is_uniform
-    assert grid.nodes[0] == 0.0
-    assert grid.nodes[-1] == 1.0
-    np.testing.assert_allclose(grid.nodes, (np.arange(17) / 16.0) ** 2)
-    # strictly increasing, first cell much smaller than the last
-    assert np.all(np.diff(grid.nodes) > 0.0)
-    assert grid.steps()[0] < grid.steps()[-1] / 8.0
-
-
-def test_graded_with_unit_exponent_has_uniform_spacing():
-    # spacing degenerates to uniform but dispatch stays on the graded path
-    grid = TimeGrid.graded(1.0, 10, r=1.0)
-    assert not grid.is_uniform
-    np.testing.assert_allclose(grid.nodes, np.linspace(0.0, 1.0, 11))
-
-
 def test_dt_rejected_on_nonuniform():
-    grid = TimeGrid.graded(1.0, 8, r=3.0)
-    with pytest.raises(ValueError):
-        grid.dt
+    # uneven nodes used to pass as uniform, with dt = nodes[1] for every
+    # solver: a relaxation profile on [0, 0.1, 0.5, 1] went negative
+    off_by_one_ulp = np.linspace(0.0, 1.0, 9)
+    off_by_one_ulp[4] = np.nextafter(off_by_one_ulp[4], 1.0)
+    for nodes in ([0.0, 0.1, 0.5, 1.0], (np.arange(9) / 8.0) ** 2, off_by_one_ulp):
+        with pytest.raises(ValueError, match="uniform"):
+            TimeGrid(np.array(nodes))
 
 
 @pytest.mark.parametrize("bad", [1, 0, -4])

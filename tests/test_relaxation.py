@@ -107,11 +107,3 @@ def test_kinked_table_fails_where_the_certificate_fails():
     report = verify_relaxation(table, kernel)
     failing = {r.name for r in report.rows if not r.passed}
     assert "monotone_time" in failing
-
-
-def test_graded_grid_profile_stays_structural():
-    grid = TimeGrid.graded(1.0, 128, r=2.0)
-    kernel = MemoryKernel.fractional(1.0, 0.5)
-    table = relaxation_batch(kernel, [1.0, 10.0], grid)
-    report = verify_relaxation(table, kernel)
-    assert report.passed

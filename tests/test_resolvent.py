@@ -113,17 +113,6 @@ def test_derivative_decay_skips_on_increasing_tables():
     report = verify_sol_op_bounds(ctx, n_trials=4)
     assert report.row("derivative_decay").status == "skip"
     assert "nonincreasing" in report.row("derivative_decay").reason
-
-
-def test_graded_grid_skips_uniform_lag_rows():
-    basis = build_basis(Interval(1.0), 4)
-    grid = TimeGrid.graded(1.0, 64, r=2.0)
-    ctx = build_resolvent(KERNELS["fractional"], basis, grid)
-    report = verify_sol_op_bounds(ctx, n_trials=4)
-    assert report.interpolated_lags
-    assert report.row("sol_op_bound").status == "pass"
-    for label in ("conv_smoothing_singular", "conv_smoothing_reciprocal"):
-        assert report.row(label).status == "skip"
     with pytest.raises(KeyError):
         report.row("nonexistent")
 
@@ -171,8 +160,6 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
     def skip(label, reason):
         return BoundCheck(label, "skip", float("nan"), float("nan"), reason)
 
-    graded = "graded grid: lag-aligned quadrature unavailable"
-
     worst, t_at = np.inf, 0.0
     at_nodes = np.full(t.size, np.inf)
     for _ in range(n_trials):
@@ -186,7 +173,6 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
     rows.append(worst_row("sol_op_bound", worst, t_at))
     node_margins["sol_op_bound"] = (t, at_nodes)
 
-    uniform = ctx.grid.is_uniform
     rectangle = ctx.table.scheme == "rectangle"
 
     def smoothing(trials, convs, rho, weight_at_nodes, weight_moments):
@@ -205,17 +191,14 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
                 worst, t_at = float(margin[i]), float(t[i])
         return worst, t_at
 
-    if uniform:
-        dt = ctx.grid.dt
-        trials = [_oracle_trial_series(rng, t, n_modes) for _ in range(n_trials)]
-        convs = [convolve_sol_op(ctx, g) for g in trials]
-        l2 = smoothing(
-            trials, convs, mu - 1.0, omega[1:, 0],
-            lambda q: trapezoid_convolve(omega[:, 0], q, dt),
-        )
-        rows.append(worst_row("conv_smoothing_l2", *l2))
-    else:
-        rows.append(skip("conv_smoothing_l2", graded))
+    dt = ctx.grid.dt
+    trials = [_oracle_trial_series(rng, t, n_modes) for _ in range(n_trials)]
+    convs = [convolve_sol_op(ctx, g) for g in trials]
+    l2 = smoothing(
+        trials, convs, mu - 1.0, omega[1:, 0],
+        lambda q: trapezoid_convolve(omega[:, 0], q, dt),
+    )
+    rows.append(worst_row("conv_smoothing_l2", *l2))
 
     if ctx.kernel.nonincreasing:
         worst, t_at = np.inf, 0.0
@@ -235,35 +218,31 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
     else:
         rows.append(skip("derivative_decay", "kernel is not nonincreasing"))
 
-    if uniform:
-        w_sing = lag_weights(HistoryKernel.powerlaw(1.0, -delta).moments, ctx.grid)
-        singular = smoothing(
-            trials, convs, mu - 1.0 - delta, t[1:] ** (-delta),
-            lambda q: product_convolve(w_sing, q),
-        )
-        rows.append(worst_row("conv_smoothing_singular", *singular))
-        if reciprocal_cumulative_integrable(ctx.kernel):
-            if rectangle:
-                rec_vals = 1.0 / np.asarray(ctx.kernel.cumulative(t[1:]), float)
-                w_rec = None
-            else:
-                rec_vals, w_rec = None, _reciprocal_weights(ctx)
-            recip = smoothing(
-                trials, convs, mu - 2.0, rec_vals,
-                lambda q: product_convolve(w_rec, q),
-            )
-            rows.append(worst_row("conv_smoothing_reciprocal", *recip))
+    w_sing = lag_weights(HistoryKernel.powerlaw(1.0, -delta).moments, ctx.grid)
+    singular = smoothing(
+        trials, convs, mu - 1.0 - delta, t[1:] ** (-delta),
+        lambda q: product_convolve(w_sing, q),
+    )
+    rows.append(worst_row("conv_smoothing_singular", *singular))
+    if reciprocal_cumulative_integrable(ctx.kernel):
+        if rectangle:
+            rec_vals = 1.0 / np.asarray(ctx.kernel.cumulative(t[1:]), float)
+            w_rec = None
         else:
-            rows.append(
-                skip(
-                    "conv_smoothing_reciprocal",
-                    "1/(1*m) is not integrable at t = 0 for a kernel bounded there",
-                )
-            )
+            rec_vals, w_rec = None, _reciprocal_weights(ctx)
+        recip = smoothing(
+            trials, convs, mu - 2.0, rec_vals,
+            lambda q: product_convolve(w_rec, q),
+        )
+        rows.append(worst_row("conv_smoothing_reciprocal", *recip))
     else:
-        rows.append(skip("conv_smoothing_singular", graded))
-        rows.append(skip("conv_smoothing_reciprocal", graded))
-    report = ResolventReport(tuple(rows), mu, delta, interpolated_lags=not uniform)
+        rows.append(
+            skip(
+                "conv_smoothing_reciprocal",
+                "1/(1*m) is not integrable at t = 0 for a kernel bounded there",
+            )
+        )
+    report = ResolventReport(tuple(rows), mu, delta)
     return report, node_margins
 
 
@@ -285,7 +264,7 @@ def assert_matching_report(a, b, node_margins):
     mode, where the margin is rounding at every node, or omega = 1 at
     t = 0), so a worst node with no near tie keeps its bits.
     """
-    assert (a.mu, a.delta, a.interpolated_lags) == (b.mu, b.delta, b.interpolated_lags)
+    assert (a.mu, a.delta) == (b.mu, b.delta)
     assert [r.label for r in a.rows] == [r.label for r in b.rows]
     for ra, rb in zip(a.rows, b.rows):
         assert (ra.label, ra.status, ra.reason) == (rb.label, rb.status, rb.reason)
@@ -323,7 +302,6 @@ def verify_kernels(draw):
 @given(
     kernel=verify_kernels(),
     scheme=st.sampled_from(["trapezoid", "rectangle"]),
-    grading=st.sampled_from([1.0, 1.5, 2.5]),
     n_modes=st.integers(1, 6),
     n_steps=st.integers(5, 80),
     n_trials=st.integers(1, 5),
@@ -335,13 +313,10 @@ def verify_kernels(draw):
     small_blocks=st.booleans(),
 )
 def test_streamed_report_matches_the_per_trial_oracle(
-    kernel, scheme, grading, n_modes, n_steps, n_trials, seed, mu, delta, small_blocks
+    kernel, scheme, n_modes, n_steps, n_trials, seed, mu, delta, small_blocks
 ):
     basis = build_basis(Interval(1.0), n_modes)
-    if grading > 1.0:
-        grid = TimeGrid.graded(1.0, n_steps, grading)
-    else:
-        grid = TimeGrid.uniform(1.0, n_steps)
+    grid = TimeGrid.uniform(1.0, n_steps)
     ctx = build_resolvent(kernel, basis, grid, scheme)
     blocks = (
         mock.patch.object(spectral, "_BLOCK", 8)
@@ -368,21 +343,17 @@ def test_streamed_report_equals_oracle_at_workload_shape(kind):
 @given(
     kernel=verify_kernels(),
     scheme=st.sampled_from(["trapezoid", "rectangle"]),
-    grading=st.sampled_from([1.0, 2.0]),
     n_modes=st.integers(1, 8),
     n_steps=st.integers(2, 300),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_superposed_profiles_match_the_convolved_trial_series(
-    kernel, scheme, grading, n_modes, n_steps, seed
+    kernel, scheme, n_modes, n_steps, seed
 ):
     # S*g of g = amp * (1 + sin(2 pi t/T + phase)/2) is amp * (P0 + a P1 + b P2),
     # P_k = S*E_k of the shared profiles, a = cos(phase)/2, b = sin(phase)/2
     basis = build_basis(Interval(1.0), n_modes)
-    if grading > 1.0:
-        grid = TimeGrid.graded(1.0, min(n_steps, 60), grading)
-    else:
-        grid = TimeGrid.uniform(1.0, n_steps)
+    grid = TimeGrid.uniform(1.0, n_steps)
     ctx = build_resolvent(kernel, basis, grid, scheme)
     t = ctx.grid.nodes
     rng = np.random.default_rng(seed)

@@ -143,11 +143,6 @@ def test_lag_weights_nonnegative_and_telescoping():
         )
 
 
-def test_lag_weights_need_uniform_grid():
-    with pytest.raises(ValueError):
-        lag_weights(MemoryKernel.constant(1.0).moments, TimeGrid.graded(1.0, 8))
-
-
 def test_product_convolve_matches_direct_loop():
     rng = np.random.default_rng(7)
     # full convolution lengths 80 (5-smooth) and 74 (padded to 75)
@@ -383,24 +378,16 @@ def test_rectangle_convolve_matches_direct_loop():
 
 def test_newest_left_weight_is_first_cell_left_moment():
     # the rule switches where max(lam) times the newest lag cell's left
-    # weight crosses STIFF_THRESHOLD: the first cell's on a uniform grid, the
-    # largest over the rows on a graded one
+    # weight crosses STIFF_THRESHOLD: the first cell's
     kernel = MemoryKernel.fractional(1.0, 0.5)
-    uniform = TimeGrid.uniform(1.0, 50)
-    graded = TimeGrid.graded(1.0, 50, 2.0)
-    steps = graded.steps()
-    newest = [
-        (uniform, lag_weights(kernel.a_moments, uniform).left[0]),
-        (graded, np.max(endpoint_weights(kernel.a_moments, 0.0 * steps, steps, steps)[0])),
-    ]
-    for grid, u0 in newest:
-        edge = STIFF_THRESHOLD / u0
-        below = [0.5 * edge, edge * (1.0 - 1e-12)]
-        above = [0.5 * edge, edge * (1.0 + 1e-12)]
-        assert stiffness_scheme(kernel.a_moments, grid, below) == "trapezoid"
-        assert stiffness_scheme(kernel.a_moments, grid, above) == "rectangle"
-        assert second_kind_solve(kernel.a_moments, grid, below, 1.0)[1] == "trapezoid"
-        assert second_kind_solve(kernel.a_moments, grid, above, 1.0)[1] == "rectangle"
+    grid = TimeGrid.uniform(1.0, 50)
+    edge = STIFF_THRESHOLD / lag_weights(kernel.a_moments, grid).left[0]
+    below = [0.5 * edge, edge * (1.0 - 1e-12)]
+    above = [0.5 * edge, edge * (1.0 + 1e-12)]
+    assert stiffness_scheme(kernel.a_moments, grid, below) == "trapezoid"
+    assert stiffness_scheme(kernel.a_moments, grid, above) == "rectangle"
+    assert second_kind_solve(kernel.a_moments, grid, below, 1.0)[1] == "trapezoid"
+    assert second_kind_solve(kernel.a_moments, grid, above, 1.0)[1] == "rectangle"
 
 
 def test_second_kind_scheme_selection_is_joint():
@@ -476,19 +463,18 @@ def memory_kernels(draw):
 @given(
     kernel=memory_kernels(),
     scheme=st.sampled_from(["trapezoid", "rectangle"]),
-    grading=st.sampled_from([1.0, 2.0]),
     # the rectangle rule doubles its reciprocal series up to n rows
     n=st.integers(2, 160),
     columns=st.integers(1, 9),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_columns_have_the_bits_of_single_column_solves(
-    kernel, scheme, grading, n, columns, seed
+    kernel, scheme, n, columns, seed
 ):
-    # one right-hand side per lam: every path (uniform trapezoid row loop,
-    # uniform rectangle Toeplitz solve, graded row loop) sums each column on
-    # its own, so a batch is its columns solved one at a time
-    grid = TimeGrid.graded(1.0, n, grading) if grading > 1.0 else TimeGrid.uniform(1.0, n)
+    # one right-hand side per lam: both paths (trapezoid row loop, rectangle
+    # Toeplitz solve) sum each column on their own, so a batch is its
+    # columns solved one at a time
+    grid = TimeGrid.uniform(1.0, n)
     rng = np.random.default_rng(seed)
     lams = rng.uniform(0.01, 100.0, columns)
     rhs = rng.standard_normal((n + 1, columns))
@@ -512,26 +498,6 @@ def test_second_kind_checks_a_per_column_rhs():
         kernel.a_moments, grid, [1.0, 2.0], np.repeat(np.sin(grid.nodes)[:, None], 2, axis=1)
     )
     assert np.array_equal(shared, per_column)
-
-
-def test_second_kind_on_graded_grid():
-    # graded path: same equation, per-row weights; check the identity row-wise
-    grid = TimeGrid.graded(1.0, 24, r=2.0)
-    kernel = MemoryKernel.fractional(1.0, 0.5)
-    lam = 2.0
-    x, scheme = second_kind_solve(kernel.a_moments, grid, lam, 1.0)
-    assert x.shape == (25, 1) or x.shape == (25,)
-    x = np.atleast_2d(x.T).T
-    t = grid.nodes
-    for i in (5, 12, 24):
-        hi = t[i] - t[:i]
-        lo = t[i] - t[1 : i + 1]
-        a0, a1 = kernel.a_moments(lo, hi)
-        h = hi - lo
-        left = (a1 - lo * a0) / h
-        right = (hi * a0 - a1) / h
-        conv = left @ x[:i, 0] + right @ x[1 : i + 1, 0]
-        assert x[i, 0] + lam * conv == pytest.approx(1.0, abs=1e-12)
 
 
 def test_first_kind_recovers_sonine_pair():
