@@ -34,9 +34,8 @@ _EXPORTS = {
                        "convolve_sol_op", "reciprocal_cumulative_integrable",
                        "verify_sol_op_bounds")),
         ("nonlinear", ("Nonlinearity", "PicardOptions", "MildSolution",
-                       "NonConvergence", "GateDecision", "HolderReport",
-                       "picard_solve", "holder_estimate", "small_data_gate",
-                       "spectral_gap_gate", "select_invariant_radius")),
+                       "NonConvergence", "HolderReport", "picard_solve",
+                       "holder_estimate")),
         ("inverse", ("InverseProblem", "ReconstructionResult", "PairingTooSmall",
                      "KernelGateFailed", "forward_simulate", "reconstruct",
                      "derivative_psi")),

@@ -104,7 +104,7 @@ def config_hash(cfg: Dict) -> str:
 
 
 def _num(section: Dict, key: str, where: str, problems: List[str], *,
-         required=False, default=None, minimum=None, maximum=None,
+         required=False, default=None, minimum=None,
          exclusive_min=None, exclusive_max=None, integer=False):
     if key not in section:
         if required:
@@ -114,17 +114,14 @@ def _num(section: Dict, key: str, where: str, problems: List[str], *,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{where}.{key} must be a number, got {value!r}")
         return default
-    if integer and int(value) != value:
-        problems.append(f"{where}.{key} must be an integer, got {value!r}")
-        return default
     if not math.isfinite(value):
         problems.append(f"{where}.{key} must be finite")
         return default
+    if integer and int(value) != value:
+        problems.append(f"{where}.{key} must be an integer, got {value!r}")
+        return default
     if minimum is not None and value < minimum:
         problems.append(f"{where}.{key} must be >= {minimum}, got {value}")
-        return default
-    if maximum is not None and value > maximum:
-        problems.append(f"{where}.{key} must be <= {maximum}, got {value}")
         return default
     if exclusive_min is not None and value <= exclusive_min:
         problems.append(f"{where}.{key} must be > {exclusive_min}, got {value}")
@@ -133,6 +130,19 @@ def _num(section: Dict, key: str, where: str, problems: List[str], *,
         problems.append(f"{where}.{key} must be < {exclusive_max}, got {value}")
         return default
     return int(value) if integer else float(value)
+
+
+def _finite(value) -> bool:
+    """Whether a JSON value is a finite number; true and false are not."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _finite_numbers(values: list, where: str, problems: List[str]) -> None:
+    """Name the first entry of values that is not a finite number."""
+    bad = next((i for i, value in enumerate(values) if not _finite(value)), None)
+    if bad is not None:
+        problems.append(f"{where}[{bad}] must be a finite number, got {values[bad]!r}")
 
 
 def _choice(section: Dict, key: str, where: str, options, problems: List[str], *,
@@ -228,9 +238,7 @@ def _validate_orders(section: Dict, where: str, problems: List[str],
     inherited = first if isinstance(first, dict) else {}
     mu = inherited.get("mu", 1.0) if mu is None else mu
     delta = inherited.get("delta", 0.5) if delta is None else delta
-    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                  for v in (mu, delta))
-    if not (numbers and 0.0 < mu < 2.0 and 0.0 < delta < 1.0):
+    if not (_finite(mu) and _finite(delta) and 0.0 < mu < 2.0 and 0.0 < delta < 1.0):
         return  # an inherited order out of range is reported with its part
     if mu >= 1.0 + delta:
         problems.append(
@@ -249,18 +257,21 @@ def _validate_nonlinearity(section: Dict, where: str, problems: List[str],
         coeffs = section.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
             problems.append(f"{where}.coeffs must be a nonempty list")
-        elif n_modes is not None and len(coeffs) != n_modes:
-            problems.append(f"{where}.coeffs must have one entry per mode "
-                            f"(domain.N = {n_modes}), got {len(coeffs)}")
+        else:
+            _finite_numbers(coeffs, f"{where}.coeffs", problems)
+            if n_modes is not None and len(coeffs) != n_modes:
+                problems.append(f"{where}.coeffs must have one entry per mode "
+                                f"(domain.N = {n_modes}), got {len(coeffs)}")
     if kind == "polynomial_power":
         _num(section, "power", where, problems, required=True, exclusive_min=1.0)
         _num(section, "scale", where, problems)
+        if not isinstance(section.get("signed", True), bool):
+            problems.append(f"{where}.signed must be true or false")
     if kind == "advection_history":
         chi = section.get("chi")
-        ok = isinstance(chi, (int, float)) and not isinstance(chi, bool)
-        if not ok and not (isinstance(chi, list) and chi and all(
-                isinstance(c, (int, float)) and not isinstance(c, bool) for c in chi)):
-            problems.append(f"{where}.chi must be a number or list of numbers")
+        ok = _finite(chi)
+        if not ok and not (isinstance(chi, list) and chi and all(map(_finite, chi))):
+            problems.append(f"{where}.chi must be a finite number or list of them")
         elif ndim is not None and (1 if ok else len(chi)) != ndim:
             problems.append(f"{where}.chi must have one component per domain "
                             f"dimension ({ndim}), got {chi!r}")
@@ -279,7 +290,8 @@ def _validate_nonlinearity(section: Dict, where: str, problems: List[str],
                                            ndim, n_modes)
 
 
-def _validate_initial(section: Dict, where: str, problems: List[str]) -> None:
+def _validate_initial(section: Dict, where: str, problems: List[str],
+                      n_modes: Optional[int]) -> None:
     has_coeffs = "coefficients" in section
     has_preset = "preset" in section
     if has_coeffs == has_preset:
@@ -287,9 +299,13 @@ def _validate_initial(section: Dict, where: str, problems: List[str]) -> None:
         return
     if has_coeffs:
         coeffs = section["coefficients"]
-        if not isinstance(coeffs, list) or not all(
-                isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs):
+        if not isinstance(coeffs, list):
             problems.append(f"{where}.coefficients must be a list of numbers")
+        else:
+            _finite_numbers(coeffs, f"{where}.coefficients", problems)
+            if n_modes is not None and len(coeffs) > n_modes:
+                problems.append(f"{where}.coefficients has {len(coeffs)} entries, "
+                                f"more than domain.N = {n_modes}")
     else:
         _choice(section, "preset", where, ("zero", "first_mode"), problems,
                 required=True)
@@ -349,8 +365,7 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
         lams = problem.get("lambdas")
         if lams is not None:
             ok = isinstance(lams, list) and lams and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-                for v in lams)
+                _finite(v) and v > 0 for v in lams)
             if not ok:
                 problems.append("problem.lambdas must be a list of positive numbers")
             elif sorted(lams) != list(lams):
@@ -365,7 +380,7 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
             _validate_kernel(HistoryKernel, hist, "history_kernel", problems)
         init = _section(cfg, "initial", problems, required=True)
         if init is not None:
-            _validate_initial(init, "initial", problems)
+            _validate_initial(init, "initial", problems, n_modes)
 
     if subcommand == "verify":
         verify = _section(cfg, "verify", problems, required=False)
@@ -383,8 +398,7 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
             thetas = certify.get("thetas")
             if thetas is not None:
                 ok = isinstance(thetas, list) and thetas and all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-                    for v in thetas)
+                    _finite(v) and v > 0 for v in thetas)
                 if not ok:
                     problems.append("certify.thetas must be a list of positive numbers")
             _num(certify, "tol", "certify", problems, exclusive_min=0.0)
@@ -413,7 +427,7 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
             _num(inv, "max_iter", "inverse", problems, integer=True, minimum=1)
         init = _section(cfg, "initial", problems, required=False)
         if init is not None:
-            _validate_initial(init, "initial", problems)
+            _validate_initial(init, "initial", problems, n_modes)
 
     if problems:
         raise ConfigError(problems)
@@ -461,7 +475,7 @@ def nonlinearity_from_section(section: Dict) -> Nonlinearity:
         return Nonlinearity.polynomial_power(
             float(section["power"]),
             scale=float(section.get("scale", 1.0)),
-            signed=bool(section.get("signed", True)),
+            signed=section.get("signed", True),
             **kw,
         )
     if kind == "advection_history":

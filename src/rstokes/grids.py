@@ -51,7 +51,3 @@ class TimeGrid:
     def dt(self) -> float:
         """Step size."""
         return float(self.nodes[1] - self.nodes[0])
-
-    def steps(self) -> np.ndarray:
-        """Cell widths np.diff(nodes), each dt only up to rounding."""
-        return np.diff(self.nodes)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -354,9 +354,6 @@ class HistoryKernel:
             return np.abs(self.cumulative(t))
         return _abs_interpolant(self._interp).integral0(t)
 
-    def l1_norm(self, horizon: float) -> float:
-        return float(self.cumulative_abs(horizon))
-
     def moments(self, lo, hi):
         """Signed cell integrals (int ell, int s*ell(s) ds)."""
         lo = np.asarray(lo, dtype=float)
@@ -486,7 +483,7 @@ def certify_completely_positive(
     rhs[:, k:] = (t + kernel.cumulative(t))[:, None]
     sw, _ = second_kind_solve(kernel.a_moments, grid, np.tile(thetas, 2), rhs)
     s, w = sw[:, :k], sw[:, k:]
-    r = np.diff(w, axis=0) / grid.steps()[:, None]
+    r = np.diff(w, axis=0) / grid.dt
     min_s = s.min(axis=0)
     min_r = r.min(axis=0)
     passed = bool(np.all(min_s >= -tol) and np.all(min_r >= -tol))

@@ -6,9 +6,8 @@ built from the state v and its running history w = (ell * v):
     u(t) = S(t) xi + int_0^t S(t - tau) f(u(tau), w(tau)) dtau
 
 Fixed-point iteration on that formula converges geometrically whenever the
-data are small enough; ``small_data_gate`` and ``spectral_gap_gate`` evaluate
-the sufficient conditions and ``holder_estimate`` measures time regularity
-of a computed trajectory.
+data are small enough; ``holder_estimate`` measures time regularity of a
+computed trajectory.
 
 What ``picard_solve`` does once per solve and what it does per sweep:
 
@@ -56,10 +55,6 @@ __all__ = [
     "PicardOptions",
     "MildSolution",
     "picard_solve",
-    "GateDecision",
-    "small_data_gate",
-    "spectral_gap_gate",
-    "select_invariant_radius",
     "HolderReport",
     "holder_estimate",
 ]
@@ -115,7 +110,7 @@ class Nonlinearity:
     use the factory classmethods rather than the constructor.  mu is the
     regularity order of the state (the norm of the Picard residual and of
     the Holder estimate), delta the time-integrability exponent of the
-    damping estimate (the gates and the Holder range delta/2 < gamma < 1/2);
+    damping estimate, which sets the Holder range delta/2 < gamma < 1/2;
     mu < 1 + delta keeps the dual output order 1 + delta - mu positive.
     """
 
@@ -129,10 +124,6 @@ class Nonlinearity:
     chi: Tuple[float, ...] = ()
     parts: Tuple["Nonlinearity", ...] = ()
     series_fn: Optional[Callable] = None
-    lip_state: Optional[Callable[[float], float]] = None
-    lip_history: Optional[Callable[[float], float]] = None
-    state_global: Optional[float] = None
-    history_global: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.mu < 2.0:
@@ -146,14 +137,14 @@ class Nonlinearity:
 
     @classmethod
     def zero(cls, **kw) -> "Nonlinearity":
-        return cls(kind="zero", state_global=0.0, history_global=0.0, **kw)
+        return cls(kind="zero", **kw)
 
     @classmethod
     def linear_diagonal(cls, coeffs, **kw) -> "Nonlinearity":
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 1:
             raise ValueError("per-mode coefficients must be 1-d")
-        return cls(kind="linear_diagonal", coeffs=c, history_global=0.0, **kw)
+        return cls(kind="linear_diagonal", coeffs=c, **kw)
 
     @classmethod
     def polynomial_power(cls, power: float, scale: float = 1.0, signed: bool = True, **kw):
@@ -164,21 +155,13 @@ class Nonlinearity:
             power=float(power),
             scale=float(scale),
             signed=signed,
-            history_global=0.0,
             **kw,
         )
 
     @classmethod
     def advection_history(cls, chi, **kw) -> "Nonlinearity":
         chi_t = tuple(float(c) for c in np.atleast_1d(chi))
-        amp = float(np.linalg.norm(chi_t))
-        return cls(
-            kind="advection",
-            chi=chi_t,
-            state_global=0.0,
-            history_global=amp,
-            **kw,
-        )
+        return cls(kind="advection", chi=chi_t, **kw)
 
     @classmethod
     def sum_of(cls, *parts: "Nonlinearity", **kw) -> "Nonlinearity":
@@ -186,15 +169,7 @@ class Nonlinearity:
             raise ValueError("sum needs at least one part")
         kw.setdefault("mu", parts[0].mu)
         kw.setdefault("delta", parts[0].delta)
-        sg = [p.state_global for p in parts]
-        hg = [p.history_global for p in parts]
-        return cls(
-            kind="sum",
-            parts=tuple(parts),
-            state_global=None if any(v is None for v in sg) else float(np.sum(sg)),
-            history_global=None if any(v is None for v in hg) else float(np.sum(hg)),
-            **kw,
-        )
+        return cls(kind="sum", parts=tuple(parts), **kw)
 
     @classmethod
     def custom_series(cls, fn: Callable, **kw) -> "Nonlinearity":
@@ -315,56 +290,6 @@ class Nonlinearity:
         raise OverflowDiagnostic(
             "advected history projected to a non-finite coefficient (time row "
             f"{i}; largest sample {samples[0, j]:.3e} at node {_node(basis, j)})"
-        )
-
-    # -- Lipschitz data ------------------------------------------------------
-
-    def lipschitz_curves(self, basis: SpectralBasis):
-        """(L(rho), K(rho')) curves on invariant balls of the given basis.
-
-        Built-in kinds get conservative truncated-basis constants; custom
-        specs must supply lip_state / lip_history.  The curves bound the
-        increment of f in L2 against state increments in the mu norm and
-        history increments in the same norm.
-        """
-        if self.lip_state is not None or self.lip_history is not None:
-            L = self.lip_state or (lambda rho: 0.0)
-            K = self.lip_history or (lambda rho: 0.0)
-            return L, K
-        lam = basis.eigenvalues
-        if self.kind == "zero":
-            return (lambda rho: 0.0), (lambda rho: 0.0)
-        if self.kind == "linear_diagonal":
-            lstar = float(np.max(np.abs(self.coeffs) * lam ** (-self.mu / 2.0)))
-            return (lambda rho: lstar), (lambda rho: 0.0)
-        if self.kind == "power":
-            # |u|_inf <= sup|e_n| * sqrt(sum lam^-mu) * |u|_mu on the truncation
-            sup_e = basis._sup_mode()
-            c_inf = sup_e * float(np.sqrt(np.sum(lam ** (-self.mu))))
-            c_l2 = float(lam[0] ** (-self.mu / 2.0))
-            p, s = self.power, abs(self.scale)
-
-            def L(rho: float) -> float:
-                return s * p * (c_inf * rho) ** (p - 1.0) * c_l2
-
-            return L, (lambda rho: 0.0)
-        if self.kind == "advection":
-            amp = float(np.linalg.norm(self.chi))
-            # gradient costs one half power of the spectrum; mu >= 1 absorbs it
-            kstar = amp * float(np.max(lam ** ((1.0 - self.mu) / 2.0)))
-            return (lambda rho: 0.0), (lambda rho: kstar)
-        if self.kind == "sum":
-            curves = [p.lipschitz_curves(basis) for p in self.parts]
-
-            def L(rho: float) -> float:
-                return float(sum(c[0](rho) for c in curves))
-
-            def K(rho: float) -> float:
-                return float(sum(c[1](rho) for c in curves))
-
-            return L, K
-        raise ValueError(
-            "custom nonlinearity needs explicit lip_state / lip_history curves"
         )
 
 
@@ -490,89 +415,6 @@ def picard_solve(
     )
 
 
-# -- solvability gates --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GateDecision:
-    name: str
-    value: float
-    threshold: float
-    passed: bool
-
-    def __str__(self) -> str:
-        rel = "<" if self.passed else ">="
-        return f"{self.name}: {self.value:.6g} {rel} {self.threshold:.6g}"
-
-
-def small_data_gate(
-    state_global: float,
-    history_global: float,
-    ell_l1: float,
-    horizon: float,
-    delta: float,
-) -> GateDecision:
-    """Short-horizon contraction condition on global Lipschitz data."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    value = (
-        8.0
-        * horizon ** (1.0 - delta)
-        / (1.0 - delta)
-        * (state_global**2 + history_global**2 * ell_l1**2)
-    )
-    return GateDecision("small_data_gate", float(value), 1.0, bool(value < 1.0))
-
-
-def spectral_gap_gate(
-    state_global: float,
-    history_global: float,
-    ell_l1: float,
-    lambda1: float,
-) -> GateDecision:
-    """Arbitrary-horizon condition: Lipschitz data below the spectral gap."""
-    if lambda1 <= 0.0:
-        raise ValueError("lambda1 must be positive")
-    value = 4.0 * (state_global**2 + history_global**2 * ell_l1**2)
-    return GateDecision("spectral_gap_gate", float(value), float(lambda1), bool(value < lambda1))
-
-
-# select_invariant_radius tries the radii 2^k * 2|xi| for k < _MAX_DOUBLINGS
-_MAX_DOUBLINGS = 60
-
-
-def select_invariant_radius(
-    spec: Nonlinearity,
-    basis: SpectralBasis,
-    xi_norm: float,
-    ell_l1: float,
-    horizon: float,
-) -> float:
-    """Smallest radius 2^k * 2|xi| whose local constants satisfy the gate.
-
-    The ball of this radius is invariant for the fixed-point map and the
-    initial datum sits in its lower half.  Raises when the scan fails, which
-    means the local Lipschitz growth outruns the short-horizon damping.
-    """
-    if xi_norm <= 0.0:
-        raise ValueError("xi_norm must be positive")
-    L, K = spec.lipschitz_curves(basis)
-    coef = 8.0 * horizon ** (1.0 - spec.delta) / (1.0 - spec.delta)
-    rho = 2.0 * xi_norm
-    for _ in range(_MAX_DOUBLINGS):
-        value = coef * (L(rho) ** 2 + K(rho * ell_l1) ** 2 * ell_l1**2)
-        if value <= 1.0:
-            return rho
-        rho *= 2.0
-    raise ValueError(
-        "no invariant radius found: local Lipschitz constants exceed the "
-        f"short-horizon budget for every radius up to {rho:.3e}; shrink the "
-        "horizon or the data"
-    )
-
-
 # -- time-regularity estimate ---------------------------------------------
 
 
@@ -591,8 +433,6 @@ class HolderReport:
     h_at: float
     ell_star1: float
     ell_star2: float
-    gate_value: Optional[float]
-    gate_passed: Optional[bool]
     gamma_in_range: bool
 
 
@@ -623,17 +463,15 @@ def holder_estimate(
     mu: Optional[float] = None,
     t_min: Optional[float] = None,
     ell: Optional[HistoryKernel] = None,
-    state_global: Optional[float] = None,
-    history_global: Optional[float] = None,
     delta: Optional[float] = None,
 ) -> HolderReport:
     """Weighted Holder seminorm of a trajectory over dyadic increments.
 
     seminorm = sup (t/h)^gamma |u(t+h) - u(t)|_mu over grid nodes t >= t_min
-    and h in {T/2, T/4, ..., dt}.  When the history kernel and global
-    constants are supplied, the singular-weight gate value
-    16 B(1-delta, 1-2*gamma) T^(1-delta) (L^2 + K^2 ell2^2) is evaluated too
-    (finite only for gamma < 1/2).
+    and h in {T/2, T/4, ..., dt}.  With a history kernel ell it also reports
+    ell_star1 = sup (t/h)^gamma int_t^(t+h) |ell| and ell_star2 = sup t^gamma
+    int_0^t |ell(tau)| (t-tau)^(-gamma) dtau; with delta, a gamma outside
+    (delta/2, 1/2) warns and clears gamma_in_range.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -671,24 +509,7 @@ def holder_estimate(
                 ell1 = max(ell1, float(np.max((t[rows] / h) ** gamma * inc)))
         h_steps //= 2
 
-    ell2 = 0.0
-    if ell is not None and ell.kind != "zero":
-        ell2 = _history_weighted_sup(ell, grid, gamma, i_min)
-
-    gate_value = None
-    gate_passed = None
-    if state_global is not None and history_global is not None and delta is not None:
-        if gamma < 0.5:
-            gate_value = float(
-                16.0
-                * _beta(1.0 - delta, 1.0 - 2.0 * gamma)
-                * t[-1] ** (1.0 - delta)
-                * (state_global**2 + history_global**2 * ell2**2)
-            )
-            gate_passed = bool(gate_value < 1.0)
-        else:
-            gate_value = float("inf")
-            gate_passed = False
+    ell2 = 0.0 if ell is None else _history_weighted_sup(ell, grid, gamma, i_min)
 
     return HolderReport(
         gamma=gamma,
@@ -699,7 +520,5 @@ def holder_estimate(
         h_at=h_at,
         ell_star1=ell1,
         ell_star2=ell2,
-        gate_value=gate_value,
-        gate_passed=gate_passed,
         gamma_in_range=gamma_in_range,
     )

@@ -115,7 +115,7 @@ def verify_relaxation(
                       the row is labeled by the larger lambda)
     """
     t = table.grid.nodes
-    steps = table.grid.steps()
+    dt = table.grid.dt
     cum_a = t + kernel.cumulative(t)
     rows = []
     for n, lam in enumerate(table.lambdas):
@@ -126,9 +126,9 @@ def verify_relaxation(
         mono = w[:-1] - w[1:]
         m_mono = float(mono.min())
         if table.scheme == "trapezoid":
-            cells = steps * (w[1:] + w[:-1]) / 2.0
+            cells = dt * (w[1:] + w[:-1]) / 2.0
         else:
-            cells = steps * w[1:]
+            cells = dt * w[1:]
         quad = np.concatenate(([0.0], np.cumsum(cells)))
         slack = (1.0 - w) / lam - quad
         m_int = float(slack.min())

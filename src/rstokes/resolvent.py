@@ -227,7 +227,6 @@ def verify_sol_op_bounds(
         decay_row = _skip("derivative_decay", "grid has no cell past the first 4")
     else:
         decay = _Worst()
-        steps = ctx.grid.steps()
         # squared in place, for the same mat-vec per trial
         increments = np.diff(omega, axis=0)
         increments *= increments
@@ -235,7 +234,7 @@ def verify_sol_op_bounds(
         for _ in range(n_trials):
             xi = rng.standard_normal(n_modes)
             norm_xi = hnorm(xi, basis, 0.0)
-            dq = np.sqrt(increments @ (xi * xi)) / steps
+            dq = np.sqrt(increments @ (xi * xi)) / ctx.grid.dt
             decay.fold(1.0 / t4 - dq[4:] / norm_xi, t4)
         decay_row = decay.row("derivative_decay", tol)
         # an (N_t x modes) table the smoothing pass below must not carry

@@ -235,10 +235,6 @@ class SpectralBasis:
             self._advection[key] = M
         return M
 
-    def _sup_mode(self) -> float:
-        """Bound on max |e_n| at the nodes: the product of per-axis maxima."""
-        return float(np.prod([np.max(np.abs(t)) for t in self._tables]))
-
     def __eq__(self, other):
         return (
             isinstance(other, SpectralBasis)

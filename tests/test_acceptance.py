@@ -28,9 +28,6 @@ from rstokes import (
     reciprocal_cumulative_integrable,
     reconstruct,
     relaxation_batch,
-    select_invariant_radius,
-    small_data_gate,
-    spectral_gap_gate,
     verify_relaxation,
     verify_sol_op_bounds,
 )
@@ -228,16 +225,7 @@ def small_data_run(n_t):
 
 
 def test_small_data_solve_contracts_and_passes_its_gate():
-    ctx, spec, ell, xi, sol = small_data_run(128)
-
-    ell_l1 = ell.l1_norm(ctx.grid.horizon)
-    rho = select_invariant_radius(spec, ctx.basis, 0.01, ell_l1, ctx.grid.horizon)
-    L, K = spec.lipschitz_curves(ctx.basis)
-    gate = small_data_gate(
-        L(rho), K(rho * ell_l1), ell_l1, ctx.grid.horizon, spec.delta
-    )
-    assert gate.passed, str(gate)
-
+    sol = small_data_run(128)[-1]
     assert sol.converged
     assert sol.iterations <= 30
     res = np.asarray(sol.residuals)
@@ -306,24 +294,7 @@ def test_inverse_round_trip_recovers_the_source_intensity():
     assert time.perf_counter() - started < 30.0
 
 
-# -- 9: solvability gates against hand calculations ---------------------------
-
-
-def test_gate_decisions_match_hand_computed_values():
-    small = small_data_gate(0.1, 0.1, 1.0, 1.0, 0.5)
-    # 8 * 1 / 0.5 * (0.01 + 0.01) = 0.32, under the threshold 1
-    assert small.value == pytest.approx(0.32, abs=1e-15)
-    assert small.threshold == 1.0
-    assert small.passed
-
-    gap = spectral_gap_gate(1.0, 0.0, 0.7, np.pi**2)
-    # 4 * (1 + 0) = 4, under the first interval eigenvalue pi^2
-    assert gap.value == 4.0
-    assert gap.threshold == np.pi**2
-    assert gap.passed
-
-
-# -- 10: whole-suite wall time -------------------------------------------------
+# -- 9: whole-suite wall time --------------------------------------------------
 
 
 def test_wall_time_budget_for_the_full_suite(request):

@@ -384,6 +384,28 @@ def test_linear_diagonal_coefficient_count_exits_1_before_any_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, value, key", [
+    ("nonlinearity", {"kind": "linear_diagonal", "coeffs": [1, None, 1, 1]},
+     "nonlinearity.coeffs[1]"),
+    ("nonlinearity", {"kind": "linear_diagonal", "coeffs": [1, 1, 1, float("inf")]},
+     "nonlinearity.coeffs[3]"),
+    ("nonlinearity", {"kind": "linear_diagonal", "coeffs": [True, "x", 1, 1]},
+     "nonlinearity.coeffs[0]"),
+    ("nonlinearity", {"kind": "polynomial_power", "power": 2.0, "signed": "false"},
+     "nonlinearity.signed"),
+    ("initial", {"coefficients": [0.1] * 5}, "initial.coefficients"),
+    ("initial", {"coefficients": [float("nan")]}, "initial.coefficients[0]"),
+])
+def test_bad_listed_entries_exit_1_before_any_output(
+    tmp_path, capsys, section, value, key
+):
+    cfg = write_cfg(tmp_path, dict(SOLVE_CFG, **{section: value}))
+    out = tmp_path / "never"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_1_without_summary(tmp_path, capsys):
     # orthogonal weights make the measurement pairing vanish mid-run
     basis = build_basis(Interval(1.0), 2)

@@ -80,6 +80,24 @@ def test_lambdas_must_be_sorted_positive():
         validate_config({**base, "problem": {"lambdas": [-1.0, 2.0]}}, "relax")
 
 
+def test_infinite_list_entries_are_refused():
+    # each used to pass: Infinity is a positive number to "v > 0"
+    inf = float("inf")
+    relax = {"grid": {"T": 1.0, "N_t": 32}, "kernel": {"kind": "zero"}}
+    bad = [
+        ({**relax, "problem": {"lambdas": [1.0, inf]}}, "relax",
+         "problem.lambdas must be a list of positive numbers"),
+        ({**relax, "certify": {"thetas": [inf]}}, "certify",
+         "certify.thetas must be a list of positive numbers"),
+        (solve_cfg(nonlinearity={"kind": "advection_history", "chi": inf}), "solve",
+         "nonlinearity.chi must be a finite number or list of them"),
+    ]
+    for cfg, command, problem in bad:
+        with pytest.raises(ConfigError) as info:
+            validate_config(cfg, command)
+        assert list(info.value.problems) == [problem]
+
+
 def test_inverse_requires_existing_paths(tmp_path):
     cfg = {
         "domain": {"shape": "interval", "L": 1.0, "N": 4},
@@ -346,6 +364,58 @@ def test_linear_diagonal_needs_one_coefficient_per_mode(tmp_path):
     four = dict(two, coeffs=[1.0] * 4)
     validate_config(solve_cfg(nonlinearity=four), "solve")
     validate_config(solve_cfg(inverse=dict(paths, f1=four)), "inverse")
+
+
+def test_non_finite_integer_keys_are_reported():
+    # int(inf) used to raise OverflowError out of validation (and int(nan)
+    # ValueError), so the run ended in a traceback naming no key
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError) as info:
+            validate_config(solve_cfg(grid={"T": 1.0, "N_t": value}), "solve")
+        assert list(info.value.problems) == ["grid.N_t must be finite"]
+
+
+def test_listed_numbers_are_checked_one_by_one():
+    # each used to pass validation: null and Infinity then failed inside the
+    # solve (exit 2), "x" failed to convert naming no key, true ran as 1.0,
+    # and "false" ran the signed power
+    diagonal = {"kind": "linear_diagonal"}
+    power = {"kind": "polynomial_power", "power": 2.0}
+    bad = [
+        (dict(diagonal, coeffs=[1, None, 1, 1]),
+         "nonlinearity.coeffs[1] must be a finite number, got None"),
+        (dict(diagonal, coeffs=[1, 1, 1, float("inf")]),
+         "nonlinearity.coeffs[3] must be a finite number, got inf"),
+        (dict(diagonal, coeffs=[1, "x", 1, 1]),
+         "nonlinearity.coeffs[1] must be a finite number, got 'x'"),
+        (dict(diagonal, coeffs=[True, 1, 1, 1]),
+         "nonlinearity.coeffs[0] must be a finite number, got True"),
+        (dict(power, signed="false"),
+         "nonlinearity.signed must be true or false"),
+    ]
+    for nonlinearity, problem in bad:
+        with pytest.raises(ConfigError) as info:
+            validate_config(solve_cfg(nonlinearity=nonlinearity), "solve")
+        assert list(info.value.problems) == [problem]
+    for signed in (True, False):
+        cfg = solve_cfg(nonlinearity=dict(power, signed=signed))
+        validate_config(cfg, "solve")
+        assert build_nonlinearity(cfg).signed is signed
+
+
+def test_initial_coefficients_are_checked_against_the_domain():
+    # both used to fail only after the run had created its output directory
+    bad = [
+        ([0.1] * 5, "initial.coefficients has 5 entries, more than domain.N = 4"),
+        ([float("nan")], "initial.coefficients[0] must be a finite number, got nan"),
+    ]
+    for coefficients, problem in bad:
+        cfg = solve_cfg(initial={"coefficients": coefficients})
+        with pytest.raises(ConfigError) as info:
+            validate_config(cfg, "solve")
+        assert list(info.value.problems) == [problem]
+    validate_config(solve_cfg(initial={"coefficients": [0.1] * 4}), "solve")
+    validate_config(solve_cfg(initial={"coefficients": [0.1, 0.2]}), "solve")
 
 
 def test_advection_chi_must_match_the_domain_dimension():

@@ -10,7 +10,6 @@ def test_uniform_nodes():
     assert grid.horizon == 2.0
     np.testing.assert_allclose(grid.nodes, np.linspace(0.0, 2.0, 9), atol=0.0)
     assert grid.dt == 0.25
-    np.testing.assert_allclose(grid.steps(), np.full(8, 0.25))
 
 
 def test_dt_rejected_on_nonuniform():

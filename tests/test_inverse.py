@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from rstokes import nonlinear
 from rstokes import (
-    HistoryKernel,
     Interval,
     InverseProblem,
     KernelGateFailed,

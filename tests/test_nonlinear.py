@@ -1,4 +1,4 @@
-"""Reaction terms, the fixed-point solver, solvability gates, regularity."""
+"""Reaction terms, the fixed-point solver, time regularity."""
 
 import math
 import re
@@ -25,9 +25,6 @@ from rstokes import (
     hnorm,
     holder_estimate,
     picard_solve,
-    select_invariant_radius,
-    small_data_gate,
-    spectral_gap_gate,
 )
 from rstokes import nonlinear, spectral
 from rstokes.nonlinear import OverflowDiagnostic, history_series
@@ -128,9 +125,6 @@ def test_sum_is_the_sum_of_parts():
         a.apply_series(V, W, BASIS) + b.apply_series(V, W, BASIS),
         atol=1e-14,
     )
-    # globals sum only when every part supplies one
-    assert a.state_global is None and s.state_global is None
-    assert s.history_global == pytest.approx(0.5)
 
 
 def test_custom_series_shape_is_checked():
@@ -529,19 +523,6 @@ def test_nonconvergence_carries_the_residual_history():
     assert len(info.value.residuals) == 3
 
 
-def test_solution_stays_inside_the_selected_ball():
-    ctx = solver_ctx(n_t=128)
-    spec = Nonlinearity.polynomial_power(2.0, mu=1.0, delta=0.5)
-    ell = HistoryKernel.zero()
-    xi = np.zeros(6)
-    xi[0] = 0.01
-    xi_norm = float(hnorm(xi, ctx.basis, 1.0))
-    rho = select_invariant_radius(spec, ctx.basis, xi_norm, 0.0, 1.0)
-    sol = picard_solve(ctx, spec, ell, xi, PicardOptions(tol=1e-12))
-    assert sol.converged
-    assert float(np.max(hnorm(sol.coeffs, ctx.basis, 1.0))) <= rho + 1e-12
-
-
 def test_residual_contraction_on_small_data():
     ctx = solver_ctx(n_t=128)
     spec = Nonlinearity.sum_of(
@@ -727,49 +708,6 @@ def test_holder_increments_hold_a_block_not_a_table():
     assert peak <= 0.5 * coeffs.nbytes
 
 
-# -- solvability gates --------------------------------------------------------
-
-
-def test_small_data_gate_hand_value():
-    gate = small_data_gate(0.1, 0.1, 1.0, 1.0, 0.5)
-    assert gate.name == "small_data_gate"
-    assert abs(gate.value - 0.32) <= 1e-15
-    assert gate.threshold == 1.0
-    assert gate.passed
-    assert not small_data_gate(0.5, 0.0, 0.0, 1.0, 0.5).passed  # 8*0.25 = 2
-    with pytest.raises(ValueError):
-        small_data_gate(0.1, 0.1, 1.0, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        small_data_gate(0.1, 0.1, 1.0, 1.0, 0.0)
-
-
-def test_spectral_gap_gate_hand_value():
-    lam1 = float(BASIS.eigenvalues[0])
-    gate = spectral_gap_gate(1.0, 0.0, 0.7, lam1)
-    assert gate.name == "spectral_gap_gate"
-    assert gate.value == 4.0
-    assert gate.threshold == lam1
-    assert gate.passed  # 4 < pi^2
-    assert not spectral_gap_gate(2.0, 0.0, 0.0, lam1).passed  # 16 > pi^2
-    with pytest.raises(ValueError):
-        spectral_gap_gate(1.0, 0.0, 0.0, 0.0)
-
-
-def test_gate_decision_prints_its_comparison():
-    text = str(small_data_gate(0.1, 0.1, 1.0, 1.0, 0.5))
-    assert "small_data_gate" in text
-    assert "0.32" in text
-
-
-def test_invariant_radius_scan():
-    spec = Nonlinearity.linear_diagonal(0.01 * np.ones(6))
-    rho = select_invariant_radius(spec, BASIS, 0.5, 0.0, 1.0)
-    assert rho == 1.0  # the very first candidate 2|xi| already passes
-    blowup = Nonlinearity.polynomial_power(2.0, scale=1e6)
-    with pytest.raises(ValueError, match="invariant radius"):
-        select_invariant_radius(blowup, BASIS, 10.0, 0.0, 1.0)
-
-
 # -- weighted Holder seminorm ---------------------------------------------
 
 
@@ -810,30 +748,12 @@ def test_holder_on_a_grid_shorter_than_t_min():
     assert report.ell_star2 == 0.0
 
 
-def test_holder_gate_value_formula():
-    sol = manufactured_solution(lambda t: t)
-    report = holder_estimate(
-        sol, gamma=0.4, ell=HistoryKernel.zero(), state_global=0.05,
-        history_global=0.0, delta=0.5,
-    )
-    expected = 16.0 * beta_fn(0.5, 0.2) * 0.05**2
-    assert report.gate_value == pytest.approx(expected, rel=1e-12)
-    assert report.gate_passed
-    assert report.gamma_in_range
-
-
 def test_holder_warns_outside_the_admissible_band():
     sol = manufactured_solution(lambda t: t)
     with pytest.warns(UserWarning, match="outside"):
         report = holder_estimate(sol, gamma=0.45, delta=0.95)
     assert not report.gamma_in_range
-    # gamma >= 1/2 with gate data: the singular moment diverges
-    with pytest.warns(UserWarning, match="outside"):
-        report2 = holder_estimate(
-            sol, gamma=0.6, state_global=0.1, history_global=0.0, delta=0.5,
-        )
-    assert report2.gate_value == np.inf
-    assert not report2.gate_passed
+    assert holder_estimate(sol, gamma=0.4, delta=0.5).gamma_in_range
 
 
 def test_holder_requires_uniform_grid_and_valid_gamma():

@@ -203,11 +203,10 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
     if ctx.kernel.nonincreasing:
         worst, t_at = np.inf, 0.0
         at_nodes = np.full(t.size - 5, np.inf)
-        steps = ctx.grid.steps()
         for _ in range(n_trials):
             xi = rng.standard_normal(n_modes)
             norm_xi = hnorm(xi, basis, 0.0)
-            dq = hnorm(np.diff(omega, axis=0) * xi[None, :], basis, 0.0) / steps
+            dq = hnorm(np.diff(omega, axis=0) * xi[None, :], basis, 0.0) / ctx.grid.dt
             margin = 1.0 / t[4:-1] - dq[4:] / norm_xi
             np.minimum(at_nodes, margin, out=at_nodes)
             i = int(np.argmin(margin))

@@ -13,7 +13,6 @@ from rstokes.volterra import (
     LagWeights,
     _fast_length,
     _toeplitz_solve,
-    endpoint_weights,
     fftconvolve,
     first_kind_solve,
     lag_weights,
