@@ -115,7 +115,7 @@ def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
               records: Dict, quiet: bool) -> None:
     from .nonlinear import NonConvergence, PicardOptions, holder_estimate, picard_solve
     from .resolvent import build_resolvent
-    from .spectral import _row_hnorms
+    from .spectral import hnorm
 
     certificates = records["certificates"]
     basis = build_domain_basis(cfg)
@@ -144,8 +144,8 @@ def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
     mu = spec.mu
     k_cols = int(problem.get("coeff_columns", min(8, basis.eigenvalues.size)))
     k_cols = min(k_cols, basis.eigenvalues.size)
-    l2 = _row_hnorms(sol.coeffs, basis, 0.0)
-    hm = _row_hnorms(sol.coeffs, basis, mu)
+    l2 = hnorm(sol.coeffs, basis, 0.0)
+    hm = hnorm(sol.coeffs, basis, mu)
     header = ["t", "||u||_L2", "||u||_Hmu"] + [
         f"coeff_{j + 1}" for j in range(k_cols)
     ]

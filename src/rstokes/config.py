@@ -382,7 +382,8 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
         if init is not None:
             _validate_initial(init, "initial", problems, n_modes)
 
-    if subcommand == "verify":
+    # relax reads verify.tol for its property report
+    if subcommand in ("relax", "verify"):
         verify = _section(cfg, "verify", problems, required=False)
         if verify is not None:
             _num(verify, "tol", "verify", problems, exclusive_min=0.0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .grids import TimeGrid
 from .kernels import HistoryKernel, MemoryKernel
-from .nonlinear import MildSolution, Nonlinearity, PicardOptions, _history_operator, picard_solve
+from .nonlinear import MildSolution, Nonlinearity, PicardOptions, history_series, picard_solve
 from .resolvent import ResolventContext, build_resolvent
 from .spectral import SpectralBasis
 from .volterra import stiffness_scheme
@@ -216,7 +216,7 @@ def reconstruct(
 
     psi_prime = derivative_psi(problem.psi, problem.grid, problem.psi_prime)
     m0 = kernel.value_at_zero()
-    history = _history_operator(kernel.derivative_history_kernel(), problem.grid)
+    m1 = kernel.derivative_history_kernel()
     kappa = problem.kappa
     grad_weight = problem.basis.eigenvalues * kappa
     c = 1.0 / pairing
@@ -225,7 +225,8 @@ def reconstruct(
     def source(V, f1_rows):
         # p(u) rows; the state enters the history term through gpu alone
         gpu = V @ grad_weight
-        return c * (psi_prime + (1.0 + m0) * gpu + history(gpu) - f1_rows @ kappa)
+        history = history_series(m1, gpu, problem.grid)
+        return c * (psi_prime + (1.0 + m0) * gpu + history - f1_rows @ kappa)
 
     def eliminated(V, W, basis):
         # g p(u) + f1(u); the solve has no ell, so W is zero

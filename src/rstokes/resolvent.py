@@ -157,12 +157,14 @@ def _pair_weights(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Worst:
-    """Running worst (smallest) margin over trials and the time it occurs."""
+    """Running worst (smallest) margin over trials and the time it occurs;
+    a margin that is not finite (an overflowed bound) counts as -inf."""
 
     def __init__(self):
         self.margin, self.t = np.inf, 0.0
 
     def fold(self, margin, t):
+        margin = np.where(np.isfinite(margin), margin, -np.inf)
         i = int(np.argmin(margin))
         if margin[i] < self.margin:
             self.margin, self.t = float(margin[i]), float(t[i])
@@ -176,6 +178,9 @@ def _skip(label, reason):
     return BoundCheck(label, "skip", float("nan"), float("nan"), reason)
 
 
+# a trial bound that overflows (a large mu) shows as a non-finite margin,
+# which fails its row, and not as a warning
+@np.errstate(over="ignore", invalid="ignore")
 def verify_sol_op_bounds(
     ctx: ResolventContext,
     mu: float = 1.0,

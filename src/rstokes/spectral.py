@@ -22,14 +22,16 @@ attributes for inspection; no solver path builds them.  What a basis does
 keep is the projected advection matrix of each direction it is asked for,
 n_modes^2 values that a Picard solve would otherwise rebuild every sweep.
 
-``_row_hnorms`` takes the norm of each row of a coefficient table, or of
-the difference of two, with ``hnorm``'s bits in row blocks of _BLOCK = 2^15
-coefficients (256 KiB a temporary): the Picard residual, the Holder
-increments and the CLI's norm columns make no table-sized temporary.
+Every node has the same weight, so ``project`` scales the coefficients
+once.  ``hnorm`` norms the rows of a coefficient table, or of the difference
+of two, in row blocks of _BLOCK = 2^15 coefficients (256 KiB a temporary):
+the Picard residual, the Holder increments and the CLI's norm columns make
+no table-sized temporary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -149,9 +151,10 @@ class SpectralBasis:
             tables.append(_sines(length, n, x))
             slopes.append(_sine_slopes(length, n, x))
         self._tables, self._slopes = tuple(tables), tuple(slopes)
+        self._axes = tuple((length, idx) for length, _, idx in axes)
         self._grid_shape = tuple(t.shape[1] for t in tables)
         self._flat = np.ravel_multi_index(
-            tuple(idx - 1 for _, _, idx in axes), self._grid_shape
+            tuple(idx - 1 for _, idx in self._axes), self._grid_shape
         )
         self._advection = {}
 
@@ -178,27 +181,6 @@ class SpectralBasis:
             out = flat.reshape(moved.shape[:-1] + (table.shape[0],))
         return out.reshape(rows, -1)
 
-    def _project(self, samples: np.ndarray) -> np.ndarray:
-        """(rows, nodes) samples to (rows, n_modes) coefficients.
-
-        The node weights come first, as in (s * w) @ E: on an interval this
-        is that product.  A caller that owns its samples can weight them in
-        place and call ``_project_weighted``, which gives the same bits
-        without the weighted copy made here.
-        """
-        return self._project_weighted(samples * self.node_weights)
-
-    def _project_weighted(self, weighted: np.ndarray) -> np.ndarray:
-        """``_project`` of samples already multiplied by ``node_weights``."""
-        rows = weighted.shape[0]
-        shape = tuple(t.shape[0] for t in self._tables)
-        out = weighted.reshape((rows,) + shape)
-        for table in reversed(self._tables):
-            # contract the trailing node axis; the index axis moves to the front
-            flat = out.reshape(-1, table.shape[0]) @ table
-            out = np.moveaxis(flat.reshape(out.shape[:-1] + (table.shape[1],)), -1, 1)
-        return out.reshape(rows, -1)[:, self._flat]
-
     def _directional(self, coeffs: np.ndarray, direction) -> np.ndarray:
         """Node values of direction . grad u for (rows, n_modes) coefficients."""
         out = np.zeros((coeffs.shape[0], self.nodes.shape[0]))
@@ -209,29 +191,20 @@ class SpectralBasis:
                 out += self._synthesize(c * coeffs, tables)
         return out
 
-    def _row_blocks(self, rows: int):
-        """Slices of at most _SAMPLE_BUDGET // nodes rows (at least one)."""
-        step = max(1, _SAMPLE_BUDGET // self.nodes.shape[0])
-        return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
-
     def _advection_matrix(self, direction) -> np.ndarray:
         """M with (W @ M)[:, n] the coefficients of direction . grad w.
 
         Row m is the projection of direction . grad e_m.  M depends only on
         the basis and the direction, so it is built once per direction and
-        kept on the basis (n_modes^2 values).  Each block of node values is
-        weighted in place, as the power term's are.
+        kept on the basis (n_modes^2 values).
         """
         key = tuple(float(c) for c in direction)
         M = self._advection.get(key)
         if M is None:
             modes = np.eye(self.n_modes)
             M = np.empty_like(modes)
-            for rows in self._row_blocks(self.n_modes):
-                samples = self._directional(modes[rows], key)
-                samples *= self.node_weights
-                M[rows] = self._project_weighted(samples)
-                del samples  # not alive while the next block is made
+            for rows in _row_slices(self.n_modes, self.nodes.shape[0], _SAMPLE_BUDGET):
+                M[rows] = project(self, self._directional(modes[rows], key))
             self._advection[key] = M
         return M
 
@@ -248,34 +221,22 @@ class SpectralBasis:
     def __repr__(self):
         return f"SpectralBasis({self.domain!r}, n_modes={self.n_modes})"
 
+    def _axis_values(self, points, fn):
+        """fn(length, indices, x) of each axis at points, a list over axes."""
+        pts = np.asarray(points, dtype=float).reshape(-1, len(self._axes))
+        return [fn(length, idx, x) for (length, idx), x in zip(self._axes, pts.T)]
+
     def eval_modes(self, points) -> np.ndarray:
         """Eigenfunction values, shape (n_points, n_modes)."""
-        pts = np.asarray(points, dtype=float)
-        if isinstance(self.domain, Interval):
-            return _sines(self.domain.length, self.indices, pts.reshape(-1))
-        lx, ly = self.domain.lx, self.domain.ly
-        pts = pts.reshape(-1, 2)
-        j = self.indices[:, 0][None, :]
-        k = self.indices[:, 1][None, :]
-        sx = np.sin(j * np.pi * pts[:, :1] / lx)
-        sy = np.sin(k * np.pi * pts[:, 1:] / ly)
-        return np.sqrt(4.0 / (lx * ly)) * sx * sy
+        return math.prod(self._axis_values(points, _sines))
 
     def eval_grad_modes(self, points):
         """Per-axis eigenfunction derivatives, tuple of (n_points, n_modes)."""
-        pts = np.asarray(points, dtype=float)
-        if isinstance(self.domain, Interval):
-            return (_sine_slopes(self.domain.length, self.indices, pts.reshape(-1)),)
-        lx, ly = self.domain.lx, self.domain.ly
-        pts = pts.reshape(-1, 2)
-        j = self.indices[:, 0][None, :]
-        k = self.indices[:, 1][None, :]
-        fx = j * np.pi / lx
-        fy = k * np.pi / ly
-        norm = np.sqrt(4.0 / (lx * ly))
-        sx, cx = np.sin(fx * pts[:, :1]), np.cos(fx * pts[:, :1])
-        sy, cy = np.sin(fy * pts[:, 1:]), np.cos(fy * pts[:, 1:])
-        return (norm * fx * cx * sy, norm * fy * sx * cy)
+        sines = self._axis_values(points, _sines)
+        slopes = self._axis_values(points, _sine_slopes)
+        return tuple(
+            math.prod(sines[:a] + [slopes[a]] + sines[a + 1 :]) for a in range(len(sines))
+        )
 
 
 def build_basis(domain, n_modes: int) -> SpectralBasis:
@@ -286,47 +247,57 @@ def project(basis: SpectralBasis, samples) -> np.ndarray:
     """Coefficients from samples at the collocation nodes.
 
     samples: (n_points,) or (..., n_points); leading axes are preserved.
+    The node tables are contracted one axis at a time and the coefficients
+    scaled once by the common node weight: on an interval that is
+    (S @ E) * w, E the dense (nodes, modes) matrix.
     """
     s = np.asarray(samples, dtype=float)
     if s.shape[-1] != basis.nodes.shape[0]:
         raise ValueError("sample count does not match collocation nodes")
-    out = basis._project(s.reshape(-1, s.shape[-1]))
-    return out.reshape(s.shape[:-1] + (basis.n_modes,))
+    out = s.reshape((-1,) + tuple(t.shape[0] for t in basis._tables))
+    rows = out.shape[0]
+    for table in reversed(basis._tables):
+        # contract the trailing node axis; the index axis moves to the front
+        flat = out.reshape(-1, table.shape[0]) @ table
+        out = np.moveaxis(flat.reshape(out.shape[:-1] + (table.shape[1],)), -1, 1)
+    coeffs = out.reshape(rows, -1)[:, basis._flat]
+    coeffs *= basis.node_weights[0]
+    return coeffs.reshape(s.shape[:-1] + (basis.n_modes,))
 
 
-def synthesize(basis: SpectralBasis, coeffs, points=None) -> np.ndarray:
-    """Point values of the field; defaults to the collocation nodes.
+def synthesize(basis: SpectralBasis, coeffs) -> np.ndarray:
+    """Values of the field at the collocation nodes.
 
     coeffs: (n_modes,) or (..., n_modes); leading axes are preserved.
     """
     c = np.asarray(coeffs, dtype=float)
-    if points is not None:
-        return c @ basis.eval_modes(points).T
     if c.shape[-1] != basis.n_modes:
         raise ValueError("coefficient count does not match the basis")
     out = basis._synthesize(c.reshape(-1, basis.n_modes), basis._tables)
     return out.reshape(c.shape[:-1] + (basis.nodes.shape[0],))
 
 
-def hnorm(coeffs, basis: SpectralBasis, rho: float = 0.0):
-    """Hilbert-scale norm (sum lambda_n^rho c_n^2)^(1/2); rho may be negative."""
+def hnorm(coeffs, basis: SpectralBasis, rho: float = 0.0, minus=None):
+    """Hilbert-scale norm (sum lambda_n^rho c_n^2)^(1/2) along the last axis
+    of coeffs, or of coeffs - minus; rho may be negative.
+
+    Rows are taken a block of _BLOCK coefficients at a time; each keeps the
+    bits of the one-pass sum, since that sum runs along the row.
+    """
     c = np.asarray(coeffs, dtype=float)
     w = basis.eigenvalues**rho
-    return np.sqrt(np.sum(w * c * c, axis=-1))
+    table = c.reshape(-1, c.shape[-1])
+    if minus is not None:
+        minus = np.asarray(minus, dtype=float).reshape(table.shape)
+    out = np.empty(table.shape[0])
+    for rows in _row_slices(table.shape[0], table.shape[1]):
+        block = table[rows] if minus is None else table[rows] - minus[rows]
+        out[rows] = np.sqrt(np.sum(w * block * block, axis=-1))
+    return out.reshape(c.shape[:-1])[()]  # a scalar for a 1-d coeffs
 
 
-def _row_slices(rows: int, n_modes: int):
-    """Slices of at most _BLOCK // n_modes rows (at least one)."""
-    step = max(1, _BLOCK // n_modes)
+def _row_slices(rows: int, width: int, budget=None):
+    """Slices of at most budget // width rows (at least one); the budget is
+    _BLOCK, read at call time, unless given."""
+    step = max(1, (_BLOCK if budget is None else budget) // width)
     return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
-
-
-def _row_hnorms(coeffs: np.ndarray, basis: SpectralBasis, rho: float, minus=None):
-    """``hnorm`` of each row of coeffs, or of coeffs - minus, a row block at
-    a time; each row keeps hnorm's bits, since its sum runs along that row."""
-    w = basis.eigenvalues**rho
-    out = np.empty(coeffs.shape[0])
-    for rows in _row_slices(coeffs.shape[0], basis.n_modes):
-        c = coeffs[rows] if minus is None else coeffs[rows] - minus[rows]
-        out[rows] = np.sqrt(np.sum(w * c * c, axis=-1))
-    return out

@@ -406,6 +406,21 @@ def test_bad_listed_entries_exit_1_before_any_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verify, key", [
+    ({"tol": "x"}, "verify.tol"),
+    ({"tol": -1}, "verify.tol"),
+    ([], "section 'verify'"),
+])
+def test_relax_validates_the_verify_section_it_reads(tmp_path, capsys, verify, key):
+    # relax reads verify.tol; unchecked, "x" and [] ended in a traceback after
+    # omega.csv was written, and -1 failed every property row
+    cfg = write_cfg(tmp_path, dict(RELAX_CFG, verify=verify))
+    out = tmp_path / "never"
+    assert main(["relax", "--config", cfg, "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_1_without_summary(tmp_path, capsys):
     # orthogonal weights make the measurement pairing vanish mid-run
     basis = build_basis(Interval(1.0), 2)

