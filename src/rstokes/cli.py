@@ -344,6 +344,7 @@ def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
     )
     certificates["max_measurement_residual"] = rec.max_residual
     certificates["pairing"] = rec.pairing
+    certificates["scheme"] = rec.scheme
 
 
 def _read_series_on_grid(inv: Dict, key: str, grid) -> np.ndarray:

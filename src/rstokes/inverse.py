@@ -129,13 +129,18 @@ def _solve_scheme(problem: InverseProblem) -> Optional[str]:
     )
 
 
+def _context(problem: InverseProblem, ctx: Optional[ResolventContext]) -> ResolventContext:
+    """ctx, or the resolvent the identification solves build on the problem's data."""
+    if ctx is not None:
+        return ctx
+    return build_resolvent(
+        problem.kernel, problem.basis, problem.grid, scheme=_solve_scheme(problem)
+    )
+
+
 def _solve(problem: InverseProblem, spec: Nonlinearity, forcing, opts: PicardOptions,
-           ctx: Optional[ResolventContext]) -> MildSolution:
+           ctx: ResolventContext) -> MildSolution:
     """u = S xi + S * (f(u) + forcing) on the problem's data, with no ell."""
-    if ctx is None:
-        ctx = build_resolvent(
-            problem.kernel, problem.basis, problem.grid, scheme=_solve_scheme(problem)
-        )
     opts = replace(opts, forcing=forcing)
     return picard_solve(ctx, spec, HistoryKernel.zero(), problem.xi, opts)
 
@@ -151,7 +156,7 @@ def forward_simulate(
     if p_samples.shape != problem.grid.nodes.shape:
         raise ValueError("p series length does not match the grid")
     forcing = p_samples[:, None] * problem.g[None, :]
-    sol = _solve(problem, problem.f1, forcing, opts, ctx)
+    sol = _solve(problem, problem.f1, forcing, opts, _context(problem, ctx))
     return sol, sol.coeffs @ problem.kappa
 
 
@@ -162,6 +167,8 @@ class ReconstructionResult:
     psi_prime: np.ndarray
     measurement_residual: np.ndarray
     pairing: float
+    # the quadrature rule of the relaxation table the solve ran on
+    scheme: str
 
     @property
     def max_residual(self) -> float:
@@ -234,6 +241,7 @@ def reconstruct(
         return problem.g[None, :] * source(V, f1_rows)[:, None] + f1_rows
 
     spec = Nonlinearity.custom_series(eliminated, mu=f1.mu, delta=f1.delta)
+    ctx = _context(problem, ctx)
     sol = _solve(problem, spec, None, opts, ctx)
     U = sol.coeffs
     p = source(U, f1.apply_series(U, np.zeros_like(U), problem.basis))
@@ -248,4 +256,5 @@ def reconstruct(
         psi_prime=psi_prime,
         measurement_residual=residual,
         pairing=pairing,
+        scheme=ctx.table.scheme,
     )

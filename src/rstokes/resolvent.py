@@ -209,13 +209,16 @@ def verify_sol_op_bounds(
     n_modes = basis.n_modes
 
     # sol_op_bound: diagonal action vs the slowest mode's profile, with
-    # |S(t) xi|^2 = (omega * omega) @ xi^2 a mat-vec per trial
+    # |S(t) xi|^2 = (omega * omega) @ xi^2 a mat-vec per trial.  This row and
+    # the conv_smoothing rows take t > 0 only: at t = 0, S(0) xi = xi and
+    # S * g = 0, so both sides of each bound meet there by construction
     sol_op = _Worst()
-    squares = omega * omega
+    later = omega[1:]
+    squares = later * later
     for _ in range(n_trials):
         xi = rng.standard_normal(n_modes)
         lhs = np.sqrt(squares @ (xi * xi))
-        sol_op.fold(omega[:, 0] * hnorm(xi, basis, 0.0) - lhs, t)
+        sol_op.fold(later[:, 0] * hnorm(xi, basis, 0.0) - lhs, t[1:])
     del squares
 
     # the trial draws come before the derivative_decay draws; the smoothing
@@ -294,7 +297,8 @@ def verify_sol_op_bounds(
             conv *= conv
             lhs[block] = conv @ weight
         for rho, table, w in zip(orders, rule_tables, worst):
-            w.fold(table @ _pair_weights(lam**rho * amp * amp, a, b) - lhs, t)
+            rhs = table[1:] @ _pair_weights(lam**rho * amp * amp, a, b)
+            w.fold(rhs - lhs[1:], t[1:])
     rows = [w.row(label, tol) for label, w in zip(labels, worst)]
     if not reciprocal:
         rows.append(

@@ -43,18 +43,29 @@ Cost for N steps and M columns:
   to 2.2e-16, and the finite-difference psi' makes that 1.0e-13 at row 370,
   against an allowance of 5.3e-14 = 1e-8 * 4.27e-6 + 1e-14; the
   reconstruction alone stays within 0.0032 of it).
-  The alternatives measured on a 2-vCPU host (8192 rows, 6 columns,
-  fractional kernel, the w-equation of ``certify_completely_positive``)
-  change its bits or are slower:
 
-  - ``u[i-1::-1] @ x[:i]`` reads u with a negative stride, so numpy sums
-    each column on its own, oldest node first, without BLAS.  A contiguous
-    copy goes to BLAS (0.31 s against 0.48 s), but moves w by 6e-15 and the
-    certificate's r = diff(w)/dt at theta = 10 by 1.4e-8, both relative.
-  - A "push" form (each solved row added into running sums of the rows
-    after it) and an axis-0 ``add.reduce`` keep the bits but ran 3.0x and
-    4.7x slower.  Two threads over the columns ran slower than one (0.58 to
-    0.66 s against 0.43 to 0.51 s): the per-row Python work holds the GIL.
+  Row i runs two folds, ``u[i-1::-1] @ x[:i]`` and ``v[i-1:0:-1] @ x[1:i]``.
+  Their left operand has a negative stride, so numpy takes its own matmul
+  loop, not BLAS, and sums each column in index order, oldest node first,
+  whatever the table's layout.  So the table is filled column-major, where
+  each column's history is contiguous, and one copy returns it C-ordered.
+  Row-major, each fold read one cache line per element and the whole table
+  once per column once it outgrew L2.  The loop alone (2-vCPU Xeon host,
+  ranges over 6 runs, one at 16384 rows):
+
+      rows x columns               row-major        column-major
+      4096 x 32 (``inverse``)      0.61-0.90 s      0.38-0.53 s
+      8192 x 32                    3.8-4.4 s        1.6-2.1 s
+      16384 x 32                   39 s             9.0 s
+      1024 x 64 (rectangle solve)  0.080-0.095 s    0.052-0.058 s
+      8192 x 6 (``certify``)       0.43-0.46 s      0.32-0.35 s
+
+  Measured and rejected: ``out=`` buffers for the folds (no gain); two
+  threads over the columns (slower: the per-row Python work holds the GIL,
+  and numpy's matmul ran no faster on two threads); one fused two-row
+  matmul over an ``as_strided`` view (about 5x faster, but numpy copies
+  the view and sends it to BLAS, which changes the bits and fails the same
+  two reference rows).
 
 Every second-kind path sums (or transforms) each column on its own, so the
 columns of one ``second_kind_solve`` call, each with its own right-hand
@@ -239,9 +250,13 @@ def _toeplitz_solve(c: np.ndarray, scale, denom, rhs) -> np.ndarray:
 
 
 def _uniform_trapezoid(weights: LagWeights, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Implicit trapezoid steps on a uniform grid, row by row (module docstring)."""
+    """Implicit trapezoid steps on a uniform grid, row by row (module docstring).
+
+    The table is filled column-major, so each column's history is contiguous
+    for the two folds, and returned C-ordered.
+    """
     u, v = weights.left, weights.right
-    x = np.empty((u.size + 1, lams.size))
+    x = np.empty((u.size + 1, lams.size), order="F")
     x[0] = rhs[0]
     denom = 1.0 + lams * v[0]
     for i in range(1, u.size + 1):
@@ -249,7 +264,7 @@ def _uniform_trapezoid(weights: LagWeights, lams: np.ndarray, rhs: np.ndarray) -
         if i > 1:
             past = past + v[i - 1 : 0 : -1] @ x[1:i]
         x[i] = (rhs[i] - lams * past) / denom
-    return x
+    return np.ascontiguousarray(x)
 
 
 def stiffness_scheme(moments: Moments, grid: TimeGrid, lam) -> str:
@@ -292,7 +307,8 @@ def second_kind_solve(
         forcing "rectangle" trades accuracy for unconditional positivity.
 
     Cost is O(len(lam) N log N) for the rectangle rule and O(len(lam) N^2)
-    for the trapezoid rule (see the module docstring for why).  In the
+    for the trapezoid rule, a row loop over a column-major table (see the
+    module docstring for why it stays a loop and why that layout).  In the
     rectangle rule a scalar rhs is a running sum and an array one FFT
     convolution, so a column of ones rounds unlike rhs = 1.0.
 

@@ -90,6 +90,21 @@ def test_relax_tabulates_profiles_and_properties(tmp_path):
     assert summary["wall_time_s"] > 0.0
 
 
+def test_inverse_records_the_scheme_of_its_identification_table(tmp_path):
+    # modes 2 and 3 carry no data, and only they are stiff at 32 steps: the
+    # identification table keeps the trapezoid rule that the joint rule over
+    # every mode would refuse, and the summary records the table's rule
+    cfg = write_inverse_run(tmp_path, 3, 32, lambda t: 1.0 + t)
+    out = tmp_path / "run"
+    assert main(["inverse", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["certificates"]["scheme"] == "trapezoid"
+    lams = build_basis(Interval(1.0), 3).eigenvalues
+    kernel = MemoryKernel.exponential(1.0, 2.0)
+    joint = relaxation_batch(kernel, lams, TimeGrid.uniform(1.0, 32))
+    assert joint.scheme == "rectangle"
+
+
 def test_solve_zero_reaction_reduces_to_relaxation(tmp_path):
     cfg = write_cfg(tmp_path, SOLVE_CFG)
     out = tmp_path / "run"
@@ -266,27 +281,26 @@ def test_certify_splitting_not_applicable_for_bounded_kernel(tmp_path):
     assert row[3] == "not-applicable"
 
 
-def test_inverse_round_trip_through_files(tmp_path):
-    basis = build_basis(Interval(1.0), 2)
-    grid = TimeGrid.uniform(1.0, 256)
+def write_inverse_run(tmp_path, n_modes, n_steps, p_true):
+    # g = kappa = the first mode, xi = 0, and psi made by forward_simulate;
+    # returns the config path
+    basis = build_basis(Interval(1.0), n_modes)
+    grid = TimeGrid.uniform(1.0, n_steps)
     kernel = MemoryKernel.exponential(1.0, 2.0)
-    g = np.array([1.0, 0.0])
-    p_true = 1.0 + 0.5 * np.sin(2.0 * np.pi * grid.nodes)
+    g = np.eye(n_modes)[0]
     problem = InverseProblem(
-        basis=basis, grid=grid, kernel=kernel, g=g, kappa=g,
-        xi=np.zeros(2), psi=np.zeros(grid.nodes.size),
+        basis=basis, grid=grid, kernel=kernel, g=g, kappa=g, xi=np.zeros(n_modes),
     )
-    _, psi = forward_simulate(problem, p_true)
+    _, psi = forward_simulate(problem, p_true(grid.nodes))
 
     write_field_csv(str(tmp_path / "g.csv"), basis.eigenvalues, g)
     write_field_csv(str(tmp_path / "kappa.csv"), basis.eigenvalues, g)
     write_csv(str(tmp_path / "psi.csv"), ["t", "psi"], zip(grid.nodes, psi))
-
-    cfg = write_cfg(
+    return write_cfg(
         tmp_path,
         {
-            "domain": {"shape": "interval", "L": 1.0, "N": 2},
-            "grid": {"T": 1.0, "N_t": 256},
+            "domain": {"shape": "interval", "L": 1.0, "N": n_modes},
+            "grid": {"T": 1.0, "N_t": n_steps},
             "kernel": {"kind": "exponential", "m0": 1.0, "decay": 2.0},
             "inverse": {
                 "psi_path": str(tmp_path / "psi.csv"),
@@ -295,13 +309,21 @@ def test_inverse_round_trip_through_files(tmp_path):
             },
         },
     )
+
+
+def test_inverse_round_trip_through_files(tmp_path):
+    def p_true(t):
+        return 1.0 + 0.5 * np.sin(2.0 * np.pi * t)
+
+    cfg = write_inverse_run(tmp_path, 2, 256, p_true)
     out = tmp_path / "run"
     assert main(["inverse", "--config", cfg, "--out", str(out), "--quiet"]) == 0
 
     header, _ = read_table(out / "p_recovered.csv")
     assert header == ["t", "p"]
+    t = numeric_column(out / "p_recovered.csv", 0)
     p_rec = numeric_column(out / "p_recovered.csv", 1)
-    assert np.max(np.abs(p_rec - p_true)) < 5e-3
+    assert np.max(np.abs(p_rec - p_true(t))) < 5e-3
 
     residual = numeric_column(out / "residual.csv", 1)
     assert np.max(np.abs(residual)) < 1e-4

@@ -87,6 +87,8 @@ def test_bound_report_passes_on_uniform_grids(kind):
     bad = [(r.label, r.worst_margin) for r in report.rows if r.status == "fail"]
     assert not bad, bad
     labels = {r.label: r for r in report.rows}
+    # no margin is taken at t = 0, where both sides of each bound meet
+    assert all(r.t_worst > 0.0 for r in report.rows if r.status == "pass")
     assert labels["sol_op_bound"].worst_margin >= -1e-12
     assert labels["conv_smoothing_l2"].status == "pass"
     assert labels["derivative_decay"].status == "pass"
@@ -181,18 +183,20 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
     def skip(label, reason):
         return BoundCheck(label, "skip", float("nan"), float("nan"), reason)
 
+    # sol_op_bound and the smoothing rows over t > 0, where the two sides of
+    # each bound do not meet by construction
     worst, t_at = np.inf, 0.0
-    at_nodes = np.full(t.size, np.inf)
+    at_nodes = np.full(t.size - 1, np.inf)
     for _ in range(n_trials):
         xi = rng.standard_normal(n_modes)
         lhs = hnorm(omega * xi[None, :], basis, 0.0)
-        margin = omega[:, 0] * hnorm(xi, basis, 0.0) - lhs
+        margin = (omega[:, 0] * hnorm(xi, basis, 0.0) - lhs)[1:]
         np.minimum(at_nodes, margin, out=at_nodes)
         i = int(np.argmin(margin))
         if margin[i] < worst:
-            worst, t_at = float(margin[i]), float(t[i])
+            worst, t_at = float(margin[i]), float(t[1 + i])
     rows.append(worst_row("sol_op_bound", worst, t_at))
-    node_margins["sol_op_bound"] = (t, at_nodes)
+    node_margins["sol_op_bound"] = (t[1:], at_nodes)
 
     rectangle = ctx.table.scheme == "rectangle"
 
@@ -206,10 +210,10 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
                 rhs = rectangle_convolve(k, q, ctx.grid.dt)
             else:
                 rhs = weight_moments(q)
-            margin = rhs - lhs
+            margin = (rhs - lhs)[1:]
             i = int(np.argmin(margin))
             if margin[i] < worst:
-                worst, t_at = float(margin[i]), float(t[i])
+                worst, t_at = float(margin[i]), float(t[1 + i])
         return worst, t_at
 
     dt = ctx.grid.dt
@@ -281,8 +285,8 @@ def assert_matching_report(a, b, node_margins):
     smoothing row keeps the bits of its worst time.  A quadratic-form row's
     worst time must be a node where the oracle's margin lies within that
     bound of the oracle's worst: rounding picks among such near ties (one
-    mode, where the margin is rounding at every node, or omega = 1 at
-    t = 0), so a worst node with no near tie keeps its bits.
+    mode, where the margin is rounding at every node), so a worst node with
+    no near tie keeps its bits.
     """
     assert (a.mu, a.delta) == (b.mu, b.delta)
     assert [r.label for r in a.rows] == [r.label for r in b.rows]

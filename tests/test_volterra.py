@@ -13,6 +13,7 @@ from rstokes.volterra import (
     LagWeights,
     _fast_length,
     _toeplitz_solve,
+    _uniform_trapezoid,
     fftconvolve,
     first_kind_solve,
     lag_weights,
@@ -98,6 +99,21 @@ def rectangle_loop(weights, lams, rhs):
     denom = 1.0 + lams * a0[0]
     for i in range(1, n + 1):
         past = a0[i - 1 : 0 : -1] @ x[1:i] if i > 1 else 0.0
+        x[i] = (rhs[i] - lams * past) / denom
+    return x
+
+
+def row_major_trapezoid(weights, lams, rhs):
+    # the trapezoid row loop on a row-major table, as it stood before the
+    # table went column-major: the bit oracle of _uniform_trapezoid
+    u, v = weights.left, weights.right
+    x = np.empty((u.size + 1, lams.size))
+    x[0] = rhs[0]
+    denom = 1.0 + lams * v[0]
+    for i in range(1, u.size + 1):
+        past = u[i - 1 :: -1] @ x[:i]
+        if i > 1:
+            past = past + v[i - 1 : 0 : -1] @ x[1:i]
         x[i] = (rhs[i] - lams * past) / denom
     return x
 
@@ -482,6 +498,55 @@ def test_batched_columns_have_the_bits_of_single_column_solves(
     for j in range(columns):
         single, _ = second_kind_solve(kernel.a_moments, grid, lams[j], rhs[:, j], scheme)
         assert np.array_equal(x[:, j], single), j
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_a_reversed_row_times_a_table_folds_each_column_in_index_order(order):
+    # the trapezoid loop keeps its bits in either table layout only because
+    # numpy sends a negative-stride 1-d @ 2-d product to its own loop, which
+    # sums each column oldest row first; BLAS would reorder the sums
+    rng = np.random.default_rng(11)
+    rows, columns = 300, 7
+    weights = rng.standard_normal(rows)[::-1]
+    table = np.asarray(rng.standard_normal((rows + 5, columns)), order=order)[:rows]
+    want = np.zeros(columns)
+    for j in range(columns):
+        acc = 0.0
+        for k in range(rows):
+            acc += float(weights[k]) * float(table[k, j])
+        want[j] = acc
+    assert np.array_equal(weights @ table, want)
+
+
+@given(
+    kernel=memory_kernels().filter(lambda k: k.kind != "constant"),
+    n=st.integers(1, 600),
+    columns=st.sampled_from([1, 6, 33]),
+    rhs_kind=st.sampled_from(["scalar", "shared", "per column"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40)
+def test_trapezoid_loop_has_the_bits_of_the_row_major_loop(kernel, n, columns, rhs_kind, seed):
+    rng = np.random.default_rng(seed)
+    w = rectangle_weights(kernel, n)
+    lams = rng.uniform(0.01, 100.0, columns)
+    shape = {"scalar": (), "shared": (n + 1,), "per column": (n + 1, columns)}[rhs_kind]
+    rhs = np.broadcast_to(rng.standard_normal(shape), shape or (n + 1,))
+    x = _uniform_trapezoid(w, lams, rhs)
+    assert x.flags.c_contiguous
+    assert np.array_equal(x, row_major_trapezoid(w, lams, rhs))
+
+
+def test_trapezoid_loop_keeps_its_bits_past_the_cache():
+    # a 3000 x 48 table (1.1 MiB row-major), where the column-major layout
+    # pays off
+    grid = TimeGrid.uniform(1.0, 3000)
+    w = lag_weights(MemoryKernel.exponential(1.0, 2.0).a_moments, grid)
+    lams = (np.pi * np.arange(1, 49)) ** 2 / 1000.0
+    rhs = np.broadcast_to(1.0, grid.nodes.shape)
+    x = _uniform_trapezoid(w, lams, rhs)
+    assert x.flags.c_contiguous
+    assert np.array_equal(x, row_major_trapezoid(w, lams, rhs))
 
 
 def test_second_kind_checks_a_per_column_rhs():
