@@ -38,7 +38,7 @@ _EXPORTS = {
                        "holder_estimate")),
         ("inverse", ("InverseProblem", "ReconstructionResult", "PairingTooSmall",
                      "KernelGateFailed", "forward_simulate", "reconstruct",
-                     "derivative_psi")),
+                     "derivative_psi", "identification_context")),
     )
     for name in names
 }

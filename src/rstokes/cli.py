@@ -3,8 +3,10 @@
 Loads a JSON config, applies dotted --set overrides, validates every field
 up front, runs the requested pipeline, and lands CSV artifacts plus a
 summary.json recording versions, the config hash, wall time, and the
-pass/fail certificates of the run; ``solve`` adds its Picard residuals,
-their sweep-to-sweep ratios and whether the sweeps convolved the history.
+pass/fail certificates of the run; ``relax``, ``solve`` and ``inverse`` add
+their quadrature scheme, and ``solve`` and ``inverse`` their Picard
+residuals, the sweep-to-sweep ratios and whether the sweeps convolved the
+history, on exit 0 and on exit 2.
 
 Exit codes: 0 success, 1 invalid config or problem data, 2 solver
 non-convergence (artifacts produced before the failure are kept).
@@ -282,7 +284,7 @@ def cmd_certify(cfg: Dict, out: str, artifacts: List[str],
 
 def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
                 records: Dict, quiet: bool) -> None:
-    from .inverse import InverseProblem, reconstruct
+    from .inverse import InverseProblem, identification_context, reconstruct
     from .nonlinear import NonConvergence, PicardOptions
 
     certificates = records["certificates"]
@@ -316,12 +318,17 @@ def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
     opts = PicardOptions(
         tol=inv.get("tol", 1e-6), max_iter=int(inv.get("max_iter", 200))
     )
+    ctx = identification_context(problem)
+    certificates["scheme"] = ctx.table.scheme
+    # the identification solve has no ell, so its sweeps convolve no history
     try:
-        rec = reconstruct(problem, opts)
+        rec = reconstruct(problem, opts, ctx)
     except NonConvergence as exc:
         _emit_iterations(out, exc.residuals, artifacts, quiet)
+        records["picard"] = _picard_record(exc.residuals, False)
         certificates["reconstruction_converged"] = "fail"
         raise
+    records["picard"] = _picard_record(rec.solution.residuals, False)
 
     nodes = grid.nodes
     _emit(
@@ -344,7 +351,6 @@ def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
     )
     certificates["max_measurement_residual"] = rec.max_residual
     certificates["pairing"] = rec.pairing
-    certificates["scheme"] = rec.scheme
 
 
 def _read_series_on_grid(inv: Dict, key: str, grid) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Source-intensity identification from a weighted interior measurement.
 
-Forward: solve the state equation with separable forcing g * p(t) and record
-psi(t) = (u(t), kappa).  Inverse: given psi, eliminate p through the time
-derivative of the measurement identity.  That leaves one fixed-point problem
-for u with reaction g p(u) + f1(u) and no forcing.  p(u), the elimination
-formula of ``reconstruct``, is written once, and its history term convolves
-m' with the one pairing column (grad u, grad kappa), not with the state.
+Forward: solve the state equation with the separable source g * p(t) and
+record psi(t) = (u(t), kappa).  Inverse: given psi, eliminate p through the
+time derivative of the measurement identity.  Both directions are one Picard
+solve on the resolvent of ``identification_context``, the source folded into
+the reaction: f1(u) + g p(t) forward, f1(u) + g p(u) inverse.  p(u), the
+elimination formula of ``reconstruct``, is written once, and its history
+term convolves m' with the one pairing column (grad u, grad kappa), not with
+the state.
 
 The elimination needs m'(t) integrable on (0, T); kernels with a
 non-integrable derivative (the weakly singular kind) are rejected up front.
@@ -13,7 +15,7 @@ non-integrable derivative (the weakly singular kind) are rejected up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,6 +32,7 @@ __all__ = [
     "KernelGateFailed",
     "InverseProblem",
     "derivative_psi",
+    "identification_context",
     "forward_simulate",
     "ReconstructionResult",
     "reconstruct",
@@ -94,14 +97,9 @@ class InverseProblem:
         return float(self.g @ self.kappa)
 
 
-def derivative_psi(psi: np.ndarray, grid: TimeGrid, psi_prime: Optional[np.ndarray] = None) -> np.ndarray:
-    """psi' series: analytic passthrough, or second-order finite differences
-    (central interior, one-sided ends)."""
-    if psi_prime is not None:
-        psi_prime = np.asarray(psi_prime, dtype=float)
-        if psi_prime.shape != grid.nodes.shape:
-            raise ValueError("psi_prime length does not match the grid")
-        return psi_prime
+def derivative_psi(psi: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """psi' series by second-order finite differences (central interior,
+    one-sided ends)."""
     psi = np.asarray(psi, dtype=float)
     if psi.shape != grid.nodes.shape:
         raise ValueError("psi length does not match the grid")
@@ -129,20 +127,12 @@ def _solve_scheme(problem: InverseProblem) -> Optional[str]:
     )
 
 
-def _context(problem: InverseProblem, ctx: Optional[ResolventContext]) -> ResolventContext:
-    """ctx, or the resolvent the identification solves build on the problem's data."""
-    if ctx is not None:
-        return ctx
+def identification_context(problem: InverseProblem) -> ResolventContext:
+    """The resolvent that ``forward_simulate`` and ``reconstruct`` solve on
+    by default, with the quadrature rule of ``_solve_scheme``."""
     return build_resolvent(
         problem.kernel, problem.basis, problem.grid, scheme=_solve_scheme(problem)
     )
-
-
-def _solve(problem: InverseProblem, spec: Nonlinearity, forcing, opts: PicardOptions,
-           ctx: ResolventContext) -> MildSolution:
-    """u = S xi + S * (f(u) + forcing) on the problem's data, with no ell."""
-    opts = replace(opts, forcing=forcing)
-    return picard_solve(ctx, spec, HistoryKernel.zero(), problem.xi, opts)
 
 
 def forward_simulate(
@@ -151,12 +141,21 @@ def forward_simulate(
     opts: PicardOptions = PicardOptions(),
     ctx: Optional[ResolventContext] = None,
 ) -> Tuple[MildSolution, np.ndarray]:
-    """Solve the state equation with forcing g * p(t); return (states, psi)."""
+    """Solve the state equation with source g * p(t); return (states, psi).
+
+    The source enters the solve as part of the reaction, f1(u) + g p(t),
+    added out of place: f1 may return an array it keeps."""
     p_samples = np.asarray(p_samples, dtype=float)
     if p_samples.shape != problem.grid.nodes.shape:
         raise ValueError("p series length does not match the grid")
-    forcing = p_samples[:, None] * problem.g[None, :]
-    sol = _solve(problem, problem.f1, forcing, opts, _context(problem, ctx))
+    source = p_samples[:, None] * problem.g[None, :]
+    f1 = problem.f1
+    spec = Nonlinearity.custom_series(
+        lambda V, W, basis: f1.apply_series(V, W, basis) + source,
+        mu=f1.mu, delta=f1.delta,
+    )
+    ctx = identification_context(problem) if ctx is None else ctx
+    sol = picard_solve(ctx, spec, HistoryKernel.zero(), problem.xi, opts)
     return sol, sol.coeffs @ problem.kappa
 
 
@@ -167,8 +166,6 @@ class ReconstructionResult:
     psi_prime: np.ndarray
     measurement_residual: np.ndarray
     pairing: float
-    # the quadrature rule of the relaxation table the solve ran on
-    scheme: str
 
     @property
     def max_residual(self) -> float:
@@ -221,7 +218,9 @@ def reconstruct(
                 "beyond the consistency tolerance"
             )
 
-    psi_prime = derivative_psi(problem.psi, problem.grid, problem.psi_prime)
+    psi_prime = problem.psi_prime
+    if psi_prime is None:
+        psi_prime = derivative_psi(problem.psi, problem.grid)
     m0 = kernel.value_at_zero()
     m1 = kernel.derivative_history_kernel()
     kappa = problem.kappa
@@ -241,8 +240,8 @@ def reconstruct(
         return problem.g[None, :] * source(V, f1_rows)[:, None] + f1_rows
 
     spec = Nonlinearity.custom_series(eliminated, mu=f1.mu, delta=f1.delta)
-    ctx = _context(problem, ctx)
-    sol = _solve(problem, spec, None, opts, ctx)
+    ctx = identification_context(problem) if ctx is None else ctx
+    sol = picard_solve(ctx, spec, HistoryKernel.zero(), problem.xi, opts)
     U = sol.coeffs
     p = source(U, f1.apply_series(U, np.zeros_like(U), problem.basis))
 
@@ -256,5 +255,4 @@ def reconstruct(
         psi_prime=psi_prime,
         measurement_residual=residual,
         pairing=pairing,
-        scheme=ctx.table.scheme,
     )

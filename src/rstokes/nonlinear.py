@@ -314,7 +314,6 @@ class PicardOptions:
     tol: float = 1e-10
     max_iter: int = 200
     beta: float = 0.0
-    forcing: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -344,7 +343,7 @@ def picard_solve(
     xi: np.ndarray,
     opts: PicardOptions = PicardOptions(),
 ) -> MildSolution:
-    """Iterate u <- S xi + S * (f(u, ell * u) + forcing) to a fixed point.
+    """Iterate u <- S xi + S * f(u, ell * u) to a fixed point.
 
     The residual metric is sup_i exp(-beta t_i) |u_new - u_old|_mu; beta = 0
     is the plain sup norm.  Raises NonConvergence with the residual history
@@ -358,11 +357,6 @@ def picard_solve(
     grid, basis = ctx.grid, ctx.basis
     omega = ctx.table.omega
     damp = np.exp(-opts.beta * grid.nodes)
-    forcing = opts.forcing
-    if forcing is not None:
-        forcing = np.asarray(forcing, dtype=float)
-        if forcing.shape != omega.shape:
-            raise ValueError("forcing series shape does not match grid x modes")
 
     convolves = spec.reads_history and ell.kind != "zero"
     # w is zero or unread: one read-only zero series, no table, serves every
@@ -381,9 +375,6 @@ def picard_solve(
                 f"iteration diverged at sweep {len(residuals) + 1}: {exc}",
                 tuple(residuals),
             ) from exc
-        if forcing is not None:
-            # out of place: a custom f may return the caller's own array
-            f_rows = f_rows + forcing
         u_new = convolve_sol_op(ctx, f_rows)
         del f_rows  # not alive through the next sweep's f
         for rows in _row_slices(u_new.shape[0], basis.n_modes):
@@ -452,7 +443,6 @@ def _history_weighted_sup(ell: HistoryKernel, grid: TimeGrid, gamma: float, i_mi
 def holder_estimate(
     sol: MildSolution,
     gamma: float,
-    mu: Optional[float] = None,
     t_min: Optional[float] = None,
     ell: Optional[HistoryKernel] = None,
     delta: Optional[float] = None,
@@ -460,14 +450,14 @@ def holder_estimate(
     """Weighted Holder seminorm of a trajectory over dyadic increments.
 
     seminorm = sup (t/h)^gamma |u(t+h) - u(t)|_mu over grid nodes t >= t_min
-    and h in {T/2, T/4, ..., dt}.  With a history kernel ell it also reports
+    and h in {T/2, T/4, ..., dt}, in the solution's own mu.  With a history
+    kernel ell it also reports
     ell_star1 = sup (t/h)^gamma int_t^(t+h) |ell| and ell_star2 = sup t^gamma
     int_0^t |ell(tau)| (t-tau)^(-gamma) dtau; with delta, a gamma outside
     (delta/2, 1/2) warns and clears gamma_in_range.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    mu = sol.mu if mu is None else mu
     grid = sol.grid
     t = grid.nodes
     n = grid.n_steps
@@ -491,7 +481,7 @@ def holder_estimate(
         rows = slice(i_min, n - h_steps + 1)
         if i_min <= n - h_steps:
             later = sol.coeffs[i_min + h_steps :]
-            diffs = hnorm(later, sol.basis, mu, sol.coeffs[rows])
+            diffs = hnorm(later, sol.basis, sol.mu, sol.coeffs[rows])
             vals = (t[rows] / h) ** gamma * diffs
             j = int(np.argmax(vals))
             if vals[j] > best:
@@ -505,7 +495,7 @@ def holder_estimate(
 
     return HolderReport(
         gamma=gamma,
-        mu=mu,
+        mu=sol.mu,
         t_min=float(i_min * dt),
         seminorm=best,
         t_at=t_at,

@@ -903,6 +903,9 @@ def test_inverse_exits_0_or_2_with_a_matching_summary(
         certs = summary["certificates"]
         _, iterations = read_table(os.path.join(out, "iterations.csv"))
         assert 1 <= len(iterations) <= max_iter
+        # recorded before the solve, so exit 2 keeps them too
+        assert certs["scheme"] in ("trapezoid", "rectangle")
+        assert len(summary["picard"]["residuals"]) == len(iterations)
         if code == 2:
             assert summary["status"] == "non-convergence"
             assert summary["artifacts"] == ["iterations.csv"]

@@ -4,7 +4,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "rstokes").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+MODULES = sorted([*(ROOT / "src" / "rstokes").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source: str):

@@ -1,7 +1,5 @@
 """Source recovery: elimination formula, gates, and round trips."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,15 +67,12 @@ def test_derivative_psi_accuracy_on_sine():
 
 
 def test_derivative_psi_passthrough_and_validation():
-    grid = TimeGrid.uniform(1.0, 8)
+    # a supplied psi' reaches the elimination as it is; only psi is differenced
     supplied = np.arange(9.0)
-    np.testing.assert_array_equal(
-        derivative_psi(np.zeros(9), grid, psi_prime=supplied), supplied
-    )
+    rec = reconstruct(make_problem(n_modes=1, n_t=8, psi_prime=supplied))
+    np.testing.assert_array_equal(rec.psi_prime, supplied)
     with pytest.raises(ValueError):
-        derivative_psi(np.zeros(5), grid)
-    with pytest.raises(ValueError):
-        derivative_psi(np.zeros(9), grid, psi_prime=np.zeros(3))
+        derivative_psi(np.zeros(5), TimeGrid.uniform(1.0, 8))
 
 
 # -- forward map --------------------------------------------------------------
@@ -230,6 +225,16 @@ def test_problem_shape_validation():
             kappa=np.ones(3),
             xi=np.zeros(3),
         )
+    with pytest.raises(ValueError, match="psi_prime length"):
+        InverseProblem(
+            basis=basis,
+            grid=grid,
+            kernel=MemoryKernel.zero(),
+            g=np.ones(3),
+            kappa=np.ones(3),
+            xi=np.zeros(3),
+            psi_prime=np.zeros(3),  # wrong length
+        )
 
 
 # -- the one-column formula against the all-modes oracle ----------------------
@@ -237,10 +242,12 @@ def test_problem_shape_validation():
 
 def reconstruct_all_modes(problem, opts, ctx):
     """(solution, p) by the all-modes form of the elimination, the oracle of
-    ``reconstruct``: the sweeps convolve m' with every mode of the state and
-    take c psi' g as forcing, and p is formed a second time on the solved
-    state."""
-    psi_prime = derivative_psi(problem.psi, problem.grid, problem.psi_prime)
+    ``reconstruct``: the sweeps convolve m' with every mode of the state,
+    the reaction adds c psi' g last, and p is formed a second time on the
+    solved state."""
+    psi_prime = problem.psi_prime
+    if psi_prime is None:
+        psi_prime = derivative_psi(problem.psi, problem.grid)
     kernel = problem.kernel
     m0 = kernel.value_at_zero()
     m1 = kernel.derivative_history_kernel()
@@ -249,15 +256,16 @@ def reconstruct_all_modes(problem, opts, ctx):
     f1 = problem.f1
     grad_weight = problem.basis.eigenvalues * kappa
 
+    forcing = (c * psi_prime)[:, None] * problem.g[None, :]
+
     def eliminated(V, W, basis):
         # W is m' * V, supplied by the solver's history pass
         f1_rows = f1.apply_series(V, np.zeros_like(V), basis)
         f2 = (1.0 + m0) * (V @ grad_weight) + W @ grad_weight - f1_rows @ kappa
-        return problem.g[None, :] * (c * f2)[:, None] + f1_rows
+        return problem.g[None, :] * (c * f2)[:, None] + f1_rows + forcing
 
     spec = Nonlinearity.custom_series(eliminated, mu=f1.mu, delta=f1.delta)
-    forcing = (c * psi_prime)[:, None] * problem.g[None, :]
-    sol = picard_solve(ctx, spec, m1, problem.xi, replace(opts, forcing=forcing))
+    sol = picard_solve(ctx, spec, m1, problem.xi, opts)
     U = sol.coeffs
     gpu = U @ grad_weight
     conv_gpu = nonlinear.history_series(m1, gpu[:, None], problem.grid)[:, 0]
