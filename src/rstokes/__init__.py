@@ -38,7 +38,7 @@ _EXPORTS = {
                        "holder_estimate")),
         ("inverse", ("InverseProblem", "ReconstructionResult", "PairingTooSmall",
                      "KernelGateFailed", "forward_simulate", "reconstruct",
-                     "derivative_psi", "identification_context")),
+                     "derivative_psi", "identification_scheme")),
     )
     for name in names
 }

@@ -6,7 +6,8 @@ summary.json recording versions, the config hash, wall time, and the
 pass/fail certificates of the run; ``relax``, ``solve`` and ``inverse`` add
 their quadrature scheme, and ``solve`` and ``inverse`` their Picard
 residuals, the sweep-to-sweep ratios and whether the sweeps convolved the
-history, on exit 0 and on exit 2.
+history, on exit 0 and on exit 2; ``inverse`` records its rule, and runs
+its problem-data checks (exit 1), before it builds any table.
 
 Exit codes: 0 success, 1 invalid config or problem data, 2 solver
 non-convergence (artifacts produced before the failure are kept).
@@ -101,7 +102,7 @@ def cmd_relax(cfg: Dict, out: str, artifacts: List[str],
     _emit(os.path.join(out, "omega.csv"), header, rows, artifacts, quiet)
 
     tol = cfg.get("verify", {}).get("tol", 1e-8)
-    report = verify_relaxation(table, kernel, tol=tol)
+    report = verify_relaxation(table, tol=tol)
     _emit(
         os.path.join(out, "properties.csv"),
         ["property", "lambda", "worst_margin", "pass"],
@@ -115,7 +116,8 @@ def cmd_relax(cfg: Dict, out: str, artifacts: List[str],
 
 def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
               records: Dict, quiet: bool) -> None:
-    from .nonlinear import NonConvergence, PicardOptions, holder_estimate, picard_solve
+    from .nonlinear import (NonConvergence, PicardOptions, convolves_history,
+                            holder_estimate, picard_solve)
     from .resolvent import build_resolvent
     from .spectral import hnorm
 
@@ -134,14 +136,15 @@ def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
     )
     ctx = build_resolvent(kernel, basis, grid)
     certificates["scheme"] = ctx.table.scheme
+    convolves = convolves_history(spec, ell)
     try:
         sol = picard_solve(ctx, spec, ell, xi, opts)
     except NonConvergence as exc:
         _emit_iterations(out, exc.residuals, artifacts, quiet)
-        records["picard"] = _picard_record(exc.residuals, spec.reads_history)
+        records["picard"] = _picard_record(exc.residuals, convolves)
         certificates["picard_converged"] = "fail"
         raise
-    records["picard"] = _picard_record(sol.residuals, spec.reads_history)
+    records["picard"] = _picard_record(sol.residuals, convolves)
 
     mu = spec.mu
     k_cols = int(problem.get("coeff_columns", min(8, basis.eigenvalues.size)))
@@ -194,7 +197,7 @@ def cmd_verify(cfg: Dict, out: str, artifacts: List[str],
     tol = opts.get("tol", 1e-8)
 
     ctx = build_resolvent(kernel, basis, grid)
-    relax_report = verify_relaxation(ctx.table, kernel, tol=tol)
+    relax_report = verify_relaxation(ctx.table, tol=tol)
     op_report = verify_sol_op_bounds(
         ctx,
         mu=opts.get("mu", 1.0),
@@ -284,7 +287,7 @@ def cmd_certify(cfg: Dict, out: str, artifacts: List[str],
 
 def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
                 records: Dict, quiet: bool) -> None:
-    from .inverse import InverseProblem, identification_context, reconstruct
+    from .inverse import InverseProblem, identification_scheme, reconstruct
     from .nonlinear import NonConvergence, PicardOptions
 
     certificates = records["certificates"]
@@ -318,11 +321,11 @@ def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
     opts = PicardOptions(
         tol=inv.get("tol", 1e-6), max_iter=int(inv.get("max_iter", 200))
     )
-    ctx = identification_context(problem)
-    certificates["scheme"] = ctx.table.scheme
+    # known without a table: exit 2 records it, and exit 1 builds no table
+    certificates["scheme"] = identification_scheme(problem)
     # the identification solve has no ell, so its sweeps convolve no history
     try:
-        rec = reconstruct(problem, opts, ctx)
+        rec = reconstruct(problem, opts)
     except NonConvergence as exc:
         _emit_iterations(out, exc.residuals, artifacts, quiet)
         records["picard"] = _picard_record(exc.residuals, False)

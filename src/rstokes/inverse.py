@@ -3,14 +3,16 @@
 Forward: solve the state equation with the separable source g * p(t) and
 record psi(t) = (u(t), kappa).  Inverse: given psi, eliminate p through the
 time derivative of the measurement identity.  Both directions are one Picard
-solve on the resolvent of ``identification_context``, the source folded into
-the reaction: f1(u) + g p(t) forward, f1(u) + g p(u) inverse.  p(u), the
-elimination formula of ``reconstruct``, is written once, and its history
-term convolves m' with the one pairing column (grad u, grad kappa), not with
-the state.
+solve, the source folded into the reaction: f1(u) + g p(t) forward,
+f1(u) + g p(u) inverse.  Each builds its own resolvent with the quadrature
+rule of ``identification_scheme``, which needs no table, so a caller can
+record the rule before the solve.  p(u), the elimination formula of
+``reconstruct``, is written once, and its history term convolves m' with
+the one pairing column (grad u, grad kappa), not with the state.
 
 The elimination needs m'(t) integrable on (0, T); kernels with a
-non-integrable derivative (the weakly singular kind) are rejected up front.
+non-integrable derivative (the weakly singular kind) are rejected up front,
+with the other problem-data checks, before any table is built.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .grids import TimeGrid
 from .kernels import HistoryKernel, MemoryKernel
 from .nonlinear import MildSolution, Nonlinearity, PicardOptions, history_series, picard_solve
-from .resolvent import ResolventContext, build_resolvent
+from .resolvent import build_resolvent
 from .spectral import SpectralBasis
 from .volterra import stiffness_scheme
 
@@ -32,7 +34,7 @@ __all__ = [
     "KernelGateFailed",
     "InverseProblem",
     "derivative_psi",
-    "identification_context",
+    "identification_scheme",
     "forward_simulate",
     "ReconstructionResult",
     "reconstruct",
@@ -108,38 +110,28 @@ def derivative_psi(psi: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return np.gradient(psi, grid.nodes, edge_order=2)
 
 
-def _solve_scheme(problem: InverseProblem) -> Optional[str]:
-    """Pick the quadrature rule for the identification solves.
+def identification_scheme(problem: InverseProblem) -> str:
+    """The quadrature rule of the identification solves.
 
     When the reaction term is zero the dynamics are diagonal and modes with
     zero source and zero initial data stay exactly zero, so stiffness is
     judged on the active modes only; that keeps the second-order rule when
     the padding modes are the stiff ones.  Any reaction term may couple
-    modes, so then the automatic joint rule decides.
+    modes, and with no active mode there is nothing to single out, so then
+    every mode is judged, as the automatic joint rule does.
     """
-    if problem.f1.kind != "zero":
-        return None
-    active = (problem.g != 0.0) | (problem.xi != 0.0)
-    if not np.any(active):
-        return None
-    return stiffness_scheme(
-        problem.kernel.a_moments, problem.grid, problem.basis.eigenvalues[active]
-    )
-
-
-def identification_context(problem: InverseProblem) -> ResolventContext:
-    """The resolvent that ``forward_simulate`` and ``reconstruct`` solve on
-    by default, with the quadrature rule of ``_solve_scheme``."""
-    return build_resolvent(
-        problem.kernel, problem.basis, problem.grid, scheme=_solve_scheme(problem)
-    )
+    lams = problem.basis.eigenvalues
+    if problem.f1.kind == "zero":
+        active = (problem.g != 0.0) | (problem.xi != 0.0)
+        if np.any(active):
+            lams = lams[active]
+    return stiffness_scheme(problem.kernel.a_moments, problem.grid, lams)
 
 
 def forward_simulate(
     problem: InverseProblem,
     p_samples: np.ndarray,
     opts: PicardOptions = PicardOptions(),
-    ctx: Optional[ResolventContext] = None,
 ) -> Tuple[MildSolution, np.ndarray]:
     """Solve the state equation with source g * p(t); return (states, psi).
 
@@ -154,7 +146,8 @@ def forward_simulate(
         lambda V, W, basis: f1.apply_series(V, W, basis) + source,
         mu=f1.mu, delta=f1.delta,
     )
-    ctx = identification_context(problem) if ctx is None else ctx
+    scheme = identification_scheme(problem)
+    ctx = build_resolvent(problem.kernel, problem.basis, problem.grid, scheme)
     sol = picard_solve(ctx, spec, HistoryKernel.zero(), problem.xi, opts)
     return sol, sol.coeffs @ problem.kappa
 
@@ -175,13 +168,12 @@ class ReconstructionResult:
 def reconstruct(
     problem: InverseProblem,
     opts: PicardOptions = PicardOptions(tol=1e-6),
-    ctx: Optional[ResolventContext] = None,
 ) -> ReconstructionResult:
     """Recover the source intensity p(t) from the measurement psi.
 
     Validates the pairing floor, the kernel derivative gate, and t = 0
-    consistency, then solves the eliminated fixed-point problem for u and
-    emits p = p(u), where
+    consistency before it builds any table, then solves the eliminated
+    fixed-point problem for u and emits p = p(u), where
 
         p(u) = (g,kappa)^{-1} [psi' + (1+m(0)) (grad u, grad kappa)
                                + (m' * (grad u, grad kappa)) - (f1(u), kappa)].
@@ -240,7 +232,8 @@ def reconstruct(
         return problem.g[None, :] * source(V, f1_rows)[:, None] + f1_rows
 
     spec = Nonlinearity.custom_series(eliminated, mu=f1.mu, delta=f1.delta)
-    ctx = identification_context(problem) if ctx is None else ctx
+    scheme = identification_scheme(problem)
+    ctx = build_resolvent(problem.kernel, problem.basis, problem.grid, scheme)
     sol = picard_solve(ctx, spec, HistoryKernel.zero(), problem.xi, opts)
     U = sol.coeffs
     p = source(U, f1.apply_series(U, np.zeros_like(U), problem.basis))

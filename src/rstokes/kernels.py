@@ -419,7 +419,6 @@ class CompletePositivityCertificate:
     thetas: np.ndarray
     min_s: np.ndarray
     min_r: np.ndarray
-    tol: float
     passed: bool
 
 
@@ -433,12 +432,8 @@ class PCCertificate:
 
     status: str
     reason: str
-    tol: float
-    t: Optional[np.ndarray] = None
-    k: Optional[np.ndarray] = None
     min_k: Optional[float] = None
     max_increase: Optional[float] = None
-    diagonal: Optional[float] = None
 
     @property
     def passed(self) -> bool:
@@ -487,7 +482,7 @@ def certify_completely_positive(
     min_s = s.min(axis=0)
     min_r = r.min(axis=0)
     passed = bool(np.all(min_s >= -tol) and np.all(min_r >= -tol))
-    return CompletePositivityCertificate(thetas, min_s, min_r, tol, passed)
+    return CompletePositivityCertificate(thetas, min_s, min_r, passed)
 
 
 def certify_pc(
@@ -504,7 +499,6 @@ def certify_pc(
         return PCCertificate(
             status="not-applicable",
             reason="kernel bounded at t = 0: zero-slack splitting not required",
-            tol=tol,
         )
     k, diag = first_kind_solve(kernel.a_moments, grid, 1.0)
     if diag < _DIAG_FLOOR:
@@ -512,8 +506,6 @@ def certify_pc(
             status="fail",
             reason=f"ill-conditioned first-kind system: diagonal weight {diag:.3e} "
             f"below floor {_DIAG_FLOOR:.3e}",
-            tol=tol,
-            diagonal=diag,
         )
     min_k = float(k.min())
     max_increase = float(np.max(np.diff(k))) if k.size > 1 else 0.0
@@ -521,10 +513,6 @@ def certify_pc(
     return PCCertificate(
         status="pass" if ok else "fail",
         reason="" if ok else "sampled k violates nonnegativity or monotonicity",
-        tol=tol,
-        t=grid.nodes[1:].copy(),
-        k=k,
         min_k=min_k,
         max_increase=max_increase,
-        diagonal=diag,
     )

@@ -56,6 +56,7 @@ __all__ = [
     "history_series",
     "PicardOptions",
     "MildSolution",
+    "convolves_history",
     "picard_solve",
     "HolderReport",
     "holder_estimate",
@@ -336,6 +337,11 @@ class MildSolution:
     converged: bool
 
 
+def convolves_history(spec: Nonlinearity, ell: HistoryKernel) -> bool:
+    """Whether ``picard_solve``'s sweeps convolve the history ell * u."""
+    return spec.reads_history and ell.kind != "zero"
+
+
 def picard_solve(
     ctx: ResolventContext,
     spec: Nonlinearity,
@@ -358,7 +364,7 @@ def picard_solve(
     omega = ctx.table.omega
     damp = np.exp(-opts.beta * grid.nodes)
 
-    convolves = spec.reads_history and ell.kind != "zero"
+    convolves = convolves_history(spec, ell)
     # w is zero or unread: one read-only zero series, no table, serves every
     # sweep
     zeros = np.broadcast_to(0.0, omega.shape)

@@ -6,7 +6,8 @@ omega solves the scalar Volterra equation
 
 and replaces exp(-lam*t) of classical diffusion as the per-mode decay
 profile.  The solver collocates with exact kernel cell moments; see
-``volterra`` for the trapezoid/rectangle scheme switch on stiff batches.
+``volterra`` for the trapezoid/rectangle scheme switch on stiff batches.  A
+table records its kernel, grid and rule, and its consumers read them there.
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RelaxationTable:
-    """omega samples, one row per grid node, one column per eigenvalue."""
+    """omega samples of ``kernel`` by the rule ``scheme``: one row per grid
+    node, one column per eigenvalue."""
 
     grid: TimeGrid
     lambdas: np.ndarray
     omega: np.ndarray
     scheme: str
+    kernel: MemoryKernel
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -62,7 +65,7 @@ def relaxation_batch(
     if np.any(np.diff(lams) < 0.0):
         raise ValueError("lambdas must be sorted ascending")
     omega, used = second_kind_solve(kernel.a_moments, grid, lams, 1.0, scheme)
-    return RelaxationTable(grid, lams, omega, used)
+    return RelaxationTable(grid, lams, omega, used, kernel)
 
 
 @dataclass(frozen=True)
@@ -90,9 +93,7 @@ class RelaxationReport:
         return min(margins)
 
 
-def verify_relaxation(
-    table: RelaxationTable, kernel: MemoryKernel, tol: float = 1e-8
-) -> RelaxationReport:
+def verify_relaxation(table: RelaxationTable, tol: float = 1e-8) -> RelaxationReport:
     """Check the structural estimates of the relaxation profile per column.
 
     The estimates are guarantees only when 1 + m is completely positive
@@ -120,7 +121,7 @@ def verify_relaxation(
     """
     t = table.grid.nodes[1:]
     dt = table.grid.dt
-    cum_a = t + kernel.cumulative(t)
+    cum_a = t + table.kernel.cumulative(t)
     omega = table.omega
     rows = []
     for n, lam in enumerate(table.lambdas):

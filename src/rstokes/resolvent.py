@@ -49,18 +49,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ResolventContext:
+    """S(t) on ``basis``; its grid and memory kernel are the table's."""
+
     basis: SpectralBasis
-    grid: TimeGrid
     table: RelaxationTable
-    kernel: MemoryKernel
 
     def __post_init__(self):
         if not np.array_equal(self.table.lambdas, self.basis.eigenvalues):
             raise ValueError("table eigenvalues do not match the basis")
-        if self.table.grid is not self.grid and not np.array_equal(
-            self.table.grid.nodes, self.grid.nodes
-        ):
-            raise ValueError("table grid does not match the context grid")
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.table.grid
+
+    @property
+    def kernel(self) -> MemoryKernel:
+        return self.table.kernel
 
 
 def build_resolvent(
@@ -70,7 +74,7 @@ def build_resolvent(
     scheme: Optional[str] = None,
 ) -> ResolventContext:
     table = relaxation_batch(kernel, basis.eigenvalues, grid, scheme)
-    return ResolventContext(basis, grid, table, kernel)
+    return ResolventContext(basis, table)
 
 
 def convolve_sol_op(ctx: ResolventContext, g: np.ndarray) -> np.ndarray:

@@ -64,7 +64,7 @@ def test_fractional_profile_properties_hold_on_32_modes():
     started = time.perf_counter()
 
     table = relaxation_batch(MemoryKernel.fractional(1.0, 0.5), basis.eigenvalues, grid)
-    report = verify_relaxation(table, MemoryKernel.fractional(1.0, 0.5), tol=1e-8)
+    report = verify_relaxation(table, tol=1e-8)
     for name in ("upper_bound", "integral_bound", "monotone_lambda"):
         assert report.worst(name) >= -1e-8, name
     assert report.passed

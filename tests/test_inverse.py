@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rstokes import nonlinear
 from rstokes import (
+    HistoryKernel,
     Interval,
     InverseProblem,
     KernelGateFailed,
@@ -18,9 +19,11 @@ from rstokes import (
     build_resolvent,
     derivative_psi,
     forward_simulate,
+    identification_scheme,
     picard_solve,
     reconstruct,
 )
+from rstokes.volterra import stiffness_scheme
 
 
 def make_problem(n_modes=4, n_t=256, kernel=None, psi=None, **kw):
@@ -100,6 +103,53 @@ def test_forward_validates_series_length():
     problem = make_problem()
     with pytest.raises(ValueError):
         forward_simulate(problem, np.ones(10))
+
+
+# -- the rule of the identification solves ------------------------------------
+
+
+def padded_problem(**kw):
+    # only g's first mode carries data, and only modes 2 and 3 are stiff at
+    # 32 steps: the joint rule over every mode is the rectangle rule
+    problem = make_problem(n_modes=3, n_t=32, **kw)
+    joint = stiffness_scheme(
+        problem.kernel.a_moments, problem.grid, problem.basis.eigenvalues
+    )
+    assert joint == "rectangle"
+    return problem
+
+
+def test_identification_scheme_judges_the_active_modes_of_a_linear_problem():
+    assert identification_scheme(padded_problem()) == "trapezoid"
+
+
+def test_identification_scheme_judges_every_mode_otherwise():
+    # a reaction may couple modes, and with no data no mode is singled out
+    f1 = Nonlinearity.polynomial_power(2.0, scale=0.5)
+    assert identification_scheme(padded_problem(f1=f1)) == "rectangle"
+    assert identification_scheme(padded_problem(g=np.zeros(3))) == "rectangle"
+
+
+def test_forward_simulate_solves_on_the_identification_rule():
+    # the bits of a Picard solve on a resolvent of that rule, which the
+    # joint rule's rectangle table would not give
+    problem = padded_problem()
+    p = 1.0 + problem.grid.nodes
+    sol, psi = forward_simulate(problem, p)
+
+    source = p[:, None] * problem.g[None, :]
+    f1 = problem.f1
+    spec = Nonlinearity.custom_series(
+        lambda V, W, basis: f1.apply_series(V, W, basis) + source,
+        mu=f1.mu, delta=f1.delta,
+    )
+    ctx = build_resolvent(
+        problem.kernel, problem.basis, problem.grid, identification_scheme(problem)
+    )
+    assert ctx.table.scheme == "trapezoid"
+    oracle = picard_solve(ctx, spec, HistoryKernel.zero(), problem.xi)
+    np.testing.assert_array_equal(sol.coeffs, oracle.coeffs)
+    np.testing.assert_array_equal(psi, oracle.coeffs @ problem.kappa)
 
 
 # -- reconstruction gates -----------------------------------------------------
@@ -314,7 +364,7 @@ def test_one_column_formula_matches_the_all_modes_oracle(
     ctx = build_resolvent(problem.kernel, basis, grid)
     opts = PicardOptions(tol=1e-12)
 
-    rec = reconstruct(problem, opts, ctx)
+    rec = reconstruct(problem, opts)
     sol, p = reconstruct_all_modes(problem, opts, ctx)
     assert rec.solution.iterations == sol.iterations
     np.testing.assert_allclose(rec.p, p, rtol=0.0, atol=1e-12 * np.max(np.abs(p)))

@@ -71,7 +71,7 @@ def test_property_report_passes_for_analytic_kernels(kernel):
     grid = TimeGrid.uniform(1.0, 512)
     lams = (np.arange(1, 33) * np.pi) ** 2
     table = relaxation_batch(kernel, lams, grid)
-    report = verify_relaxation(table, kernel)
+    report = verify_relaxation(table)
     assert report.passed, [
         (r.name, r.lam, r.worst_margin) for r in report.rows if not r.passed
     ]
@@ -87,7 +87,7 @@ def test_property_report_passes_for_analytic_kernels(kernel):
 def test_property_report_locates_worst_times():
     grid = TimeGrid.uniform(1.0, 128)
     table = relaxation_batch(MemoryKernel.fractional(1.0, 0.5), [1.0, 4.0], grid)
-    report = verify_relaxation(table, MemoryKernel.fractional(1.0, 0.5))
+    report = verify_relaxation(table)
     # t = 0, where omega = 1 meets the bounds exactly, is not a candidate
     for row in report.rows:
         assert 0.0 < row.t_worst <= 1.0
@@ -105,6 +105,6 @@ def test_kinked_table_fails_where_the_certificate_fails():
     assert not cert.passed
 
     table = relaxation_batch(kernel, [25.0, 100.0], grid)
-    report = verify_relaxation(table, kernel)
+    report = verify_relaxation(table)
     failing = {r.name for r in report.rows if not r.passed}
     assert "monotone_time" in failing
