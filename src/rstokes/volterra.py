@@ -33,9 +33,9 @@ Cost for N steps and M columns:
   for the first N coefficients g of the power series 1/p, found by Newton
   doubling (``_toeplitz_solve``).  A constant r, as in every relaxation
   table, makes g * r the running sum r * cumsum(g).
-* trapezoid rule: O(M N^2), a row loop.  It is Toeplitz too once x_0 moves
-  to the right-hand side, but any reordering of its sums (a Toeplitz
-  solve, or a blocked matrix product) moves two seed-0 rows of
+* trapezoid rule: O(M N^2), a row loop in blocks.  It is Toeplitz too once
+  x_0 moves to the right-hand side, but any reordering of its sums (a
+  Toeplitz solve, or a BLAS matrix product) moves two seed-0 rows of
   ``perfbench/reference.json`` past what that file allows: the omega
   difference quotients of ``certify_completely_positive`` at dt = 1/8192
   (by 2-3e-8 relative, against 1e-8), and ``p_recovered`` near p = 0,
@@ -44,28 +44,36 @@ Cost for N steps and M columns:
   against an allowance of 5.3e-14 = 1e-8 * 4.27e-6 + 1e-14; the
   reconstruction alone stays within 0.0032 of it).
 
-  Row i runs two folds, ``u[i-1::-1] @ x[:i]`` and ``v[i-1:0:-1] @ x[1:i]``.
-  Their left operand has a negative stride, so numpy takes its own matmul
-  loop, not BLAS, and sums each column in index order, oldest node first,
-  whatever the table's layout.  So the table is filled column-major, where
-  each column's history is contiguous, and one copy returns it C-ordered.
-  Row-major, each fold read one cache line per element and the whole table
-  once per column once it outgrew L2.  The loop alone (2-vCPU Xeon host,
-  ranges over 6 runs, one at 16384 rows):
+  So every sum keeps the order of a plain row loop with two matmul folds
+  per row, ``u[i-1::-1] @ x[:i]`` and ``v[i-1:0:-1] @ x[1:i]``
+  (``row_major_trapezoid`` in the tests, the bit oracle): each column is
+  added oldest node first, starting from +0, each product rounded on its
+  own.  Those folds are chains of dependent adds.  The blocked loop splits
+  the history into settled blocks and the current one, as Hairer, Lubich &
+  Schlichte do (SIAM J. Sci. Stat. Comput. 6, 1985), with blocks of w = 32
+  rows.  The settled history, every node before the block, is one
+  ``np.einsum`` per block over a contiguous window table, both folds side by
+  side (2w weights per node); einsum adds each output's terms in node
+  order, so the blocks keep the folds' bits.  Inside the block, each new
+  row is added to the block's later rows by one rank-1 multiply into a
+  scratch buffer and one in-place add.  The window table is built once per
+  solve, (N + w) x 2w doubles, which is 2 tables at 32 columns: an
+  8193 x 32 solve peaks at 3.2x its result under tracemalloc, against 2.1x
+  for the plain loop.  The loop alone (2-vCPU Xeon host, 5 interleaved runs
+  each):
 
-      rows x columns               row-major        column-major
-      4096 x 32 (``inverse``)      0.61-0.90 s      0.38-0.53 s
-      8192 x 32                    3.8-4.4 s        1.6-2.1 s
-      16384 x 32                   39 s             9.0 s
-      1024 x 64 (rectangle solve)  0.080-0.095 s    0.052-0.058 s
-      8192 x 6 (``certify``)       0.43-0.46 s      0.32-0.35 s
+      rows x columns               row loop         blocked
+      4096 x 32 (``inverse``)      0.69-0.70 s      0.35-0.36 s
+      8192 x 6 (``certify``)       0.56 s           0.31-0.32 s
+      8192 x 32                    2.3-2.7 s        0.84-1.29 s
+      1024 x 64 (rectangle solve)  0.075-0.089 s    0.035-0.053 s
 
-  Measured and rejected: ``out=`` buffers for the folds (no gain); two
-  threads over the columns (slower: the per-row Python work holds the GIL,
-  and numpy's matmul ran no faster on two threads); one fused two-row
-  matmul over an ``as_strided`` view (about 5x faster, but numpy copies
-  the view and sends it to BLAS, which changes the bits and fails the same
-  two reference rows).
+  Measured and rejected, all with the same bits (3 runs at 4096 x 32, then
+  at 8192 x 6): one einsum per fold over two w-wide tables (0.44-0.46 s,
+  0.33-0.45 s); the einsum straight on the ``sliding_window_view``, with
+  no copy (0.75-0.85 s, 0.49-0.60 s); a per-row einsum fold (0.35-0.43 s,
+  0.62-1.00 s); two threads over the two folds (0.39-0.40 s,
+  0.48-0.73 s).  Wider blocks: see ``_TRAPEZOID_BLOCK``.
 
 Every second-kind path sums (or transforms) each column on its own, so the
 columns of one ``second_kind_solve`` call, each with its own right-hand
@@ -79,6 +87,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import TimeGrid
 
@@ -107,6 +116,11 @@ STIFF_THRESHOLD = 0.9
 # blocks of 4, 8, 16 and 32 columns (2-vCPU host, fastest to median of 9)
 _FFT_BLOCK = 1 << 15
 _FFT_MIN_COLUMNS = 4
+
+# rows per block of the trapezoid loop (module docstring).  Blocks of 64
+# and 128 rows ran no faster at 4096 x 32 or 8192 x 6 (4 runs each), and an
+# 8193 x 32 solve peaked at 5.2x and 9.4x its result, against 3.2x
+_TRAPEZOID_BLOCK = 32
 
 
 def _fast_length(n: int) -> int:
@@ -250,21 +264,44 @@ def _toeplitz_solve(c: np.ndarray, scale, denom, rhs) -> np.ndarray:
 
 
 def _uniform_trapezoid(weights: LagWeights, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Implicit trapezoid steps on a uniform grid, row by row (module docstring).
+    """Implicit trapezoid steps on a uniform grid, a block of w rows at a time
+    (module docstring).
 
-    The table is filled column-major, so each column's history is contiguous
-    for the two folds, and returned C-ordered.
+    Row i folds u[i-1-k] x_k over k < i and v[i-k] x_k over 0 < k < i.  Row
+    n-1-s of ``table`` holds both folds' weights from lag s on, u[s:s+w] then
+    v[s+1:s+1+w], zero at negative lags.  The settled history k < b0 of the
+    block of rows b0..b0+w-1 is one einsum over the table's rows n-b0..n-1;
+    then each row x_i of the block, times table row n+r (r = i - b0), is
+    added to the block's later rows, and adds 0 to the rows already solved.
     """
     u, v = weights.left, weights.right
-    x = np.empty((u.size + 1, lams.size), order="F")
+    n = u.size
+    w = min(_TRAPEZOID_BLOCK, n)
+    padded = np.zeros((2, n + 2 * w - 1))
+    padded[0, w : w + n] = u
+    padded[1, w : w + n - 1] = v[1:]
+    windows = sliding_window_view(padded, w, axis=1)[:, ::-1]
+    table = windows.transpose(1, 0, 2).copy().reshape(n + w, 2 * w)
+    acc = np.empty((lams.size, 2 * w))
+    scratch = np.empty_like(acc)
+    x = np.empty((n + 1, lams.size))
     x[0] = rhs[0]
     denom = 1.0 + lams * v[0]
-    for i in range(1, u.size + 1):
-        past = u[i - 1 :: -1] @ x[:i]
-        if i > 1:
-            past = past + v[i - 1 : 0 : -1] @ x[1:i]
-        x[i] = (rhs[i] - lams * past) / denom
-    return np.ascontiguousarray(x)
+    for b0 in range(1, n + 1, w):
+        # the v fold starts at x_1, so x_0's v weights read 0 in this einsum
+        # (for finite x_0 that adds +0 to a sum that starts at +0)
+        top = table[n - b0, w:]
+        held = top.copy()
+        top[:] = 0.0
+        np.einsum("ki,kj->ji", table[n - b0 : n], x[:b0], out=acc)
+        top[:] = held
+        for r in range(min(w, n + 1 - b0)):
+            i = b0 + r
+            past = acc[:, r] if i == 1 else acc[:, r] + acc[:, w + r]
+            x[i] = (rhs[i] - lams * past) / denom
+            np.multiply(x[i][:, None], table[n + r], out=scratch)
+            acc += scratch
+    return x
 
 
 def stiffness_scheme(moments: Moments, grid: TimeGrid, lam) -> str:
@@ -293,8 +330,9 @@ def second_kind_solve(
     ----------
     moments : callable (lo, hi) -> (A0, A1)
         Exact cell moments of the kernel a.
-    lam : positive scalar or 1-d array
-        One column is solved per value, sharing the weight table.
+    lam : positive scalar or nonempty 1-d array
+        One column is solved per value, sharing the weight table.  Every
+        value must be finite and > 0, or ValueError names lam.
     rhs : scalar, array of shape (N+1,), or array of shape (N+1, len(lam))
         Right-hand side samples on the grid nodes, shared by every column,
         or one column of samples per lam value.  Every path sums each
@@ -307,10 +345,12 @@ def second_kind_solve(
         forcing "rectangle" trades accuracy for unconditional positivity.
 
     Cost is O(len(lam) N log N) for the rectangle rule and O(len(lam) N^2)
-    for the trapezoid rule, a row loop over a column-major table (see the
-    module docstring for why it stays a loop and why that layout).  In the
-    rectangle rule a scalar rhs is a running sum and an array one FFT
-    convolution, so a column of ones rounds unlike rhs = 1.0.
+    for the trapezoid rule, a row loop in blocks of w = 32 rows that keeps
+    the summation order of a plain row loop, plus an (N + w) x 2w weight
+    table (see the module docstring for why it stays O(N^2) and how the
+    blocks keep the bits).  In the rectangle rule a scalar rhs is a running sum and
+    an array one FFT convolution, so a column of ones rounds unlike
+    rhs = 1.0.
 
     Returns
     -------
@@ -319,8 +359,8 @@ def second_kind_solve(
         The rule used for every column of this call.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(lams <= 0.0):
-        raise ValueError("lam must be positive")
+    if lams.size == 0 or not np.all(np.isfinite(lams) & (lams > 0.0)):
+        raise ValueError("lam must be one or more finite positive values")
     if scheme not in (None, "trapezoid", "rectangle"):
         raise ValueError("scheme must be None, 'trapezoid' or 'rectangle'")
     # a scalar stays 0-d: the rectangle rule's running sum (module docstring)

@@ -12,6 +12,7 @@ from rstokes.volterra import (
     STIFF_THRESHOLD,
     LagWeights,
     _fast_length,
+    _TRAPEZOID_BLOCK,
     _toeplitz_solve,
     _uniform_trapezoid,
     fftconvolve,
@@ -104,8 +105,8 @@ def rectangle_loop(weights, lams, rhs):
 
 
 def row_major_trapezoid(weights, lams, rhs):
-    # the trapezoid row loop on a row-major table, as it stood before the
-    # table went column-major: the bit oracle of _uniform_trapezoid
+    # the trapezoid row loop, two matmul folds per row on a row-major table:
+    # the bit oracle of the blocked _uniform_trapezoid
     u, v = weights.left, weights.right
     x = np.empty((u.size + 1, lams.size))
     x[0] = rhs[0]
@@ -502,9 +503,9 @@ def test_batched_columns_have_the_bits_of_single_column_solves(
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_a_reversed_row_times_a_table_folds_each_column_in_index_order(order):
-    # the trapezoid loop keeps its bits in either table layout only because
-    # numpy sends a negative-stride 1-d @ 2-d product to its own loop, which
-    # sums each column oldest row first; BLAS would reorder the sums
+    # the oracle's folds sum each column oldest row first in either table
+    # layout only because numpy sends a negative-stride 1-d @ 2-d product to
+    # its own loop; BLAS would reorder the sums
     rng = np.random.default_rng(11)
     rows, columns = 300, 7
     weights = rng.standard_normal(rows)[::-1]
@@ -518,10 +519,58 @@ def test_a_reversed_row_times_a_table_folds_each_column_in_index_order(order):
     assert np.array_equal(weights @ table, want)
 
 
+def same_bits(a, b):
+    # array_equal, but -0.0 is not 0.0 (a CSV prints the sign)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("history", [1, 31, 300])
+@pytest.mark.parametrize("width", [2, 32, 2 * _TRAPEZOID_BLOCK])
+@pytest.mark.parametrize("columns", [1, 6, 33])
+def test_einsum_over_a_window_table_folds_each_output_in_index_order(
+    history, width, columns
+):
+    # the blocked trapezoid loop keeps the oracle's bits only because this
+    # einsum adds each output's products oldest first, starting from +0, with
+    # every product rounded on its own; a numpy that reorders these sums
+    # fails here before any reference row moves.  (A 1-wide window with one
+    # column is summed out of order; the solver never asks for one.)  The
+    # first row of weights is 0 on one side, as x_0's v weights are, and
+    # meets a negative row: 0 * x adds -0.0 to +0
+    rng = np.random.default_rng(13)
+    windows = rng.standard_normal((history, width))
+    windows[0, width // 2 :] = 0.0
+    table = rng.standard_normal((history, columns))
+    table[0] = -np.abs(table[0])
+    want = np.zeros((columns, width))
+    for k in range(history):
+        want += table[k][:, None] * windows[k]
+    got = np.empty((2, columns, width))[0]
+    np.einsum("ki,kj->ji", windows, table, out=got)
+    assert same_bits(got, want)
+
+
+def test_trapezoid_windows_are_never_one_wide():
+    # the einsum hole above: a window table one weight wide
+    widths, einsum = [], np.einsum
+
+    def spy(spec, windows, table, out):
+        widths.append(windows.shape[1])
+        return einsum(spec, windows, table, out=out)
+
+    rng = np.random.default_rng(2)
+    with mock.patch.object(volterra.np, "einsum", spy):
+        for n in (1, 2, 3, _TRAPEZOID_BLOCK, _TRAPEZOID_BLOCK + 1, 4 * _TRAPEZOID_BLOCK + 1):
+            w = rectangle_weights(MemoryKernel.exponential(1.0, 2.0), n)
+            _uniform_trapezoid(w, np.ones(1), rng.standard_normal((n + 1, 1)))
+    assert widths and min(widths) >= 2
+
+
 @given(
     kernel=memory_kernels().filter(lambda k: k.kind != "constant"),
+    # past four blocks of rows
     n=st.integers(1, 600),
-    columns=st.sampled_from([1, 6, 33]),
+    columns=st.sampled_from([1, 2, 6, 33]),
     rhs_kind=st.sampled_from(["scalar", "shared", "per column"]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -534,19 +583,63 @@ def test_trapezoid_loop_has_the_bits_of_the_row_major_loop(kernel, n, columns, r
     rhs = np.broadcast_to(rng.standard_normal(shape), shape or (n + 1,))
     x = _uniform_trapezoid(w, lams, rhs)
     assert x.flags.c_contiguous
-    assert np.array_equal(x, row_major_trapezoid(w, lams, rhs))
+    assert same_bits(x, row_major_trapezoid(w, lams, rhs))
+
+
+@pytest.mark.parametrize("rhs_kind", ["scalar", "per column"])
+@pytest.mark.parametrize("columns", [1, 33])
+@pytest.mark.parametrize("blocks", [(1, -1), (1, 0), (1, 1), (2, 0), (2, 1)])
+def test_trapezoid_loop_keeps_its_bits_at_block_edges(blocks, columns, rhs_kind):
+    # N = w - 1, w, w + 1, 2w and 2w + 1 rows after row 0
+    n = blocks[0] * _TRAPEZOID_BLOCK + blocks[1]
+    rng = np.random.default_rng(n * columns)
+    w = rectangle_weights(MemoryKernel.fractional(1.0, 0.5), n)
+    lams = rng.uniform(0.01, 100.0, columns)
+    shape = (n + 1, columns) if rhs_kind == "per column" else ()
+    # signed zeros too: x_0 = -0.0 meets the zero v weights of x_0
+    rhs = np.where(rng.random(shape) < 0.25, -0.0, rng.standard_normal(shape))
+    rhs = np.broadcast_to(rhs, shape or (n + 1,))
+    x = _uniform_trapezoid(w, lams, rhs)
+    assert x.flags.c_contiguous
+    assert same_bits(x, row_major_trapezoid(w, lams, rhs))
 
 
 def test_trapezoid_loop_keeps_its_bits_past_the_cache():
-    # a 3000 x 48 table (1.1 MiB row-major), where the column-major layout
-    # pays off
+    # a 3000 x 48 table (1.1 MiB row-major), 94 blocks of rows
     grid = TimeGrid.uniform(1.0, 3000)
     w = lag_weights(MemoryKernel.exponential(1.0, 2.0).a_moments, grid)
     lams = (np.pi * np.arange(1, 49)) ** 2 / 1000.0
     rhs = np.broadcast_to(1.0, grid.nodes.shape)
     x = _uniform_trapezoid(w, lams, rhs)
     assert x.flags.c_contiguous
-    assert np.array_equal(x, row_major_trapezoid(w, lams, rhs))
+    assert same_bits(x, row_major_trapezoid(w, lams, rhs))
+
+
+def test_trapezoid_temporaries_stay_near_the_table():
+    # 8193 x 32: the (N + w) x 2w window table is twice the result; the
+    # plain row loop peaked at 2.06x, and the blocked loop reads 3.17x
+    grid = TimeGrid.uniform(1.0, 8192)
+    kernel = MemoryKernel.exponential(1.0, 2.0)
+    lams = (np.pi * np.arange(1, 33)) ** 2 / 1000.0
+    tracemalloc.start()
+    try:
+        x, _ = second_kind_solve(kernel.a_moments, grid, lams, 1.0, "trapezoid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * x.nbytes
+
+
+@pytest.mark.parametrize("scheme", [None, "trapezoid", "rectangle"])
+@pytest.mark.parametrize(
+    "lam", [[], [np.nan], [1.0, np.inf], [-np.inf], 0.0, [2.0, -1.0]],
+    ids=["empty", "nan", "inf", "-inf", "zero", "negative"],
+)
+def test_second_kind_refuses_lam_it_cannot_solve(lam, scheme):
+    grid = TimeGrid.uniform(1.0, 8)
+    kernel = MemoryKernel.exponential(1.0, 2.0)
+    with pytest.raises(ValueError, match="lam"):
+        second_kind_solve(kernel.a_moments, grid, lam, 1.0, scheme)
 
 
 def test_second_kind_checks_a_per_column_rhs():
