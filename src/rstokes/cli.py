@@ -9,7 +9,14 @@ residuals, the sweep-to-sweep ratios and whether the sweeps convolved the
 history, on exit 0 and on exit 2; ``inverse`` records its rule, and runs
 its problem-data checks (exit 1), before it builds any table.
 
-Exit codes: 0 success, 1 invalid config or problem data, 2 solver
+Each command is a function of ``(cfg, emit, records)``.  ``emit(name,
+header, rows)`` is made once in ``main``: it writes one CSV artifact into
+the output directory and lists it in the summary.  ``records`` holds the
+top-level summary entries the command adds, its certificates included.
+``main`` owns the exit code and the status.
+
+Exit codes: 0 success, 1 invalid config, problem data, or an input or
+output path that cannot be used (no summary is written), 2 solver
 non-convergence (artifacts produced before the failure are kept).
 
 Importing this module loads ``config`` and ``csvio`` (and the grids,
@@ -50,21 +57,9 @@ from .csvio import read_field_csv, read_series_csv, write_csv
 OUT_ENV = "RSTOKES_OUT"
 
 
-def _emit(path: str, header, rows, artifacts: List[str], quiet: bool) -> None:
-    write_csv(path, header, rows)
-    artifacts.append(path)
-    if not quiet:
-        print(f"wrote {path}")
-
-
-def _emit_iterations(out: str, residuals, artifacts: List[str], quiet: bool) -> None:
-    _emit(
-        os.path.join(out, "iterations.csv"),
-        ["iteration", "residual"],
-        ((i + 1, r) for i, r in enumerate(residuals)),
-        artifacts,
-        quiet,
-    )
+def _iterations(residuals):
+    """Header and rows of iterations.csv: one row per Picard sweep."""
+    return ["iteration", "residual"], [(i + 1, r) for i, r in enumerate(residuals)]
 
 
 def _picard_record(residuals, history_convolution: bool) -> Dict:
@@ -81,43 +76,47 @@ def _picard_record(residuals, history_convolution: bool) -> Dict:
     }
 
 
-def _relax_inputs(cfg: Dict):
-    problem = cfg.get("problem", {})
-    if problem.get("lambdas"):
-        lams = np.asarray(problem["lambdas"], dtype=float)
-    else:
-        lams = build_domain_basis(cfg).eigenvalues
-    return build_kernel(cfg), lams, build_grid(cfg)
+def _picard(solve, emit, records: Dict, certificate: str, history_convolution: bool):
+    """Return ``solve()``, a Picard-backed solve.  If it does not converge,
+    the exit-2 record (iterations.csv, summary["picard"] and the failed
+    ``certificate``) is written before the error goes on to ``main``."""
+    from .nonlinear import NonConvergence
+
+    try:
+        return solve()
+    except NonConvergence as exc:
+        emit("iterations.csv", *_iterations(exc.residuals))
+        records["picard"] = _picard_record(exc.residuals, history_convolution)
+        records["certificates"][certificate] = "fail"
+        raise
 
 
-def cmd_relax(cfg: Dict, out: str, artifacts: List[str],
-              records: Dict, quiet: bool) -> None:
+def cmd_relax(cfg: Dict, emit, records: Dict) -> None:
     from .relaxation import relaxation_batch, verify_relaxation
 
-    certificates = records["certificates"]
-    kernel, lams, grid = _relax_inputs(cfg)
-    table = relaxation_batch(kernel, lams, grid)
+    lambdas = cfg.get("problem", {}).get("lambdas")
+    if lambdas:
+        lams = np.asarray(lambdas, dtype=float)
+    else:
+        lams = build_domain_basis(cfg).eigenvalues
+    table = relaxation_batch(build_kernel(cfg), lams, build_grid(cfg))
     header = ["t"] + [f"omega(lambda_{i + 1})" for i in range(lams.size)]
-    rows = np.column_stack((grid.nodes, table.omega))
-    _emit(os.path.join(out, "omega.csv"), header, rows, artifacts, quiet)
+    emit("omega.csv", header, np.column_stack((table.grid.nodes, table.omega)))
 
-    tol = cfg.get("verify", {}).get("tol", 1e-8)
-    report = verify_relaxation(table, tol=tol)
-    _emit(
-        os.path.join(out, "properties.csv"),
+    report = verify_relaxation(table, tol=cfg.get("verify", {}).get("tol", 1e-8))
+    emit(
+        "properties.csv",
         ["property", "lambda", "worst_margin", "pass"],
         ((r.name, r.lam, r.worst_margin, r.passed) for r in report.rows),
-        artifacts,
-        quiet,
     )
+    certificates = records["certificates"]
     certificates["relaxation_properties"] = "pass" if report.passed else "fail"
     certificates["scheme"] = table.scheme
 
 
-def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
-              records: Dict, quiet: bool) -> None:
-    from .nonlinear import (NonConvergence, PicardOptions, convolves_history,
-                            holder_estimate, picard_solve)
+def cmd_solve(cfg: Dict, emit, records: Dict) -> None:
+    from .nonlinear import (PicardOptions, convolves_history, holder_estimate,
+                            picard_solve)
     from .resolvent import build_resolvent
     from .spectral import hnorm
 
@@ -137,30 +136,22 @@ def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
     ctx = build_resolvent(kernel, basis, grid)
     certificates["scheme"] = ctx.table.scheme
     convolves = convolves_history(spec, ell)
-    try:
-        sol = picard_solve(ctx, spec, ell, xi, opts)
-    except NonConvergence as exc:
-        _emit_iterations(out, exc.residuals, artifacts, quiet)
-        records["picard"] = _picard_record(exc.residuals, convolves)
-        certificates["picard_converged"] = "fail"
-        raise
+    sol = _picard(lambda: picard_solve(ctx, spec, ell, xi, opts), emit, records,
+                  "picard_converged", convolves)
     records["picard"] = _picard_record(sol.residuals, convolves)
 
-    mu = spec.mu
-    k_cols = int(problem.get("coeff_columns", min(8, basis.eigenvalues.size)))
-    k_cols = min(k_cols, basis.eigenvalues.size)
-    l2 = hnorm(sol.coeffs, basis, 0.0)
-    hm = hnorm(sol.coeffs, basis, mu)
+    k_cols = min(int(problem.get("coeff_columns", 8)), basis.eigenvalues.size)
     header = ["t", "||u||_L2", "||u||_Hmu"] + [
         f"coeff_{j + 1}" for j in range(k_cols)
     ]
-    rows = np.column_stack((grid.nodes, l2, hm, sol.coeffs[:, :k_cols]))
-    _emit(os.path.join(out, "states.csv"), header, rows, artifacts, quiet)
-    _emit_iterations(out, sol.residuals, artifacts, quiet)
+    l2 = hnorm(sol.coeffs, basis, 0.0)
+    hm = hnorm(sol.coeffs, basis, spec.mu)
+    emit("states.csv", header,
+         np.column_stack((grid.nodes, l2, hm, sol.coeffs[:, :k_cols])))
+    emit("iterations.csv", *_iterations(sol.residuals))
 
-    gamma = problem.get("gamma", 0.4)
-    holder = holder_estimate(sol, gamma, ell=ell, delta=spec.delta)
-    holder_rows = [
+    holder = holder_estimate(sol, problem.get("gamma", 0.4), ell=ell, delta=spec.delta)
+    emit("holder.csv", ["quantity", "value"], [
         ("gamma", holder.gamma),
         ("mu", holder.mu),
         ("t_min", holder.t_min),
@@ -170,22 +161,14 @@ def cmd_solve(cfg: Dict, out: str, artifacts: List[str],
         ("history_weight_sup", holder.ell_star1),
         ("history_weight_sup_doubled", holder.ell_star2),
         ("gamma_in_range", holder.gamma_in_range),
-    ]
-    _emit(
-        os.path.join(out, "holder.csv"),
-        ["quantity", "value"],
-        holder_rows,
-        artifacts,
-        quiet,
-    )
-    certificates["picard_converged"] = "pass" if sol.converged else "fail"
+    ])
+    certificates["picard_converged"] = "pass"
     certificates["holder_seminorm_finite"] = (
         "pass" if np.isfinite(holder.seminorm) else "fail"
     )
 
 
-def cmd_verify(cfg: Dict, out: str, artifacts: List[str],
-               records: Dict, quiet: bool) -> None:
+def cmd_verify(cfg: Dict, emit, records: Dict) -> None:
     from .relaxation import verify_relaxation
     from .resolvent import build_resolvent, verify_sol_op_bounds
 
@@ -208,16 +191,9 @@ def cmd_verify(cfg: Dict, out: str, artifacts: List[str],
     )
 
     rows = []
-    for name in (
-        "positivity",
-        "upper_bound",
-        "monotone_time",
-        "integral_bound",
-        "monotone_lambda",
-    ):
+    # each property once, in the report's order
+    for name in dict.fromkeys(r.name for r in relax_report.rows):
         per_lambda = [r for r in relax_report.rows if r.name == name]
-        if not per_lambda:
-            continue
         worst = min(per_lambda, key=lambda r: r.worst_margin)
         status = "pass" if all(r.passed for r in per_lambda) else "fail"
         rows.append(
@@ -236,17 +212,11 @@ def cmd_verify(cfg: Dict, out: str, artifacts: List[str],
              check.reason)
         )
         certificates[check.label] = check.status
-    _emit(
-        os.path.join(out, "verify_report.csv"),
-        ["lemma_item", "t", "worst_margin", "pass/skip", "reason"],
-        rows,
-        artifacts,
-        quiet,
-    )
+    emit("verify_report.csv",
+         ["lemma_item", "t", "worst_margin", "pass/skip", "reason"], rows)
 
 
-def cmd_certify(cfg: Dict, out: str, artifacts: List[str],
-                records: Dict, quiet: bool) -> None:
+def cmd_certify(cfg: Dict, emit, records: Dict) -> None:
     from .kernels import DEFAULT_THETAS, certify_completely_positive, certify_pc
 
     certificates = records["certificates"]
@@ -260,35 +230,22 @@ def cmd_certify(cfg: Dict, out: str, artifacts: List[str],
     pc = certify_pc(kernel, grid, tol=tol)
 
     rows = []
-    for i, theta in enumerate(cp.thetas):
-        ok_s = cp.min_s[i] >= -tol
-        ok_r = cp.min_r[i] >= -tol
-        rows.append(
-            ("completely_positive_s", theta, cp.min_s[i],
-             "pass" if ok_s else "fail")
-        )
-        rows.append(
-            ("completely_positive_r", theta, cp.min_r[i],
-             "pass" if ok_r else "fail")
-        )
+    for theta, min_s, min_r in zip(cp.thetas, cp.min_s, cp.min_r):
+        rows.append(("completely_positive_s", theta, min_s,
+                     "pass" if min_s >= -tol else "fail"))
+        rows.append(("completely_positive_r", theta, min_r,
+                     "pass" if min_r >= -tol else "fail"))
     pc_value = pc.min_k if pc.min_k is not None else ""
     rows.append(("unbounded_splitting", "", pc_value, pc.status))
-    _emit(
-        os.path.join(out, "certificates.csv"),
-        ["certificate", "theta", "worst_value", "status"],
-        rows,
-        artifacts,
-        quiet,
-    )
+    emit("certificates.csv", ["certificate", "theta", "worst_value", "status"], rows)
     certificates["completely_positive"] = "pass" if cp.passed else "fail"
     certificates["unbounded_splitting"] = pc.status
     certificates["unbounded_splitting_reason"] = pc.reason
 
 
-def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
-                records: Dict, quiet: bool) -> None:
+def cmd_inverse(cfg: Dict, emit, records: Dict) -> None:
     from .inverse import InverseProblem, identification_scheme, reconstruct
-    from .nonlinear import NonConvergence, PicardOptions
+    from .nonlinear import PicardOptions
 
     certificates = records["certificates"]
     basis = build_domain_basis(cfg)
@@ -305,7 +262,7 @@ def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
         psi_prime = _read_series_on_grid(inv, "psi_prime_path", grid)
 
     xi = build_initial(cfg, basis)
-    f1 = _nonlinearity_or_none(cfg)
+    f1 = inv.get("f1")
     problem = InverseProblem(
         basis=basis,
         grid=grid,
@@ -313,7 +270,7 @@ def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
         g=g,
         kappa=kappa,
         xi=xi,
-        f1=f1,
+        f1=None if f1 is None else nonlinearity_from_section(f1),
         psi=psi,
         psi_prime=psi_prime,
         pairing_floor=inv.get("pairing_floor", 1e-12),
@@ -324,34 +281,15 @@ def cmd_inverse(cfg: Dict, out: str, artifacts: List[str],
     # known without a table: exit 2 records it, and exit 1 builds no table
     certificates["scheme"] = identification_scheme(problem)
     # the identification solve has no ell, so its sweeps convolve no history
-    try:
-        rec = reconstruct(problem, opts)
-    except NonConvergence as exc:
-        _emit_iterations(out, exc.residuals, artifacts, quiet)
-        records["picard"] = _picard_record(exc.residuals, False)
-        certificates["reconstruction_converged"] = "fail"
-        raise
+    rec = _picard(lambda: reconstruct(problem, opts), emit, records,
+                  "reconstruction_converged", False)
     records["picard"] = _picard_record(rec.solution.residuals, False)
 
-    nodes = grid.nodes
-    _emit(
-        os.path.join(out, "p_recovered.csv"),
-        ["t", "p"],
-        np.column_stack((nodes, rec.p)),
-        artifacts,
-        quiet,
-    )
-    _emit(
-        os.path.join(out, "residual.csv"),
-        ["t", "measurement_residual"],
-        np.column_stack((nodes, rec.measurement_residual)),
-        artifacts,
-        quiet,
-    )
-    _emit_iterations(out, rec.solution.residuals, artifacts, quiet)
-    certificates["reconstruction_converged"] = (
-        "pass" if rec.solution.converged else "fail"
-    )
+    emit("p_recovered.csv", ["t", "p"], np.column_stack((grid.nodes, rec.p)))
+    emit("residual.csv", ["t", "measurement_residual"],
+         np.column_stack((grid.nodes, rec.measurement_residual)))
+    emit("iterations.csv", *_iterations(rec.solution.residuals))
+    certificates["reconstruction_converged"] = "pass"
     certificates["max_measurement_residual"] = rec.max_residual
     certificates["pairing"] = rec.pairing
 
@@ -371,13 +309,6 @@ def _read_series_on_grid(inv: Dict, key: str, grid) -> np.ndarray:
     return values
 
 
-def _nonlinearity_or_none(cfg: Dict):
-    section = cfg.get("inverse", {}).get("f1")
-    if section is None:
-        return None
-    return nonlinearity_from_section(section)
-
-
 def _non_convergence():
     """The solver's NonConvergence, or no class before a command has loaded
     it: only solve and inverse raise it, and both import it first."""
@@ -385,12 +316,14 @@ def _non_convergence():
     return () if nonlinear is None else nonlinear.NonConvergence
 
 
+# each command and its one-line help
 COMMANDS = {
-    "relax": cmd_relax,
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "certify": cmd_certify,
-    "inverse": cmd_inverse,
+    "relax": (cmd_relax, "tabulate relaxation profiles and their property report"),
+    "solve": (cmd_solve, "run the fixed-point solver and emit state norms"),
+    "verify": (cmd_verify, "check the operator-family bounds on random trials"),
+    "certify": (cmd_certify,
+                "certify kernel hypotheses (complete positivity, splitting)"),
+    "inverse": (cmd_inverse, "recover the source intensity from a measurement series"),
 }
 
 
@@ -404,14 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "relax": "tabulate relaxation profiles and their property report",
-        "solve": "run the fixed-point solver and emit state norms",
-        "verify": "check the operator-family bounds on random trials",
-        "certify": "certify kernel hypotheses (complete positivity, splitting)",
-        "inverse": "recover the source intensity from a measurement series",
-    }
-    for name, help_text in descriptions.items():
+    for name, (_, help_text) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument(
@@ -451,42 +377,49 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(out, exist_ok=True)
     artifacts: List[str] = []
+
+    def emit(name: str, header, rows) -> None:
+        path = write_csv(os.path.join(out, name), header, rows)
+        artifacts.append(name)
+        if not args.quiet:
+            print(f"wrote {path}")
+
     # top-level summary entries a command records, its certificates included
     records: Dict = {"certificates": {}}
-    started = time.perf_counter()
     status = "ok"
-    exit_code = 0
+    summary_path = os.path.join(out, "summary.json")
+    # ValueError: ConfigError, PairingTooSmall, KernelGateFailed; OSError: an
+    # output path that cannot be made or written, or an input read that fails
     try:
-        COMMANDS[args.command](cfg, out, artifacts, records, args.quiet)
-    except _non_convergence() as exc:
-        print(f"error: solver did not converge: {exc}", file=sys.stderr)
-        status = "non-convergence"
-        exit_code = 2
-    except ValueError as exc:  # ConfigError, PairingTooSmall, KernelGateFailed
+        os.makedirs(out, exist_ok=True)
+        started = time.perf_counter()
+        try:
+            COMMANDS[args.command][0](cfg, emit, records)
+        except _non_convergence() as exc:
+            print(f"error: solver did not converge: {exc}", file=sys.stderr)
+            status = "non-convergence"
+        summary = {
+            "subcommand": args.command,
+            "package_version": __version__,
+            "python_version": sys.version.split()[0],
+            "numpy_version": np.__version__,
+            "config_hash": config_hash(cfg),
+            "wall_time_s": time.perf_counter() - started,
+            "status": status,
+            "artifacts": artifacts,
+            **records,
+        }
+        with open(summary_path, "w") as handle:
+            json.dump(summary, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    summary = {
-        "subcommand": args.command,
-        "package_version": __version__,
-        "python_version": sys.version.split()[0],
-        "numpy_version": np.__version__,
-        "config_hash": config_hash(cfg),
-        "wall_time_s": time.perf_counter() - started,
-        "status": status,
-        "artifacts": [os.path.basename(a) for a in artifacts],
-        **records,
-    }
-    summary_path = os.path.join(out, "summary.json")
-    with open(summary_path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
     if not args.quiet:
         print(f"wrote {summary_path}")
         print(f"status: {status}")
-    return exit_code
+    return 0 if status == "ok" else 2
 
 
 if __name__ == "__main__":

@@ -172,12 +172,20 @@ def _section(cfg: Dict, name: str, problems: List[str], required: bool) -> Optio
     return value
 
 
+def _input_file(path, key: str, problems: List[str]) -> None:
+    # a path the run reads must name a regular file, not a directory
+    if not isinstance(path, str) or not os.path.exists(path):
+        problems.append(f"{key} does not exist: {path}")
+    elif not os.path.isfile(path):
+        problems.append(f"{key} is not a regular file: {path}")
+
+
 def _table_path(section: Dict, where: str, problems: List[str]) -> None:
     path = section.get("table_path")
     if not isinstance(path, str) or not path:
         problems.append(f"{where}.table_path is required for tabulated kernels")
-    elif not os.path.exists(path):
-        problems.append(f"{where}.table_path does not exist: {path}")
+    else:
+        _input_file(path, f"{where}.table_path", problems)
 
 
 _POSITIVE = {"exclusive_min": 0.0}
@@ -411,12 +419,11 @@ def validate_config(cfg: Dict, subcommand: str) -> None:
                 path = inv.get(key)
                 if not isinstance(path, str) or not path:
                     problems.append(f"inverse.{key} is required")
-                elif not os.path.exists(path):
-                    problems.append(f"inverse.{key} does not exist: {path}")
+                else:
+                    _input_file(path, f"inverse.{key}", problems)
             prime = inv.get("psi_prime_path")
-            if prime is not None and (not isinstance(prime, str)
-                                      or not os.path.exists(prime)):
-                problems.append(f"inverse.psi_prime_path does not exist: {prime}")
+            if prime is not None:
+                _input_file(prime, "inverse.psi_prime_path", problems)
             f1 = inv.get("f1")
             if f1 is not None:
                 if not isinstance(f1, dict):

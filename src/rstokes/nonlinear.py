@@ -334,7 +334,6 @@ class MildSolution:
     residuals: Tuple[float, ...]
     mu: float
     beta: float
-    converged: bool
 
 
 def convolves_history(spec: Nonlinearity, ell: HistoryKernel) -> bool:
@@ -394,8 +393,7 @@ def picard_solve(
         u = u_new
         if res < opts.tol:
             return MildSolution(
-                grid, basis, u, len(residuals), tuple(residuals), spec.mu,
-                opts.beta, True,
+                grid, basis, u, len(residuals), tuple(residuals), spec.mu, opts.beta
             )
     raise NonConvergence(
         f"no fixed point after {opts.max_iter} sweeps "

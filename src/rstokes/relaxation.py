@@ -80,7 +80,6 @@ class PropertyCheck:
 @dataclass(frozen=True)
 class RelaxationReport:
     rows: Tuple[PropertyCheck, ...]
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -127,46 +126,25 @@ def verify_relaxation(table: RelaxationTable, tol: float = 1e-8) -> RelaxationRe
     for n, lam in enumerate(table.lambdas):
         # w and its values one node earlier
         w, before = omega[1:, n], omega[:-1, n]
-        bound = 1.0 / (1.0 + lam * cum_a)
-        m_pos = float(w.min())
-        m_bound = float(np.min(bound - w))
-        mono = before - w
-        m_mono = float(mono.min())
         if table.scheme == "trapezoid":
             cells = dt * (w + before) / 2.0
         else:
             cells = dt * w
-        slack = (1.0 - w) / lam - np.cumsum(cells)
-        m_int = float(slack.min())
-        rows.append(
-            PropertyCheck("positivity", lam, m_pos, m_pos >= -tol, t[np.argmin(w)])
-        )
-        rows.append(
-            PropertyCheck(
-                "upper_bound", lam, m_bound, m_bound >= -tol, t[np.argmin(bound - w)]
-            )
-        )
-        rows.append(
-            PropertyCheck(
-                "monotone_time", lam, m_mono, m_mono >= -tol, t[np.argmin(mono)]
-            )
-        )
-        rows.append(
-            PropertyCheck(
-                "integral_bound", lam, m_int, m_int >= -tol, t[np.argmin(slack)]
-            )
-        )
+        margins = {
+            "positivity": w,
+            "upper_bound": 1.0 / (1.0 + lam * cum_a) - w,
+            "monotone_time": before - w,
+            "integral_bound": (1.0 - w) / lam - np.cumsum(cells),
+        }
+        rows.extend(_check(name, lam, m, t, tol) for name, m in margins.items())
     for n in range(table.lambdas.size - 1):
         # equal lambdas (degenerate eigenvalues) must agree exactly
         diff = omega[1:, n] - omega[1:, n + 1]
-        m = float(diff.min())
-        rows.append(
-            PropertyCheck(
-                "monotone_lambda",
-                table.lambdas[n + 1],
-                m,
-                m >= -tol,
-                t[np.argmin(diff)],
-            )
-        )
-    return RelaxationReport(tuple(rows), tol)
+        rows.append(_check("monotone_lambda", table.lambdas[n + 1], diff, t, tol))
+    return RelaxationReport(tuple(rows))
+
+
+def _check(name: str, lam: float, margin: np.ndarray, t: np.ndarray, tol: float):
+    """The row of one margin series over the nodes t: its minimum and where."""
+    worst = float(margin.min())
+    return PropertyCheck(name, lam, worst, worst >= -tol, t[np.argmin(margin)])

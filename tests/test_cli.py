@@ -552,6 +552,65 @@ def test_unparsable_file_sample_exits_1_naming_path_and_line(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("where", ["regular_file", "under_regular_file"])
+def test_an_out_path_that_is_no_directory_exits_1_without_summary(
+    tmp_path, capsys, where
+):
+    # os.makedirs raised FileExistsError or NotADirectoryError: a traceback
+    cfg = write_cfg(tmp_path, RELAX_CFG)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker if where == "regular_file" else blocker / "run"
+    assert main(["relax", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("name", ["properties.csv", "summary.json"])
+def test_an_output_file_that_is_a_directory_exits_1_without_summary(
+    tmp_path, capsys, name
+):
+    # os.replace in write_csv (or the summary's open) raised IsADirectoryError
+    cfg = write_cfg(tmp_path, RELAX_CFG)
+    out = tmp_path / "run"
+    (out / name).mkdir(parents=True)
+    assert main(["relax", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert (out / name).is_dir() and not (out / "summary.json").is_file()
+    assert not [p.name for p in out.iterdir() if p.suffix == ".tmp"]
+
+
+def test_a_kernel_table_path_that_is_a_directory_is_listed_with_the_others(
+    tmp_path, capsys
+):
+    # it passed the exists check, then read_series_csv raised IsADirectoryError
+    kernel = {"kind": "tabulated", "table_path": str(tmp_path)}
+    cfg = write_cfg(tmp_path, dict(RELAX_CFG, kernel=kernel))
+    out = tmp_path / "run"
+    argv = ["relax", "--config", cfg, "--out", str(out), "--quiet",
+            "--set", "grid.N_t=1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"kernel.table_path is not a regular file: {tmp_path}" in err
+    assert "grid.N_t" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["psi_path", "g_path", "kappa_path", "psi_prime_path"])
+def test_an_inverse_path_that_is_a_directory_exits_1_before_any_output(
+    tmp_path, capsys, key
+):
+    cfg = write_inverse_run(tmp_path, 2, 64, lambda t: 1.0 + t)
+    out = tmp_path / "run"
+    argv = ["inverse", "--config", cfg, "--out", str(out), "--quiet",
+            "--set", f"inverse.{key}={json.dumps(str(tmp_path))}"]
+    assert main(argv) == 1
+    assert f"inverse.{key} is not a regular file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nonconvergence_exits_2_but_keeps_artifacts(tmp_path):
     payload = dict(SOLVE_CFG)
     payload["nonlinearity"] = {"kind": "polynomial_power", "power": 2.0,
@@ -1076,3 +1135,34 @@ def test_quiet_flag_silences_progress(tmp_path, capsys):
     assert main(["relax", "--config", cfg, "--out", str(out)]) == 0
     loud = capsys.readouterr().out
     assert "omega.csv" in loud and "status: ok" in loud
+
+
+HELP = {
+    "relax": "tabulate relaxation profiles and their property report",
+    "solve": "run the fixed-point solver and emit state norms",
+    "verify": "check the operator-family bounds on random trials",
+    "certify": "certify kernel hypotheses (complete positivity, splitting)",
+    "inverse": "recover the source intensity from a measurement series",
+}
+
+
+def _help(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0
+    # argparse wraps to the terminal width: compare with the breaks undone
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_help_lists_each_command_with_its_one_line_help(capsys):
+    text = _help(["--help"], capsys)
+    assert "{relax,solve,verify,certify,inverse}" in text
+    for name, line in HELP.items():
+        assert f"{name} {line}" in text
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_each_command_help_shows_its_options(command, capsys):
+    text = _help([command, "--help"], capsys)
+    for option in ("--config", "--out", "--set", "--grid", "--quiet"):
+        assert option in text

@@ -85,10 +85,9 @@ def test_forward_oracle_single_mode_no_memory():
     # m = 0, p = 1, g = kappa = e_1: psi = (1 - e^{-lam t}) / lam
     problem = make_problem(n_t=1024, kernel=MemoryKernel.zero())
     p = np.ones(1025)
-    sol, psi = forward_simulate(problem, p)
+    _, psi = forward_simulate(problem, p)
     lam = problem.basis.eigenvalues[0]
     exact = (1.0 - np.exp(-lam * problem.grid.nodes)) / lam
-    assert sol.converged
     assert np.max(np.abs(psi - exact)) < 5e-6
 
 
@@ -241,7 +240,6 @@ def test_multimode_round_trip_with_reaction_term():
     rec = reconstruct(InverseProblem(psi=psi, **base))
     err = np.max(np.abs(rec.p - p_true)) / np.max(np.abs(p_true))
     assert err < 2e-3
-    assert rec.solution.converged
 
 
 def test_analytic_derivative_tightens_the_round_trip():

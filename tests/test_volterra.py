@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bits import same_bits
 from rstokes import HistoryKernel, MemoryKernel, TimeGrid, volterra
 from rstokes.volterra import (
     STIFF_THRESHOLD,
@@ -498,7 +499,7 @@ def test_batched_columns_have_the_bits_of_single_column_solves(
     assert used == scheme and x.shape == (n + 1, columns)
     for j in range(columns):
         single, _ = second_kind_solve(kernel.a_moments, grid, lams[j], rhs[:, j], scheme)
-        assert np.array_equal(x[:, j], single), j
+        assert same_bits(x[:, j], single), j
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -516,12 +517,7 @@ def test_a_reversed_row_times_a_table_folds_each_column_in_index_order(order):
         for k in range(rows):
             acc += float(weights[k]) * float(table[k, j])
         want[j] = acc
-    assert np.array_equal(weights @ table, want)
-
-
-def same_bits(a, b):
-    # array_equal, but -0.0 is not 0.0 (a CSV prints the sign)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert same_bits(weights @ table, want)
 
 
 @pytest.mark.parametrize("history", [1, 31, 300])
@@ -654,7 +650,7 @@ def test_second_kind_checks_a_per_column_rhs():
     per_column, _ = second_kind_solve(
         kernel.a_moments, grid, [1.0, 2.0], np.repeat(np.sin(grid.nodes)[:, None], 2, axis=1)
     )
-    assert np.array_equal(shared, per_column)
+    assert same_bits(shared, per_column)
 
 
 def test_first_kind_recovers_sonine_pair():
