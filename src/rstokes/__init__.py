@@ -23,14 +23,12 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("grids", ("TimeGrid",)),
-        ("kernels", ("MemoryKernel", "HistoryKernel",
-                     "CompletePositivityCertificate", "PCCertificate",
+        ("kernels", ("MemoryKernel", "HistoryKernel", "Check",
                      "certify_completely_positive", "certify_pc")),
         ("spectral", ("Interval", "Rectangle", "SpectralBasis", "build_basis",
                       "project", "synthesize", "hnorm")),
-        ("relaxation", ("RelaxationTable", "RelaxationReport",
-                        "relaxation_batch", "verify_relaxation")),
-        ("resolvent", ("ResolventContext", "ResolventReport", "build_resolvent",
+        ("relaxation", ("RelaxationTable", "relaxation_batch", "verify_relaxation")),
+        ("resolvent", ("ResolventContext", "build_resolvent",
                        "convolve_sol_op", "reciprocal_cumulative_integrable",
                        "verify_sol_op_bounds")),
         ("nonlinear", ("Nonlinearity", "PicardOptions", "MildSolution",

@@ -16,7 +16,8 @@ top-level summary entries the command adds, its certificates included.
 ``main`` owns the exit code and the status.
 
 Exit codes: 0 success, 1 invalid config, problem data, or an input or
-output path that cannot be used (no summary is written), 2 solver
+output path that cannot be used (no summary is written, and an earlier
+run's summary in the output directory is removed), 2 solver
 non-convergence (artifacts produced before the failure are kept).
 
 Importing this module loads ``config`` and ``csvio`` (and the grids,
@@ -28,6 +29,7 @@ and only ``inverse`` loads them all.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -53,6 +55,7 @@ from .config import (
     validate_config,
 )
 from .csvio import read_field_csv, read_series_csv, write_csv
+from .kernels import CHECK_TOL
 
 OUT_ENV = "RSTOKES_OUT"
 
@@ -91,6 +94,11 @@ def _picard(solve, emit, records: Dict, certificate: str, history_convolution: b
         raise
 
 
+def _overall(rows) -> str:
+    """"fail" if any Check row fails, else "pass"."""
+    return "fail" if any(r.status == "fail" for r in rows) else "pass"
+
+
 def cmd_relax(cfg: Dict, emit, records: Dict) -> None:
     from .relaxation import relaxation_batch, verify_relaxation
 
@@ -103,14 +111,11 @@ def cmd_relax(cfg: Dict, emit, records: Dict) -> None:
     header = ["t"] + [f"omega(lambda_{i + 1})" for i in range(lams.size)]
     emit("omega.csv", header, np.column_stack((table.grid.nodes, table.omega)))
 
-    report = verify_relaxation(table, tol=cfg.get("verify", {}).get("tol", 1e-8))
-    emit(
-        "properties.csv",
-        ["property", "lambda", "worst_margin", "pass"],
-        ((r.name, r.lam, r.worst_margin, r.passed) for r in report.rows),
-    )
+    rows = verify_relaxation(table, tol=cfg.get("verify", {}).get("tol", CHECK_TOL))
+    emit("properties.csv", ["property", "lambda", "worst_margin", "pass"],
+         ((r.name, r.param, r.worst_margin, r.status == "pass") for r in rows))
     certificates = records["certificates"]
-    certificates["relaxation_properties"] = "pass" if report.passed else "fail"
+    certificates["relaxation_properties"] = _overall(rows)
     certificates["scheme"] = table.scheme
 
 
@@ -177,11 +182,11 @@ def cmd_verify(cfg: Dict, emit, records: Dict) -> None:
     kernel = build_kernel(cfg)
     grid = build_grid(cfg)
     opts = cfg.get("verify", {})
-    tol = opts.get("tol", 1e-8)
+    tol = opts.get("tol", CHECK_TOL)
 
     ctx = build_resolvent(kernel, basis, grid)
-    relax_report = verify_relaxation(ctx.table, tol=tol)
-    op_report = verify_sol_op_bounds(
+    relax_rows = verify_relaxation(ctx.table, tol=tol)
+    op_rows = verify_sol_op_bounds(
         ctx,
         mu=opts.get("mu", 1.0),
         delta=opts.get("delta", 0.5),
@@ -191,27 +196,16 @@ def cmd_verify(cfg: Dict, emit, records: Dict) -> None:
     )
 
     rows = []
-    # each property once, in the report's order
-    for name in dict.fromkeys(r.name for r in relax_report.rows):
-        per_lambda = [r for r in relax_report.rows if r.name == name]
-        worst = min(per_lambda, key=lambda r: r.worst_margin)
-        status = "pass" if all(r.passed for r in per_lambda) else "fail"
-        rows.append(
-            (
-                f"relaxation_{name}",
-                worst.t_worst,
-                worst.worst_margin,
-                status,
-                f"worst at lambda={worst.lam:.6g}",
-            )
-        )
-        certificates[f"relaxation_{name}"] = status
-    for check in op_report.rows:
-        rows.append(
-            (check.label, check.t_worst, check.worst_margin, check.status,
-             check.reason)
-        )
-        certificates[check.label] = check.status
+    # each property once, in the report's order, as its worst lambda's row:
+    # one tol for all, so the worst row fails exactly when any row does
+    for name in dict.fromkeys(r.name for r in relax_rows):
+        worst = min((r for r in relax_rows if r.name == name),
+                    key=lambda r: r.worst_margin)
+        rows.append((f"relaxation_{name}", worst.t_worst, worst.worst_margin,
+                     worst.status, f"worst at lambda={worst.param:.6g}"))
+    rows += [(r.name, r.t_worst, r.worst_margin, r.status, r.reason) for r in op_rows]
+    for name, _, _, status, _ in rows:
+        certificates[name] = status
     emit("verify_report.csv",
          ["lemma_item", "t", "worst_margin", "pass/skip", "reason"], rows)
 
@@ -224,21 +218,16 @@ def cmd_certify(cfg: Dict, emit, records: Dict) -> None:
     grid = build_grid(cfg)
     opts = cfg.get("certify", {})
     thetas = opts.get("thetas", list(DEFAULT_THETAS))
-    tol = opts.get("tol", 1e-8)
+    tol = opts.get("tol", CHECK_TOL)
 
     cp = certify_completely_positive(kernel, grid, thetas, tol=tol)
     pc = certify_pc(kernel, grid, tol=tol)
-
-    rows = []
-    for theta, min_s, min_r in zip(cp.thetas, cp.min_s, cp.min_r):
-        rows.append(("completely_positive_s", theta, min_s,
-                     "pass" if min_s >= -tol else "fail"))
-        rows.append(("completely_positive_r", theta, min_r,
-                     "pass" if min_r >= -tol else "fail"))
-    pc_value = pc.min_k if pc.min_k is not None else ""
-    rows.append(("unbounded_splitting", "", pc_value, pc.status))
-    emit("certificates.csv", ["certificate", "theta", "worst_value", "status"], rows)
-    certificates["completely_positive"] = "pass" if cp.passed else "fail"
+    # a row without a theta or a margin leaves its cell empty
+    emit("certificates.csv", ["certificate", "theta", "worst_value", "status"],
+         ((r.name, "" if r.param is None else r.param,
+           "" if math.isnan(r.worst_margin) else r.worst_margin, r.status)
+          for r in [*cp, pc]))
+    certificates["completely_positive"] = _overall(cp)
     certificates["unbounded_splitting"] = pc.status
     certificates["unbounded_splitting_reason"] = pc.reason
 
@@ -393,6 +382,9 @@ def main(argv=None) -> int:
     # output path that cannot be made or written, or an input read that fails
     try:
         os.makedirs(out, exist_ok=True)
+        # a run that ends in exit 1 must not leave an earlier run's summary
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(summary_path)
         started = time.perf_counter()
         try:
             COMMANDS[args.command][0](cfg, emit, records)

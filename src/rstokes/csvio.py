@@ -53,7 +53,11 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str
             else:
                 for row in rows:
                     writer.writerow([format_value(v) for v in row])
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            # name the artifact, not the temporary file it was written to
+            raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

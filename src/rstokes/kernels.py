@@ -10,7 +10,11 @@ holds m as a history kernel and adds only its own validation, flags and
 a = 1 + m: the fractional kind is powerlaw(m0 / Gamma(alpha), -alpha), the
 others are the history kind of the same name with amplitude m0.
 
-Certificates:
+Checks: every structural check of the package (``verify_relaxation``,
+``verify_sol_op_bounds`` and the two certificates below) reports ``Check``
+rows.  One fold takes the worst margin of a row and the time it falls at,
+counting a non-finite margin as -inf, and one rule passes a margin within
+``CHECK_TOL`` (or the caller's tol) of 0.
 
 * ``certify_completely_positive`` solves the two defining Volterra equations
   of complete positivity for sampled theta > 0 and checks nonnegativity of
@@ -23,8 +27,8 @@ Certificates:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import List, Optional
 
 import numpy as np
 
@@ -34,8 +38,9 @@ from .volterra import first_kind_solve, second_kind_solve
 __all__ = [
     "MemoryKernel",
     "HistoryKernel",
-    "CompletePositivityCertificate",
-    "PCCertificate",
+    "CHECK_TOL",
+    "Check",
+    "verdict",
     "certify_completely_positive",
     "certify_pc",
 ]
@@ -409,35 +414,53 @@ def _abs_interpolant(interp: _PiecewiseLinear) -> _PiecewiseLinear:
     return _PiecewiseLinear(np.asarray(breaks), np.asarray(c0), np.asarray(c1))
 
 
-# -- certificates ------------------------------------------------------------
+# -- checks and certificates -------------------------------------------------
+
+# the default tolerance of every check: a margin >= -CHECK_TOL passes
+CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class CompletePositivityCertificate:
-    """Nonnegativity evidence for the pair of defining Volterra solutions."""
+class Check:
+    """One row of a structural check.
 
-    thetas: np.ndarray
-    min_s: np.ndarray
-    min_r: np.ndarray
-    passed: bool
-
-
-@dataclass(frozen=True)
-class PCCertificate:
-    """First-kind certificate for the unbounded-kernel hypothesis.
-
-    status is one of "pass", "fail", "not-applicable" (bounded kernels fall
-    under the positive-slack case that is out of certification scope).
+    status is "pass", "fail", "skip" or "not-applicable"; worst_margin is
+    the smallest margin (nan where none was taken), t_worst the time it
+    falls at, and param the row's lambda or theta, if it has one.
     """
 
+    name: str
     status: str
-    reason: str
-    min_k: Optional[float] = None
-    max_increase: Optional[float] = None
+    worst_margin: float = math.nan
+    t_worst: float = math.nan
+    param: Optional[float] = None
+    reason: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
+
+class _Worst:
+    """Running worst (smallest) margin over margin series and the time it
+    falls at; a margin that is not finite (an overflowed bound) counts as
+    -inf."""
+
+    def __init__(self):
+        self.margin, self.t = np.inf, 0.0
+
+    def fold(self, margin, t):
+        margin = np.where(np.isfinite(margin), margin, -np.inf)
+        i = int(np.argmin(margin))
+        if margin[i] < self.margin:
+            self.margin, self.t = float(margin[i]), float(t[i])
+
+    def check(self, name, tol, param=None) -> Check:
+        status = "pass" if self.margin >= -tol else "fail"
+        return Check(name, status, self.margin, self.t, param)
+
+
+def verdict(name, margin, t, tol, param=None) -> Check:
+    """The row of one margin series over the times t."""
+    worst = _Worst()
+    worst.fold(margin, t)
+    return worst.check(name, tol, param)
 
 
 DEFAULT_THETAS = (0.1, 1.0, 10.0)
@@ -450,8 +473,8 @@ def certify_completely_positive(
     kernel: MemoryKernel,
     grid: TimeGrid,
     thetas=DEFAULT_THETAS,
-    tol: float = 1e-8,
-) -> CompletePositivityCertificate:
+    tol: float = CHECK_TOL,
+) -> List[Check]:
     """Check complete positivity of a = 1 + m on the grid.
 
     For each sampled theta > 0, solves
@@ -459,10 +482,11 @@ def certify_completely_positive(
         s + theta * (a conv s) = 1
         r + theta * (a conv r) = a
 
-    and reports the grid minima of s and r.  The r-equation has an unbounded
-    right-hand side for singular kernels, so it is collocated in integrated
-    form: w = 1 conv r satisfies w + theta*(a conv w) = t + (1*m)(t), and r is
-    recovered as the cellwise difference quotient of w.
+    and returns a completely_positive_s and a completely_positive_r row
+    (param theta) for the grid minima of s and r.  The r-equation has an
+    unbounded right-hand side for singular kernels, so it is collocated in
+    integrated form: w = 1 conv r satisfies w + theta*(a conv w) = t +
+    (1*m)(t), and r is recovered as the cellwise difference quotient of w.
 
     Both equations are one solve: every theta twice, the s columns first,
     each column with its own right-hand side.  A batched column keeps the
@@ -479,40 +503,32 @@ def certify_completely_positive(
     sw, _ = second_kind_solve(kernel.a_moments, grid, np.tile(thetas, 2), rhs)
     s, w = sw[:, :k], sw[:, k:]
     r = np.diff(w, axis=0) / grid.dt
-    min_s = s.min(axis=0)
-    min_r = r.min(axis=0)
-    passed = bool(np.all(min_s >= -tol) and np.all(min_r >= -tol))
-    return CompletePositivityCertificate(thetas, min_s, min_r, passed)
+    rows = []
+    for j, theta in enumerate(thetas):
+        rows.append(verdict("completely_positive_s", s[:, j], t, tol, theta))
+        rows.append(verdict("completely_positive_r", r[:, j], t[1:], tol, theta))
+    return rows
 
 
-def certify_pc(
-    kernel: MemoryKernel,
-    grid: TimeGrid,
-    tol: float = 1e-8,
-) -> PCCertificate:
+def certify_pc(kernel: MemoryKernel, grid: TimeGrid, tol: float = CHECK_TOL) -> Check:
     """Certify the zero-slack splitting k * a = 1 with k >= 0 nonincreasing.
 
     Only meaningful for kernels unbounded at t = 0; bounded kinds return
-    "not-applicable" instead of forcing the zero-slack equation.
+    "not-applicable" instead of forcing the zero-slack equation.  The
+    worst margin is the minimum of k; its increases are held to tol too.
     """
+    name = "unbounded_splitting"
     if kernel.bounded_at_zero:
-        return PCCertificate(
-            status="not-applicable",
-            reason="kernel bounded at t = 0: zero-slack splitting not required",
-        )
+        return Check(name, "not-applicable",
+                     reason="kernel bounded at t = 0: zero-slack splitting not required")
     k, diag = first_kind_solve(kernel.a_moments, grid, 1.0)
     if diag < _DIAG_FLOOR:
-        return PCCertificate(
-            status="fail",
-            reason=f"ill-conditioned first-kind system: diagonal weight {diag:.3e} "
-            f"below floor {_DIAG_FLOOR:.3e}",
-        )
-    min_k = float(k.min())
+        return Check(name, "fail",
+                     reason=f"ill-conditioned first-kind system: diagonal weight "
+                     f"{diag:.3e} below floor {_DIAG_FLOOR:.3e}")
+    check = verdict(name, k, grid.nodes, tol)
     max_increase = float(np.max(np.diff(k))) if k.size > 1 else 0.0
-    ok = min_k >= -tol and max_increase <= tol
-    return PCCertificate(
-        status="pass" if ok else "fail",
-        reason="" if ok else "sampled k violates nonnegativity or monotonicity",
-        min_k=min_k,
-        max_increase=max_increase,
-    )
+    if check.status == "pass" and max_increase <= tol:
+        return check
+    return replace(check, status="fail",
+                   reason="sampled k violates nonnegativity or monotonicity")

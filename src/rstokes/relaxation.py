@@ -8,24 +8,24 @@ and replaces exp(-lam*t) of classical diffusion as the per-mode decay
 profile.  The solver collocates with exact kernel cell moments; see
 ``volterra`` for the trapezoid/rectangle scheme switch on stiff batches.  A
 table records its kernel, grid and rule, and its consumers read them there.
+``verify_relaxation`` checks the profile's structural estimates and reports
+one ``kernels.Check`` row per estimate and lambda.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from .grids import TimeGrid
-from .kernels import MemoryKernel
+from .kernels import CHECK_TOL, Check, MemoryKernel, verdict
 from .volterra import second_kind_solve
 
 __all__ = [
     "RelaxationTable",
     "relaxation_batch",
-    "PropertyCheck",
-    "RelaxationReport",
     "verify_relaxation",
 ]
 
@@ -68,32 +68,9 @@ def relaxation_batch(
     return RelaxationTable(grid, lams, omega, used, kernel)
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
-    name: str
-    lam: float
-    worst_margin: float
-    passed: bool
-    t_worst: float = 0.0
-
-
-@dataclass(frozen=True)
-class RelaxationReport:
-    rows: Tuple[PropertyCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    def worst(self, name: str) -> float:
-        margins = [r.worst_margin for r in self.rows if r.name == name]
-        if not margins:
-            raise KeyError(f"no rows named {name!r}")
-        return min(margins)
-
-
-def verify_relaxation(table: RelaxationTable, tol: float = 1e-8) -> RelaxationReport:
-    """Check the structural estimates of the relaxation profile per column.
+def verify_relaxation(table: RelaxationTable, tol: float = CHECK_TOL) -> List[Check]:
+    """Check the structural estimates of the relaxation profile per column:
+    one row per estimate and lambda (param), in the order listed below.
 
     The estimates are guarantees only when 1 + m is completely positive
     (screen a kernel with ``kernels.certify_completely_positive``).  Outside
@@ -102,8 +79,8 @@ def verify_relaxation(table: RelaxationTable, tol: float = 1e-8) -> RelaxationRe
     really does rebound, and the report will say so.
 
     positivity        omega > 0; strongly damped columns cancel down to
-                      +-eps or exactly 0 in double precision, so the pass
-                      rule is margin >= -tol like the other rows
+                      +-eps or exactly 0 in double precision, so this row
+                      passes within tol like the other rows
     upper_bound       omega <= 1 / (1 + lam * int_0^t (1+m)), exact cumulative
     monotone_time     omega nonincreasing in t
     integral_bound    int_0^t omega <= (1 - omega(t)) / lam, quadrature
@@ -136,15 +113,9 @@ def verify_relaxation(table: RelaxationTable, tol: float = 1e-8) -> RelaxationRe
             "monotone_time": before - w,
             "integral_bound": (1.0 - w) / lam - np.cumsum(cells),
         }
-        rows.extend(_check(name, lam, m, t, tol) for name, m in margins.items())
+        rows.extend(verdict(name, m, t, tol, lam) for name, m in margins.items())
     for n in range(table.lambdas.size - 1):
         # equal lambdas (degenerate eigenvalues) must agree exactly
         diff = omega[1:, n] - omega[1:, n + 1]
-        rows.append(_check("monotone_lambda", table.lambdas[n + 1], diff, t, tol))
-    return RelaxationReport(tuple(rows))
-
-
-def _check(name: str, lam: float, margin: np.ndarray, t: np.ndarray, tol: float):
-    """The row of one margin series over the nodes t: its minimum and where."""
-    worst = float(margin.min())
-    return PropertyCheck(name, lam, worst, worst >= -tol, t[np.argmin(margin)])
+        rows.append(verdict("monotone_lambda", diff, t, tol, table.lambdas[n + 1]))
+    return rows

@@ -4,7 +4,8 @@ S(t) multiplies the n-th eigencoefficient by omega(t, lambda_n); the
 convolution S * g uses the lag quadrature matching the table's scheme.
 
 ``verify_sol_op_bounds`` checks the operator estimates numerically on random
-trial data and emits one row per estimate:
+trial data and returns one ``kernels.Check`` row per estimate, in this
+order; a row that does not apply is a "skip" with its reason:
 
 sol_op_bound              |S(t) xi| <= omega(t, lambda_1) |xi|
 conv_smoothing_l2         |S*g(t)|_mu^2 <= int omega(t-tau, lambda_1)
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from .grids import TimeGrid
-from .kernels import HistoryKernel, MemoryKernel
+from .kernels import CHECK_TOL, Check, HistoryKernel, MemoryKernel, _Worst
 from .relaxation import RelaxationTable, relaxation_batch
 from .spectral import SpectralBasis, _row_slices, hnorm
 from .volterra import (
@@ -40,8 +41,6 @@ __all__ = [
     "ResolventContext",
     "build_resolvent",
     "convolve_sol_op",
-    "BoundCheck",
-    "ResolventReport",
     "verify_sol_op_bounds",
     "reciprocal_cumulative_integrable",
 ]
@@ -97,32 +96,6 @@ def convolve_sol_op(ctx: ResolventContext, g: np.ndarray) -> np.ndarray:
     return rectangle_convolve(omega, g, ctx.grid.dt)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    label: str
-    status: str  # "pass" | "fail" | "skip"
-    worst_margin: float
-    t_worst: float
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class ResolventReport:
-    rows: Tuple[BoundCheck, ...]
-    mu: float
-    delta: float
-
-    @property
-    def passed(self) -> bool:
-        return all(r.status != "fail" for r in self.rows)
-
-    def row(self, label: str) -> BoundCheck:
-        for r in self.rows:
-            if r.label == label:
-                return r
-        raise KeyError(label)
-
-
 def reciprocal_cumulative_integrable(kernel: MemoryKernel) -> bool:
     """Whether 1/(1*m) is integrable near 0, decided from the small-t law.
 
@@ -160,28 +133,6 @@ def _pair_weights(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      w @ (a * a), 2.0 * (w @ (a * b)), w @ (b * b)])
 
 
-class _Worst:
-    """Running worst (smallest) margin over trials and the time it occurs;
-    a margin that is not finite (an overflowed bound) counts as -inf."""
-
-    def __init__(self):
-        self.margin, self.t = np.inf, 0.0
-
-    def fold(self, margin, t):
-        margin = np.where(np.isfinite(margin), margin, -np.inf)
-        i = int(np.argmin(margin))
-        if margin[i] < self.margin:
-            self.margin, self.t = float(margin[i]), float(t[i])
-
-    def row(self, label, tol):
-        status = "pass" if self.margin >= -tol else "fail"
-        return BoundCheck(label, status, self.margin, self.t)
-
-
-def _skip(label, reason):
-    return BoundCheck(label, "skip", float("nan"), float("nan"), reason)
-
-
 # a trial bound that overflows (a large mu) shows as a non-finite margin,
 # which fails its row, and not as a warning
 @np.errstate(over="ignore", invalid="ignore")
@@ -191,8 +142,8 @@ def verify_sol_op_bounds(
     delta: float = 0.5,
     n_trials: int = 20,
     seed: int = 0,
-    tol: float = 1e-8,
-) -> ResolventReport:
+    tol: float = CHECK_TOL,
+) -> List[Check]:
     """Evaluate the operator estimates on random trials; report worst margins.
 
     The three conv_smoothing rows rest on superposition: S* and every
@@ -234,9 +185,11 @@ def verify_sol_op_bounds(
 
     # derivative_decay, forward difference quotients, first 4 cells excluded
     if not ctx.kernel.nonincreasing:
-        decay_row = _skip("derivative_decay", "kernel is not nonincreasing")
+        decay_row = Check("derivative_decay", "skip",
+                          reason="kernel is not nonincreasing")
     elif t.size < 6:
-        decay_row = _skip("derivative_decay", "grid has no cell past the first 4")
+        decay_row = Check("derivative_decay", "skip",
+                          reason="grid has no cell past the first 4")
     else:
         decay = _Worst()
         # squared in place, for the same mat-vec per trial
@@ -248,7 +201,7 @@ def verify_sol_op_bounds(
             norm_xi = hnorm(xi, basis, 0.0)
             dq = np.sqrt(increments @ (xi * xi)) / ctx.grid.dt
             decay.fold(1.0 / t4 - dq[4:] / norm_xi, t4)
-        decay_row = decay.row("derivative_decay", tol)
+        decay_row = decay.check("derivative_decay", tol)
         # an (N_t x modes) table the smoothing pass below must not carry
         del increments
 
@@ -303,15 +256,9 @@ def verify_sol_op_bounds(
         for rho, table, w in zip(orders, rule_tables, worst):
             rhs = table[1:] @ _pair_weights(lam**rho * amp * amp, a, b)
             w.fold(rhs - lhs[1:], t[1:])
-    rows = [w.row(label, tol) for label, w in zip(labels, worst)]
+    rows = [w.check(label, tol) for label, w in zip(labels, worst)]
     if not reciprocal:
-        rows.append(
-            _skip(
-                labels[2],
-                "1/(1*m) is not integrable at t = 0 for a kernel bounded there",
-            )
-        )
+        rows.append(Check(labels[2], "skip", reason="1/(1*m) is not integrable "
+                          "at t = 0 for a kernel bounded there"))
     l2, singular, recip = rows
-    return ResolventReport(
-        (sol_op.row("sol_op_bound", tol), l2, decay_row, singular, recip), mu, delta
-    )
+    return [sol_op.check("sol_op_bound", tol), l2, decay_row, singular, recip]

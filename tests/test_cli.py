@@ -582,6 +582,35 @@ def test_an_output_file_that_is_a_directory_exits_1_without_summary(
     assert not [p.name for p in out.iterdir() if p.suffix == ".tmp"]
 
 
+def _rerun_onto_a_blocked_artifact(tmp_path):
+    """relax into o3 at 64 steps, make o3/properties.csv a directory, then
+    relax into o3 again at 32 steps; returns o3 and the second exit code."""
+    cfg = write_cfg(tmp_path, RELAX_CFG)
+    out = tmp_path / "o3"
+    argv = ["relax", "--config", cfg, "--out", str(out), "--quiet"]
+    assert main([*argv, "--grid", "64"]) == 0
+    (out / "properties.csv").unlink()
+    (out / "properties.csv").mkdir()
+    return out, main([*argv, "--grid", "32"])
+
+
+def test_an_exit_1_leaves_no_summary_of_an_earlier_run(tmp_path, capsys):
+    # the first run's summary said "ok" next to the second run's omega.csv
+    out, code = _rerun_onto_a_blocked_artifact(tmp_path)
+    assert code == 1
+    assert len(read_table(out / "omega.csv")[1]) == 33
+    assert not (out / "summary.json").exists()
+
+
+def test_an_unwritable_artifact_is_named_not_its_temporary_file(tmp_path, capsys):
+    # os.replace's error named the .tmp file first
+    _, code = _rerun_onto_a_blocked_artifact(tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "o3/properties.csv" in err
+    assert ".tmp" not in err
+
+
 def test_a_kernel_table_path_that_is_a_directory_is_listed_with_the_others(
     tmp_path, capsys
 ):

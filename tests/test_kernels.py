@@ -18,7 +18,7 @@ from rstokes import (
     certify_pc,
 )
 from rstokes.kernels import _interpolant_from_table
-from rstokes.volterra import second_kind_solve
+from rstokes.volterra import first_kind_solve, second_kind_solve
 
 ANALYTIC_KERNELS = [
     MemoryKernel.zero(),
@@ -220,31 +220,44 @@ def test_derivative_history_kernel_of_a_table_is_the_interpolant_s_slope(t, m, s
 # -- complete positivity ------------------------------------------------------
 
 
+def minima(rows, name):
+    """The worst margins of the rows called name, in row (theta) order."""
+    return np.array([r.worst_margin for r in rows if r.name == name])
+
+
 def test_cp_zero_kernel_matches_exponential():
     # a = 1: both defining solutions are e^{-theta t}, minimum at t = T
     grid = TimeGrid.uniform(1.0, 4096)
-    cert = certify_completely_positive(MemoryKernel.zero(), grid, thetas=(0.5, 2.0))
-    assert cert.passed
-    np.testing.assert_allclose(cert.min_s, np.exp([-0.5, -2.0]), atol=1e-6)
-    np.testing.assert_allclose(cert.min_r, np.exp([-0.5, -2.0]), atol=1e-4)
+    rows = certify_completely_positive(MemoryKernel.zero(), grid, thetas=(0.5, 2.0))
+    assert all(r.status == "pass" for r in rows)
+    assert [(r.name, r.param) for r in rows] == [
+        ("completely_positive_s", 0.5), ("completely_positive_r", 0.5),
+        ("completely_positive_s", 2.0), ("completely_positive_r", 2.0),
+    ]
+    np.testing.assert_allclose(minima(rows, "completely_positive_s"),
+                               np.exp([-0.5, -2.0]), atol=1e-6)
+    np.testing.assert_allclose(minima(rows, "completely_positive_r"),
+                               np.exp([-0.5, -2.0]), atol=1e-4)
 
 
 def test_cp_constant_kernel_matches_scaled_exponential():
     # a = 1 + m0: s = e^{-theta(1+m0)t}, r = (1+m0) e^{-theta(1+m0)t}
     grid = TimeGrid.uniform(1.0, 4096)
-    cert = certify_completely_positive(
+    rows = certify_completely_positive(
         MemoryKernel.constant(1.0), grid, thetas=(0.5, 2.0)
     )
-    assert cert.passed
-    np.testing.assert_allclose(cert.min_s, np.exp([-1.0, -4.0]), atol=1e-6)
-    np.testing.assert_allclose(cert.min_r, 2.0 * np.exp([-1.0, -4.0]), atol=1e-4)
+    assert all(r.status == "pass" for r in rows)
+    np.testing.assert_allclose(minima(rows, "completely_positive_s"),
+                               np.exp([-1.0, -4.0]), atol=1e-6)
+    np.testing.assert_allclose(minima(rows, "completely_positive_r"),
+                               2.0 * np.exp([-1.0, -4.0]), atol=1e-4)
 
 
 def test_cp_fractional_passes():
     grid = TimeGrid.uniform(1.0, 1024)
-    cert = certify_completely_positive(MemoryKernel.fractional(1.0, 0.5), grid)
-    assert cert.passed
-    assert np.all(cert.min_s > 0.0)
+    rows = certify_completely_positive(MemoryKernel.fractional(1.0, 0.5), grid)
+    assert all(r.status == "pass" for r in rows)
+    assert np.all(minima(rows, "completely_positive_s") > 0.0)
 
 
 def test_cp_rejects_kinked_table():
@@ -252,19 +265,21 @@ def test_cp_rejects_kinked_table():
     t = np.linspace(1.0, 33.0, 33) / 33.0
     vals = np.where(t < 0.25, 2.0, 2.0 * np.exp(-8.0 * (t - 0.25)))
     kernel = MemoryKernel.tabulated(t, vals)
-    cert = certify_completely_positive(kernel, TimeGrid.uniform(1.0, 512))
-    assert not cert.passed
-    assert float(np.min(cert.min_r)) < 0.0
+    rows = certify_completely_positive(kernel, TimeGrid.uniform(1.0, 512))
+    assert any(r.status == "fail" for r in rows)
+    assert float(np.min(minima(rows, "completely_positive_r"))) < 0.0
 
 
 def two_solve_cp_minima(kernel, grid, thetas):
-    """The certificate's minima from its two equations solved one at a time."""
+    """The certificate's minima from its two equations solved one at a time:
+    each column's value at its first smallest node, as a row reports it."""
     thetas = np.asarray(thetas, dtype=float)
     t = grid.nodes
     s, _ = second_kind_solve(kernel.a_moments, grid, thetas, np.ones_like(t))
     w, _ = second_kind_solve(kernel.a_moments, grid, thetas, t + kernel.cumulative(t))
     r = np.diff(w, axis=0) / grid.dt
-    return s.min(axis=0), r.min(axis=0)
+    cols = np.arange(thetas.size)
+    return s[s.argmin(axis=0), cols], r[r.argmin(axis=0), cols]
 
 
 @given(
@@ -283,10 +298,10 @@ def test_cp_one_solve_has_the_bits_of_two(kind, m0, n, thetas):
         "table": MemoryKernel.tabulated([0.25, 0.5, 1.0], [m0, 0.5 * m0, 0.0]),
     }[kind]
     grid = TimeGrid.uniform(1.0, n)
-    cert = certify_completely_positive(kernel, grid, thetas)
+    rows = certify_completely_positive(kernel, grid, thetas)
     min_s, min_r = two_solve_cp_minima(kernel, grid, thetas)
-    assert same_bits(cert.min_s, min_s)
-    assert same_bits(cert.min_r, min_r)
+    assert same_bits(minima(rows, "completely_positive_s"), min_s)
+    assert same_bits(minima(rows, "completely_positive_r"), min_r)
 
 
 def test_cp_theta_validation():
@@ -305,11 +320,15 @@ def test_pc_fractional_matches_laplace_oracle():
     # 1/(1 + sqrt(s)), i.e. k(t) = 1/sqrt(pi t) - e^t erfc(sqrt t); its grid
     # minimum sits at the horizon
     grid = TimeGrid.uniform(1.0, 1024)
-    cert = certify_pc(MemoryKernel.fractional(1.0, 0.5), grid)
+    kernel = MemoryKernel.fractional(1.0, 0.5)
+    cert = certify_pc(kernel, grid)
     assert cert.status == "pass"
     k_end = 1.0 / np.sqrt(np.pi) - np.e * erfc(1.0)
-    assert cert.min_k == pytest.approx(k_end, abs=3e-4)
-    assert cert.max_increase <= 1e-8
+    assert cert.worst_margin == pytest.approx(k_end, abs=3e-4)
+    # the row's margin is min k; the increases it also bounds, recomputed
+    k, _ = first_kind_solve(kernel.a_moments, grid, 1.0)
+    assert cert.worst_margin == k.min()
+    assert np.max(np.diff(k)) <= 1e-8
 
 
 def test_pc_not_applicable_for_bounded_kernels():
@@ -317,7 +336,7 @@ def test_pc_not_applicable_for_bounded_kernels():
     for kernel in (MemoryKernel.zero(), MemoryKernel.exponential(1.0, 1.0)):
         cert = certify_pc(kernel, grid)
         assert cert.status == "not-applicable"
-        assert not cert.passed
+        assert math.isnan(cert.worst_margin) and cert.param is None
 
 
 # -- history kernels ----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rstokes import (
     MemoryKernel,
@@ -10,7 +11,7 @@ from rstokes import (
     relaxation_batch,
     verify_relaxation,
 )
-from rstokes.volterra import second_kind_solve
+from rstokes.volterra import second_kind_solve, stiffness_scheme
 
 LAMBDAS = np.array([1.0, np.pi**2, 20.0])
 
@@ -71,25 +72,22 @@ def test_property_report_passes_for_analytic_kernels(kernel):
     grid = TimeGrid.uniform(1.0, 512)
     lams = (np.arange(1, 33) * np.pi) ** 2
     table = relaxation_batch(kernel, lams, grid)
-    report = verify_relaxation(table)
-    assert report.passed, [
-        (r.name, r.lam, r.worst_margin) for r in report.rows if not r.passed
+    rows = verify_relaxation(table)
+    assert all(r.status == "pass" for r in rows), [
+        (r.name, r.param, r.worst_margin) for r in rows if r.status != "pass"
     ]
-    # five properties per column, one lambda-monotonicity row per adjacent pair
-    names = [r.name for r in report.rows]
+    # four properties per column, one lambda-monotonicity row per adjacent pair
+    names = [r.name for r in rows]
     assert names.count("positivity") == 32
     assert names.count("monotone_lambda") == 31
-    assert report.worst("positivity") >= -1e-8
-    with pytest.raises(KeyError):
-        report.worst("no_such_row")
+    assert min(r.worst_margin for r in rows if r.name == "positivity") >= -1e-8
 
 
 def test_property_report_locates_worst_times():
     grid = TimeGrid.uniform(1.0, 128)
     table = relaxation_batch(MemoryKernel.fractional(1.0, 0.5), [1.0, 4.0], grid)
-    report = verify_relaxation(table)
     # t = 0, where omega = 1 meets the bounds exactly, is not a candidate
-    for row in report.rows:
+    for row in verify_relaxation(table):
         assert 0.0 < row.t_worst <= 1.0
 
 
@@ -101,10 +99,56 @@ def test_kinked_table_fails_where_the_certificate_fails():
     kernel = MemoryKernel.tabulated(t, vals)
     grid = TimeGrid.uniform(1.0, 256)
 
-    cert = certify_completely_positive(kernel, grid)
-    assert not cert.passed
+    assert any(r.status == "fail" for r in certify_completely_positive(kernel, grid))
 
     table = relaxation_batch(kernel, [25.0, 100.0], grid)
-    report = verify_relaxation(table)
-    failing = {r.name for r in report.rows if not r.passed}
+    failing = {r.name for r in verify_relaxation(table) if r.status == "fail"}
     assert "monotone_time" in failing
+
+
+@st.composite
+def closed_kernels(draw):
+    """A kernel of one of the four kinds with a closed form, over wide scales."""
+    kind = draw(st.sampled_from(["zero", "constant", "fractional", "exponential"]))
+    m0 = draw(st.floats(1e-3, 1e3))
+    if kind == "zero":
+        return MemoryKernel.zero()
+    if kind == "constant":
+        return MemoryKernel.constant(m0)
+    if kind == "fractional":
+        return MemoryKernel.fractional(m0, draw(st.floats(0.05, 0.95)))
+    return MemoryKernel.exponential(m0, draw(st.floats(1e-2, 1e3)))
+
+
+@given(
+    kernel=closed_kernels(),
+    horizon=st.floats(1e-2, 1e2),
+    n_steps=st.sampled_from([16, 64, 256, 1024]),
+    lams=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=7).map(np.sort),
+)
+def test_rectangle_tables_pass_every_property_row(kernel, horizon, n_steps, lams):
+    # the rectangle rule keeps every structural estimate at any kernel scale,
+    # horizon and stiffness
+    grid = TimeGrid.uniform(horizon, n_steps)
+    table = relaxation_batch(kernel, lams, grid, "rectangle")
+    failing = [r for r in verify_relaxation(table) if r.status != "pass"]
+    assert not failing, failing
+
+
+def test_a_trapezoid_table_below_the_stiffness_threshold_can_rebound():
+    # lam * left0 = 0.885 at lam = 95.5, under STIFF_THRESHOLD, so the
+    # automatic rule is the trapezoid; its omega falls to 0.045 at t = dt and
+    # climbs back to 0.141, and the checker reports it.  The rectangle rule
+    # on the same case passes every row.
+    kernel = MemoryKernel.fractional(0.8536600062382801, 0.45974191249059987)
+    grid = TimeGrid.uniform(1.5182384508125777, 1024)
+    lams = [0.0255971246, 5.35761937, 95.5329363]
+    assert stiffness_scheme(kernel.a_moments, grid, lams) == "trapezoid"
+
+    rows = verify_relaxation(relaxation_batch(kernel, lams, grid, "trapezoid"))
+    (rebound,) = [r for r in rows if r.status == "fail"]
+    assert (rebound.name, rebound.param) == ("monotone_time", 95.5329363)
+    assert rebound.worst_margin < -0.09
+
+    rows = verify_relaxation(relaxation_batch(kernel, lams, grid, "rectangle"))
+    assert all(r.status == "pass" for r in rows)

@@ -23,7 +23,8 @@ from rstokes import (
 )
 from rstokes.kernels import HistoryKernel
 from rstokes import spectral, volterra
-from rstokes.resolvent import BoundCheck, ResolventReport, _profiles, _reciprocal_weights
+from rstokes.kernels import Check
+from rstokes.resolvent import _profiles, _reciprocal_weights
 from rstokes.spectral import hnorm
 from rstokes.volterra import (
     fftconvolve,
@@ -83,12 +84,12 @@ def test_convolve_zero_kernel_beats_duhamel_oracle():
 @pytest.mark.parametrize("kind", list(KERNELS), ids=list(KERNELS))
 def test_bound_report_passes_on_uniform_grids(kind):
     ctx = small_ctx(KERNELS[kind], n_modes=8, n_t=256)
-    report = verify_sol_op_bounds(ctx, n_trials=10, seed=3)
-    bad = [(r.label, r.worst_margin) for r in report.rows if r.status == "fail"]
+    rows = verify_sol_op_bounds(ctx, n_trials=10, seed=3)
+    bad = [(r.name, r.worst_margin) for r in rows if r.status == "fail"]
     assert not bad, bad
-    labels = {r.label: r for r in report.rows}
+    labels = {r.name: r for r in rows}
     # no margin is taken at t = 0, where both sides of each bound meet
-    assert all(r.t_worst > 0.0 for r in report.rows if r.status == "pass")
+    assert all(r.t_worst > 0.0 for r in rows if r.status == "pass")
     assert labels["sol_op_bound"].worst_margin >= -1e-12
     assert labels["conv_smoothing_l2"].status == "pass"
     assert labels["derivative_decay"].status == "pass"
@@ -114,11 +115,9 @@ def test_derivative_decay_skips_on_increasing_tables():
     t = np.linspace(1.0, 16.0, 16) / 16.0
     kernel = MemoryKernel.tabulated(t, 1.0 + t)  # increasing, not in scope
     ctx = small_ctx(kernel, n_modes=4, n_t=64)
-    report = verify_sol_op_bounds(ctx, n_trials=4)
-    assert report.row("derivative_decay").status == "skip"
-    assert "nonincreasing" in report.row("derivative_decay").reason
-    with pytest.raises(KeyError):
-        report.row("nonexistent")
+    decay = {r.name: r for r in verify_sol_op_bounds(ctx, n_trials=4)}["derivative_decay"]
+    assert decay.status == "skip"
+    assert "nonincreasing" in decay.reason
 
 
 def test_verify_argument_validation():
@@ -137,22 +136,22 @@ def test_an_overflowing_bound_fails_its_row_without_a_warning(kind):
     ctx = small_ctx(KERNELS[kind], n_modes=16, n_t=256)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = verify_sol_op_bounds(ctx, mu=200.0, n_trials=3)
+        rows = {r.name: r for r in verify_sol_op_bounds(ctx, mu=200.0, n_trials=3)}
     smoothing = ["conv_smoothing_l2", "conv_smoothing_singular"]
     if kind == "fractional":
         smoothing.append("conv_smoothing_reciprocal")
     for label in smoothing:
-        row = report.row(label)
+        row = rows[label]
         assert row.status == "fail" and not math.isfinite(row.worst_margin), row
-    assert report.row("sol_op_bound").status == "pass"
-    assert not report.passed
+    assert rows["sol_op_bound"].status == "pass"
+    assert any(r.status == "fail" for r in rows.values())
 
 
 def test_report_margins_are_reproducible():
     ctx = small_ctx(KERNELS["fractional"], n_modes=4, n_t=64)
     a = verify_sol_op_bounds(ctx, n_trials=5, seed=42)
     b = verify_sol_op_bounds(ctx, n_trials=5, seed=42)
-    for ra, rb in zip(a.rows, b.rows):
+    for ra, rb in zip(a, b):
         assert ra == rb
 
 
@@ -178,10 +177,10 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
     node_margins = {}
 
     def worst_row(label, worst, t_at):
-        return BoundCheck(label, "pass" if worst >= -tol else "fail", worst, t_at)
+        return Check(label, "pass" if worst >= -tol else "fail", worst, t_at)
 
     def skip(label, reason):
-        return BoundCheck(label, "skip", float("nan"), float("nan"), reason)
+        return Check(label, "skip", float("nan"), float("nan"), reason=reason)
 
     # sol_op_bound and the smoothing rows over t > 0, where the two sides of
     # each bound do not meet by construction
@@ -266,8 +265,7 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
                 "1/(1*m) is not integrable at t = 0 for a kernel bounded there",
             )
         )
-    report = ResolventReport(tuple(rows), mu, delta)
-    return report, node_margins
+    return rows, node_margins
 
 
 def _bits(x):
@@ -288,22 +286,22 @@ def assert_matching_report(a, b, node_margins):
     mode, where the margin is rounding at every node), so a worst node with
     no near tie keeps its bits.
     """
-    assert (a.mu, a.delta) == (b.mu, b.delta)
-    assert [r.label for r in a.rows] == [r.label for r in b.rows]
-    for ra, rb in zip(a.rows, b.rows):
-        assert (ra.label, ra.status, ra.reason) == (rb.label, rb.status, rb.reason)
+    assert [r.name for r in a] == [r.name for r in b]
+    for ra, rb in zip(a, b):
+        assert (ra.name, ra.status, ra.param, ra.reason) == (
+            rb.name, rb.status, rb.param, rb.reason)
         if ra.status == "skip":
-            assert _bits(ra.worst_margin) == _bits(rb.worst_margin), ra.label
-            assert _bits(ra.t_worst) == _bits(rb.t_worst), ra.label
+            assert _bits(ra.worst_margin) == _bits(rb.worst_margin), ra.name
+            assert _bits(ra.t_worst) == _bits(rb.t_worst), ra.name
             continue
         bound = 1e-12 * max(1.0, abs(rb.worst_margin))
-        assert abs(ra.worst_margin - rb.worst_margin) <= bound, ra.label
-        if ra.label in node_margins:
-            times, margins = node_margins[ra.label]
+        assert abs(ra.worst_margin - rb.worst_margin) <= bound, ra.name
+        if ra.name in node_margins:
+            times, margins = node_margins[ra.name]
             (at,) = np.flatnonzero(times == ra.t_worst)
-            assert margins[at] <= rb.worst_margin + bound, ra.label
+            assert margins[at] <= rb.worst_margin + bound, ra.name
         else:
-            assert _bits(ra.t_worst) == _bits(rb.t_worst), ra.label
+            assert _bits(ra.t_worst) == _bits(rb.t_worst), ra.name
 
 
 @st.composite
@@ -433,8 +431,9 @@ def test_verify_memory_does_not_grow_with_trials():
 def test_derivative_decay_skips_on_grids_of_four_steps_or_fewer():
     for n_t in (2, 4):
         ctx = small_ctx(KERNELS["fractional"], n_modes=3, n_t=n_t)
-        report = verify_sol_op_bounds(ctx, n_trials=2)
-        assert report.row("derivative_decay").status == "skip"
-        assert report.row("sol_op_bound").status == "pass"
+        rows = {r.name: r for r in verify_sol_op_bounds(ctx, n_trials=2)}
+        assert rows["derivative_decay"].status == "skip"
+        assert rows["sol_op_bound"].status == "pass"
     ctx = small_ctx(KERNELS["fractional"], n_modes=3, n_t=5)
-    assert verify_sol_op_bounds(ctx, n_trials=2).row("derivative_decay").status == "pass"
+    rows = {r.name: r for r in verify_sol_op_bounds(ctx, n_trials=2)}
+    assert rows["derivative_decay"].status == "pass"
