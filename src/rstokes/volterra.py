@@ -26,56 +26,12 @@ columns switch to the piecewise-constant right-endpoint rule, which is first
 order but preserves positivity for nonincreasing kernels (and
 monotonicity where the kernel is completely positive).
 
-Cost for N steps and M columns:
+Every uniform solve is a lower-triangular Toeplitz system p(Z) x = r in the
+shift Z (the trapezoid rule once x_0 moves to the right-hand side), so x =
+g * r for the first N coefficients g of the power series 1/p, found by Newton
+doubling (``_reciprocal_series``): O(M N log N) for N steps and M columns.
 
-* rectangle rule and first-kind solve: O(M N log N).  Both are
-  lower-triangular Toeplitz systems p(Z) x = r in the shift Z, so x = g * r
-  for the first N coefficients g of the power series 1/p, found by Newton
-  doubling (``_toeplitz_solve``).  A constant r, as in every relaxation
-  table, makes g * r the running sum r * cumsum(g).
-* trapezoid rule: O(M N^2), a row loop in blocks.  It is Toeplitz too once
-  x_0 moves to the right-hand side, but any reordering of its sums (a
-  Toeplitz solve, or a BLAS matrix product) moves two seed-0 rows of
-  ``perfbench/reference.json`` past what that file allows: the omega
-  difference quotients of ``certify_completely_positive`` at dt = 1/8192
-  (by 2-3e-8 relative, against 1e-8), and ``p_recovered`` near p = 0,
-  through the benchmark's generator (``forward_simulate`` moves psi by up
-  to 2.2e-16, and the finite-difference psi' makes that 1.0e-13 at row 370,
-  against an allowance of 5.3e-14 = 1e-8 * 4.27e-6 + 1e-14; the
-  reconstruction alone stays within 0.0032 of it).
-
-  So every sum keeps the order of a plain row loop with two matmul folds
-  per row, ``u[i-1::-1] @ x[:i]`` and ``v[i-1:0:-1] @ x[1:i]``
-  (``row_major_trapezoid`` in the tests, the bit oracle): each column is
-  added oldest node first, starting from +0, each product rounded on its
-  own.  Those folds are chains of dependent adds.  The blocked loop splits
-  the history into settled blocks and the current one, as Hairer, Lubich &
-  Schlichte do (SIAM J. Sci. Stat. Comput. 6, 1985), with blocks of w = 32
-  rows.  The settled history, every node before the block, is one
-  ``np.einsum`` per block over a contiguous window table, both folds side by
-  side (2w weights per node); einsum adds each output's terms in node
-  order, so the blocks keep the folds' bits.  Inside the block, each new
-  row is added to the block's later rows by one rank-1 multiply into a
-  scratch buffer and one in-place add.  The window table is built once per
-  solve, (N + w) x 2w doubles, which is 2 tables at 32 columns: an
-  8193 x 32 solve peaks at 3.2x its result under tracemalloc, against 2.1x
-  for the plain loop.  The loop alone (2-vCPU Xeon host, 5 interleaved runs
-  each):
-
-      rows x columns               row loop         blocked
-      4096 x 32 (``inverse``)      0.69-0.70 s      0.35-0.36 s
-      8192 x 6 (``certify``)       0.56 s           0.31-0.32 s
-      8192 x 32                    2.3-2.7 s        0.84-1.29 s
-      1024 x 64 (rectangle solve)  0.075-0.089 s    0.035-0.053 s
-
-  Measured and rejected, all with the same bits (3 runs at 4096 x 32, then
-  at 8192 x 6): one einsum per fold over two w-wide tables (0.44-0.46 s,
-  0.33-0.45 s); the einsum straight on the ``sliding_window_view``, with
-  no copy (0.75-0.85 s, 0.49-0.60 s); a per-row einsum fold (0.35-0.43 s,
-  0.62-1.00 s); two threads over the two folds (0.39-0.40 s,
-  0.48-0.73 s).  Wider blocks: see ``_TRAPEZOID_BLOCK``.
-
-Every second-kind path sums (or transforms) each column on its own, so the
+Every second-kind path transforms each column on its own, so the
 columns of one ``second_kind_solve`` call, each with its own right-hand
 side, keep the bits of single-column calls; ``certify_completely_positive``
 relies on that to solve its two equations at once.
@@ -87,7 +43,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import TimeGrid
 
@@ -116,12 +71,6 @@ STIFF_THRESHOLD = 0.9
 # blocks of 4, 8, 16 and 32 columns (2-vCPU host, fastest to median of 9)
 _FFT_BLOCK = 1 << 15
 _FFT_MIN_COLUMNS = 4
-
-# rows per block of the trapezoid loop (module docstring).  Blocks of 64
-# and 128 rows ran no faster at 4096 x 32 or 8192 x 6 (4 runs each), and an
-# 8193 x 32 solve peaked at 5.2x and 9.4x its result, against 3.2x
-_TRAPEZOID_BLOCK = 32
-
 
 def _fast_length(n: int) -> int:
     """Smallest 2**a 3**b 5**c >= n (the length scipy.fft.next_fast_len picks
@@ -230,21 +179,17 @@ def product_convolve(weights: LagWeights, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _toeplitz_solve(c: np.ndarray, scale, denom, rhs) -> np.ndarray:
-    """Rows 0..N (N = len(c)) of the solution of
+def _reciprocal_series(c: np.ndarray, scale, denom, g: np.ndarray) -> np.ndarray:
+    """The first N = len(c) coefficients of 1/p, p(z) = denom + scale *
+    sum_{k>=1} c[k] z^k, written into g (N rows; scale and denom broadcast
+    over its columns), which is returned.
 
-        denom * x_i + scale * sum_{j=1}^{i-1} c[i-j] x_j = r_i,   i = 1..N,
-
-    with x_0 = r_0; scale and denom broadcast over the columns, and an (N+1,)
-    r is shared by them.  Rows 1..N are g * r[1:], g the first N coefficients
-    of 1/p for p(z) = denom + scale * sum_{k>=1} c[k] z^k, by Newton doubling
-    (Kung, Numer. Math. 22, 1974): if g holds m of them, p g = 1 + z^m h +
-    O(z^2m), and the next m are -(g * h).  h is a middle product of c with g,
-    which c[0] never enters, so each doubling is two ``fftconvolve`` calls.
+    Newton doubling (Kung, Numer. Math. 22, 1974): if g holds m of them, p g
+    = 1 + z^m h + O(z^2m), and the next m are -(g * h).  h is a middle
+    product of c with g, which c[0] never enters, so each doubling is two
+    ``fftconvolve`` calls.
     """
     n = c.size
-    x = np.empty((n + 1,) + np.broadcast(scale, denom).shape)
-    g = x[1:]
     g[0] = 1.0 / denom
     m = 1
     while m < n:
@@ -253,6 +198,21 @@ def _toeplitz_solve(c: np.ndarray, scale, denom, rhs) -> np.ndarray:
         h *= -scale
         fftconvolve(g[:m], h, g[m:stop])
         m = stop
+    return g
+
+
+def _toeplitz_solve(c: np.ndarray, scale, denom, rhs) -> np.ndarray:
+    """Rows 0..N (N = len(c)) of the solution of
+
+        denom * x_i + scale * sum_{j=1}^{i-1} c[i-j] x_j = r_i,   i = 1..N,
+
+    with x_0 = r_0; scale and denom broadcast over the columns, and an (N+1,)
+    r is shared by them.  Rows 1..N are g * r[1:], g the first N coefficients
+    of 1/p (``_reciprocal_series``); a scalar r, as in every rectangle
+    relaxation table, makes that the running sum r * cumsum(g).
+    """
+    x = np.empty((c.size + 1,) + np.broadcast(scale, denom).shape)
+    g = _reciprocal_series(c, scale, denom, x[1:])
     if np.ndim(rhs) == 0:
         np.cumsum(g, axis=0, out=g)
         g *= rhs
@@ -260,47 +220,6 @@ def _toeplitz_solve(c: np.ndarray, scale, denom, rhs) -> np.ndarray:
     else:
         fftconvolve(g, rhs[1:], g)
         x[0] = rhs[0]
-    return x
-
-
-def _uniform_trapezoid(weights: LagWeights, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Implicit trapezoid steps on a uniform grid, a block of w rows at a time
-    (module docstring).
-
-    Row i folds u[i-1-k] x_k over k < i and v[i-k] x_k over 0 < k < i.  Row
-    n-1-s of ``table`` holds both folds' weights from lag s on, u[s:s+w] then
-    v[s+1:s+1+w], zero at negative lags.  The settled history k < b0 of the
-    block of rows b0..b0+w-1 is one einsum over the table's rows n-b0..n-1;
-    then each row x_i of the block, times table row n+r (r = i - b0), is
-    added to the block's later rows, and adds 0 to the rows already solved.
-    """
-    u, v = weights.left, weights.right
-    n = u.size
-    w = min(_TRAPEZOID_BLOCK, n)
-    padded = np.zeros((2, n + 2 * w - 1))
-    padded[0, w : w + n] = u
-    padded[1, w : w + n - 1] = v[1:]
-    windows = sliding_window_view(padded, w, axis=1)[:, ::-1]
-    table = windows.transpose(1, 0, 2).copy().reshape(n + w, 2 * w)
-    acc = np.empty((lams.size, 2 * w))
-    scratch = np.empty_like(acc)
-    x = np.empty((n + 1, lams.size))
-    x[0] = rhs[0]
-    denom = 1.0 + lams * v[0]
-    for b0 in range(1, n + 1, w):
-        # the v fold starts at x_1, so x_0's v weights read 0 in this einsum
-        # (for finite x_0 that adds +0 to a sum that starts at +0)
-        top = table[n - b0, w:]
-        held = top.copy()
-        top[:] = 0.0
-        np.einsum("ki,kj->ji", table[n - b0 : n], x[:b0], out=acc)
-        top[:] = held
-        for r in range(min(w, n + 1 - b0)):
-            i = b0 + r
-            past = acc[:, r] if i == 1 else acc[:, r] + acc[:, w + r]
-            x[i] = (rhs[i] - lams * past) / denom
-            np.multiply(x[i][:, None], table[n + r], out=scratch)
-            acc += scratch
     return x
 
 
@@ -335,8 +254,8 @@ def second_kind_solve(
         value must be finite and > 0, or ValueError names lam.
     rhs : scalar, array of shape (N+1,), or array of shape (N+1, len(lam))
         Right-hand side samples on the grid nodes, shared by every column,
-        or one column of samples per lam value.  Every path sums each
-        column on its own, so a column of a batched call has the bits of
+        or one column of samples per lam value.  Every path transforms
+        each column on its own, so a column of a batched call has the bits of
         its own single-column call.
     scheme : None | "trapezoid" | "rectangle"
         None resolves automatically through ``stiffness_scheme``.  Forcing
@@ -344,13 +263,9 @@ def second_kind_solve(
         columns (useful when those columns are known to carry zero data);
         forcing "rectangle" trades accuracy for unconditional positivity.
 
-    Cost is O(len(lam) N log N) for the rectangle rule and O(len(lam) N^2)
-    for the trapezoid rule, a row loop in blocks of w = 32 rows that keeps
-    the summation order of a plain row loop, plus an (N + w) x 2w weight
-    table (see the module docstring for why it stays O(N^2) and how the
-    blocks keep the bits).  In the rectangle rule a scalar rhs is a running sum and
-    an array one FFT convolution, so a column of ones rounds unlike
-    rhs = 1.0.
+    Cost is O(len(lam) N log N) for either rule, one Toeplitz solve (module
+    docstring).  In the rectangle rule a scalar rhs is a running sum and an
+    array one FFT convolution, so a column of ones rounds unlike rhs = 1.0.
 
     Returns
     -------
@@ -363,7 +278,7 @@ def second_kind_solve(
         raise ValueError("lam must be one or more finite positive values")
     if scheme not in (None, "trapezoid", "rectangle"):
         raise ValueError("scheme must be None, 'trapezoid' or 'rectangle'")
-    # a scalar stays 0-d: the rectangle rule's running sum (module docstring)
+    # a scalar stays 0-d: the rectangle rule's running sum (_toeplitz_solve)
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim and rhs.shape != (grid.nodes.size, lams.size)[: rhs.ndim]:
         raise ValueError("rhs needs N+1 samples, shared or one column per lam")
@@ -373,8 +288,17 @@ def second_kind_solve(
         # (mixing rules breaks monotonicity across lambda at the switch point)
         scheme = stiffness_scheme(moments, grid, lams)
     if scheme == "trapezoid":
-        rhs = np.broadcast_to(rhs, grid.nodes.shape + rhs.shape[1:])
-        x = _uniform_trapezoid(weights, lams, rhs)
+        # x_0 moves to the right-hand side, where row i loses lam*u[i-1]*x_0;
+        # rows 1..N are then Toeplitz, c[k] = u[k-1] + v[k] for k >= 1.  The
+        # shifted rhs is built in x, and the table of products it subtracts
+        # then holds the series, so the solve adds one table to the result
+        u, v = weights.left, weights.right
+        x = np.empty((grid.nodes.size, lams.size))
+        x[:] = rhs[:, None] if rhs.ndim == 1 else rhs
+        g = np.multiply.outer(u, lams * x[0])
+        x[1:] -= g
+        c = np.concatenate((v[:1], u[:-1] + v[1:]))
+        fftconvolve(_reciprocal_series(c, lams, 1.0 + lams * v[0], g), x[1:], x[1:])
     else:
         # right-endpoint sums start at x_1: rows 1..N are one Toeplitz solve
         a0 = weights.cell

@@ -13,9 +13,7 @@ from rstokes.volterra import (
     STIFF_THRESHOLD,
     LagWeights,
     _fast_length,
-    _TRAPEZOID_BLOCK,
     _toeplitz_solve,
-    _uniform_trapezoid,
     fftconvolve,
     first_kind_solve,
     lag_weights,
@@ -106,8 +104,8 @@ def rectangle_loop(weights, lams, rhs):
 
 
 def row_major_trapezoid(weights, lams, rhs):
-    # the trapezoid row loop, two matmul folds per row on a row-major table:
-    # the bit oracle of the blocked _uniform_trapezoid
+    # O(N^2) row loop of the implicit trapezoid rule, two matmul folds per
+    # row: oracle for its Toeplitz solve
     u, v = weights.left, weights.right
     x = np.empty((u.size + 1, lams.size))
     x[0] = rhs[0]
@@ -520,100 +518,58 @@ def test_a_reversed_row_times_a_table_folds_each_column_in_index_order(order):
     assert same_bits(weights @ table, want)
 
 
-@pytest.mark.parametrize("history", [1, 31, 300])
-@pytest.mark.parametrize("width", [2, 32, 2 * _TRAPEZOID_BLOCK])
-@pytest.mark.parametrize("columns", [1, 6, 33])
-def test_einsum_over_a_window_table_folds_each_output_in_index_order(
-    history, width, columns
-):
-    # the blocked trapezoid loop keeps the oracle's bits only because this
-    # einsum adds each output's products oldest first, starting from +0, with
-    # every product rounded on its own; a numpy that reorders these sums
-    # fails here before any reference row moves.  (A 1-wide window with one
-    # column is summed out of order; the solver never asks for one.)  The
-    # first row of weights is 0 on one side, as x_0's v weights are, and
-    # meets a negative row: 0 * x adds -0.0 to +0
-    rng = np.random.default_rng(13)
-    windows = rng.standard_normal((history, width))
-    windows[0, width // 2 :] = 0.0
-    table = rng.standard_normal((history, columns))
-    table[0] = -np.abs(table[0])
-    want = np.zeros((columns, width))
-    for k in range(history):
-        want += table[k][:, None] * windows[k]
-    got = np.empty((2, columns, width))[0]
-    np.einsum("ki,kj->ji", windows, table, out=got)
-    assert same_bits(got, want)
-
-
-def test_trapezoid_windows_are_never_one_wide():
-    # the einsum hole above: a window table one weight wide
-    widths, einsum = [], np.einsum
-
-    def spy(spec, windows, table, out):
-        widths.append(windows.shape[1])
-        return einsum(spec, windows, table, out=out)
-
-    rng = np.random.default_rng(2)
-    with mock.patch.object(volterra.np, "einsum", spy):
-        for n in (1, 2, 3, _TRAPEZOID_BLOCK, _TRAPEZOID_BLOCK + 1, 4 * _TRAPEZOID_BLOCK + 1):
-            w = rectangle_weights(MemoryKernel.exponential(1.0, 2.0), n)
-            _uniform_trapezoid(w, np.ones(1), rng.standard_normal((n + 1, 1)))
-    assert widths and min(widths) >= 2
+def assert_trapezoid_matches_the_row_major_loop(kernel, n, lams, rhs_kind, rng):
+    # second_kind_solve's trapezoid Toeplitz solve against the row loop, to
+    # 1e-12 of max|x|, on n steps of width 1/n (a grid has at least two
+    # steps, so n = 1 runs two steps of width 1)
+    steps = max(n, 2)
+    grid = TimeGrid.uniform(steps / n, steps)
+    shape = {"scalar": (), "shared": (steps + 1,), "per column": (steps + 1, lams.size)}[rhs_kind]
+    rhs = rng.standard_normal(shape)
+    x, used = second_kind_solve(kernel.a_moments, grid, lams, rhs, "trapezoid")
+    w = lag_weights(kernel.a_moments, grid)
+    ref = row_major_trapezoid(w, lams, np.broadcast_to(rhs, shape or (steps + 1,)))
+    assert used == "trapezoid" and x.shape == ref.shape
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @given(
     kernel=memory_kernels().filter(lambda k: k.kind != "constant"),
-    # past four blocks of rows
     n=st.integers(1, 600),
     columns=st.sampled_from([1, 2, 6, 33]),
     rhs_kind=st.sampled_from(["scalar", "shared", "per column"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40)
-def test_trapezoid_loop_has_the_bits_of_the_row_major_loop(kernel, n, columns, rhs_kind, seed):
+def test_trapezoid_solve_matches_the_row_major_loop(kernel, n, columns, rhs_kind, seed):
     rng = np.random.default_rng(seed)
-    w = rectangle_weights(kernel, n)
     lams = rng.uniform(0.01, 100.0, columns)
-    shape = {"scalar": (), "shared": (n + 1,), "per column": (n + 1, columns)}[rhs_kind]
-    rhs = np.broadcast_to(rng.standard_normal(shape), shape or (n + 1,))
-    x = _uniform_trapezoid(w, lams, rhs)
-    assert x.flags.c_contiguous
-    assert same_bits(x, row_major_trapezoid(w, lams, rhs))
+    assert_trapezoid_matches_the_row_major_loop(kernel, n, lams, rhs_kind, rng)
 
 
-@pytest.mark.parametrize("rhs_kind", ["scalar", "per column"])
+@pytest.mark.parametrize("rhs_kind", ["scalar", "shared", "per column"])
 @pytest.mark.parametrize("columns", [1, 33])
-@pytest.mark.parametrize("blocks", [(1, -1), (1, 0), (1, 1), (2, 0), (2, 1)])
-def test_trapezoid_loop_keeps_its_bits_at_block_edges(blocks, columns, rhs_kind):
-    # N = w - 1, w, w + 1, 2w and 2w + 1 rows after row 0
-    n = blocks[0] * _TRAPEZOID_BLOCK + blocks[1]
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 1023, 1024, 1025])
+def test_trapezoid_solve_matches_the_row_major_loop_at_doubling_edges(n, columns, rhs_kind):
+    # Newton doubling edges: 2^k - 1, 2^k and 2^k + 1 rows after row 0
     rng = np.random.default_rng(n * columns)
-    w = rectangle_weights(MemoryKernel.fractional(1.0, 0.5), n)
     lams = rng.uniform(0.01, 100.0, columns)
-    shape = (n + 1, columns) if rhs_kind == "per column" else ()
-    # signed zeros too: x_0 = -0.0 meets the zero v weights of x_0
-    rhs = np.where(rng.random(shape) < 0.25, -0.0, rng.standard_normal(shape))
-    rhs = np.broadcast_to(rhs, shape or (n + 1,))
-    x = _uniform_trapezoid(w, lams, rhs)
-    assert x.flags.c_contiguous
-    assert same_bits(x, row_major_trapezoid(w, lams, rhs))
+    kernel = MemoryKernel.fractional(1.0, 0.5)
+    assert_trapezoid_matches_the_row_major_loop(kernel, n, lams, rhs_kind, rng)
 
 
-def test_trapezoid_loop_keeps_its_bits_past_the_cache():
-    # a 3000 x 48 table (1.1 MiB row-major), 94 blocks of rows
+def test_trapezoid_solve_matches_the_row_major_loop_on_a_long_table():
+    # a 3000 x 48 relaxation table: the 48 lowest modes of the unit interval
     grid = TimeGrid.uniform(1.0, 3000)
-    w = lag_weights(MemoryKernel.exponential(1.0, 2.0).a_moments, grid)
+    kernel = MemoryKernel.exponential(1.0, 2.0)
     lams = (np.pi * np.arange(1, 49)) ** 2 / 1000.0
-    rhs = np.broadcast_to(1.0, grid.nodes.shape)
-    x = _uniform_trapezoid(w, lams, rhs)
-    assert x.flags.c_contiguous
-    assert same_bits(x, row_major_trapezoid(w, lams, rhs))
+    x, _ = second_kind_solve(kernel.a_moments, grid, lams, 1.0, "trapezoid")
+    ref = row_major_trapezoid(lag_weights(kernel.a_moments, grid), lams, np.ones(3001))
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_trapezoid_temporaries_stay_near_the_table():
-    # 8193 x 32: the (N + w) x 2w window table is twice the result; the
-    # plain row loop peaked at 2.06x, and the blocked loop reads 3.17x
+    # 8193 x 32: the plain row loop peaked at 2.06x its result
     grid = TimeGrid.uniform(1.0, 8192)
     kernel = MemoryKernel.exponential(1.0, 2.0)
     lams = (np.pi * np.arange(1, 33)) ** 2 / 1000.0
@@ -624,6 +580,53 @@ def test_trapezoid_temporaries_stay_near_the_table():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * x.nbytes
+
+
+def test_few_column_trapezoid_temporaries_stay_within_eight_results():
+    # certify_completely_positive's two-equation solve, 8193 x 6 with one
+    # rhs per column: at so few columns fftconvolve's blocks of four columns
+    # dominate (6.84x; the rectangle rule reads 5.84x, and a blocked row
+    # loop with its window table read 12.4x)
+    grid = TimeGrid.uniform(1.0, 8192)
+    kernel = MemoryKernel.fractional(1.0, 0.5)
+    t = grid.nodes
+    rhs = np.empty((t.size, 6))
+    rhs[:, :3] = 1.0
+    rhs[:, 3:] = (t + kernel.cumulative(t))[:, None]
+    lams = np.tile([0.1, 1.0, 10.0], 2)
+    tracemalloc.start()
+    try:
+        x, _ = second_kind_solve(kernel.a_moments, grid, lams, rhs, "trapezoid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0 * x.nbytes
+
+
+@pytest.mark.parametrize("rhs_kind", ["scalar", "shared", "per column"])
+@pytest.mark.parametrize("n", [1024, 8192])
+@pytest.mark.parametrize("scheme", ["trapezoid", "rectangle"])
+def test_a_second_kind_solve_convolves_twice_per_doubling(scheme, n, rhs_kind):
+    # log2(n) Newton doublings of two fftconvolve calls each, and at most one
+    # more for the rhs: a row loop makes no call, and a per-row path about n
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return fftconvolve(*args, **kwargs)
+
+    grid = TimeGrid.uniform(1.0, n)
+    kernel = MemoryKernel.exponential(1.0, 2.0)
+    lams = np.array([0.5, 2.0, 8.0])
+    rhs = {
+        "scalar": 1.0,
+        "shared": np.cos(grid.nodes),
+        "per column": np.cos(np.multiply.outer(grid.nodes, lams)),
+    }[rhs_kind]
+    with mock.patch.object(volterra, "fftconvolve", spy):
+        second_kind_solve(kernel.a_moments, grid, lams, rhs, scheme)
+    doublings = int(np.log2(n))
+    assert doublings <= len(calls) <= 2 * doublings + 4
 
 
 @pytest.mark.parametrize("scheme", [None, "trapezoid", "rectangle"])
