@@ -518,6 +518,32 @@ def test_a_reversed_row_times_a_table_folds_each_column_in_index_order(order):
     assert same_bits(weights @ table, want)
 
 
+@pytest.mark.parametrize("history", [1, 31, 300])
+@pytest.mark.parametrize("width", [2, 32, 64])
+@pytest.mark.parametrize("columns", [1, 6, 33])
+def test_einsum_over_a_window_table_folds_each_output_in_index_order(
+    history, width, columns
+):
+    # no solver calls einsum: this pins the numpy property that a blocked
+    # history sum over a window table (Hairer, Lubich & Schlichte), as a grid
+    # without Toeplitz structure would need, relies on to keep the bits of a
+    # row loop.  einsum adds each output's products oldest first,
+    # starting from +0, with every product rounded on its own.  (A 1-wide
+    # window with one column is summed out of order.)  The first row of
+    # weights is 0 on one side and meets a negative row: 0 * x adds -0.0 to +0
+    rng = np.random.default_rng(13)
+    windows = rng.standard_normal((history, width))
+    windows[0, width // 2 :] = 0.0
+    table = rng.standard_normal((history, columns))
+    table[0] = -np.abs(table[0])
+    want = np.zeros((columns, width))
+    for k in range(history):
+        want += table[k][:, None] * windows[k]
+    got = np.empty((2, columns, width))[0]
+    np.einsum("ki,kj->ji", windows, table, out=got)
+    assert same_bits(got, want)
+
+
 def assert_trapezoid_matches_the_row_major_loop(kernel, n, lams, rhs_kind, rng):
     # second_kind_solve's trapezoid Toeplitz solve against the row loop, to
     # 1e-12 of max|x|, on n steps of width 1/n (a grid has at least two
@@ -541,7 +567,8 @@ def assert_trapezoid_matches_the_row_major_loop(kernel, n, lams, rhs_kind, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40)
-def test_trapezoid_solve_matches_the_row_major_loop(kernel, n, columns, rhs_kind, seed):
+def test_trapezoid_loop_has_the_bits_of_the_row_major_loop(kernel, n, columns, rhs_kind, seed):
+    # the Toeplitz solve reorders the row loop's sums: 1e-12 of max|x|, not bits
     rng = np.random.default_rng(seed)
     lams = rng.uniform(0.01, 100.0, columns)
     assert_trapezoid_matches_the_row_major_loop(kernel, n, lams, rhs_kind, rng)
@@ -549,16 +576,19 @@ def test_trapezoid_solve_matches_the_row_major_loop(kernel, n, columns, rhs_kind
 
 @pytest.mark.parametrize("rhs_kind", ["scalar", "shared", "per column"])
 @pytest.mark.parametrize("columns", [1, 33])
-@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 1023, 1024, 1025])
-def test_trapezoid_solve_matches_the_row_major_loop_at_doubling_edges(n, columns, rhs_kind):
+@pytest.mark.parametrize(
+    "blocks", [(1, 2, 3), (7, 8, 9), (63, 64, 65), (255, 256, 257), (1023, 1024, 1025)]
+)
+def test_trapezoid_loop_keeps_its_bits_at_block_edges(blocks, columns, rhs_kind):
     # Newton doubling edges: 2^k - 1, 2^k and 2^k + 1 rows after row 0
-    rng = np.random.default_rng(n * columns)
-    lams = rng.uniform(0.01, 100.0, columns)
     kernel = MemoryKernel.fractional(1.0, 0.5)
-    assert_trapezoid_matches_the_row_major_loop(kernel, n, lams, rhs_kind, rng)
+    for n in blocks:
+        rng = np.random.default_rng(n * columns)
+        lams = rng.uniform(0.01, 100.0, columns)
+        assert_trapezoid_matches_the_row_major_loop(kernel, n, lams, rhs_kind, rng)
 
 
-def test_trapezoid_solve_matches_the_row_major_loop_on_a_long_table():
+def test_trapezoid_loop_keeps_its_bits_past_the_cache():
     # a 3000 x 48 relaxation table: the 48 lowest modes of the unit interval
     grid = TimeGrid.uniform(1.0, 3000)
     kernel = MemoryKernel.exponential(1.0, 2.0)
