@@ -7,7 +7,11 @@ is fixed in one round trip, not one key at a time.
 
 The two kernel sections (kernel, history_kernel) are read from one table
 that lists each kind's keys in the order of its factory's arguments; one
-validator and one builder serve both kernel classes.
+validator and one builder serve both kernel classes.  Reaction sections
+(nonlinearity, inverse.f1, the parts of a sum) are read from a second
+table, ``_REACTION_KEYS``: each kind is the name of its ``Nonlinearity``
+factory, and its keys are that factory's keyword names, so the builder
+passes the keys a section has straight through.
 """
 
 from __future__ import annotations
@@ -49,15 +53,6 @@ __all__ = [
     "nonlinearity_from_section",
     "build_initial",
 ]
-
-NONLINEARITY_KINDS = (
-    "zero",
-    "linear_diagonal",
-    "polynomial_power",
-    "advection_history",
-    "sum",
-)
-
 
 class ConfigError(ValueError):
     """All validation violations, collected in one raise."""
@@ -225,6 +220,16 @@ def _build_kernel(cls, section: Dict):
     return getattr(cls, kind)(*args)
 
 
+# each reaction kind -> its config keys, the keywords of Nonlinearity.<kind>
+# (a sum's parts go to Nonlinearity.sum_of); mu and delta go to every kind
+_REACTION_KEYS = {
+    "zero": (),
+    "linear_diagonal": ("coeffs",),
+    "polynomial_power": ("power", "scale", "signed"),
+    "advection_history": ("chi",),
+    "sum": ("parts",),
+}
+
 _THETA_UNREAD = "theta is not read; the orders need only mu < 1 + delta"
 
 
@@ -259,7 +264,8 @@ def _validate_nonlinearity(section: Dict, where: str, problems: List[str],
                            ndim: Optional[int], n_modes: Optional[int]) -> None:
     """ndim and n_modes are the domain's dimension and mode count (domain.N),
     each None when the domain does not give it."""
-    kind = _choice(section, "kind", where, NONLINEARITY_KINDS, problems, required=True)
+    kind = _choice(section, "kind", where, tuple(_REACTION_KEYS), problems,
+                   required=True)
     _validate_orders(section, where, problems, kind)
     if kind == "linear_diagonal":
         coeffs = section.get("coeffs")
@@ -471,27 +477,12 @@ def nonlinearity_from_section(section: Dict) -> Nonlinearity:
     from .nonlinear import Nonlinearity
 
     kind = section["kind"]
-    kw = {}
-    for key in ("mu", "delta"):
-        if key in section:
-            kw[key] = float(section[key])
-    if kind == "zero":
-        return Nonlinearity.zero(**kw)
-    if kind == "linear_diagonal":
-        return Nonlinearity.linear_diagonal(np.asarray(section["coeffs"], float), **kw)
-    if kind == "polynomial_power":
-        return Nonlinearity.polynomial_power(
-            float(section["power"]),
-            scale=float(section.get("scale", 1.0)),
-            signed=section.get("signed", True),
-            **kw,
-        )
-    if kind == "advection_history":
-        chi = section["chi"]
-        chi = [float(c) for c in chi] if isinstance(chi, list) else float(chi)
-        return Nonlinearity.advection_history(chi, **kw)
-    parts = [nonlinearity_from_section(p) for p in section["parts"]]
-    return Nonlinearity.sum_of(*parts, **kw)
+    orders = {key: float(section[key]) for key in ("mu", "delta") if key in section}
+    if kind == "sum":
+        parts = [nonlinearity_from_section(p) for p in section["parts"]]
+        return Nonlinearity.sum_of(*parts, **orders)
+    keys = {key: section[key] for key in _REACTION_KEYS[kind] if key in section}
+    return getattr(Nonlinearity, kind)(**keys, **orders)
 
 
 def build_nonlinearity(cfg: Dict) -> Nonlinearity:

@@ -5,10 +5,13 @@ quadrature downstream consumes cell moments int m ds and int s*m(s) ds rather
 than pointwise values, so weakly singular kinds (t**-alpha) are handled
 without regularization and are never evaluated at t = 0.
 
-Each closed form is written once, on ``HistoryKernel``.  A ``MemoryKernel``
-holds m as a history kernel and adds only its own validation, flags and
-a = 1 + m: the fractional kind is powerlaw(m0 / Gamma(alpha), -alpha), the
-others are the history kind of the same name with amplitude m0.
+Each closed form is written once, on ``HistoryKernel``: its value and its
+two cell moments, and a cumulative integral int_0^t is the first moment of
+the cell [0, t].  A ``MemoryKernel`` holds m as a history kernel and adds
+only its own validation, flags and a = 1 + m: the fractional kind is
+powerlaw(m0 / Gamma(alpha), -alpha), the others are the history kind of the
+same name with amplitude m0.  Only ``HistoryKernel`` refuses a value at
+t = 0 of a kernel singular there.
 
 Checks: every structural check of the package (``verify_relaxation``,
 ``verify_sol_op_bounds`` and the two certificates below) reports ``Check``
@@ -119,9 +122,8 @@ class MemoryKernel:
     Only the fractional kind is unbounded at t = 0; its pointwise value at 0
     is undefined while its cumulative integral stays finite.
 
-    Values and moments come from the history kernel m built at construction
-    (module docstring); only the fractional cumulative integral keeps its
-    own expression.
+    Values, cumulative integrals, moments and bounded_at_zero come from the
+    history kernel m built at construction (module docstring).
     """
 
     kind: str
@@ -184,22 +186,13 @@ class MemoryKernel:
     # -- pointwise and integral values --------------------------------------
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "fractional" and np.any(t <= 0.0):
-            raise ValueError(
-                "fractional kernel has no pointwise value at t <= 0; use cumulative/moments"
-            )
         return self._m(t)
 
     def cumulative(self, t):
-        """Exact (1*m)(t) = int_0^t m(s) ds; closed form except for tabulated."""
+        """Exact (1*m)(t) = int_0^t m(s) ds."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0):
             raise ValueError("cumulative integral needs t >= 0")
-        if self.kind == "fractional":
-            # its own rounding: certify reads it through a difference quotient
-            a = self.alpha
-            return self.m0 * t ** (1.0 - a) / ((1.0 - a) * math.gamma(a))
         return self._m.cumulative(t)
 
     def moments(self, lo, hi):
@@ -217,18 +210,17 @@ class MemoryKernel:
 
     @property
     def bounded_at_zero(self) -> bool:
-        return self.kind != "fractional"
+        return self._m.bounded_at_zero
 
     @property
     def nonincreasing(self) -> bool:
-        if self.kind in ("zero", "constant", "fractional", "exponential"):
+        if self.kind != "tabulated":
             return True
         return bool(np.all(np.diff(self.table_m) <= 0.0))
 
     def value_at_zero(self) -> float:
-        """m(0), flat extension for tabulated kernels; undefined for fractional."""
-        if self.kind == "fractional":
-            raise ValueError("fractional kernel is unbounded at t = 0")
+        """m(0), flat extension for tabulated kernels; a kernel unbounded at
+        t = 0 has none (ValueError)."""
         return float(self._m(0.0))
 
     def derivative_history_kernel(self) -> "HistoryKernel":
@@ -238,7 +230,7 @@ class MemoryKernel:
         each segment's slope between its samples, and 0 before the first
         sample and after the last, where the interpolant is flat.
         """
-        if self.kind == "fractional":
+        if not self.bounded_at_zero:
             raise ValueError("fractional kernel has no integrable derivative at 0")
         if self.kind in ("zero", "constant"):
             return HistoryKernel.zero()
@@ -327,7 +319,7 @@ class HistoryKernel:
         if np.any(t < 0.0):
             raise ValueError("kernel evaluated at negative time")
         if not self.bounded_at_zero and np.any(t == 0.0):
-            raise ValueError("singular history kernel has no value at t = 0")
+            raise ValueError("a kernel singular at t = 0 has no value there")
         if self.kind == "zero":
             return np.zeros_like(t)
         if self.kind == "constant":
@@ -339,18 +331,8 @@ class HistoryKernel:
         return self._interp.value(t)
 
     def cumulative(self, t):
-        """Signed int_0^t ell(s) ds."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(t)
-        if self.kind == "constant":
-            return self.amplitude * t
-        if self.kind == "exponential":
-            return self.amplitude * (1.0 - np.exp(-self.decay * t)) / self.decay
-        if self.kind == "powerlaw":
-            q = self.exponent
-            return self.amplitude * t ** (q + 1.0) / (q + 1.0)
-        return self._interp.integral0(t)
+        """Signed int_0^t ell(s) ds, the first moment of the cell [0, t]."""
+        return self.moments(0.0, t)[0]
 
     def cumulative_abs(self, t):
         """int_0^t |ell(s)| ds; fixed-sign kinds reduce to |cumulative|."""
@@ -485,8 +467,11 @@ def certify_completely_positive(
     and returns a completely_positive_s and a completely_positive_r row
     (param theta) for the grid minima of s and r.  The r-equation has an
     unbounded right-hand side for singular kernels, so it is collocated in
-    integrated form: w = 1 conv r satisfies w + theta*(a conv w) = t +
-    (1*m)(t), and r is recovered as the cellwise difference quotient of w.
+    integrated form: w = 1 conv r satisfies w + theta*(a conv w) = 1 conv a,
+    and w_0 = 0.  The uniform system is then Toeplitz, so it commutes with
+    the first difference: the increments d_i = w_i - w_{i-1} solve it with
+    the right-hand side 0 at row 0 and a's cell masses after it, which the
+    moments give without cancellation, and r = d / dt on nodes[1:].
 
     Both equations are one solve: every theta twice, the s columns first,
     each column with its own right-hand side.  A batched column keeps the
@@ -497,12 +482,11 @@ def certify_completely_positive(
         raise ValueError("theta samples must be nonempty and positive")
     t = grid.nodes
     k = thetas.size
-    rhs = np.empty((t.size, 2 * k))
+    rhs = np.zeros((t.size, 2 * k))
     rhs[:, :k] = 1.0
-    rhs[:, k:] = (t + kernel.cumulative(t))[:, None]
-    sw, _ = second_kind_solve(kernel.a_moments, grid, np.tile(thetas, 2), rhs)
-    s, w = sw[:, :k], sw[:, k:]
-    r = np.diff(w, axis=0) / grid.dt
+    rhs[1:, k:] = kernel.a_moments(t[:-1], t[1:])[0][:, None]
+    sd, _ = second_kind_solve(kernel.a_moments, grid, np.tile(thetas, 2), rhs)
+    s, r = sd[:, :k], sd[1:, k:] / grid.dt
     rows = []
     for j, theta in enumerate(thetas):
         rows.append(verdict("completely_positive_s", s[:, j], t, tol, theta))

@@ -109,9 +109,11 @@ def _node(basis: SpectralBasis, j: int):
 class Nonlinearity:
     """Reaction term f(v, w) acting on coefficient series.
 
-    kind is one of zero | linear_diagonal | power | advection | sum | custom;
-    use the factory classmethods rather than the constructor.  mu is the
-    regularity order of the state (the norm of the Picard residual and of
+    kind is the name of the factory classmethod that made it, which is also
+    its config name: zero | linear_diagonal | polynomial_power |
+    advection_history | sum (``sum_of``) | custom (``custom_series``; no
+    config names it).  Use the factories rather than the constructor.  mu is
+    the regularity order of the state (the norm of the Picard residual and of
     the Holder estimate), delta the time-integrability exponent of the
     damping estimate, which sets the Holder range delta/2 < gamma < 1/2;
     mu < 1 + delta keeps the dual output order 1 + delta - mu positive.
@@ -154,7 +156,7 @@ class Nonlinearity:
         if power <= 1.0:
             raise ValueError("power must exceed 1")
         return cls(
-            kind="power",
+            kind="polynomial_power",
             power=float(power),
             scale=float(scale),
             signed=signed,
@@ -164,7 +166,7 @@ class Nonlinearity:
     @classmethod
     def advection_history(cls, chi, **kw) -> "Nonlinearity":
         chi_t = tuple(float(c) for c in np.atleast_1d(chi))
-        return cls(kind="advection", chi=chi_t, **kw)
+        return cls(kind="advection_history", chi=chi_t, **kw)
 
     @classmethod
     def sum_of(cls, *parts: "Nonlinearity", **kw) -> "Nonlinearity":
@@ -185,7 +187,7 @@ class Nonlinearity:
         terms do, and so does a sum with such a part."""
         if self.kind == "sum":
             return any(p.reads_history for p in self.parts)
-        return self.kind in ("advection", "custom")
+        return self.kind in ("advection_history", "custom")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -204,12 +206,12 @@ class Nonlinearity:
                 out = V * self.coeffs[None, :]
             _check_coefficients(out, basis, "linear diagonal reaction")
             return out
-        if self.kind == "power":
+        if self.kind == "polynomial_power":
             out = np.empty_like(V)
             for rows in _row_slices(V.shape[0], basis.nodes.shape[0], _SAMPLE_BUDGET):
                 out[rows] = self._power_block(V, rows, basis)
             return out
-        if self.kind == "advection":
+        if self.kind == "advection_history":
             if len(self.chi) != basis.domain.ndim:
                 raise ValueError("advection vector length does not match domain")
             # linear in w: the projected chi . grad e_n, built once per basis
@@ -333,7 +335,6 @@ class MildSolution:
     iterations: int
     residuals: Tuple[float, ...]
     mu: float
-    beta: float
 
 
 def convolves_history(spec: Nonlinearity, ell: HistoryKernel) -> bool:
@@ -392,9 +393,7 @@ def picard_solve(
                                  f"the residual is {res}", tuple(residuals))
         u = u_new
         if res < opts.tol:
-            return MildSolution(
-                grid, basis, u, len(residuals), tuple(residuals), spec.mu, opts.beta
-            )
+            return MildSolution(grid, basis, u, len(residuals), tuple(residuals), spec.mu)
     raise NonConvergence(
         f"no fixed point after {opts.max_iter} sweeps "
         f"(last residual {residuals[-1]:.3e})",

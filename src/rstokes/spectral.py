@@ -208,16 +208,6 @@ class SpectralBasis:
             self._advection[key] = M
         return M
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SpectralBasis)
-            and self.domain == other.domain
-            and self.n_modes == other.n_modes
-        )
-
-    def __hash__(self):
-        return hash((self.domain, self.n_modes))
-
     def __repr__(self):
         return f"SpectralBasis({self.domain!r}, n_modes={self.n_modes})"
 

@@ -1,14 +1,17 @@
 """Config loading, validation, overrides, and section builders."""
 
 import hashlib
+import inspect
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rstokes import Interval, Rectangle
+from rstokes import Interval, Nonlinearity, Rectangle
 from rstokes.config import (
+    _KERNEL_KEYS,
+    _REACTION_KEYS,
     ConfigError,
     apply_overrides,
     build_domain_basis,
@@ -320,11 +323,40 @@ def test_nonlinearity_sections_recurse():
         }
     )
     assert spec.kind == "sum"
-    assert [p.kind for p in spec.parts] == ["power", "advection"]
+    assert [p.kind for p in spec.parts] == ["polynomial_power", "advection_history"]
     diag = build_nonlinearity(
         {"nonlinearity": {"kind": "linear_diagonal", "coeffs": [1.0, 2.0]}}
     )
     np.testing.assert_array_equal(diag.coeffs, [1.0, 2.0])
+
+
+# one valid section of every reaction kind
+REACTION_SECTIONS = [
+    {"kind": "zero"},
+    {"kind": "linear_diagonal", "coeffs": [1.0, 2.0]},
+    {"kind": "polynomial_power", "power": 3.0, "scale": 0.5, "signed": False},
+    {"kind": "advection_history", "chi": [0.1, -0.2]},
+    {"kind": "sum", "parts": [{"kind": "zero"}, {"kind": "polynomial_power", "power": 2}]},
+]
+
+
+def test_every_kind_is_named_and_keyed_by_its_factory():
+    # a kind's config name is its factory's name, and its config keys are
+    # that factory's parameters
+    for cls, kinds in _KERNEL_KEYS.items():
+        for kind, keys in kinds.items():
+            params = inspect.signature(getattr(cls, kind)).parameters
+            assert list(params) == [key for key, _ in keys], (cls, kind)
+    keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    for kind, keys in _REACTION_KEYS.items():
+        if kind != "sum":
+            params = inspect.signature(getattr(Nonlinearity, kind)).parameters
+            assert all(params[key].kind in keyword for key in keys), kind
+    assert [section["kind"] for section in REACTION_SECTIONS] == list(_REACTION_KEYS)
+    rectangle = {"shape": "rectangle", "Lx": 1.0, "Ly": 1.0, "N": 2}
+    for section in REACTION_SECTIONS:
+        validate_config(solve_cfg(nonlinearity=section, domain=rectangle), "solve")
+        assert nonlinearity_from_section(section).kind == section["kind"]
 
 
 def test_build_initial_presets_and_lists():

@@ -59,7 +59,8 @@ MEMORY_KERNELS = ANALYTIC_KERNELS + [
 def _closed_forms(kernel):
     """(moments, cumulative) of kernel as MemoryKernel wrote them per kind
     before it held m as a history kernel: the bits that the recorded
-    seed-0 outputs were made with."""
+    seed-0 outputs were made with.  The fractional cumulative integral is
+    the first moment of the cell [0, t]."""
     m0, a, c = kernel.m0, kernel.alpha, kernel.decay
     if kernel.kind == "zero":
         return (lambda lo, hi: (np.zeros(lo.shape), np.zeros(lo.shape)),
@@ -69,11 +70,10 @@ def _closed_forms(kernel):
                 lambda t: m0 * t)
     if kernel.kind == "fractional":
         g = m0 / math.gamma(a)
-        return (
-            lambda lo, hi: (g * (hi ** (1.0 - a) - lo ** (1.0 - a)) / (1.0 - a),
-                            g * (hi ** (2.0 - a) - lo ** (2.0 - a)) / (2.0 - a)),
-            lambda t: m0 * t ** (1.0 - a) / ((1.0 - a) * math.gamma(a)),
-        )
+        def moments(lo, hi):
+            return (g * (hi ** (1.0 - a) - lo ** (1.0 - a)) / (1.0 - a),
+                    g * (hi ** (2.0 - a) - lo ** (2.0 - a)) / (2.0 - a))
+        return moments, lambda t: moments(0.0, t)[0]
     if kernel.kind == "exponential":
         def moments(lo, hi):
             ea, eb = np.exp(-c * lo), np.exp(-c * hi)
@@ -102,6 +102,45 @@ def test_memory_closed_forms_keep_their_bits(kernel, t):
                         want + want_a):
         assert got.tobytes() == ref.tobytes()
     assert kernel.cumulative(t).tobytes() == cumulative(t).tobytes()
+
+
+def _history_cumulative(ell):
+    """int_0^t ell as HistoryKernel wrote it per kind before it took every
+    cumulative integral from its moments."""
+    A, c, q = ell.amplitude, ell.decay, ell.exponent
+    if ell.kind == "zero":
+        return np.zeros_like
+    if ell.kind == "constant":
+        return lambda t: A * t
+    if ell.kind == "exponential":
+        return lambda t: A * (1.0 - np.exp(-c * t)) / c
+    if ell.kind == "powerlaw":
+        return lambda t: A * t ** (q + 1.0) / (q + 1.0)
+    return ell._interp.integral0
+
+
+HISTORY_KERNELS = [
+    HistoryKernel.zero(),
+    HistoryKernel.constant(-1.2),
+    HistoryKernel.exponential(2.0, 3.0),
+    HistoryKernel.powerlaw(1.3, -0.4),
+    HistoryKernel.powerlaw(-0.7, 0.6),
+    HistoryKernel.tabulated([0.2, 0.5, 0.9], [1.0, -2.0, 0.5]),
+    # the step m' of a tabulated memory kernel
+    MemoryKernel.tabulated([0.5, 1.0, 2.0], [4.0, 2.0, 1.0]).derivative_history_kernel(),
+]
+HISTORY_IDS = ["zero", "constant", "exponential", "powerlaw-positive",
+               "powerlaw-negative", "tabulated", "step"]
+
+
+@pytest.mark.parametrize(
+    "t",
+    [TimeGrid.uniform(2.5, 96).nodes, 2.5 * (np.arange(97) / 96.0) ** 2],
+    ids=["uniform", "graded"],
+)
+@pytest.mark.parametrize("ell", HISTORY_KERNELS, ids=HISTORY_IDS)
+def test_history_cumulative_keeps_its_bits(ell, t):
+    assert ell.cumulative(t).tobytes() == _history_cumulative(ell)(t).tobytes()
 
 
 def test_a_moments_add_the_identity_part():
@@ -276,8 +315,9 @@ def two_solve_cp_minima(kernel, grid, thetas):
     thetas = np.asarray(thetas, dtype=float)
     t = grid.nodes
     s, _ = second_kind_solve(kernel.a_moments, grid, thetas, np.ones_like(t))
-    w, _ = second_kind_solve(kernel.a_moments, grid, thetas, t + kernel.cumulative(t))
-    r = np.diff(w, axis=0) / grid.dt
+    cells = np.concatenate(([0.0], kernel.a_moments(t[:-1], t[1:])[0]))
+    d, _ = second_kind_solve(kernel.a_moments, grid, thetas, cells)
+    r = d[1:] / grid.dt
     cols = np.arange(thetas.size)
     return s[s.argmin(axis=0), cols], r[r.argmin(axis=0), cols]
 

@@ -35,20 +35,6 @@ def direct_product_convolve(weights, phi):
     return out
 
 
-def one_kernel_fftconvolve(a, b):
-    # fftconvolve before it took several kernels: a 1-d operand next to a
-    # 2-d one becomes a column, and both spectra are made here
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim < b.ndim:
-        a = a[:, None]
-    elif b.ndim < a.ndim:
-        b = b[:, None]
-    size = _fast_length(a.shape[0] + b.shape[0] - 1)
-    spectrum = np.fft.rfft(a, size, axis=0) * np.fft.rfft(b, size, axis=0)
-    return np.fft.irfft(spectrum, size, axis=0)
-
-
 def axis0_fftconvolve(a, b, start=0, stop=None):
     # fftconvolve as it was before it transformed contiguous (columns, rows)
     # blocks: every transform along axis 0 of the (rows, columns) operands,
@@ -82,8 +68,8 @@ def two_transform_product_convolve(weights, phi):
     v = weights.right[:n]
     out = np.zeros_like(phi)
     out[1:] = (
-        one_kernel_fftconvolve(weights.left[:n], phi)[:n]
-        + one_kernel_fftconvolve(v, phi)[1 : n + 1]
+        axis0_fftconvolve(weights.left[:n], phi)[:n]
+        + axis0_fftconvolve(v, phi)[1 : n + 1]
     )
     out[1:n] -= np.multiply.outer(v[1:], phi[0])
     return out
@@ -498,24 +484,6 @@ def test_batched_columns_have_the_bits_of_single_column_solves(
     for j in range(columns):
         single, _ = second_kind_solve(kernel.a_moments, grid, lams[j], rhs[:, j], scheme)
         assert same_bits(x[:, j], single), j
-
-
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_a_reversed_row_times_a_table_folds_each_column_in_index_order(order):
-    # the oracle's folds sum each column oldest row first in either table
-    # layout only because numpy sends a negative-stride 1-d @ 2-d product to
-    # its own loop; BLAS would reorder the sums
-    rng = np.random.default_rng(11)
-    rows, columns = 300, 7
-    weights = rng.standard_normal(rows)[::-1]
-    table = np.asarray(rng.standard_normal((rows + 5, columns)), order=order)[:rows]
-    want = np.zeros(columns)
-    for j in range(columns):
-        acc = 0.0
-        for k in range(rows):
-            acc += float(weights[k]) * float(table[k, j])
-        want[j] = acc
-    assert same_bits(weights @ table, want)
 
 
 @pytest.mark.parametrize("history", [1, 31, 300])
