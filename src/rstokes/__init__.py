@@ -36,7 +36,8 @@ _EXPORTS = {
                        "holder_estimate")),
         ("inverse", ("InverseProblem", "ReconstructionResult", "PairingTooSmall",
                      "KernelGateFailed", "forward_simulate", "reconstruct",
-                     "derivative_psi", "identification_scheme")),
+                     "derivative_psi", "identification_decision",
+                     "identification_scheme")),
     )
     for name in names
 }

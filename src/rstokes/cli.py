@@ -3,11 +3,14 @@
 Loads a JSON config, applies dotted --set overrides, validates every field
 up front, runs the requested pipeline, and lands CSV artifacts plus a
 summary.json recording versions, the config hash, wall time, and the
-pass/fail certificates of the run; ``relax``, ``solve`` and ``inverse`` add
-their quadrature scheme, and ``solve`` and ``inverse`` their Picard
-residuals, the sweep-to-sweep ratios and whether the sweeps convolved the
-history, on exit 0 and on exit 2; ``inverse`` records its rule, and runs
-its problem-data checks (exit 1), before it builds any table.
+pass/fail certificates of the run.  ``relax``, ``solve`` and ``inverse``
+add their quadrature scheme and the numbers that chose it
+(``scheme_decision``); ``solve`` and ``inverse`` add the method of their
+solve ("sweeps" or, for an ``inverse`` run without a reaction, "direct"),
+the Picard residuals, the sweep-to-sweep ratios and whether the sweeps
+convolved the history, and a direct solve its fixed-point defect, on exit 0
+and on exit 2.  ``inverse`` records its rule, and runs its problem-data
+checks (exit 1), before it builds any table.
 
 Each command is a function of ``(cfg, emit, records)``.  ``emit(name,
 header, rows)`` is made once in ``main``: it writes one CSV artifact into
@@ -18,7 +21,8 @@ top-level summary entries the command adds, its certificates included.
 Exit codes: 0 success, 1 invalid config, problem data, or an input or
 output path that cannot be used (no summary is written, and an earlier
 run's summary in the output directory is removed), 2 solver
-non-convergence (artifacts produced before the failure are kept).
+non-convergence, or a direct solve whose p is not finite (artifacts
+produced before the failure are kept).
 
 Importing this module loads ``config`` and ``csvio`` (and the grids,
 kernels and volterra modules config reads its kernel keys from); each
@@ -61,35 +65,51 @@ OUT_ENV = "RSTOKES_OUT"
 
 
 def _iterations(residuals):
-    """Header and rows of iterations.csv: one row per Picard sweep."""
+    """Header and rows of iterations.csv: one row per Picard sweep (none for
+    a direct solve)."""
     return ["iteration", "residual"], [(i + 1, r) for i, r in enumerate(residuals)]
 
 
-def _picard_record(residuals, history_convolution: bool) -> Dict:
-    """summary.json["picard"]: each sweep's residual, its ratio to the
-    previous sweep's, and whether the sweeps evaluated ell * u (only for a
-    reaction that reads it).  A diverging solve can leave an infinite
-    residual, which strict JSON cannot hold: non-finite values are null."""
+def _finite_or_none(value):
+    # strict JSON holds no inf or nan
+    return value if value is not None and math.isfinite(value) else None
+
+
+def _picard_record(residuals, history_convolution: bool, method: str = "sweeps",
+                   defect=None) -> Dict:
+    """summary.json["picard"]: the method, "sweeps" or "direct"; each
+    sweep's residual (none for a direct solve), its ratio to the previous
+    sweep's, and whether the sweeps evaluated ell * u (only for a reaction
+    that reads it); a direct solve adds the relative defect of its
+    fixed-point equation (null on exit 2).  A diverging solve can leave an
+    infinite residual, which strict JSON cannot hold: non-finite values are
+    null."""
     residuals = [float(r) for r in residuals]
     ratios = [b / a for a, b in zip(residuals, residuals[1:])]
-    return {
-        "residuals": [r if math.isfinite(r) else None for r in residuals],
-        "ratios": [r if math.isfinite(r) else None for r in ratios],
+    record = {
+        "method": method,
+        "residuals": [_finite_or_none(r) for r in residuals],
+        "ratios": [_finite_or_none(r) for r in ratios],
         "history_convolution": history_convolution,
     }
+    if method == "direct":
+        record["fixed_point_defect"] = _finite_or_none(defect)
+    return record
 
 
-def _picard(solve, emit, records: Dict, certificate: str, history_convolution: bool):
-    """Return ``solve()``, a Picard-backed solve.  If it does not converge,
-    the exit-2 record (iterations.csv, summary["picard"] and the failed
-    ``certificate``) is written before the error goes on to ``main``."""
+def _picard(solve, emit, records: Dict, certificate: str, history_convolution: bool,
+            method: str = "sweeps"):
+    """Return ``solve()``, a Picard solve or a direct one (``method``).  If it
+    does not converge, the exit-2 record (iterations.csv, summary["picard"]
+    and the failed ``certificate``) is written before the error goes on to
+    ``main``."""
     from .nonlinear import NonConvergence
 
     try:
         return solve()
     except NonConvergence as exc:
         emit("iterations.csv", *_iterations(exc.residuals))
-        records["picard"] = _picard_record(exc.residuals, history_convolution)
+        records["picard"] = _picard_record(exc.residuals, history_convolution, method)
         records["certificates"][certificate] = "fail"
         raise
 
@@ -101,13 +121,17 @@ def _overall(rows) -> str:
 
 def cmd_relax(cfg: Dict, emit, records: Dict) -> None:
     from .relaxation import relaxation_batch, verify_relaxation
+    from .volterra import scheme_decision
 
     lambdas = cfg.get("problem", {}).get("lambdas")
     if lambdas:
         lams = np.asarray(lambdas, dtype=float)
     else:
         lams = build_domain_basis(cfg).eigenvalues
-    table = relaxation_batch(build_kernel(cfg), lams, build_grid(cfg))
+    kernel, grid = build_kernel(cfg), build_grid(cfg)
+    decision = scheme_decision(kernel.a_moments, grid, lams)
+    records["scheme_decision"] = decision
+    table = relaxation_batch(kernel, lams, grid, decision["scheme"])
     header = ["t"] + [f"omega(lambda_{i + 1})" for i in range(lams.size)]
     emit("omega.csv", header, np.column_stack((table.grid.nodes, table.omega)))
 
@@ -124,6 +148,7 @@ def cmd_solve(cfg: Dict, emit, records: Dict) -> None:
                             picard_solve)
     from .resolvent import build_resolvent
     from .spectral import hnorm
+    from .volterra import scheme_decision
 
     certificates = records["certificates"]
     basis = build_domain_basis(cfg)
@@ -138,7 +163,9 @@ def cmd_solve(cfg: Dict, emit, records: Dict) -> None:
         max_iter=int(problem.get("max_iter", 200)),
         beta=problem.get("beta", 0.0),
     )
-    ctx = build_resolvent(kernel, basis, grid)
+    decision = scheme_decision(kernel.a_moments, grid, basis.eigenvalues)
+    records["scheme_decision"] = decision
+    ctx = build_resolvent(kernel, basis, grid, decision["scheme"])
     certificates["scheme"] = ctx.table.scheme
     convolves = convolves_history(spec, ell)
     sol = _picard(lambda: picard_solve(ctx, spec, ell, xi, opts), emit, records,
@@ -233,7 +260,7 @@ def cmd_certify(cfg: Dict, emit, records: Dict) -> None:
 
 
 def cmd_inverse(cfg: Dict, emit, records: Dict) -> None:
-    from .inverse import InverseProblem, identification_scheme, reconstruct
+    from .inverse import InverseProblem, identification_decision, reconstruct
     from .nonlinear import PicardOptions
 
     certificates = records["certificates"]
@@ -268,16 +295,19 @@ def cmd_inverse(cfg: Dict, emit, records: Dict) -> None:
         tol=inv.get("tol", 1e-6), max_iter=int(inv.get("max_iter", 200))
     )
     # known without a table: exit 2 records it, and exit 1 builds no table
-    certificates["scheme"] = identification_scheme(problem)
+    decision = identification_decision(problem)
+    records["scheme_decision"] = decision
+    certificates["scheme"] = decision["scheme"]
+    method = "direct" if problem.linear else "sweeps"
     # the identification solve has no ell, so its sweeps convolve no history
     rec = _picard(lambda: reconstruct(problem, opts), emit, records,
-                  "reconstruction_converged", False)
-    records["picard"] = _picard_record(rec.solution.residuals, False)
+                  "reconstruction_converged", False, method)
+    records["picard"] = _picard_record(rec.residuals, False, method, rec.defect)
 
     emit("p_recovered.csv", ["t", "p"], np.column_stack((grid.nodes, rec.p)))
     emit("residual.csv", ["t", "measurement_residual"],
          np.column_stack((grid.nodes, rec.measurement_residual)))
-    emit("iterations.csv", *_iterations(rec.solution.residuals))
+    emit("iterations.csv", *_iterations(rec.residuals))
     certificates["reconstruction_converged"] = "pass"
     certificates["max_measurement_residual"] = rec.max_residual
     certificates["pairing"] = rec.pairing

@@ -1,39 +1,62 @@
 """Source-intensity identification from a weighted interior measurement.
 
 Forward: solve the state equation with the separable source g * p(t) and
-record psi(t) = (u(t), kappa).  Inverse: given psi, eliminate p through the
-time derivative of the measurement identity.  Both directions are one Picard
-solve, the source folded into the reaction: f1(u) + g p(t) forward,
-f1(u) + g p(u) inverse.  Each builds its own resolvent with the quadrature
-rule of ``identification_scheme``, which needs no table, so a caller can
-record the rule before the solve.  p(u), the elimination formula of
-``reconstruct``, is written once, and its history term convolves m' with
-the one pairing column (grad u, grad kappa), not with the state.
+record psi(t) = (u(t), kappa), one Picard solve with the source folded into
+the reaction, f1(u) + g p(t).  Inverse: given psi, eliminate p through the
+time derivative of the measurement identity,
 
-The elimination needs m'(t) integrable on (0, T); kernels with a
-non-integrable derivative (the weakly singular kind) are rejected up front,
-with the other problem-data checks, before any table is built.
+    p(u) = c [psi' + (1+m(0)) (grad u, grad kappa) + m' * (grad u, grad kappa)
+              - (f1(u), kappa)],    c = 1 / (g, kappa).
+
+With a state reaction f1 that is one Picard solve of the eliminated state
+equation, f1(u) + g p(u), whose history term convolves m' with the one
+pairing column (grad u, grad kappa), not with the state.  Without one
+(``InverseProblem.linear``) the eliminated problem is affine in u, and
+pairing the mild-solution formula with lambda kappa leaves a scalar
+second-kind Volterra equation for p alone (the classical reduction of a
+separable-source problem):
+
+    gpu = a + T p,    p - c [(1+m(0)) T p + P T p] = c [psi' + (1+m(0)) a + P a],
+
+with K = omega @ (g lambda kappa), a = omega @ (xi lambda kappa), T the
+table's lag rule with K and P the product rule of m'.  These are the
+discrete operators of the Picard sweeps, and every column of the system but
+the first is the one before it shifted a row down, so p comes from one
+lower-triangular Toeplitz solve (``volterra._toeplitz_solve``) once row 0
+gives p_0 and column 0 moves to the right-hand side: no sweep, and no state
+table.  The measurement residual (u, kappa) - psi is the scalar
+omega @ (xi kappa) + T_{K_kappa} p - psi with K_kappa = omega @ (g kappa).
+
+Each solve builds its own relaxation table with the quadrature rule of
+``identification_scheme``, which needs no table, so a caller can record the
+rule before the solve.  The elimination needs m'(t) integrable on (0, T);
+kernels with a non-integrable derivative (the weakly singular kind) are
+rejected up front, with the other problem-data checks, before any table is
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .grids import TimeGrid
 from .kernels import HistoryKernel, MemoryKernel
-from .nonlinear import MildSolution, Nonlinearity, PicardOptions, history_series, picard_solve
+from .nonlinear import (MildSolution, NonConvergence, Nonlinearity, PicardOptions,
+                        history_series, picard_solve)
+from .relaxation import relaxation_batch
 from .resolvent import build_resolvent
 from .spectral import SpectralBasis
-from .volterra import stiffness_scheme
+from .volterra import _toeplitz_solve, scheme_decision
 
 __all__ = [
     "PairingTooSmall",
     "KernelGateFailed",
     "InverseProblem",
     "derivative_psi",
+    "identification_decision",
     "identification_scheme",
     "forward_simulate",
     "ReconstructionResult",
@@ -98,6 +121,12 @@ class InverseProblem:
     def pairing(self) -> float:
         return float(self.g @ self.kappa)
 
+    @property
+    def linear(self) -> bool:
+        """No state reaction: the dynamics are diagonal and p solves a
+        scalar Volterra equation (module docstring)."""
+        return self.f1.kind == "zero"
+
 
 def derivative_psi(psi: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """psi' series by second-order finite differences (central interior,
@@ -110,22 +139,27 @@ def derivative_psi(psi: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return np.gradient(psi, grid.nodes, edge_order=2)
 
 
-def identification_scheme(problem: InverseProblem) -> str:
-    """The quadrature rule of the identification solves.
+def identification_decision(problem: InverseProblem) -> Dict[str, object]:
+    """``volterra.scheme_decision`` for the identification solves.
 
-    When the reaction term is zero the dynamics are diagonal and modes with
-    zero source and zero initial data stay exactly zero, so stiffness is
-    judged on the active modes only; that keeps the second-order rule when
-    the padding modes are the stiff ones.  Any reaction term may couple
-    modes, and with no active mode there is nothing to single out, so then
-    every mode is judged, as the automatic joint rule does.
+    When the problem is linear the dynamics are diagonal and modes with zero
+    source and zero initial data stay exactly zero, so stiffness is judged
+    on the active modes only; that keeps the second-order rule when the
+    padding modes are the stiff ones.  Any reaction term may couple modes,
+    and with no active mode there is nothing to single out, so then every
+    mode is judged, as the automatic joint rule does.
     """
     lams = problem.basis.eigenvalues
-    if problem.f1.kind == "zero":
+    if problem.linear:
         active = (problem.g != 0.0) | (problem.xi != 0.0)
         if np.any(active):
             lams = lams[active]
-    return stiffness_scheme(problem.kernel.a_moments, problem.grid, lams)
+    return scheme_decision(problem.kernel.a_moments, problem.grid, lams)
+
+
+def identification_scheme(problem: InverseProblem) -> str:
+    """The quadrature rule of the identification solves."""
+    return identification_decision(problem)["scheme"]
 
 
 def forward_simulate(
@@ -154,15 +188,29 @@ def forward_simulate(
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    solution: MildSolution
+    """The recovered p and its records.
+
+    solution is the Picard solve of a problem with a state reaction; a
+    linear problem solves for p directly and has none, and defect is then
+    the relative defect of p in its discrete fixed-point equation,
+    max |p - p(u(p))| / max |p|.
+    """
+
+    solution: Optional[MildSolution]
     p: np.ndarray
     psi_prime: np.ndarray
     measurement_residual: np.ndarray
     pairing: float
+    defect: Optional[float] = None
 
     @property
     def max_residual(self) -> float:
         return float(np.max(np.abs(self.measurement_residual)))
+
+    @property
+    def residuals(self) -> Tuple[float, ...]:
+        """The Picard residuals, sweep by sweep; none for a direct solve."""
+        return () if self.solution is None else self.solution.residuals
 
 
 def reconstruct(
@@ -172,11 +220,11 @@ def reconstruct(
     """Recover the source intensity p(t) from the measurement psi.
 
     Validates the pairing floor, the kernel derivative gate, and t = 0
-    consistency before it builds any table, then solves the eliminated
-    fixed-point problem for u and emits p = p(u), where
-
-        p(u) = (g,kappa)^{-1} [psi' + (1+m(0)) (grad u, grad kappa)
-                               + (m' * (grad u, grad kappa)) - (f1(u), kappa)].
+    consistency before it builds any table.  A linear problem then solves
+    the scalar Volterra equation for p in one Toeplitz solve (module
+    docstring), and opts is not read; a non-finite p raises NonConvergence
+    naming its first non-finite row.  Otherwise it solves the eliminated
+    fixed-point problem for u and emits p = p(u).
 
     The default fixed-point tolerance is deliberately no tighter than the
     time-stepping error: the measurement residual (u, kappa) - psi bottoms
@@ -213,6 +261,8 @@ def reconstruct(
     psi_prime = problem.psi_prime
     if psi_prime is None:
         psi_prime = derivative_psi(problem.psi, problem.grid)
+    if problem.linear:
+        return _reconstruct_linear(problem, psi_prime)
     m0 = kernel.value_at_zero()
     m1 = kernel.derivative_history_kernel()
     kappa = problem.kappa
@@ -248,4 +298,56 @@ def reconstruct(
         psi_prime=psi_prime,
         measurement_residual=residual,
         pairing=pairing,
+    )
+
+
+# a non-finite p is reported, not warned about
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _reconstruct_linear(problem: InverseProblem, psi_prime: np.ndarray) -> ReconstructionResult:
+    """p of a linear problem from its scalar Volterra equation, in one
+    Toeplitz solve (module docstring)."""
+    grid, kernel = problem.grid, problem.kernel
+    m0 = kernel.value_at_zero()
+    m1 = kernel.derivative_history_kernel()
+    c = 1.0 / problem.pairing
+    # a mode enters the pairings only if it carries data and kappa sees it;
+    # the table's columns do not depend on each other
+    used = ((problem.g != 0.0) | (problem.xi != 0.0)) & (problem.kappa != 0.0)
+    lam, g, xi, kappa = (v[used] for v in (problem.basis.eigenvalues, problem.g,
+                                           problem.xi, problem.kappa))
+    table = relaxation_batch(kernel, lam, grid, identification_scheme(problem))
+    pairings = np.stack((g * lam * kappa, xi * lam * kappa, g * kappa, xi * kappa), axis=1)
+    K, a, K_kappa, b = (table.omega @ pairings).T
+
+    def history_part(v):
+        # c [(1+m(0)) v + m' * v], columns convolved independently
+        return c * ((1.0 + m0) * v + history_series(m1, v, grid))
+
+    # L e_0 and L e_1: the first column of L and the symbol of the rest
+    e = np.eye(grid.nodes.size, 2)
+    columns = e - history_part(table.lag_convolve(K, e))
+    rhs = c * psi_prime + history_part(a)
+    rhs[1:] -= columns[1:, 0] * rhs[0]
+    p = _toeplitz_solve(columns[1:, 1], 1.0, columns[1, 1], rhs)
+    bad = np.flatnonzero(~np.isfinite(p))
+    if bad.size:
+        raise NonConvergence(
+            f"the direct solve for p produced a non-finite value at time row {bad[0]}",
+            (),
+        )
+    # p(u(p)) - p, from the operators of the Picard sweeps
+    misfit = c * psi_prime + history_part(a + table.lag_convolve(K, p)) - p
+    scale = float(np.max(np.abs(p)))
+    misfit_max = float(np.max(np.abs(misfit)))
+    if problem.psi is not None:
+        residual = b + table.lag_convolve(K_kappa, p) - problem.psi
+    else:
+        residual = np.full_like(psi_prime, np.nan)
+    return ReconstructionResult(
+        solution=None,
+        p=p,
+        psi_prime=psi_prime,
+        measurement_residual=residual,
+        pairing=problem.pairing,
+        defect=misfit_max / scale if scale > 0.0 else misfit_max,
     )

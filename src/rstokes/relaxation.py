@@ -21,7 +21,7 @@ import numpy as np
 
 from .grids import TimeGrid
 from .kernels import CHECK_TOL, Check, MemoryKernel, verdict
-from .volterra import second_kind_solve
+from .volterra import rectangle_convolve, second_kind_solve, trapezoid_convolve
 
 __all__ = [
     "RelaxationTable",
@@ -50,6 +50,14 @@ class RelaxationTable:
             raise ValueError("eigenvalues must be sorted ascending")
         if self.omega.shape != (self.grid.nodes.size, lam.size):
             raise ValueError("omega shape does not match grid x lambdas")
+
+    def lag_convolve(self, samples: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """(samples * phi)(t_i) by this table's lag rule: the trapezoid rule
+        for a trapezoid table, the right-endpoint rule for a rectangle one
+        (``resolvent.convolve_sol_op`` says why the two must not mix)."""
+        if self.scheme == "trapezoid":
+            return trapezoid_convolve(samples, phi, self.grid.dt)
+        return rectangle_convolve(samples, phi, self.grid.dt)
 
 
 def relaxation_batch(

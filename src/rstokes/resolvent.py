@@ -91,9 +91,7 @@ def convolve_sol_op(ctx: ResolventContext, g: np.ndarray) -> np.ndarray:
     omega = ctx.table.omega
     if g.shape not in (omega.shape, omega.shape[:1]):
         raise ValueError("series shape does not match grid x modes")
-    if ctx.table.scheme == "trapezoid":
-        return trapezoid_convolve(omega, g, ctx.grid.dt)
-    return rectangle_convolve(omega, g, ctx.grid.dt)
+    return ctx.table.lag_convolve(omega, g)
 
 
 def reciprocal_cumulative_integrable(kernel: MemoryKernel) -> bool:

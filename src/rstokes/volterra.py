@@ -40,7 +40,7 @@ relies on that to solve its two equations at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "LagWeights",
     "lag_weights",
     "product_convolve",
+    "scheme_decision",
     "stiffness_scheme",
     "second_kind_solve",
     "first_kind_solve",
@@ -223,8 +224,9 @@ def _toeplitz_solve(c: np.ndarray, scale, denom, rhs) -> np.ndarray:
     return x
 
 
-def stiffness_scheme(moments: Moments, grid: TimeGrid, lam) -> str:
-    """The rule ``second_kind_solve`` picks for lam when none is forced.
+def scheme_decision(moments: Moments, grid: TimeGrid, lam) -> Dict[str, object]:
+    """The rule ``second_kind_solve`` picks for lam when none is forced, with
+    the numbers behind it.
 
     The trapezoid step loses positivity once lam times the newest lag cell's
     left weight passes 1 (module docstring), so it is kept only when max(lam)
@@ -233,7 +235,20 @@ def stiffness_scheme(moments: Moments, grid: TimeGrid, lam) -> str:
     """
     dt = np.array([grid.dt])
     left, _ = endpoint_weights(moments, np.zeros_like(dt), dt, dt)
-    return "trapezoid" if np.max(lam) * left[0] <= STIFF_THRESHOLD else "rectangle"
+    lam_max, weight = float(np.max(lam)), float(left[0])
+    product = lam_max * weight
+    return {
+        "lambda_max": lam_max,
+        "left_weight": weight,
+        "product": product,
+        "threshold": STIFF_THRESHOLD,
+        "scheme": "trapezoid" if product <= STIFF_THRESHOLD else "rectangle",
+    }
+
+
+def stiffness_scheme(moments: Moments, grid: TimeGrid, lam) -> str:
+    """The rule of ``scheme_decision``."""
+    return scheme_decision(moments, grid, lam)["scheme"]
 
 
 def second_kind_solve(

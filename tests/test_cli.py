@@ -30,6 +30,7 @@ from rstokes.config import (build_domain_basis, build_grid, build_kernel,
                             validate_config)
 from rstokes.csvio import write_csv, write_field_csv
 from rstokes.kernels import DEFAULT_THETAS
+from rstokes.volterra import STIFF_THRESHOLD, lag_weights
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -103,6 +104,39 @@ def test_inverse_records_the_scheme_of_its_identification_table(tmp_path):
     kernel = MemoryKernel.exponential(1.0, 2.0)
     joint = relaxation_batch(kernel, lams, TimeGrid.uniform(1.0, 32))
     assert joint.scheme == "rectangle"
+
+
+@pytest.mark.parametrize("command, n_steps, rule", [
+    ("relax", 256, "trapezoid"), ("relax", 2, "rectangle"),
+    ("solve", 1024, "trapezoid"), ("solve", 128, "rectangle"),
+    ("inverse", 32, "trapezoid"), ("inverse", 8, "rectangle"),
+])
+def test_the_scheme_decision_records_the_rule_it_chose(tmp_path, command, n_steps, rule):
+    # lambda_max times the first cell's left weight against the threshold,
+    # from the one computation that picks the rule; the inverse run's is
+    # over the modes that carry data (lambda_1 only: g = kappa = e_1)
+    if command == "inverse":
+        cfg = write_inverse_run(tmp_path, 3, n_steps, lambda t: 1.0 + t)
+    else:
+        payload = dict(RELAX_CFG if command == "relax" else SOLVE_CFG)
+        payload["grid"] = {"T": 1.0, "N_t": n_steps}
+        cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    decision = summary["scheme_decision"]
+    assert decision["scheme"] == summary["certificates"]["scheme"]
+    assert decision["threshold"] == STIFF_THRESHOLD
+    assert decision["product"] == decision["lambda_max"] * decision["left_weight"]
+    assert decision["scheme"] == (
+        "trapezoid" if decision["product"] <= STIFF_THRESHOLD else "rectangle")
+    assert decision["scheme"] == rule
+    if command == "inverse":
+        assert decision["lambda_max"] == build_basis(Interval(1.0), 3).eigenvalues[0]
+    with open(cfg) as handle:
+        config = json.load(handle)
+    grid, kernel = build_grid(config), build_kernel(config)
+    assert decision["left_weight"] == lag_weights(kernel.a_moments, grid).left[0]
 
 
 def test_solve_zero_reaction_reduces_to_relaxation(tmp_path):
@@ -1017,20 +1051,27 @@ def test_inverse_exits_0_or_2_with_a_matching_summary(
         with open(summary_path) as handle:
             summary = json.load(handle)
         certs = summary["certificates"]
+        # with no reaction p comes from one direct solve: no sweep runs, and
+        # max_iter is not read
         _, iterations = read_table(os.path.join(out, "iterations.csv"))
-        assert 1 <= len(iterations) <= max_iter
+        assert iterations == []
+        assert summary["picard"]["method"] == "direct"
+        assert summary["picard"]["residuals"] == []
         # recorded before the solve, so exit 2 keeps them too
         assert certs["scheme"] in ("trapezoid", "rectangle")
-        assert len(summary["picard"]["residuals"]) == len(iterations)
+        assert summary["scheme_decision"]["scheme"] == certs["scheme"]
         if code == 2:
             assert summary["status"] == "non-convergence"
             assert summary["artifacts"] == ["iterations.csv"]
             assert certs["reconstruction_converged"] == "fail"
+            assert summary["picard"]["fixed_point_defect"] is None
             return
         assert code == 0
         assert summary["status"] == "ok"
         assert summary["artifacts"] == ["p_recovered.csv", "residual.csv",
                                         "iterations.csv"]
+        # a p that is not finite exits 2
+        assert np.all(np.isfinite(numeric_column(os.path.join(out, "p_recovered.csv"), 1)))
         assert certs["reconstruction_converged"] == "pass"
         assert certs["pairing"] == float(g @ kappa)
         residual = numeric_column(os.path.join(out, "residual.csv"), 1)

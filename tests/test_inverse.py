@@ -1,22 +1,26 @@
 """Source recovery: elimination formula, gates, and round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rstokes import nonlinear
+from rstokes import inverse, nonlinear, resolvent
 from rstokes import (
     HistoryKernel,
     Interval,
     InverseProblem,
     KernelGateFailed,
     MemoryKernel,
+    NonConvergence,
     Nonlinearity,
     PairingTooSmall,
     PicardOptions,
     TimeGrid,
     build_basis,
     build_resolvent,
+    convolve_sol_op,
     derivative_psi,
     forward_simulate,
     identification_scheme,
@@ -338,7 +342,9 @@ KERNEL_KINDS = {
     r=st.floats(0.0, 1.0),
     n_modes=st.integers(1, 4),
     n_t=st.sampled_from([32, 64, 128]),
-    power=st.sampled_from([None, 2.0, 3.0]),
+    # a reaction, so reconstruct sweeps; without one it solves directly
+    # (test_the_direct_solve_is_the_fixed_point_of_the_sweeps)
+    power=st.sampled_from([2.0, 3.0]),
     analytic=st.booleans(),
     wobble=st.floats(-0.5, 0.5),
 )
@@ -348,7 +354,7 @@ def test_one_column_formula_matches_the_all_modes_oracle(
     basis = build_basis(Interval(1.0), n_modes)
     grid = TimeGrid.uniform(1.0, n_t)
     n = np.arange(1, n_modes + 1)
-    f1 = None if power is None else Nonlinearity.polynomial_power(power, scale=0.5)
+    f1 = Nonlinearity.polynomial_power(power, scale=0.5)
     base = dict(
         basis=basis, grid=grid, kernel=KERNEL_KINDS[kind](m0, r),
         g=1.0 / n**2, kappa=1.0 / n, xi=0.05 / n**3, f1=f1,
@@ -372,9 +378,20 @@ def test_one_column_formula_matches_the_all_modes_oracle(
     )
 
 
+def inverse_run(n_modes, n_t, f1=None):
+    """A reconstruction problem of make_problem's shape, with psi made by
+    forward_simulate."""
+    problem = make_problem(n_modes=n_modes, n_t=n_t, f1=f1)
+    _, psi = forward_simulate(problem, 1.0 + 0.5 * problem.grid.nodes)
+    return make_problem(n_modes=n_modes, n_t=n_t, f1=f1, psi=psi)
+
+
 def test_reconstruct_convolves_only_the_pairing_column(monkeypatch):
     # the state reaches m' * (grad u, grad kappa) through one column: no
-    # history convolution of reconstruct sees the modes of the state
+    # history convolution of reconstruct sees the modes of the state.  With
+    # a reaction that is one convolution a sweep and one for p; without one,
+    # three for the direct solve (its two columns, its right-hand side and
+    # its fixed-point defect), however many sweeps the solve would take
     seen = []
     convolve = nonlinear.product_convolve
 
@@ -382,10 +399,129 @@ def test_reconstruct_convolves_only_the_pairing_column(monkeypatch):
         seen.append(np.shape(phi))
         return convolve(weights, phi)
 
-    problem = make_problem(n_modes=6, n_t=128)
-    _, psi = forward_simulate(problem, 1.0 + 0.5 * problem.grid.nodes)
+    sweeps = inverse_run(6, 128, Nonlinearity.linear_diagonal(0.1 * np.ones(6)))
+    direct = inverse_run(6, 128)
     monkeypatch.setattr(nonlinear, "product_convolve", recording)
-    rec = reconstruct(make_problem(n_modes=6, n_t=128, psi=psi))
-    # one convolution a sweep and one for p
+    rec = reconstruct(sweeps)
     assert len(seen) == rec.solution.iterations + 1
     assert all(shape == (129,) for shape in seen)
+
+    seen.clear()
+    assert reconstruct(direct).solution is None
+    assert seen == [(129, 2), (129,), (129,)]
+
+
+# -- the direct solve of a problem without a state reaction -------------------
+
+
+DIRECT_KINDS = {**KERNEL_KINDS, "zero": lambda m0, r: MemoryKernel.zero()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(DIRECT_KINDS)),
+    m0=st.floats(0.1, 2.0),
+    r=st.floats(0.0, 1.0),
+    n_modes=st.integers(1, 4),
+    stiff=st.booleans(),
+    n_t=st.sampled_from([32, 64, 128]),
+    analytic=st.booleans(),
+    wobble=st.floats(-0.5, 0.5),
+)
+@example(kind="exponential", m0=1.0, r=0.5, n_modes=1, stiff=False, n_t=64,
+         analytic=False, wobble=0.3)
+@example(kind="exponential", m0=1.0, r=0.5, n_modes=3, stiff=True, n_t=32,
+         analytic=False, wobble=0.3)
+def test_the_direct_solve_is_the_fixed_point_of_the_sweeps(
+    kind, m0, r, n_modes, stiff, n_t, analytic, wobble
+):
+    # the direct p against two Picard oracles run to tol 1e-12: reconstruct
+    # with a reaction that is zero but not of the zero kind, and the
+    # all-modes form.  Their own stopping error reached 2.8e-11 of max |p|
+    # in 150 draws of a wider range, so they must agree to 1e-10.  A stiff basis (the
+    # interval of length 1/4, at most 64 steps: lambda_1 dt/2 >= 1.2) forces
+    # the rectangle rule, and xi is nonzero
+    length = 0.25 if stiff else 1.0
+    if stiff:
+        n_t = min(n_t, 64)
+    basis = build_basis(Interval(length), n_modes)
+    grid = TimeGrid.uniform(1.0, n_t)
+    n = np.arange(1, n_modes + 1)
+    base = dict(basis=basis, grid=grid, kernel=DIRECT_KINDS[kind](m0, r),
+                g=1.0 / n**2, kappa=1.0 / n, xi=0.05 / n**3)
+    t = grid.nodes
+    _, psi = forward_simulate(
+        InverseProblem(**base), 1.0 + wobble * np.sin(3.0 * t), PicardOptions(tol=1e-12)
+    )
+    data = dict(psi_prime=derivative_psi(psi, grid)) if analytic else dict(psi=psi)
+    problem = InverseProblem(**base, **data)
+    scheme = identification_scheme(problem)
+    if stiff:
+        assert scheme == "rectangle"
+    opts = PicardOptions(tol=1e-12, max_iter=1000)
+
+    rec = reconstruct(problem, opts)
+    assert rec.solution is None and rec.residuals == ()
+    zero_reaction = Nonlinearity.linear_diagonal(np.zeros(n_modes))
+    swept = InverseProblem(**base, **data, f1=zero_reaction)
+    assert identification_scheme(swept) == scheme
+    ctx = build_resolvent(problem.kernel, basis, grid, scheme)
+    oracles = [reconstruct(swept, opts).p, reconstruct_all_modes(problem, opts, ctx)[1]]
+    scale = np.max(np.abs(rec.p))
+    for p in oracles:
+        np.testing.assert_allclose(rec.p, p, rtol=0.0, atol=1e-10 * scale)
+
+    # p(u) on the state that p drives, by the operators of the sweeps
+    kernel = problem.kernel
+    U = ctx.table.omega * problem.xi + convolve_sol_op(ctx, np.outer(rec.p, problem.g))
+    gpu = U @ (basis.eigenvalues * problem.kappa)
+    history = nonlinear.history_series(kernel.derivative_history_kernel(), gpu, grid)
+    p_of_u = (rec.psi_prime + (1.0 + kernel.value_at_zero()) * gpu + history) / problem.pairing
+    assert np.max(np.abs(rec.p - p_of_u)) <= 1e-13 * scale
+    assert rec.defect <= 1e-13
+    if not analytic:
+        np.testing.assert_allclose(rec.measurement_residual, U @ problem.kappa - psi,
+                                   rtol=0.0, atol=1e-13 * np.max(np.abs(psi)))
+
+
+def test_the_direct_solve_runs_no_sweep_and_holds_about_one_table(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((inverse, "picard_solve"), (nonlinear, "convolve_sol_op"),
+                         (resolvent, "convolve_sol_op")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    # 8193 x 32 on the trapezoid rule: the table's own solve peaks at about
+    # 3.2x the table (test_volterra's bound for it is 3.5x), and the direct
+    # solve adds only series of one or two columns
+    n_modes, n_t = 32, 8192
+    basis = build_basis(Interval(4.0), n_modes)
+    grid = TimeGrid.uniform(1.0, n_t)
+    g = 1.0 / np.arange(1, n_modes + 1) ** 2
+    psi = 1.0 - np.exp(-grid.nodes)
+    problem = InverseProblem(basis=basis, grid=grid, kernel=MemoryKernel.exponential(1.0, 2.0),
+                             g=g, kappa=g, xi=np.zeros(n_modes), psi=psi)
+    assert identification_scheme(problem) == "trapezoid"
+    tracemalloc.start()
+    try:
+        rec = reconstruct(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert rec.solution is None
+    assert peak <= 3.5 * grid.nodes.size * n_modes * 8
+
+
+def test_a_non_finite_direct_solve_raises_naming_its_row():
+    # psi' = 1e308: row 0 gives p_0 = psi'_0 / (g, kappa), which is finite,
+    # and the solve's transforms overflow from row 1 on
+    problem = make_problem(n_modes=2, n_t=32, psi_prime=np.full(33, 1e308))
+    with pytest.raises(NonConvergence, match="non-finite value at time row 1$") as info:
+        reconstruct(problem)
+    assert info.value.residuals == ()
