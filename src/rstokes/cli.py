@@ -97,11 +97,10 @@ def _picard_record(residuals, history_convolution: bool, method: str = "sweeps",
     return record
 
 
-def _picard(solve, emit, records: Dict, certificate: str, history_convolution: bool,
-            method: str = "sweeps"):
-    """Return ``solve()``, a Picard solve or a direct one (``method``).  If it
-    does not converge, the exit-2 record (iterations.csv, summary["picard"]
-    and the failed ``certificate``) is written before the error goes on to
+def _picard(solve, emit, records: Dict, certificate: str, history_convolution: bool):
+    """Return ``solve()``.  If it does not converge, the exit-2 record
+    (iterations.csv, summary["picard"] with the method the error names, and
+    the failed ``certificate``) is written before the error goes on to
     ``main``."""
     from .nonlinear import NonConvergence
 
@@ -109,7 +108,7 @@ def _picard(solve, emit, records: Dict, certificate: str, history_convolution: b
         return solve()
     except NonConvergence as exc:
         emit("iterations.csv", *_iterations(exc.residuals))
-        records["picard"] = _picard_record(exc.residuals, history_convolution, method)
+        records["picard"] = _picard_record(exc.residuals, history_convolution, exc.method)
         records["certificates"][certificate] = "fail"
         raise
 
@@ -298,11 +297,10 @@ def cmd_inverse(cfg: Dict, emit, records: Dict) -> None:
     decision = identification_decision(problem)
     records["scheme_decision"] = decision
     certificates["scheme"] = decision["scheme"]
-    method = "direct" if problem.linear else "sweeps"
     # the identification solve has no ell, so its sweeps convolve no history
-    rec = _picard(lambda: reconstruct(problem, opts), emit, records,
-                  "reconstruction_converged", False, method)
-    records["picard"] = _picard_record(rec.residuals, False, method, rec.defect)
+    rec = _picard(lambda: reconstruct(problem, opts, decision["scheme"]), emit, records,
+                  "reconstruction_converged", False)
+    records["picard"] = _picard_record(rec.residuals, False, rec.method, rec.defect)
 
     emit("p_recovered.csv", ["t", "p"], np.column_stack((grid.nodes, rec.p)))
     emit("residual.csv", ["t", "measurement_residual"],

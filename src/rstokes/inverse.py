@@ -11,7 +11,7 @@ time derivative of the measurement identity,
 With a state reaction f1 that is one Picard solve of the eliminated state
 equation, f1(u) + g p(u), whose history term convolves m' with the one
 pairing column (grad u, grad kappa), not with the state.  Without one
-(``InverseProblem.linear``) the eliminated problem is affine in u, and
+(``InverseProblem.reaction_free``) the eliminated problem is affine in u, and
 pairing the mild-solution formula with lambda kappa leaves a scalar
 second-kind Volterra equation for p alone (the classical reduction of a
 separable-source problem):
@@ -122,9 +122,10 @@ class InverseProblem:
         return float(self.g @ self.kappa)
 
     @property
-    def linear(self) -> bool:
-        """No state reaction: the dynamics are diagonal and p solves a
-        scalar Volterra equation (module docstring)."""
+    def reaction_free(self) -> bool:
+        """f1 is of the ``zero`` kind: the dynamics are diagonal and p
+        solves a scalar Volterra equation (module docstring).  Only that kind
+        counts; any other reaction, a linear one included, takes the sweeps."""
         return self.f1.kind == "zero"
 
 
@@ -142,15 +143,20 @@ def derivative_psi(psi: np.ndarray, grid: TimeGrid) -> np.ndarray:
 def identification_decision(problem: InverseProblem) -> Dict[str, object]:
     """``volterra.scheme_decision`` for the identification solves.
 
-    When the problem is linear the dynamics are diagonal and modes with zero
-    source and zero initial data stay exactly zero, so stiffness is judged
-    on the active modes only; that keeps the second-order rule when the
-    padding modes are the stiff ones.  Any reaction term may couple modes,
-    and with no active mode there is nothing to single out, so then every
-    mode is judged, as the automatic joint rule does.
+    Without a reaction the dynamics are diagonal and modes with zero source
+    and zero initial data stay exactly zero, so stiffness is judged on the
+    active modes only; that keeps the second-order rule when the padding
+    modes are the stiff ones.  Any reaction term may couple modes, and with
+    no active mode there is nothing to single out, so then every mode is
+    judged, as the automatic joint rule does.
+
+    An active mode kappa does not see is judged too, though the direct solve
+    leaves it out of its table: the forward simulation that makes psi, the
+    sweeps and the direct solve share this one rule, so the direct p is the
+    fixed point of the same discrete equation the sweeps solve.
     """
     lams = problem.basis.eigenvalues
-    if problem.linear:
+    if problem.reaction_free:
         active = (problem.g != 0.0) | (problem.xi != 0.0)
         if np.any(active):
             lams = lams[active]
@@ -191,8 +197,8 @@ class ReconstructionResult:
     """The recovered p and its records.
 
     solution is the Picard solve of a problem with a state reaction; a
-    linear problem solves for p directly and has none, and defect is then
-    the relative defect of p in its discrete fixed-point equation,
+    reaction-free problem solves for p directly and has none, and defect is
+    then the relative defect of p in its discrete fixed-point equation,
     max |p - p(u(p))| / max |p|.
     """
 
@@ -208,6 +214,11 @@ class ReconstructionResult:
         return float(np.max(np.abs(self.measurement_residual)))
 
     @property
+    def method(self) -> str:
+        """How p was found: "sweeps" (a Picard solve) or "direct"."""
+        return "direct" if self.solution is None else "sweeps"
+
+    @property
     def residuals(self) -> Tuple[float, ...]:
         """The Picard residuals, sweep by sweep; none for a direct solve."""
         return () if self.solution is None else self.solution.residuals
@@ -216,15 +227,17 @@ class ReconstructionResult:
 def reconstruct(
     problem: InverseProblem,
     opts: PicardOptions = PicardOptions(tol=1e-6),
+    scheme: Optional[str] = None,
 ) -> ReconstructionResult:
     """Recover the source intensity p(t) from the measurement psi.
 
     Validates the pairing floor, the kernel derivative gate, and t = 0
-    consistency before it builds any table.  A linear problem then solves
-    the scalar Volterra equation for p in one Toeplitz solve (module
+    consistency before it builds any table.  A reaction-free problem then
+    solves the scalar Volterra equation for p in one Toeplitz solve (module
     docstring), and opts is not read; a non-finite p raises NonConvergence
-    naming its first non-finite row.  Otherwise it solves the eliminated
-    fixed-point problem for u and emits p = p(u).
+    (method "direct") naming its first non-finite row.  Otherwise it solves
+    the eliminated fixed-point problem for u and emits p = p(u).  scheme is
+    ``identification_scheme(problem)``, for a caller that has it already.
 
     The default fixed-point tolerance is deliberately no tighter than the
     time-stepping error: the measurement residual (u, kappa) - psi bottoms
@@ -261,8 +274,10 @@ def reconstruct(
     psi_prime = problem.psi_prime
     if psi_prime is None:
         psi_prime = derivative_psi(problem.psi, problem.grid)
-    if problem.linear:
-        return _reconstruct_linear(problem, psi_prime)
+    if scheme is None:
+        scheme = identification_scheme(problem)
+    if problem.reaction_free:
+        return _reconstruct_direct(problem, psi_prime, scheme)
     m0 = kernel.value_at_zero()
     m1 = kernel.derivative_history_kernel()
     kappa = problem.kappa
@@ -282,7 +297,6 @@ def reconstruct(
         return problem.g[None, :] * source(V, f1_rows)[:, None] + f1_rows
 
     spec = Nonlinearity.custom_series(eliminated, mu=f1.mu, delta=f1.delta)
-    scheme = identification_scheme(problem)
     ctx = build_resolvent(problem.kernel, problem.basis, problem.grid, scheme)
     sol = picard_solve(ctx, spec, HistoryKernel.zero(), problem.xi, opts)
     U = sol.coeffs
@@ -303,9 +317,10 @@ def reconstruct(
 
 # a non-finite p is reported, not warned about
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _reconstruct_linear(problem: InverseProblem, psi_prime: np.ndarray) -> ReconstructionResult:
-    """p of a linear problem from its scalar Volterra equation, in one
-    Toeplitz solve (module docstring)."""
+def _reconstruct_direct(problem: InverseProblem, psi_prime: np.ndarray,
+                        scheme: str) -> ReconstructionResult:
+    """p of a reaction-free problem from its scalar Volterra equation, in
+    one Toeplitz solve (module docstring)."""
     grid, kernel = problem.grid, problem.kernel
     m0 = kernel.value_at_zero()
     m1 = kernel.derivative_history_kernel()
@@ -315,7 +330,7 @@ def _reconstruct_linear(problem: InverseProblem, psi_prime: np.ndarray) -> Recon
     used = ((problem.g != 0.0) | (problem.xi != 0.0)) & (problem.kappa != 0.0)
     lam, g, xi, kappa = (v[used] for v in (problem.basis.eigenvalues, problem.g,
                                            problem.xi, problem.kappa))
-    table = relaxation_batch(kernel, lam, grid, identification_scheme(problem))
+    table = relaxation_batch(kernel, lam, grid, scheme)
     pairings = np.stack((g * lam * kappa, xi * lam * kappa, g * kappa, xi * kappa), axis=1)
     K, a, K_kappa, b = (table.omega @ pairings).T
 
@@ -333,7 +348,7 @@ def _reconstruct_linear(problem: InverseProblem, psi_prime: np.ndarray) -> Recon
     if bad.size:
         raise NonConvergence(
             f"the direct solve for p produced a non-finite value at time row {bad[0]}",
-            (),
+            (), method="direct",
         )
     # p(u(p)) - p, from the operators of the Picard sweeps
     misfit = c * psi_prime + history_part(a + table.lag_convolve(K, p)) - p

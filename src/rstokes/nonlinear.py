@@ -68,11 +68,15 @@ class OverflowDiagnostic(RuntimeError):
 
 
 class NonConvergence(RuntimeError):
-    """Fixed-point iteration hit the cap; carries the residual history."""
+    """Fixed-point iteration hit the cap; carries the residual history and
+    the method of the failed solve ("sweeps", or "direct" for the inverse
+    problem's direct solve)."""
 
-    def __init__(self, message: str, residuals: Tuple[float, ...]):
+    def __init__(self, message: str, residuals: Tuple[float, ...],
+                 method: str = "sweeps"):
         super().__init__(message)
         self.residuals = residuals
+        self.method = method
 
 
 def _check_finite(

@@ -1001,13 +1001,23 @@ def test_relax_exits_0_with_a_matching_summary(
     phase=st.floats(0.0, 2.0 * np.pi),
     analytic_slope=st.booleans(),
     max_iter=st.integers(1, 40),
+    reaction=st.sampled_from([None, "linear_diagonal", "polynomial_power"]),
+    rate=st.floats(-1.0, 1.0),
 )
 def test_inverse_exits_0_or_2_with_a_matching_summary(
-    kind, m0, shape, n_modes, n_steps, g, kappa, xi, phase, analytic_slope, max_iter
+    kind, m0, shape, n_modes, n_steps, g, kappa, xi, phase, analytic_slope, max_iter,
+    reaction, rate,
 ):
     # a measurement made by forward_simulate on the same grid; exit 1 is
-    # allowed only for the two documented problem-data rejections
+    # allowed only for the two documented problem-data rejections.  A state
+    # reaction f1 takes the Picard sweeps, capped at max_iter; without one p
+    # comes from one direct solve, and max_iter is not read
     g, kappa, xi = (np.array(v[:n_modes]) for v in (g, kappa, xi))
+    f1 = {
+        None: None,
+        "linear_diagonal": {"kind": "linear_diagonal", "coeffs": [rate] * n_modes},
+        "polynomial_power": {"kind": "polynomial_power", "power": 3.0, "scale": rate},
+    }[reaction]
     with tempfile.TemporaryDirectory() as tmp:
         payload = {
             "domain": {"shape": "interval", "L": 1.0, "N": n_modes},
@@ -1016,6 +1026,8 @@ def test_inverse_exits_0_or_2_with_a_matching_summary(
             "initial": {"coefficients": xi.tolist()},
             "inverse": {"max_iter": max_iter},
         }
+        if f1 is not None:
+            payload["inverse"]["f1"] = f1
         basis, grid = build_domain_basis(payload), build_grid(payload)
         problem = InverseProblem(
             basis=basis, grid=grid, kernel=build_kernel(payload), g=g, kappa=kappa,
@@ -1051,12 +1063,16 @@ def test_inverse_exits_0_or_2_with_a_matching_summary(
         with open(summary_path) as handle:
             summary = json.load(handle)
         certs = summary["certificates"]
-        # with no reaction p comes from one direct solve: no sweep runs, and
-        # max_iter is not read
+        picard = summary["picard"]
         _, iterations = read_table(os.path.join(out, "iterations.csv"))
-        assert iterations == []
-        assert summary["picard"]["method"] == "direct"
-        assert summary["picard"]["residuals"] == []
+        assert len(picard["residuals"]) == len(iterations)
+        if f1 is None:
+            assert picard["method"] == "direct"
+            assert iterations == []
+        else:
+            assert picard["method"] == "sweeps"
+            assert "fixed_point_defect" not in picard
+            assert 1 <= len(iterations) <= max_iter
         # recorded before the solve, so exit 2 keeps them too
         assert certs["scheme"] in ("trapezoid", "rectangle")
         assert summary["scheme_decision"]["scheme"] == certs["scheme"]
@@ -1064,18 +1080,46 @@ def test_inverse_exits_0_or_2_with_a_matching_summary(
             assert summary["status"] == "non-convergence"
             assert summary["artifacts"] == ["iterations.csv"]
             assert certs["reconstruction_converged"] == "fail"
-            assert summary["picard"]["fixed_point_defect"] is None
+            if f1 is None:
+                assert picard["fixed_point_defect"] is None
             return
         assert code == 0
         assert summary["status"] == "ok"
         assert summary["artifacts"] == ["p_recovered.csv", "residual.csv",
                                         "iterations.csv"]
-        # a p that is not finite exits 2
-        assert np.all(np.isfinite(numeric_column(os.path.join(out, "p_recovered.csv"), 1)))
+        # a direct p that is not finite exits 2
+        if f1 is None:
+            assert np.all(np.isfinite(
+                numeric_column(os.path.join(out, "p_recovered.csv"), 1)))
         assert certs["reconstruction_converged"] == "pass"
         assert certs["pairing"] == float(g @ kappa)
         residual = numeric_column(os.path.join(out, "residual.csv"), 1)
         assert certs["max_measurement_residual"] == float(np.max(np.abs(residual)))
+
+
+def test_inverse_exits_2_when_the_direct_solve_is_not_finite(tmp_path, capsys):
+    # psi' = 1e308 overflows the direct solve from row 1 on: exit 2 with the
+    # exit-2 record, never NaNs with exit 0
+    cfg = write_inverse_run(tmp_path, 2, 32, lambda t: 1.0 + t)
+    nodes = TimeGrid.uniform(1.0, 32).nodes
+    write_csv(str(tmp_path / "psi_prime.csv"), ["t", "psi_prime"],
+              zip(nodes, np.full(nodes.size, 1e308)))
+    with open(cfg) as handle:
+        payload = json.load(handle)
+    payload["inverse"]["psi_prime_path"] = str(tmp_path / "psi_prime.csv")
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "run"
+    assert main(["inverse", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "non-finite value at time row 1" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "non-convergence"
+    assert summary["artifacts"] == ["iterations.csv"]
+    assert summary["certificates"]["reconstruction_converged"] == "fail"
+    assert summary["picard"] == {"method": "direct", "residuals": [], "ratios": [],
+                                 "history_convolution": False,
+                                 "fixed_point_defect": None}
+    assert read_table(out / "iterations.csv") == (["iteration", "residual"], [])
+    assert not (out / "p_recovered.csv").exists()
 
 
 def test_every_exported_name_resolves():

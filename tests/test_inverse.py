@@ -403,11 +403,13 @@ def test_reconstruct_convolves_only_the_pairing_column(monkeypatch):
     direct = inverse_run(6, 128)
     monkeypatch.setattr(nonlinear, "product_convolve", recording)
     rec = reconstruct(sweeps)
+    assert rec.method == "sweeps"
     assert len(seen) == rec.solution.iterations + 1
     assert all(shape == (129,) for shape in seen)
 
     seen.clear()
-    assert reconstruct(direct).solution is None
+    rec = reconstruct(direct)
+    assert rec.method == "direct" and rec.solution is None
     assert seen == [(129, 2), (129,), (129,)]
 
 
@@ -525,3 +527,4 @@ def test_a_non_finite_direct_solve_raises_naming_its_row():
     with pytest.raises(NonConvergence, match="non-finite value at time row 1$") as info:
         reconstruct(problem)
     assert info.value.residuals == ()
+    assert info.value.method == "direct"
