@@ -36,8 +36,7 @@ _EXPORTS = {
                        "holder_estimate")),
         ("inverse", ("InverseProblem", "ReconstructionResult", "PairingTooSmall",
                      "KernelGateFailed", "forward_simulate", "reconstruct",
-                     "derivative_psi", "identification_decision",
-                     "identification_scheme")),
+                     "derivative_psi", "identification_decision")),
     )
     for name in names
 }

@@ -3,8 +3,8 @@
 Loads a JSON config, applies dotted --set overrides, validates every field
 up front, runs the requested pipeline, and lands CSV artifacts plus a
 summary.json recording versions, the config hash, wall time, and the
-pass/fail certificates of the run.  ``relax``, ``solve`` and ``inverse``
-add their quadrature scheme and the numbers that chose it
+pass/fail certificates of the run.  ``relax``, ``solve``, ``verify`` and
+``inverse`` add their quadrature scheme and the numbers that chose it
 (``scheme_decision``); ``solve`` and ``inverse`` add the method of their
 solve ("sweeps" or, for an ``inverse`` run without a reaction, "direct"),
 the Picard residuals, the sweep-to-sweep ratios and whether the sweeps
@@ -18,9 +18,10 @@ the output directory and lists it in the summary.  ``records`` holds the
 top-level summary entries the command adds, its certificates included.
 ``main`` owns the exit code and the status.
 
-Exit codes: 0 success, 1 invalid config, problem data, or an input or
-output path that cannot be used (no summary is written, and an earlier
-run's summary in the output directory is removed), 2 solver
+Exit codes: 0 success, 1 invalid config, problem data, an allocation the
+system refuses, or an input or output path that cannot be used (no summary
+is written, and an earlier run's summary in the output directory is
+removed), 2 solver
 non-convergence, or a direct solve whose p is not finite (artifacts
 produced before the failure are kept).
 
@@ -202,6 +203,7 @@ def cmd_solve(cfg: Dict, emit, records: Dict) -> None:
 def cmd_verify(cfg: Dict, emit, records: Dict) -> None:
     from .relaxation import verify_relaxation
     from .resolvent import build_resolvent, verify_sol_op_bounds
+    from .volterra import scheme_decision
 
     certificates = records["certificates"]
     basis = build_domain_basis(cfg)
@@ -210,7 +212,10 @@ def cmd_verify(cfg: Dict, emit, records: Dict) -> None:
     opts = cfg.get("verify", {})
     tol = opts.get("tol", CHECK_TOL)
 
-    ctx = build_resolvent(kernel, basis, grid)
+    decision = scheme_decision(kernel.a_moments, grid, basis.eigenvalues)
+    records["scheme_decision"] = decision
+    ctx = build_resolvent(kernel, basis, grid, decision["scheme"])
+    certificates["scheme"] = ctx.table.scheme
     relax_rows = verify_relaxation(ctx.table, tol=tol)
     op_rows = verify_sol_op_bounds(
         ctx,
@@ -407,7 +412,8 @@ def main(argv=None) -> int:
     status = "ok"
     summary_path = os.path.join(out, "summary.json")
     # ValueError: ConfigError, PairingTooSmall, KernelGateFailed; OSError: an
-    # output path that cannot be made or written, or an input read that fails
+    # output path that cannot be made or written, or an input read that fails;
+    # MemoryError: an allocation the system refuses (a grid too large to hold)
     try:
         os.makedirs(out, exist_ok=True)
         # a run that ends in exit 1 must not leave an earlier run's summary
@@ -433,7 +439,7 @@ def main(argv=None) -> int:
         with open(summary_path, "w") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:

@@ -28,7 +28,7 @@ table.  The measurement residual (u, kappa) - psi is the scalar
 omega @ (xi kappa) + T_{K_kappa} p - psi with K_kappa = omega @ (g kappa).
 
 Each solve builds its own relaxation table with the quadrature rule of
-``identification_scheme``, which needs no table, so a caller can record the
+``identification_decision``, which needs no table, so a caller can record the
 rule before the solve.  The elimination needs m'(t) integrable on (0, T);
 kernels with a non-integrable derivative (the weakly singular kind) are
 rejected up front, with the other problem-data checks, before any table is
@@ -57,7 +57,6 @@ __all__ = [
     "InverseProblem",
     "derivative_psi",
     "identification_decision",
-    "identification_scheme",
     "forward_simulate",
     "ReconstructionResult",
     "reconstruct",
@@ -163,11 +162,6 @@ def identification_decision(problem: InverseProblem) -> Dict[str, object]:
     return scheme_decision(problem.kernel.a_moments, problem.grid, lams)
 
 
-def identification_scheme(problem: InverseProblem) -> str:
-    """The quadrature rule of the identification solves."""
-    return identification_decision(problem)["scheme"]
-
-
 def forward_simulate(
     problem: InverseProblem,
     p_samples: np.ndarray,
@@ -186,7 +180,7 @@ def forward_simulate(
         lambda V, W, basis: f1.apply_series(V, W, basis) + source,
         mu=f1.mu, delta=f1.delta,
     )
-    scheme = identification_scheme(problem)
+    scheme = identification_decision(problem)["scheme"]
     ctx = build_resolvent(problem.kernel, problem.basis, problem.grid, scheme)
     sol = picard_solve(ctx, spec, HistoryKernel.zero(), problem.xi, opts)
     return sol, sol.coeffs @ problem.kappa
@@ -237,7 +231,8 @@ def reconstruct(
     docstring), and opts is not read; a non-finite p raises NonConvergence
     (method "direct") naming its first non-finite row.  Otherwise it solves
     the eliminated fixed-point problem for u and emits p = p(u).  scheme is
-    ``identification_scheme(problem)``, for a caller that has it already.
+    ``identification_decision(problem)["scheme"]``, for a caller that has it
+    already.
 
     The default fixed-point tolerance is deliberately no tighter than the
     time-stepping error: the measurement residual (u, kappa) - psi bottoms
@@ -275,7 +270,7 @@ def reconstruct(
     if psi_prime is None:
         psi_prime = derivative_psi(problem.psi, problem.grid)
     if scheme is None:
-        scheme = identification_scheme(problem)
+        scheme = identification_decision(problem)["scheme"]
     if problem.reaction_free:
         return _reconstruct_direct(problem, psi_prime, scheme)
     m0 = kernel.value_at_zero()

@@ -54,7 +54,8 @@ class RelaxationTable:
     def lag_convolve(self, samples: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """(samples * phi)(t_i) by this table's lag rule: the trapezoid rule
         for a trapezoid table, the right-endpoint rule for a rectangle one
-        (``resolvent.convolve_sol_op`` says why the two must not mix)."""
+        (``resolvent.convolve_sol_op`` says why the two must not mix).  This
+        is the one caller of the two sampled lag rules."""
         if self.scheme == "trapezoid":
             return trapezoid_convolve(samples, phi, self.grid.dt)
         return rectangle_convolve(samples, phi, self.grid.dt)

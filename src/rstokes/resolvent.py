@@ -30,12 +30,7 @@ from .grids import TimeGrid
 from .kernels import CHECK_TOL, Check, HistoryKernel, MemoryKernel, _Worst
 from .relaxation import RelaxationTable, relaxation_batch
 from .spectral import SpectralBasis, _row_slices, hnorm
-from .volterra import (
-    lag_weights,
-    product_convolve,
-    rectangle_convolve,
-    trapezoid_convolve,
-)
+from .volterra import lag_weights, product_convolve
 
 __all__ = [
     "ResolventContext",
@@ -208,23 +203,23 @@ def verify_sol_op_bounds(
     # right-endpoint rule never evaluates a singular weight at lag zero and
     # underestimates the cell integral of a decreasing weight, so the
     # rectangle branch is the conservative side of the bound
-    dt = ctx.grid.dt
     reciprocal = reciprocal_cumulative_integrable(ctx.kernel)
+    rules = [lambda q: ctx.table.lag_convolve(omega[:, 0], q)]
     if ctx.table.scheme == "rectangle":
 
         def rule(weight_at_lags):
+            # the right-endpoint rule reads no sample at lag zero
             k = np.concatenate(([0.0], weight_at_lags))
-            return lambda q: rectangle_convolve(k, q, dt)
+            return lambda q: ctx.table.lag_convolve(k, q)
 
-        rules = [rule(omega[1:, 0]), rule(t[1:] ** (-delta))]
+        rules.append(rule(t[1:] ** (-delta)))
         if reciprocal:
             rules.append(rule(1.0 / np.asarray(ctx.kernel.cumulative(t[1:]), float)))
     else:
+        # the trapezoid rule would read these weights at lag zero, where
+        # they are singular, so they take product weights of exact moments
         w_sing = lag_weights(HistoryKernel.powerlaw(1.0, -delta).moments, ctx.grid)
-        rules = [
-            lambda q: trapezoid_convolve(omega[:, 0], q, dt),
-            lambda q: product_convolve(w_sing, q),
-        ]
+        rules.append(lambda q: product_convolve(w_sing, q))
         if reciprocal:
             w_rec = _reciprocal_weights(ctx)
             rules.append(lambda q: product_convolve(w_rec, q))

@@ -52,7 +52,6 @@ __all__ = [
     "lag_weights",
     "product_convolve",
     "scheme_decision",
-    "stiffness_scheme",
     "second_kind_solve",
     "first_kind_solve",
     "trapezoid_convolve",
@@ -246,11 +245,6 @@ def scheme_decision(moments: Moments, grid: TimeGrid, lam) -> Dict[str, object]:
     }
 
 
-def stiffness_scheme(moments: Moments, grid: TimeGrid, lam) -> str:
-    """The rule of ``scheme_decision``."""
-    return scheme_decision(moments, grid, lam)["scheme"]
-
-
 def second_kind_solve(
     moments: Moments,
     grid: TimeGrid,
@@ -273,7 +267,7 @@ def second_kind_solve(
         each column on its own, so a column of a batched call has the bits of
         its own single-column call.
     scheme : None | "trapezoid" | "rectangle"
-        None resolves automatically through ``stiffness_scheme``.  Forcing
+        None resolves automatically through ``scheme_decision``.  Forcing
         "trapezoid" on a stiff batch gives damped ringing on the stiff
         columns (useful when those columns are known to carry zero data);
         forcing "rectangle" trades accuracy for unconditional positivity.
@@ -301,23 +295,21 @@ def second_kind_solve(
     if scheme is None:
         # one scheme for the whole call so columns stay mutually comparable
         # (mixing rules breaks monotonicity across lambda at the switch point)
-        scheme = stiffness_scheme(moments, grid, lams)
+        scheme = scheme_decision(moments, grid, lams)["scheme"]
     if scheme == "trapezoid":
         # x_0 moves to the right-hand side, where row i loses lam*u[i-1]*x_0;
         # rows 1..N are then Toeplitz, c[k] = u[k-1] + v[k] for k >= 1.  The
-        # shifted rhs is built in x, and the table of products it subtracts
-        # then holds the series, so the solve adds one table to the result
+        # table of products is freed before the solve allocates its result
         u, v = weights.left, weights.right
-        x = np.empty((grid.nodes.size, lams.size))
-        x[:] = rhs[:, None] if rhs.ndim == 1 else rhs
-        g = np.multiply.outer(u, lams * x[0])
-        x[1:] -= g
+        shifted = np.empty((grid.nodes.size, lams.size))
+        shifted[:] = rhs[:, None] if rhs.ndim == 1 else rhs
+        shifted[1:] -= np.multiply.outer(u, lams * shifted[0])
+        rhs = shifted
         c = np.concatenate((v[:1], u[:-1] + v[1:]))
-        fftconvolve(_reciprocal_series(c, lams, 1.0 + lams * v[0], g), x[1:], x[1:])
     else:
-        # right-endpoint sums start at x_1: rows 1..N are one Toeplitz solve
-        a0 = weights.cell
-        x = _toeplitz_solve(a0, lams, 1.0 + lams * a0[0], rhs)
+        # right-endpoint sums start at x_1: rows 1..N are Toeplitz as they are
+        c = weights.cell
+    x = _toeplitz_solve(c, lams, 1.0 + lams * c[0], rhs)
     if np.isscalar(lam) or np.ndim(lam) == 0:
         return x[:, 0], scheme
     return x, scheme

@@ -109,6 +109,7 @@ def test_inverse_records_the_scheme_of_its_identification_table(tmp_path):
 @pytest.mark.parametrize("command, n_steps, rule", [
     ("relax", 256, "trapezoid"), ("relax", 2, "rectangle"),
     ("solve", 1024, "trapezoid"), ("solve", 128, "rectangle"),
+    ("verify", 1024, "trapezoid"), ("verify", 128, "rectangle"),
     ("inverse", 32, "trapezoid"), ("inverse", 8, "rectangle"),
 ])
 def test_the_scheme_decision_records_the_rule_it_chose(tmp_path, command, n_steps, rule):
@@ -535,6 +536,19 @@ def test_runtime_failure_exits_1_without_summary(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+def test_a_refused_allocation_exits_1_without_summary(tmp_path, capsys):
+    # 10**18 steps need 8e18 bytes of nodes, beyond any 64-bit address space:
+    # the allocation is refused at once, and nothing is allocated
+    cfg = write_cfg(tmp_path, RELAX_CFG)
+    out = tmp_path / "run"
+    argv = ["relax", "--config", cfg, "--out", str(out), "--quiet",
+            "--set", f"grid.N_t={10**18}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Unable to allocate" in err
+    assert not (out / "summary.json").exists()
+
+
 def _non_finite_inputs(command, tmp_path):
     """A config for command whose file input holds one nan sample, and the
     path:line that holds it."""
@@ -906,7 +920,8 @@ def test_verify_exits_0_with_a_matching_summary(
     assert code == 0
     assert summary["subcommand"] == "verify" and summary["status"] == "ok"
     assert summary["artifacts"] == ["verify_report.csv"]
-    assert summary["certificates"] == {r[0]: r[3] for r in rows}
+    scheme = summary["scheme_decision"]["scheme"]
+    assert summary["certificates"] == {**{r[0]: r[3] for r in rows}, "scheme": scheme}
     labels = [r[0] for r in rows]
     assert labels[-5:] == [
         "sol_op_bound",

@@ -23,11 +23,11 @@ from rstokes import (
     convolve_sol_op,
     derivative_psi,
     forward_simulate,
-    identification_scheme,
+    identification_decision,
     picard_solve,
     reconstruct,
 )
-from rstokes.volterra import stiffness_scheme
+from rstokes.volterra import scheme_decision
 
 
 def make_problem(n_modes=4, n_t=256, kernel=None, psi=None, **kw):
@@ -115,22 +115,22 @@ def padded_problem(**kw):
     # only g's first mode carries data, and only modes 2 and 3 are stiff at
     # 32 steps: the joint rule over every mode is the rectangle rule
     problem = make_problem(n_modes=3, n_t=32, **kw)
-    joint = stiffness_scheme(
+    joint = scheme_decision(
         problem.kernel.a_moments, problem.grid, problem.basis.eigenvalues
-    )
+    )["scheme"]
     assert joint == "rectangle"
     return problem
 
 
 def test_identification_scheme_judges_the_active_modes_of_a_linear_problem():
-    assert identification_scheme(padded_problem()) == "trapezoid"
+    assert identification_decision(padded_problem())["scheme"] == "trapezoid"
 
 
 def test_identification_scheme_judges_every_mode_otherwise():
     # a reaction may couple modes, and with no data no mode is singled out
     f1 = Nonlinearity.polynomial_power(2.0, scale=0.5)
-    assert identification_scheme(padded_problem(f1=f1)) == "rectangle"
-    assert identification_scheme(padded_problem(g=np.zeros(3))) == "rectangle"
+    assert identification_decision(padded_problem(f1=f1))["scheme"] == "rectangle"
+    assert identification_decision(padded_problem(g=np.zeros(3)))["scheme"] == "rectangle"
 
 
 def test_forward_simulate_solves_on_the_identification_rule():
@@ -146,9 +146,8 @@ def test_forward_simulate_solves_on_the_identification_rule():
         lambda V, W, basis: f1.apply_series(V, W, basis) + source,
         mu=f1.mu, delta=f1.delta,
     )
-    ctx = build_resolvent(
-        problem.kernel, problem.basis, problem.grid, identification_scheme(problem)
-    )
+    scheme = identification_decision(problem)["scheme"]
+    ctx = build_resolvent(problem.kernel, problem.basis, problem.grid, scheme)
     assert ctx.table.scheme == "trapezoid"
     oracle = picard_solve(ctx, spec, HistoryKernel.zero(), problem.xi)
     np.testing.assert_array_equal(sol.coeffs, oracle.coeffs)
@@ -457,7 +456,7 @@ def test_the_direct_solve_is_the_fixed_point_of_the_sweeps(
     )
     data = dict(psi_prime=derivative_psi(psi, grid)) if analytic else dict(psi=psi)
     problem = InverseProblem(**base, **data)
-    scheme = identification_scheme(problem)
+    scheme = identification_decision(problem)["scheme"]
     if stiff:
         assert scheme == "rectangle"
     opts = PicardOptions(tol=1e-12, max_iter=1000)
@@ -466,7 +465,7 @@ def test_the_direct_solve_is_the_fixed_point_of_the_sweeps(
     assert rec.solution is None and rec.residuals == ()
     zero_reaction = Nonlinearity.linear_diagonal(np.zeros(n_modes))
     swept = InverseProblem(**base, **data, f1=zero_reaction)
-    assert identification_scheme(swept) == scheme
+    assert identification_decision(swept)["scheme"] == scheme
     ctx = build_resolvent(problem.kernel, basis, grid, scheme)
     oracles = [reconstruct(swept, opts).p, reconstruct_all_modes(problem, opts, ctx)[1]]
     scale = np.max(np.abs(rec.p))
@@ -508,7 +507,7 @@ def test_the_direct_solve_runs_no_sweep_and_holds_about_one_table(monkeypatch):
     psi = 1.0 - np.exp(-grid.nodes)
     problem = InverseProblem(basis=basis, grid=grid, kernel=MemoryKernel.exponential(1.0, 2.0),
                              g=g, kappa=g, xi=np.zeros(n_modes), psi=psi)
-    assert identification_scheme(problem) == "trapezoid"
+    assert identification_decision(problem)["scheme"] == "trapezoid"
     tracemalloc.start()
     try:
         rec = reconstruct(problem)

@@ -11,7 +11,7 @@ from rstokes import (
     relaxation_batch,
     verify_relaxation,
 )
-from rstokes.volterra import second_kind_solve, stiffness_scheme
+from rstokes.volterra import scheme_decision, second_kind_solve
 
 LAMBDAS = np.array([1.0, np.pi**2, 20.0])
 
@@ -143,7 +143,7 @@ def test_a_trapezoid_table_below_the_stiffness_threshold_can_rebound():
     kernel = MemoryKernel.fractional(0.8536600062382801, 0.45974191249059987)
     grid = TimeGrid.uniform(1.5182384508125777, 1024)
     lams = [0.0255971246, 5.35761937, 95.5329363]
-    assert stiffness_scheme(kernel.a_moments, grid, lams) == "trapezoid"
+    assert scheme_decision(kernel.a_moments, grid, lams)["scheme"] == "trapezoid"
 
     rows = verify_relaxation(relaxation_batch(kernel, lams, grid, "trapezoid"))
     (rebound,) = [r for r in rows if r.status == "fail"]

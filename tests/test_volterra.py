@@ -13,14 +13,15 @@ from rstokes.volterra import (
     STIFF_THRESHOLD,
     LagWeights,
     _fast_length,
+    _reciprocal_series,
     _toeplitz_solve,
     fftconvolve,
     first_kind_solve,
     lag_weights,
     product_convolve,
     rectangle_convolve,
+    scheme_decision,
     second_kind_solve,
-    stiffness_scheme,
     trapezoid_convolve,
 )
 
@@ -101,6 +102,21 @@ def row_major_trapezoid(weights, lams, rhs):
         if i > 1:
             past = past + v[i - 1 : 0 : -1] @ x[1:i]
         x[i] = (rhs[i] - lams * past) / denom
+    return x
+
+
+def in_place_trapezoid(weights, lams, rhs):
+    # the trapezoid rule's Toeplitz solve as it was written before both rules
+    # ended in one _toeplitz_solve call: the shifted rhs is built in the
+    # result, and the products it subtracts are overwritten by the series.
+    # The oracle for the bits of second_kind_solve's trapezoid rule
+    u, v = weights.left, weights.right
+    x = np.empty((u.size + 1, lams.size))
+    x[:] = rhs[:, None] if rhs.ndim == 1 else rhs
+    g = np.multiply.outer(u, lams * x[0])
+    x[1:] -= g
+    c = np.concatenate((v[:1], u[:-1] + v[1:]))
+    fftconvolve(_reciprocal_series(c, lams, 1.0 + lams * v[0], g), x[1:], x[1:])
     return x
 
 
@@ -385,8 +401,8 @@ def test_newest_left_weight_is_first_cell_left_moment():
     edge = STIFF_THRESHOLD / lag_weights(kernel.a_moments, grid).left[0]
     below = [0.5 * edge, edge * (1.0 - 1e-12)]
     above = [0.5 * edge, edge * (1.0 + 1e-12)]
-    assert stiffness_scheme(kernel.a_moments, grid, below) == "trapezoid"
-    assert stiffness_scheme(kernel.a_moments, grid, above) == "rectangle"
+    assert scheme_decision(kernel.a_moments, grid, below)["scheme"] == "trapezoid"
+    assert scheme_decision(kernel.a_moments, grid, above)["scheme"] == "rectangle"
     assert second_kind_solve(kernel.a_moments, grid, below, 1.0)[1] == "trapezoid"
     assert second_kind_solve(kernel.a_moments, grid, above, 1.0)[1] == "rectangle"
 
@@ -514,8 +530,9 @@ def test_einsum_over_a_window_table_folds_each_output_in_index_order(
 
 def assert_trapezoid_matches_the_row_major_loop(kernel, n, lams, rhs_kind, rng):
     # second_kind_solve's trapezoid Toeplitz solve against the row loop, to
-    # 1e-12 of max|x|, on n steps of width 1/n (a grid has at least two
-    # steps, so n = 1 runs two steps of width 1)
+    # 1e-12 of max|x|, and against the in-place solve, bit for bit, on n
+    # steps of width 1/n (a grid has at least two steps, so n = 1 runs two
+    # steps of width 1)
     steps = max(n, 2)
     grid = TimeGrid.uniform(steps / n, steps)
     shape = {"scalar": (), "shared": (steps + 1,), "per column": (steps + 1, lams.size)}[rhs_kind]
@@ -525,6 +542,7 @@ def assert_trapezoid_matches_the_row_major_loop(kernel, n, lams, rhs_kind, rng):
     ref = row_major_trapezoid(w, lams, np.broadcast_to(rhs, shape or (steps + 1,)))
     assert used == "trapezoid" and x.shape == ref.shape
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert same_bits(x, in_place_trapezoid(w, lams, np.asarray(rhs)))
 
 
 @given(
@@ -535,8 +553,11 @@ def assert_trapezoid_matches_the_row_major_loop(kernel, n, lams, rhs_kind, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40)
-def test_trapezoid_loop_has_the_bits_of_the_row_major_loop(kernel, n, columns, rhs_kind, seed):
-    # the Toeplitz solve reorders the row loop's sums: 1e-12 of max|x|, not bits
+def test_trapezoid_solve_keeps_its_bits_and_matches_the_row_major_loop(
+    kernel, n, columns, rhs_kind, seed
+):
+    # the Toeplitz solve reorders the row loop's sums: 1e-12 of max|x|, and
+    # the bits of the in-place solve
     rng = np.random.default_rng(seed)
     lams = rng.uniform(0.01, 100.0, columns)
     assert_trapezoid_matches_the_row_major_loop(kernel, n, lams, rhs_kind, rng)
@@ -562,8 +583,10 @@ def test_trapezoid_loop_keeps_its_bits_past_the_cache():
     kernel = MemoryKernel.exponential(1.0, 2.0)
     lams = (np.pi * np.arange(1, 49)) ** 2 / 1000.0
     x, _ = second_kind_solve(kernel.a_moments, grid, lams, 1.0, "trapezoid")
-    ref = row_major_trapezoid(lag_weights(kernel.a_moments, grid), lams, np.ones(3001))
+    w = lag_weights(kernel.a_moments, grid)
+    ref = row_major_trapezoid(w, lams, np.ones(3001))
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert same_bits(x, in_place_trapezoid(w, lams, np.asarray(1.0)))
 
 
 def test_trapezoid_temporaries_stay_near_the_table():
