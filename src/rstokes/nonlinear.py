@@ -17,13 +17,16 @@ What ``picard_solve`` does once per solve and what it does per sweep:
   shared by both weight columns), f(u, w), the convolution S * f, then
   S(t) xi added into it and the residual's row norms (``hnorm``), both a
   row block at a time.  f's power term synthesizes u at the nodes in row
-  blocks and maps and projects each block in one buffer; its advection
+  blocks of at most _SAMPLE_BUDGET node samples and _BLOCK coefficients,
+  and maps and projects each block in one buffer; its advection
   term is the product W @ M.  ``history_series`` builds ell's lag weights
   on each call, at 2.4 % (1024 steps) to 0.4 % (65536) of the cost of the
   64-column convolution they feed.
 
-A sweep holds four (N_t + 1) x modes tables, omega, u, f and S * f: w dies
-with the call that makes f, and f once S * f exists.
+A sweep holds three (N_t + 1) x modes tables, omega, u and f: w dies with
+the call that makes f, and S * f is written over f (``convolve_sol_op``'s
+out).  So f must be an array of the sweep's own: a custom callback's result
+is copied, since it may be V itself or a buffer the callback keeps.
 
 Only f decides whether w is needed: ``Nonlinearity.reads_history`` is false
 for the zero, diagonal and power kinds (and sums of them), and then no lag
@@ -31,7 +34,9 @@ weights are built and no sweep convolves the history; f gets zeros for w,
 which it does not read.  A zero ell gives f one zero series for every sweep.
 
 No spectrum of (N_t + 1) rows is kept from one sweep to the next: omega's
-would save one transform in three and hold as much as two tables.
+would save one transform in three and hold as much as two tables.  At 256
+modes and 65536 steps that is 256 MiB on top of a solve's peak of about
+440 MiB: some 700 MiB in all.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from . import spectral
 from .grids import TimeGrid
 from .kernels import HistoryKernel
 from .resolvent import ResolventContext, convolve_sol_op
@@ -211,8 +217,10 @@ class Nonlinearity:
             _check_coefficients(out, basis, "linear diagonal reaction")
             return out
         if self.kind == "polynomial_power":
+            # blocks within both budgets: node samples, and coefficients
+            step = min(_SAMPLE_BUDGET // basis.nodes.shape[0], spectral._BLOCK // basis.n_modes)
             out = np.empty_like(V)
-            for rows in _row_slices(V.shape[0], basis.nodes.shape[0], _SAMPLE_BUDGET):
+            for rows in _row_slices(V.shape[0], 1, step):
                 out[rows] = self._power_block(V, rows, basis)
             return out
         if self.kind == "advection_history":
@@ -231,7 +239,9 @@ class Nonlinearity:
                 out += p.apply_series(V, W, basis)
             return out
         if self.kind == "custom":
-            out = np.asarray(self.series_fn(V, W, basis), dtype=float)
+            # a copy the caller owns: the callback may return V, or a buffer
+            # it keeps, and the solver writes S * f over f
+            out = np.array(self.series_fn(V, W, basis), dtype=float)
             if out.shape != V.shape:
                 raise ValueError("custom series callback returned a bad shape")
             _check_coefficients(out, basis, "custom reaction")
@@ -385,8 +395,8 @@ def picard_solve(
                 f"iteration diverged at sweep {len(residuals) + 1}: {exc}",
                 tuple(residuals),
             ) from exc
-        u_new = convolve_sol_op(ctx, f_rows)
-        del f_rows  # not alive through the next sweep's f
+        # S * f is written over f, the sweep's one table besides omega and u
+        u_new = convolve_sol_op(ctx, f_rows, out=f_rows)
         for rows in _row_slices(u_new.shape[0], basis.n_modes):
             u_new[rows] += omega[rows] * xi[None, :]
         with np.errstate(over="ignore", invalid="ignore"):

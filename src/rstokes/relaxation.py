@@ -51,14 +51,18 @@ class RelaxationTable:
         if self.omega.shape != (self.grid.nodes.size, lam.size):
             raise ValueError("omega shape does not match grid x lambdas")
 
-    def lag_convolve(self, samples: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    def lag_convolve(
+        self, samples: np.ndarray, phi: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """(samples * phi)(t_i) by this table's lag rule: the trapezoid rule
         for a trapezoid table, the right-endpoint rule for a rectangle one
         (``resolvent.convolve_sol_op`` says why the two must not mix).  This
-        is the one caller of the two sampled lag rules."""
+        is the one caller of the two sampled lag rules.  The result is
+        written into out when given, which may be phi itself, with the bits
+        of a fresh result."""
         if self.scheme == "trapezoid":
-            return trapezoid_convolve(samples, phi, self.grid.dt)
-        return rectangle_convolve(samples, phi, self.grid.dt)
+            return trapezoid_convolve(samples, phi, self.grid.dt, out)
+        return rectangle_convolve(samples, phi, self.grid.dt, out)
 
 
 def relaxation_batch(

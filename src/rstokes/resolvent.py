@@ -71,10 +71,14 @@ def build_resolvent(
     return ResolventContext(basis, table)
 
 
-def convolve_sol_op(ctx: ResolventContext, g: np.ndarray) -> np.ndarray:
+def convolve_sol_op(
+    ctx: ResolventContext, g: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """(S * g)(t_i) for a coefficient series g of shape (N+1, n_modes), or for
     a time profile of shape (N+1,) shared by every mode; the result has shape
-    (N+1, n_modes) either way.
+    (N+1, n_modes) either way, and is written into out when given.  out may
+    be g itself, with the bits of a fresh result: ``picard_solve`` writes
+    S * f over f.
 
     The quadrature follows the table's scheme: trapezoid rule for trapezoid
     tables, right-endpoint rule for rectangle tables.  Mixing them is not
@@ -86,7 +90,7 @@ def convolve_sol_op(ctx: ResolventContext, g: np.ndarray) -> np.ndarray:
     omega = ctx.table.omega
     if g.shape not in (omega.shape, omega.shape[:1]):
         raise ValueError("series shape does not match grid x modes")
-    return ctx.table.lag_convolve(omega, g)
+    return ctx.table.lag_convolve(omega, g, out)
 
 
 def reciprocal_cumulative_integrable(kernel: MemoryKernel) -> bool:

@@ -86,6 +86,11 @@ def _fast_length(n: int) -> int:
     return best
 
 
+def _block_columns(size: int) -> int:
+    """Columns per block of ``fftconvolve`` at circular length size."""
+    return max(_FFT_MIN_COLUMNS, _FFT_BLOCK // size)
+
+
 def fftconvolve(a, b, out: np.ndarray, start: int = 0) -> np.ndarray:
     """Rows start..start+len(out)-1 of the full linear convolution of a and b
     along axis 0, written into out, which is returned.
@@ -114,7 +119,7 @@ def fftconvolve(a, b, out: np.ndarray, start: int = 0) -> np.ndarray:
     stop = start + out.shape[0]
     size = _fast_length(max(a.shape[0] + b.shape[0] - 1 - start, stop))
     shared = [np.fft.rfft(x, size) if x.ndim == 1 else None for x in (a, b)]
-    step = max(_FFT_MIN_COLUMNS, _FFT_BLOCK // size)
+    step = _block_columns(size)
     for lo in range(0, out.shape[1], step):
         cols = slice(lo, lo + step)
         a_hat, b_hat = (
@@ -335,49 +340,81 @@ def first_kind_solve(moments: Moments, grid: TimeGrid, rhs) -> Tuple[np.ndarray,
     return k[1:], diag
 
 
-def _lag_shape(K: np.ndarray, G: np.ndarray) -> Tuple[int, ...]:
-    # phi's rows, and the columns of whichever factor has them
-    return G.shape[:1] + (K.shape[1:] or G.shape[1:])
+def _lag_out(K: np.ndarray, G: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """The result table: phi's rows and the columns of whichever factor has
+    them, fresh or the caller's out, which must have that shape."""
+    shape = G.shape[:1] + (K.shape[1:] or G.shape[1:])
+    if out is None:
+        # calloc'd pages: np.empty's reused heap raised verify's peak RSS
+        return np.zeros(shape)
+    if out.shape != shape:
+        raise ValueError("out does not have the shape of the convolution")
+    return out
 
 
-def rectangle_convolve(kernel_samples: np.ndarray, phi: np.ndarray, dt: float) -> np.ndarray:
+def _block_rows(x: np.ndarray, cols: slice) -> np.ndarray:
+    """Columns cols of x (a 1-d x is one column) as contiguous rows."""
+    return np.ascontiguousarray(x.reshape(x.shape[0], -1)[:, cols].T)
+
+
+def rectangle_convolve(
+    kernel_samples: np.ndarray, phi: np.ndarray, dt: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Right-endpoint lag convolution on a uniform grid.
 
     (k * phi)(t_i) ~ dt * sum_{j=1..i} k_j phi_{i-j}.  The newest sample of
     phi is weighted by k at one full step, never by k(0), which keeps the
     response of a strongly damped column at the size of its true convolution
     mass instead of dt/2 (the trapezoid rule's newest weight).  A 1-d factor
-    next to a 2-d one is shared by every column of the other.
+    next to a 2-d one is shared by every column of the other.  The result is
+    written into out when given, which may be phi itself: ``fftconvolve``
+    copies each column block of phi before it writes that block.
     """
     K = np.asarray(kernel_samples, dtype=float)
     G = np.asarray(phi, dtype=float)
-    out = np.zeros(_lag_shape(K, G))
+    out = _lag_out(K, G, out)
     if G.shape[0] > 1:
         fftconvolve(K[1:], G, out[1:])
         out[1:] *= dt
+    out[0] = 0.0
     return out
 
 
-def trapezoid_convolve(kernel_samples: np.ndarray, phi: np.ndarray, dt: float) -> np.ndarray:
+def trapezoid_convolve(
+    kernel_samples: np.ndarray, phi: np.ndarray, dt: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Trapezoid-rule lag convolution on a uniform grid.
 
     (k * phi)(t_i) ~ dt * (sum_{j=0..i} k_{i-j} phi_j - k_i phi_0 / 2
     - k_0 phi_i / 2).  Both factors are nodal samples; columns are modes,
     and a 1-d factor next to a 2-d one is shared by every column of the
     other.
+
+    The columns run in ``fftconvolve``'s blocks.  A block of each factor is
+    taken as contiguous (columns, rows) rows, which ``fftconvolve``
+    transforms without copying again; it is convolved into a buffer of its
+    own and end-corrected along those rows, and only then written into its
+    columns of the result, so out, when given, may be phi itself.  Each
+    column is transformed on its own (module docstring) and the corrections
+    are elementwise, so a block has the bits of the whole-table call.
     """
     K = np.asarray(kernel_samples, dtype=float)
     G = np.asarray(phi, dtype=float)
-    out = fftconvolve(K, G, np.empty(_lag_shape(K, G)))
-    if out.ndim == 2:
-        # a shared factor as a column, for the end corrections
-        K, G = K.reshape(K.shape[0], -1), G.reshape(G.shape[0], -1)
-    # elementwise: row blocks keep the bits, and temporaries at a block
-    step = max(1, _FFT_BLOCK // (out.size // out.shape[0]))
-    for lo in range(0, out.shape[0], step):
-        rows = slice(lo, lo + step)
-        out[rows] -= 0.5 * K[rows] * G[0]
-        out[rows] -= 0.5 * K[0] * G[rows]
-        out[rows] *= dt
+    out = _lag_out(K, G, out)
+    table = out if out.ndim == 2 else out[:, None]
+    # a factor with fewer axes than out is shared by every column: one row
+    # here, and one transform in each fftconvolve call
+    shared_k, shared_g = K.ndim < out.ndim, G.ndim < out.ndim
+    step = _block_columns(_fast_length(K.shape[0] + G.shape[0] - 1))
+    for lo in range(0, table.shape[1], step):
+        cols = slice(lo, lo + step)
+        k = K[None, :] if shared_k else _block_rows(K, cols)
+        g = G[None, :] if shared_g else _block_rows(G, cols)
+        block = np.empty((min(step, table.shape[1] - lo), table.shape[0]))
+        fftconvolve(K if shared_k else k.T, G if shared_g else g.T, block.T)
+        block -= 0.5 * k * g[:, :1]
+        block -= 0.5 * k[:, :1] * g
+        block *= dt
+        table[:, cols] = block.T
     out[0] = 0.0
     return out

@@ -1,17 +1,22 @@
 """Relaxation profiles against scalar closed forms and the property report."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from bits import same_bits
 from hypothesis import given, strategies as st
 
 from rstokes import (
     MemoryKernel,
+    RelaxationTable,
     TimeGrid,
     certify_completely_positive,
     relaxation_batch,
     verify_relaxation,
+    volterra,
 )
-from rstokes.volterra import scheme_decision, second_kind_solve
+from rstokes.volterra import fftconvolve, scheme_decision, second_kind_solve
 
 LAMBDAS = np.array([1.0, np.pi**2, 20.0])
 
@@ -152,3 +157,69 @@ def test_a_trapezoid_table_below_the_stiffness_threshold_can_rebound():
 
     rows = verify_relaxation(relaxation_batch(kernel, lams, grid, "rectangle"))
     assert all(r.status == "pass" for r in rows)
+
+
+# -- lag rules written over phi ----------------------------------------------
+
+
+def whole_table_trapezoid(K, G, dt):
+    # the trapezoid rule as it was before column blocks: one fftconvolve of
+    # the whole table, then both end corrections a block of rows at a time;
+    # the bit oracle of trapezoid_convolve
+    out = fftconvolve(K, G, np.empty(G.shape[:1] + (K.shape[1:] or G.shape[1:])))
+    if out.ndim == 2:
+        K, G = K.reshape(K.shape[0], -1), G.reshape(G.shape[0], -1)
+    step = max(1, volterra._FFT_BLOCK // (out.size // out.shape[0]))
+    for lo in range(0, out.shape[0], step):
+        rows = slice(lo, lo + step)
+        out[rows] -= 0.5 * K[rows] * G[0]
+        out[rows] -= 0.5 * K[0] * G[rows]
+        out[rows] *= dt
+    out[0] = 0.0
+    return out
+
+
+def _with_zero_columns(x, rng):
+    # whole columns of +0.0 and -0.0, so the results hold signed zeros
+    cols = x.reshape(x.shape[0], -1)
+    for j in range(cols.shape[1]):
+        cols[:, j] *= rng.choice([1.0, 0.0, -0.0], p=[0.6, 0.2, 0.2])
+    return x
+
+
+@given(
+    scheme=st.sampled_from(["trapezoid", "rectangle"]),
+    shared=st.booleans(),
+    columns=st.sampled_from([1, 3, 4, 5, 33]),
+    n_t=st.integers(2, 80),
+    # the default block, blocks of _FFT_MIN_COLUMNS, and a few columns more
+    block=st.sampled_from([volterra._FFT_BLOCK, 1, 1024]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lag_convolve_over_phi_keeps_the_bits_of_a_fresh_result(
+    scheme, shared, columns, n_t, block, seed
+):
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid.uniform(1.0, n_t)
+    lams = np.arange(1.0, columns + 1.0)
+    table = RelaxationTable(grid, lams, np.ones((n_t + 1, columns)), scheme,
+                            MemoryKernel.zero())
+    k = _with_zero_columns(rng.standard_normal((n_t + 1,) + (() if shared else (columns,))), rng)
+    phi = _with_zero_columns(rng.standard_normal((n_t + 1, columns)), rng)
+    with mock.patch.object(volterra, "_FFT_BLOCK", block):
+        fresh = table.lag_convolve(k, phi)
+        if scheme == "trapezoid":
+            assert same_bits(fresh, whole_table_trapezoid(k, phi, grid.dt))
+        k_before = k.copy()
+        assert table.lag_convolve(k, phi, out=phi) is phi
+    assert same_bits(phi, fresh)
+    assert same_bits(k, k_before)
+
+
+@pytest.mark.parametrize("scheme", ["trapezoid", "rectangle"])
+def test_lag_convolve_refuses_an_out_of_another_shape(scheme):
+    grid = TimeGrid.uniform(1.0, 8)
+    table = RelaxationTable(grid, [1.0, 2.0], np.ones((9, 2)), scheme, MemoryKernel.zero())
+    with pytest.raises(ValueError, match="out does not have the shape"):
+        # a shared phi gives a result with k's columns, so phi cannot hold it
+        table.lag_convolve(np.ones((9, 2)), np.ones(9), out=np.ones(9))
