@@ -17,16 +17,19 @@ What ``picard_solve`` does once per solve and what it does per sweep:
   shared by both weight columns), f(u, w), the convolution S * f, then
   S(t) xi added into it and the residual's row norms (``hnorm``), both a
   row block at a time.  f's power term synthesizes u at the nodes in row
-  blocks of at most _SAMPLE_BUDGET node samples and _BLOCK coefficients,
-  and maps and projects each block in one buffer; its advection
-  term is the product W @ M.  ``history_series`` builds ell's lag weights
+  blocks of _SAMPLE_BUDGET node samples, maps each block in one buffer and
+  projects it straight into its rows of f; its advection term is the
+  product W @ M.  ``history_series`` builds ell's lag weights
   on each call, at 2.4 % (1024 steps) to 0.4 % (65536) of the cost of the
   64-column convolution they feed.
 
 A sweep holds three (N_t + 1) x modes tables, omega, u and f: w dies with
 the call that makes f, and S * f is written over f (``convolve_sol_op``'s
 out).  So f must be an array of the sweep's own: a custom callback's result
-is copied, since it may be V itself or a buffer the callback keeps.
+is copied, since it may be V itself or a buffer the callback keeps.  The
+power term's row blocks are not cut finer to save memory: OpenBLAS rounds
+the synthesis product by where a row falls in its block, so the blocks are
+part of the result's bits.
 
 Only f decides whether w is needed: ``Nonlinearity.reads_history`` is false
 for the zero, diagonal and power kinds (and sums of them), and then no lag
@@ -36,7 +39,7 @@ which it does not read.  A zero ell gives f one zero series for every sweep.
 No spectrum of (N_t + 1) rows is kept from one sweep to the next: omega's
 would save one transform in three and hold as much as two tables.  At 256
 modes and 65536 steps that is 256 MiB on top of a solve's peak of about
-440 MiB: some 700 MiB in all.
+447 MiB: some 700 MiB in all.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from . import spectral
 from .grids import TimeGrid
 from .kernels import HistoryKernel
 from .resolvent import ResolventContext, convolve_sol_op
@@ -217,11 +219,9 @@ class Nonlinearity:
             _check_coefficients(out, basis, "linear diagonal reaction")
             return out
         if self.kind == "polynomial_power":
-            # blocks within both budgets: node samples, and coefficients
-            step = min(_SAMPLE_BUDGET // basis.nodes.shape[0], spectral._BLOCK // basis.n_modes)
             out = np.empty_like(V)
-            for rows in _row_slices(V.shape[0], 1, step):
-                out[rows] = self._power_block(V, rows, basis)
+            for rows in _row_slices(V.shape[0], basis.nodes.shape[0], _SAMPLE_BUDGET):
+                self._power_block(V, rows, basis, out)
             return out
         if self.kind == "advection_history":
             if len(self.chi) != basis.domain.ndim:
@@ -270,18 +270,18 @@ class Nonlinearity:
                 samples *= self.scale
         return samples
 
-    def _power_block(self, V, rows: slice, basis: SpectralBasis) -> np.ndarray:
-        """Coefficients of the power term for V[rows].
+    def _power_block(self, V, rows: slice, basis: SpectralBasis, out) -> None:
+        """Coefficients of the power term for V[rows], written into out[rows].
 
-        The node values are mapped in one buffer and projected; the buffer
-        dies with the call, so no two blocks' buffers are alive at once.
-        Finiteness is judged on the coefficients.
+        The node values are mapped in one buffer and projected straight into
+        out; the buffer dies with the call, so no two blocks' buffers are
+        alive at once.  Finiteness is judged on the coefficients.
         """
+        coeffs = out[rows]
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = project(basis, self._power_samples(synthesize(basis, V[rows])))
+            project(basis, self._power_samples(synthesize(basis, V[rows])), out=coeffs)
         if not np.all(np.isfinite(coeffs)):
             self._power_overflow(V, rows, coeffs, basis)
-        return coeffs
 
     def _power_overflow(self, V, rows: slice, coeffs, basis: SpectralBasis) -> None:
         """Raise for a row block whose coefficients are not all finite.

@@ -171,9 +171,13 @@ class SpectralBasis:
     def _synthesize(self, coeffs: np.ndarray, tables) -> np.ndarray:
         """(rows, n_modes) coefficients to (rows, nodes) values via ``tables``."""
         rows = coeffs.shape[0]
-        grid = np.zeros((rows, int(np.prod(self._grid_shape))))
-        grid[:, self._flat] = coeffs
-        out = grid.reshape((rows,) + self._grid_shape)
+        if len(tables) == 1:
+            # an interval: the index grid is the mode list itself
+            out = coeffs
+        else:
+            grid = np.zeros((rows, int(np.prod(self._grid_shape))))
+            grid[:, self._flat] = coeffs
+            out = grid.reshape((rows,) + self._grid_shape)
         for table in tables:
             # contract the leading index axis; the node axis lands last
             moved = np.moveaxis(out, 1, -1)
@@ -233,26 +237,38 @@ def build_basis(domain, n_modes: int) -> SpectralBasis:
     return SpectralBasis(domain, n_modes)
 
 
-def project(basis: SpectralBasis, samples) -> np.ndarray:
+def project(basis: SpectralBasis, samples, out=None) -> np.ndarray:
     """Coefficients from samples at the collocation nodes.
 
     samples: (n_points,) or (..., n_points); leading axes are preserved.
     The node tables are contracted one axis at a time and the coefficients
     scaled once by the common node weight: on an interval that is
-    (S @ E) * w, E the dense (nodes, modes) matrix.
+    (S @ E) * w, E the dense (nodes, modes) matrix, and S @ E is written
+    straight into out when given (a C-contiguous array of the result's
+    shape), with the bits of a fresh result.
     """
     s = np.asarray(samples, dtype=float)
     if s.shape[-1] != basis.nodes.shape[0]:
         raise ValueError("sample count does not match collocation nodes")
-    out = s.reshape((-1,) + tuple(t.shape[0] for t in basis._tables))
-    rows = out.shape[0]
-    for table in reversed(basis._tables):
-        # contract the trailing node axis; the index axis moves to the front
-        flat = out.reshape(-1, table.shape[0]) @ table
-        out = np.moveaxis(flat.reshape(out.shape[:-1] + (table.shape[1],)), -1, 1)
-    coeffs = out.reshape(rows, -1)[:, basis._flat]
+    shape = s.shape[:-1] + (basis.n_modes,)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError("out is not a C-contiguous array of the coefficients' shape")
+    x = s.reshape((-1,) + tuple(t.shape[0] for t in basis._tables))
+    rows = x.shape[0]
+    coeffs = out.reshape(rows, basis.n_modes)
+    if len(basis._tables) == 1:
+        # an interval: the index grid is the mode list itself
+        np.matmul(x, basis._tables[0], out=coeffs)
+    else:
+        for table in reversed(basis._tables):
+            # contract the trailing node axis; the index axis moves to the front
+            flat = x.reshape(-1, table.shape[0]) @ table
+            x = np.moveaxis(flat.reshape(x.shape[:-1] + (table.shape[1],)), -1, 1)
+        coeffs[...] = x.reshape(rows, -1)[:, basis._flat]
     coeffs *= basis.node_weights[0]
-    return coeffs.reshape(s.shape[:-1] + (basis.n_modes,))
+    return out
 
 
 def synthesize(basis: SpectralBasis, coeffs) -> np.ndarray:

@@ -86,12 +86,7 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _block_columns(size: int) -> int:
-    """Columns per block of ``fftconvolve`` at circular length size."""
-    return max(_FFT_MIN_COLUMNS, _FFT_BLOCK // size)
-
-
-def fftconvolve(a, b, out: np.ndarray, start: int = 0) -> np.ndarray:
+def fftconvolve(a, b, out: np.ndarray, start: int = 0, finish=None) -> np.ndarray:
     """Rows start..start+len(out)-1 of the full linear convolution of a and b
     along axis 0, written into out, which is returned.
 
@@ -110,26 +105,39 @@ def fftconvolve(a, b, out: np.ndarray, start: int = 0) -> np.ndarray:
     may be a 2-d operand itself.  Each product takes a's spectrum first;
     numpy's complex multiply is not bitwise commutative, so this order is
     part of the result.
+
+    finish, when given, is called as finish(block, a_rows, b_rows) before
+    each block is written: block is the block's window as (columns, rows),
+    to be changed in place, and a_rows, b_rows are the copies that were
+    transformed (a shared operand as one row).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if out.ndim == 1:
-        fftconvolve(a[:, None], b[:, None], out[:, None], start)
+        fftconvolve(a[:, None], b[:, None], out[:, None], start, finish)
         return out
     stop = start + out.shape[0]
     size = _fast_length(max(a.shape[0] + b.shape[0] - 1 - start, stop))
     shared = [np.fft.rfft(x, size) if x.ndim == 1 else None for x in (a, b)]
-    step = _block_columns(size)
+    step = max(_FFT_MIN_COLUMNS, _FFT_BLOCK // size)
     for lo in range(0, out.shape[1], step):
         cols = slice(lo, lo + step)
+        # made one at a time as they are transformed, and kept only for finish
+        rows = (x[None, :] if x.ndim == 1 else np.ascontiguousarray(x[:, cols].T) for x in (a, b))
+        if finish is not None:
+            rows = tuple(rows)
         a_hat, b_hat = (
-            np.fft.rfft(np.ascontiguousarray(x[:, cols].T), size) if x_hat is None else x_hat
-            for x, x_hat in zip((a, b), shared)
+            np.fft.rfft(x, size) if x_hat is None else x_hat for x, x_hat in zip(rows, shared)
         )
         # the product goes into a spectrum of this block's own
         spectrum = a_hat if shared[1] is not None else b_hat
         np.multiply(a_hat, b_hat, out=spectrum)
-        out[:, cols] = np.fft.irfft(spectrum, size)[:, start:stop].T
+        block = np.fft.irfft(spectrum, size)[:, start:stop]
+        del a_hat, b_hat, spectrum  # not alive through finish or the next block
+        if finish is not None:
+            finish(block, *rows)
+        out[:, cols] = block.T
+        del block  # not alive while the next block is transformed
     return out
 
 
@@ -352,11 +360,6 @@ def _lag_out(K: np.ndarray, G: np.ndarray, out: Optional[np.ndarray]) -> np.ndar
     return out
 
 
-def _block_rows(x: np.ndarray, cols: slice) -> np.ndarray:
-    """Columns cols of x (a 1-d x is one column) as contiguous rows."""
-    return np.ascontiguousarray(x.reshape(x.shape[0], -1)[:, cols].T)
-
-
 def rectangle_convolve(
     kernel_samples: np.ndarray, phi: np.ndarray, dt: float, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -368,7 +371,7 @@ def rectangle_convolve(
     mass instead of dt/2 (the trapezoid rule's newest weight).  A 1-d factor
     next to a 2-d one is shared by every column of the other.  The result is
     written into out when given, which may be phi itself: ``fftconvolve``
-    copies each column block of phi before it writes that block.
+    reads each column block of phi before it writes that block.
     """
     K = np.asarray(kernel_samples, dtype=float)
     G = np.asarray(phi, dtype=float)
@@ -390,31 +393,20 @@ def trapezoid_convolve(
     and a 1-d factor next to a 2-d one is shared by every column of the
     other.
 
-    The columns run in ``fftconvolve``'s blocks.  A block of each factor is
-    taken as contiguous (columns, rows) rows, which ``fftconvolve``
-    transforms without copying again; it is convolved into a buffer of its
-    own and end-corrected along those rows, and only then written into its
-    columns of the result, so out, when given, may be phi itself.  Each
-    column is transformed on its own (module docstring) and the corrections
-    are elementwise, so a block has the bits of the whole-table call.
+    The end corrections are ``fftconvolve``'s finish: each block is
+    corrected from the copies of k and phi it was transformed from, before
+    it is written, so out, when given, may be phi itself.  Each column is
+    transformed on its own (module docstring) and the corrections are
+    elementwise, so a block has the bits of the whole-table call.
     """
-    K = np.asarray(kernel_samples, dtype=float)
-    G = np.asarray(phi, dtype=float)
-    out = _lag_out(K, G, out)
-    table = out if out.ndim == 2 else out[:, None]
-    # a factor with fewer axes than out is shared by every column: one row
-    # here, and one transform in each fftconvolve call
-    shared_k, shared_g = K.ndim < out.ndim, G.ndim < out.ndim
-    step = _block_columns(_fast_length(K.shape[0] + G.shape[0] - 1))
-    for lo in range(0, table.shape[1], step):
-        cols = slice(lo, lo + step)
-        k = K[None, :] if shared_k else _block_rows(K, cols)
-        g = G[None, :] if shared_g else _block_rows(G, cols)
-        block = np.empty((min(step, table.shape[1] - lo), table.shape[0]))
-        fftconvolve(K if shared_k else k.T, G if shared_g else g.T, block.T)
+
+    def ends(block, k, g):
         block -= 0.5 * k * g[:, :1]
         block -= 0.5 * k[:, :1] * g
         block *= dt
-        table[:, cols] = block.T
+
+    K = np.asarray(kernel_samples, dtype=float)
+    G = np.asarray(phi, dtype=float)
+    out = fftconvolve(K, G, _lag_out(K, G, out), finish=ends)
     out[0] = 0.0
     return out

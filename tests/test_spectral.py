@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from bits import same_bits
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
@@ -267,3 +268,22 @@ def test_synthesize_and_project_keep_leading_axes():
     np.testing.assert_allclose(project(basis, samples), series, atol=1e-12)
     with pytest.raises(ValueError):
         synthesize(basis, np.ones(6))
+
+
+@pytest.mark.parametrize("domain", [Interval(1.3), Rectangle(1.0, 2.0)])
+def test_project_into_out_keeps_the_bits_of_a_fresh_result(domain):
+    # the power term projects each row block straight into its rows of f
+    rng = np.random.default_rng(6)
+    basis = build_basis(domain, 12)
+    samples = rng.standard_normal((5, basis.nodes.shape[0]))
+    table = np.full((7, basis.n_modes), np.nan)
+    assert project(basis, samples, out=table[1:6]).base is table
+    assert same_bits(table[1:6], project(basis, samples))
+    assert np.isnan(table[[0, 6]]).all()
+    series = rng.standard_normal((2, 3, basis.nodes.shape[0]))
+    out = np.empty((2, 3, basis.n_modes))
+    project(basis, series, out=out)
+    assert same_bits(out, project(basis, series))
+    for bad in (table[1:5], np.empty((basis.n_modes, 5)).T):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            project(basis, samples, out=bad)
