@@ -2,7 +2,12 @@
 
 Every writer formats floats with %.17g so identical runs produce
 byte-identical files, and lands the artifact via write-then-rename so a
-crashed run never leaves a half-written CSV behind.
+crashed run never leaves a half-written CSV behind.  "Identical runs" share
+the BLAS thread count: at 256 modes OpenBLAS rounds some products
+differently on one thread and on two (OPENBLAS_NUM_THREADS), so the
+power term's coefficients, and the CSVs printed from them, may move between
+thread counts by about 1e-16 of the largest coefficient; at 64 modes and
+fewer none has.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ S(t) multiplies the n-th eigencoefficient by omega(t, lambda_n); the
 convolution S * g uses the lag quadrature matching the table's scheme.
 
 ``verify_sol_op_bounds`` checks the operator estimates numerically on random
-trial data and returns one ``kernels.Check`` row per estimate, in this
+trial data, drawn from the standard library's ``random.Random(seed)``
+(``_trial_draws``), and returns one ``kernels.Check`` row per estimate, in this
 order; a row that does not apply is a "skip" with its reason:
 
 sol_op_bound              |S(t) xi| <= omega(t, lambda_1) |xi|
@@ -21,6 +22,8 @@ conv_smoothing_reciprocal |S*g(t)|_mu^2 <= int |g|_{mu-2}^2 / (1*m)(t-tau)
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -130,6 +133,36 @@ def _pair_weights(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      w @ (a * a), 2.0 * (w @ (a * b)), w @ (b * b)])
 
 
+def _trial_draws(seed, n_modes: int, n_trials: int):
+    """The trials' random numbers, drawn from ``random.Random(seed)`` in a
+    fixed order: the sol_op_bound vectors xi, then the smoothing rows'
+    (amp, phase) pairs, then the derivative_decay vectors xi, n_trials of
+    each.  Every amp and xi entry is gauss(0, 1) and every phase
+    uniform(0, 2 pi); a trial's draws are one array, of shape (n_modes,) or,
+    for a pair, (2, n_modes).  The smoothing pass never builds the series
+    the pairs stand for.
+
+    The seed is any integer, numpy's included; a float raises TypeError and
+    a negative integer ValueError.  ``import numpy`` already loads the
+    ``random`` module, where numpy.random would load OpenSSL's hashes.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    rng = random.Random(seed)
+
+    def normals():
+        return np.array([rng.gauss(0.0, 1.0) for _ in range(n_modes)])
+
+    def phases():
+        return np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(n_modes)])
+
+    sol_op = [normals() for _ in range(n_trials)]
+    pairs = [np.stack((normals(), phases())) for _ in range(n_trials)]
+    decay = [normals() for _ in range(n_trials)]
+    return sol_op, pairs, decay
+
+
 # a trial bound that overflows (a large mu) shows as a non-finite margin,
 # which fails its row, and not as a warning
 @np.errstate(over="ignore", invalid="ignore")
@@ -154,11 +187,11 @@ def verify_sol_op_bounds(
         raise ValueError("delta must lie in (0, 1)")
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
     t = ctx.grid.nodes
     omega = ctx.table.omega
     basis = ctx.basis
     n_modes = basis.n_modes
+    sol_op_draws, draws, decay_draws = _trial_draws(seed, n_modes, n_trials)
 
     # sol_op_bound: diagonal action vs the slowest mode's profile, with
     # |S(t) xi|^2 = (omega * omega) @ xi^2 a mat-vec per trial.  This row and
@@ -167,18 +200,10 @@ def verify_sol_op_bounds(
     sol_op = _Worst()
     later = omega[1:]
     squares = later * later
-    for _ in range(n_trials):
-        xi = rng.standard_normal(n_modes)
+    for xi in sol_op_draws:
         lhs = np.sqrt(squares @ (xi * xi))
         sol_op.fold(later[:, 0] * hnorm(xi, basis, 0.0) - lhs, t[1:])
     del squares
-
-    # the trial draws come before the derivative_decay draws; the smoothing
-    # pass below never builds the series they stand for
-    draws = [
-        (rng.standard_normal(n_modes), rng.uniform(0.0, 2.0 * np.pi, n_modes))
-        for _ in range(n_trials)
-    ]
 
     # derivative_decay, forward difference quotients, first 4 cells excluded
     if not ctx.kernel.nonincreasing:
@@ -193,8 +218,7 @@ def verify_sol_op_bounds(
         increments = np.diff(omega, axis=0)
         increments *= increments
         t4 = t[4:-1]
-        for _ in range(n_trials):
-            xi = rng.standard_normal(n_modes)
+        for xi in decay_draws:
             norm_xi = hnorm(xi, basis, 0.0)
             dq = np.sqrt(increments @ (xi * xi)) / ctx.grid.dt
             decay.fold(1.0 / t4 - dq[4:] / norm_xi, t4)

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import random
 import struct
 import tracemalloc
 import warnings
@@ -24,7 +25,7 @@ from rstokes import (
 from rstokes.kernels import HistoryKernel
 from rstokes import spectral, volterra
 from rstokes.kernels import Check
-from rstokes.resolvent import _profiles, _reciprocal_weights
+from rstokes.resolvent import _profiles, _reciprocal_weights, _trial_draws
 from rstokes.spectral import hnorm
 from rstokes.volterra import (
     fftconvolve,
@@ -155,9 +156,29 @@ def test_report_margins_are_reproducible():
         assert ra == rb
 
 
-def _oracle_trial_series(rng, t, n_modes):
-    amp = rng.standard_normal(n_modes)
-    phase = rng.uniform(0.0, 2.0 * np.pi, n_modes)
+def test_equal_seeds_give_identical_reports_and_bad_seeds_raise():
+    ctx = small_ctx(KERNELS["fractional"], n_modes=4, n_t=64)
+
+    def report(seed):
+        rows = verify_sol_op_bounds(ctx, n_trials=5, seed=seed)
+        return [(r.name, r.status, r.reason, _bits(r.worst_margin), _bits(r.t_worst))
+                for r in rows]
+
+    assert report(42) == report(42) == report(np.int64(42))
+    assert report(42) != report(43)
+    # the seed seeds the standard library's generator, first draw first
+    rng = random.Random(42)
+    first = _trial_draws(np.int64(42), 4, 5)[0][0]
+    assert first.tobytes() == np.array([rng.gauss(0.0, 1.0) for _ in range(4)]).tobytes()
+    for bad in (-1, np.int64(-1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_sol_op_bounds(ctx, n_trials=2, seed=bad)
+    for bad in (1.0, 2.5, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            verify_sol_op_bounds(ctx, n_trials=2, seed=bad)
+
+
+def _oracle_trial_series(t, amp, phase):
     profile = 1.0 + 0.5 * np.sin(2.0 * np.pi * t[:, None] / t[-1] + phase[None, :])
     return amp[None, :] * profile
 
@@ -168,11 +189,11 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
 
     Also returns, for sol_op_bound and derivative_decay, the nodes and the
     smallest margin over the trials at each node."""
-    rng = np.random.default_rng(seed)
     t = ctx.grid.nodes
     omega = ctx.table.omega
     basis = ctx.basis
     n_modes = basis.n_modes
+    sol_op_draws, pairs, decay_draws = _trial_draws(seed, n_modes, n_trials)
     rows = []
     node_margins = {}
 
@@ -186,8 +207,7 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
     # each bound do not meet by construction
     worst, t_at = np.inf, 0.0
     at_nodes = np.full(t.size - 1, np.inf)
-    for _ in range(n_trials):
-        xi = rng.standard_normal(n_modes)
+    for xi in sol_op_draws:
         lhs = hnorm(omega * xi[None, :], basis, 0.0)
         margin = (omega[:, 0] * hnorm(xi, basis, 0.0) - lhs)[1:]
         np.minimum(at_nodes, margin, out=at_nodes)
@@ -216,7 +236,7 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
         return worst, t_at
 
     dt = ctx.grid.dt
-    trials = [_oracle_trial_series(rng, t, n_modes) for _ in range(n_trials)]
+    trials = [_oracle_trial_series(t, amp, phase) for amp, phase in pairs]
     convs = [convolve_sol_op(ctx, g) for g in trials]
     l2 = smoothing(
         trials, convs, mu - 1.0, omega[1:, 0],
@@ -227,8 +247,7 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
     if ctx.kernel.nonincreasing:
         worst, t_at = np.inf, 0.0
         at_nodes = np.full(t.size - 5, np.inf)
-        for _ in range(n_trials):
-            xi = rng.standard_normal(n_modes)
+        for xi in decay_draws:
             norm_xi = hnorm(xi, basis, 0.0)
             dq = hnorm(np.diff(omega, axis=0) * xi[None, :], basis, 0.0) / ctx.grid.dt
             margin = 1.0 / t[4:-1] - dq[4:] / norm_xi
