@@ -20,8 +20,8 @@ from typing import List, Optional
 import numpy as np
 
 from .grids import TimeGrid
-from .kernels import CHECK_TOL, Check, MemoryKernel, verdict
-from .volterra import rectangle_convolve, second_kind_solve, trapezoid_convolve
+from .kernels import CHECK_TOL, Check, HistoryKernel, MemoryKernel, verdict
+from .volterra import lag_weights, product_convolve, sampled_convolve, second_kind_solve
 
 __all__ = [
     "RelaxationTable",
@@ -54,15 +54,22 @@ class RelaxationTable:
     def lag_convolve(
         self, samples: np.ndarray, phi: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """(samples * phi)(t_i) by this table's lag rule: the trapezoid rule
-        for a trapezoid table, the right-endpoint rule for a rectangle one
-        (``resolvent.convolve_sol_op`` says why the two must not mix).  This
-        is the one caller of the two sampled lag rules.  The result is
-        written into out when given, which may be phi itself, with the bits
-        of a fresh result."""
+        """(samples * phi)(t_i) by this table's lag rule (``volterra.
+        sampled_convolve``): the trapezoid rule for a trapezoid table, the
+        right-endpoint rule for a rectangle one (``resolvent.convolve_sol_op``
+        says why the two must not mix).  The result is written into out when
+        given, which may be phi itself, with the bits of a fresh result."""
+        return sampled_convolve(samples, phi, self.grid.dt, self.scheme, out)
+
+    def weight_convolve(self, weight: HistoryKernel, phi: np.ndarray) -> np.ndarray:
+        """(weight * phi)(t_i) for a weight that may be singular at lag 0, by
+        this table's rule: a rectangle table samples it at lags >= 1, which
+        the right-endpoint rule never passes; a trapezoid table, whose rule
+        would read lag 0, takes product weights of its exact moments."""
         if self.scheme == "trapezoid":
-            return trapezoid_convolve(samples, phi, self.grid.dt, out)
-        return rectangle_convolve(samples, phi, self.grid.dt, out)
+            return product_convolve(lag_weights(weight.moments, self.grid), phi)
+        samples = np.concatenate(([0.0], weight(self.grid.nodes[1:])))
+        return sampled_convolve(samples, phi, self.grid.dt, "rectangle")
 
 
 def relaxation_batch(
@@ -81,6 +88,7 @@ def relaxation_batch(
     return RelaxationTable(grid, lams, omega, used, kernel)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_relaxation(table: RelaxationTable, tol: float = CHECK_TOL) -> List[Check]:
     """Check the structural estimates of the relaxation profile per column:
     one row per estimate and lambda (param), in the order listed below.
@@ -107,6 +115,8 @@ def verify_relaxation(table: RelaxationTable, tol: float = CHECK_TOL) -> List[Ch
     Every margin is the minimum over the nodes t > 0.  At t = 0, omega = 1
     meets the upper bound and every other column exactly, and both sides of
     the integral bound vanish, so that node would pin those margins at 0.
+    A bound that overflows (a huge lambda) shows as a non-finite margin,
+    which fails its row, and not as a warning.
     """
     t = table.grid.nodes[1:]
     dt = table.grid.dt

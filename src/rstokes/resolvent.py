@@ -33,7 +33,6 @@ from .grids import TimeGrid
 from .kernels import CHECK_TOL, Check, HistoryKernel, MemoryKernel, _Worst
 from .relaxation import RelaxationTable, relaxation_batch
 from .spectral import SpectralBasis, _row_slices, hnorm
-from .volterra import lag_weights, product_convolve
 
 __all__ = [
     "ResolventContext",
@@ -107,12 +106,10 @@ def reciprocal_cumulative_integrable(kernel: MemoryKernel) -> bool:
     return not kernel.bounded_at_zero
 
 
-def _reciprocal_weights(ctx: ResolventContext):
-    """Product weights for 1/(1*m) of the fractional kind, a power law."""
-    kernel = ctx.kernel
+def _reciprocal_weight(kernel: MemoryKernel) -> HistoryKernel:
+    """1/(1*m) of the fractional kind, a power law."""
     scale = (1.0 - kernel.alpha) * math.gamma(kernel.alpha) / kernel.m0
-    rec = HistoryKernel.powerlaw(scale, kernel.alpha - 1.0)
-    return lag_weights(rec.moments, ctx.grid)
+    return HistoryKernel.powerlaw(scale, kernel.alpha - 1.0)
 
 
 # the trial series amp * (1 + sin(2 pi t/T + phase)/2) of each mode, written
@@ -227,42 +224,27 @@ def verify_sol_op_bounds(
         del increments
 
     # one rule per conv_smoothing row for the right-hand side, applied to
-    # the squared trial norm.  The quadrature matches the table's scheme; the
-    # right-endpoint rule never evaluates a singular weight at lag zero and
-    # underestimates the cell integral of a decreasing weight, so the
-    # rectangle branch is the conservative side of the bound
+    # the squared trial norm, each by the table's rule: omega's slowest
+    # column, then the weights singular at lag zero.  The right-endpoint
+    # rule underestimates the cell integral of a decreasing weight, so on a
+    # rectangle table it is the conservative side of the bound
     reciprocal = reciprocal_cumulative_integrable(ctx.kernel)
-    rules = [lambda q: ctx.table.lag_convolve(omega[:, 0], q)]
-    if ctx.table.scheme == "rectangle":
-
-        def rule(weight_at_lags):
-            # the right-endpoint rule reads no sample at lag zero
-            k = np.concatenate(([0.0], weight_at_lags))
-            return lambda q: ctx.table.lag_convolve(k, q)
-
-        rules.append(rule(t[1:] ** (-delta)))
-        if reciprocal:
-            rules.append(rule(1.0 / np.asarray(ctx.kernel.cumulative(t[1:]), float)))
-    else:
-        # the trapezoid rule would read these weights at lag zero, where
-        # they are singular, so they take product weights of exact moments
-        w_sing = lag_weights(HistoryKernel.powerlaw(1.0, -delta).moments, ctx.grid)
-        rules.append(lambda q: product_convolve(w_sing, q))
-        if reciprocal:
-            w_rec = _reciprocal_weights(ctx)
-            rules.append(lambda q: product_convolve(w_rec, q))
+    weights = [HistoryKernel.powerlaw(1.0, -delta)]
+    if reciprocal:
+        weights.append(_reciprocal_weight(ctx.kernel))
     labels = ("conv_smoothing_l2", "conv_smoothing_singular", "conv_smoothing_reciprocal")
     orders = (mu - 1.0, mu - 1.0 - delta, mu - 2.0)
     profiles = _profiles(t)
     # each rule applied to the six E_j E_k, then S*E_k for each profile
     # (in this order, so the rules' transforms run before the S*E_k exist)
     products = np.stack([profiles[j] * profiles[k] for j, k in _PAIRS], axis=1)
-    rule_tables = [rhs(products) for rhs in rules]
+    rule_tables = [ctx.table.lag_convolve(omega[:, 0], products)]
+    rule_tables += [ctx.table.weight_convolve(w, products) for w in weights]
     del products
     p0, p1, p2 = (convolve_sol_op(ctx, e) for e in profiles)
     lam = basis.eigenvalues
     lhs = np.empty_like(t)
-    worst = [_Worst() for _ in rules]
+    worst = [_Worst() for _ in rule_tables]
     for amp, phase in draws:
         a, b = 0.5 * np.cos(phase), 0.5 * np.sin(phase)
         weight = lam**mu * amp * amp

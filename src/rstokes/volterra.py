@@ -16,8 +16,10 @@ integrals of k against nonnegative hat functions, hence >= 0 for k >= 0.
 
 ``endpoint_weights`` is the one place these two formulas are written, and
 ``fftconvolve`` (numpy rfft/irfft along the rows, a block of columns at a
-time, written into the caller's array) is the one FFT convolution; every lag
-convolution below is assembled from the two.
+time, written into the caller's array) is the one FFT convolution.  Every
+lag rule below is one windowed ``fftconvolve`` plus a tail on phi_0: the
+product rule's with the node weights (``LagWeights.node``), and the sampled
+trapezoid and rectangle rules' (``sampled_convolve``).
 
 Second-kind equations x + lam*(a conv x) = rhs are stepped implicitly.  The
 piecewise-linear (trapezoid) rule is second order but loses positivity once
@@ -54,8 +56,7 @@ __all__ = [
     "scheme_decision",
     "second_kind_solve",
     "first_kind_solve",
-    "trapezoid_convolve",
-    "rectangle_convolve",
+    "sampled_convolve",
 ]
 
 Moments = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -86,7 +87,7 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def fftconvolve(a, b, out: np.ndarray, start: int = 0, finish=None) -> np.ndarray:
+def fftconvolve(a, b, out: np.ndarray, start: int = 0, first=None) -> np.ndarray:
     """Rows start..start+len(out)-1 of the full linear convolution of a and b
     along axis 0, written into out, which is returned.
 
@@ -98,47 +99,65 @@ def fftconvolve(a, b, out: np.ndarray, start: int = 0, finish=None) -> np.ndarra
     transform of about len(a) rows.
 
     The columns run in blocks of about _FFT_BLOCK samples, never fewer than
-    _FFT_MIN_COLUMNS columns: each block's contiguous (columns, rows) copy is
-    transformed (numpy's FFT reads it far faster than strided columns, with
-    the bits of transforms along axis 0), multiplied in place and transformed
-    back into its window of out, so no temporary outgrows a block, and out
-    may be a 2-d operand itself.  Each product takes a's spectrum first;
-    numpy's complex multiply is not bitwise commutative, so this order is
-    part of the result.
+    _FFT_MIN_COLUMNS columns: each block is copied, transformed (numpy's FFT
+    reads a contiguous (columns, rows) copy far faster than strided columns,
+    with the bits of transforms along axis 0), multiplied in place,
+    transformed back and written into its window of out, so no copy outlives
+    its block, and out may be a 2-d operand itself.  Each product takes a's
+    spectrum first; numpy's complex multiply is not bitwise commutative, so
+    this order is part of the result.
 
-    finish, when given, is called as finish(block, a_rows, b_rows) before
-    each block is written: block is the block's window as (columns, rows),
-    to be changed in place, and a_rows, b_rows are the copies that were
-    transformed (a shared operand as one row).
+    first, when given, is the value a's row 0 takes in the copy that is
+    transformed: a scalar, or one value per column of a 2-d a.  The
+    caller's a is never written.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if out.ndim == 1:
-        fftconvolve(a[:, None], b[:, None], out[:, None], start, finish)
+        fftconvolve(a[:, None], b[:, None], out[:, None], start, first)
         return out
     stop = start + out.shape[0]
     size = _fast_length(max(a.shape[0] + b.shape[0] - 1 - start, stop))
+    if first is not None and a.ndim == 1:
+        # a shared column takes its first value once, in one copy
+        a, first = np.concatenate(([first], a[1:])), None
     shared = [np.fft.rfft(x, size) if x.ndim == 1 else None for x in (a, b)]
     step = max(_FFT_MIN_COLUMNS, _FFT_BLOCK // size)
     for lo in range(0, out.shape[1], step):
         cols = slice(lo, lo + step)
-        # made one at a time as they are transformed, and kept only for finish
-        rows = (x[None, :] if x.ndim == 1 else np.ascontiguousarray(x[:, cols].T) for x in (a, b))
-        if finish is not None:
-            rows = tuple(rows)
         a_hat, b_hat = (
-            np.fft.rfft(x, size) if x_hat is None else x_hat for x, x_hat in zip(rows, shared)
+            np.fft.rfft(_block(x, cols, head), size) if x_hat is None else x_hat
+            for x, x_hat, head in zip((a, b), shared, (first, None))
         )
         # the product goes into a spectrum of this block's own
         spectrum = a_hat if shared[1] is not None else b_hat
         np.multiply(a_hat, b_hat, out=spectrum)
-        block = np.fft.irfft(spectrum, size)[:, start:stop]
-        del a_hat, b_hat, spectrum  # not alive through finish or the next block
-        if finish is not None:
-            finish(block, *rows)
-        out[:, cols] = block.T
-        del block  # not alive while the next block is transformed
+        out[:, cols] = np.fft.irfft(spectrum, size)[:, start:stop].T
+        del a_hat, b_hat, spectrum  # not alive while the next block is transformed
     return out
+
+
+def _block(x: np.ndarray, cols: slice, first=None) -> np.ndarray:
+    """Columns cols of x as a contiguous (columns, rows) copy, row 0 set to
+    first when given.  np.array copies even the one column that
+    np.ascontiguousarray would return as a view of x."""
+    block = np.array(x[:, cols].T, order="C")
+    if first is not None:
+        block[:, 0] = first if np.ndim(first) == 0 else first[cols]
+    return block
+
+
+def _subtract_tail(out: np.ndarray, k: np.ndarray, phi0) -> None:
+    """out[i] -= k[i] * phi0, the term on phi_0 that a full convolution
+    carries past a rule's lag cells, a block of rows at a time, so no
+    temporary is as large as the table.  k is 1-d or has out's columns;
+    phi0 is a scalar or one value per column of out."""
+    if k.ndim < out.ndim:
+        k = k[:, None]
+    step = max(1, _FFT_BLOCK // max(1, out[:1].size))
+    for lo in range(0, out.shape[0], step):
+        rows = slice(lo, lo + step)
+        out[rows] -= k[rows] * phi0
 
 
 def endpoint_weights(moments: Moments, lo, hi, h) -> Tuple[np.ndarray, np.ndarray]:
@@ -163,6 +182,14 @@ class LagWeights:
         """Plain cell masses A0 (the piecewise-constant rule's weights)."""
         return self.left + self.right
 
+    @property
+    def node(self) -> np.ndarray:
+        """Node weights of the piecewise-linear rule, one more than the
+        cells: node m back from t_i carries right[m] + left[m-1]."""
+        node = np.append(self.right, 0.0)
+        node[1:] += self.left
+        return node
+
 
 def lag_weights(moments: Moments, grid: TimeGrid) -> LagWeights:
     edges = grid.nodes
@@ -172,23 +199,18 @@ def lag_weights(moments: Moments, grid: TimeGrid) -> LagWeights:
 def product_convolve(weights: LagWeights, phi: np.ndarray) -> np.ndarray:
     """(k * phi)(t_i) at every node for piecewise-linear phi (uniform grid).
 
-    phi has shape (N+1,) or (N+1, M); columns are convolved independently.
-    Node m back from t_i carries left[m-1] + right[m], so rows 1..N are one
-    convolution of phi with that node-weight column.
+    phi has shape (N+1,) or (N+1, M), N the number of weight cells; columns
+    are convolved independently.  Rows 1..N are one convolution of phi with
+    the node-weight column (``LagWeights.node``).
     """
     phi = np.asarray(phi, dtype=float)
-    n = phi.shape[0] - 1
-    v = weights.right[:n]
-    node = np.zeros(n + 1)
-    node[:n] = v
-    node[1:] += weights.left[:n]
+    if phi.shape[0] != weights.left.size + 1:
+        raise ValueError("phi needs one row more than the weights have cells")
     out = np.zeros_like(phi)
-    fftconvolve(node, phi, out[1:], 1)
+    fftconvolve(weights.node, phi, out[1:], 1)
     # the full convolution picks up the node-i term right_i * phi_0, which
-    # lies outside the i-1 lag cells of rows i < N; remove it one column at
-    # a time, so no temporary is as large as the table
-    for col in np.ndindex(phi.shape[1:]):
-        out[(slice(1, n), *col)] -= v[1:] * phi[(0, *col)]
+    # lies outside the lag cells of rows 1 <= i < N
+    _subtract_tail(out[1:-1], weights.right[1:], phi[0])
     return out
 
 
@@ -311,14 +333,13 @@ def second_kind_solve(
         scheme = scheme_decision(moments, grid, lams)["scheme"]
     if scheme == "trapezoid":
         # x_0 moves to the right-hand side, where row i loses lam*u[i-1]*x_0;
-        # rows 1..N are then Toeplitz, c[k] = u[k-1] + v[k] for k >= 1.  The
-        # table of products is freed before the solve allocates its result
-        u, v = weights.left, weights.right
+        # rows 1..N are then Toeplitz in the node weights.  The table of
+        # products is freed before the solve allocates its result
         shifted = np.empty((grid.nodes.size, lams.size))
         shifted[:] = rhs[:, None] if rhs.ndim == 1 else rhs
-        shifted[1:] -= np.multiply.outer(u, lams * shifted[0])
+        shifted[1:] -= np.multiply.outer(weights.left, lams * shifted[0])
         rhs = shifted
-        c = np.concatenate((v[:1], u[:-1] + v[1:]))
+        c = weights.node[:-1]
     else:
         # right-endpoint sums start at x_1: rows 1..N are Toeplitz as they are
         c = weights.cell
@@ -360,53 +381,39 @@ def _lag_out(K: np.ndarray, G: np.ndarray, out: Optional[np.ndarray]) -> np.ndar
     return out
 
 
-def rectangle_convolve(
-    kernel_samples: np.ndarray, phi: np.ndarray, dt: float, out: Optional[np.ndarray] = None
+def sampled_convolve(
+    kernel_samples, phi, dt: float, scheme: str, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Right-endpoint lag convolution on a uniform grid.
+    """Lag convolution (k * phi)(t_i) of nodal samples on a uniform grid, by
+    the trapezoid or the right-endpoint ("rectangle") rule.
 
-    (k * phi)(t_i) ~ dt * sum_{j=1..i} k_j phi_{i-j}.  The newest sample of
-    phi is weighted by k at one full step, never by k(0), which keeps the
-    response of a strongly damped column at the size of its true convolution
-    mass instead of dt/2 (the trapezoid rule's newest weight).  A 1-d factor
-    next to a 2-d one is shared by every column of the other.  The result is
-    written into out when given, which may be phi itself: ``fftconvolve``
-    reads each column block of phi before it writes that block.
+    rectangle  dt * sum_{j=1..i} k_j phi_{i-j}.  k_0 is never read, so the
+               newest sample of phi is weighted by k at one full step: a
+               strongly damped column keeps the size of its true
+               convolution mass instead of dt/2.
+    trapezoid  dt * (sum_{j=0..i} k_{i-j} phi_j - k_i phi_0 / 2
+               - k_0 phi_i / 2): one convolution with k_0 halved in the
+               copy ``fftconvolve`` transforms, then the tail k_i phi_0 / 2.
+
+    Both factors are nodal samples; columns are modes, and a 1-d factor next
+    to a 2-d one is shared by every column of the other.  The result is
+    written into out when given, which may be phi itself, with the bits of
+    a fresh result: ``fftconvolve`` reads each column block of phi before it
+    writes that block, and phi_0 is copied first.
     """
+    if scheme not in ("trapezoid", "rectangle"):
+        raise ValueError("scheme must be 'trapezoid' or 'rectangle'")
     K = np.asarray(kernel_samples, dtype=float)
     G = np.asarray(phi, dtype=float)
     out = _lag_out(K, G, out)
     if G.shape[0] > 1:
-        fftconvolve(K[1:], G, out[1:])
-        out[1:] *= dt
-    out[0] = 0.0
-    return out
-
-
-def trapezoid_convolve(
-    kernel_samples: np.ndarray, phi: np.ndarray, dt: float, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Trapezoid-rule lag convolution on a uniform grid.
-
-    (k * phi)(t_i) ~ dt * (sum_{j=0..i} k_{i-j} phi_j - k_i phi_0 / 2
-    - k_0 phi_i / 2).  Both factors are nodal samples; columns are modes,
-    and a 1-d factor next to a 2-d one is shared by every column of the
-    other.
-
-    The end corrections are ``fftconvolve``'s finish: each block is
-    corrected from the copies of k and phi it was transformed from, before
-    it is written, so out, when given, may be phi itself.  Each column is
-    transformed on its own (module docstring) and the corrections are
-    elementwise, so a block has the bits of the whole-table call.
-    """
-
-    def ends(block, k, g):
-        block -= 0.5 * k * g[:, :1]
-        block -= 0.5 * k[:, :1] * g
-        block *= dt
-
-    K = np.asarray(kernel_samples, dtype=float)
-    G = np.asarray(phi, dtype=float)
-    out = fftconvolve(K, G, _lag_out(K, G, out), finish=ends)
+        if scheme == "trapezoid":
+            tail = 0.5 * dt * G[0]
+            fftconvolve(K, G, out[1:], 1, 0.5 * K[0])
+            out[1:] *= dt
+            _subtract_tail(out[1:], K[1:], tail)
+        else:
+            fftconvolve(K[1:], G, out[1:])
+            out[1:] *= dt
     out[0] = 0.0
     return out

@@ -506,6 +506,39 @@ def test_relax_validates_the_verify_section_it_reads(tmp_path, capsys, verify, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize("columns, kept", [(2, 2), (100, 4)])
+def test_coeff_columns_picks_the_leading_modes_up_to_the_mode_count(tmp_path, columns, kept):
+    cfg = write_cfg(tmp_path, dict(SOLVE_CFG, problem={"coeff_columns": columns}))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    header, rows = read_table(out / "states.csv")
+    assert header[3:] == [f"coeff_{j}" for j in range(1, kept + 1)]
+    assert all(len(row) == 3 + kept for row in rows)
+
+
+@pytest.mark.parametrize("columns", [0, 2.5])
+def test_coeff_columns_refuses_a_count_that_is_no_positive_integer(tmp_path, capsys, columns):
+    cfg = write_cfg(tmp_path, dict(SOLVE_CFG, problem={"coeff_columns": columns}))
+    out = tmp_path / "never"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert "problem.coeff_columns" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_relax_reports_an_overflowing_upper_bound_without_a_warning(tmp_path):
+    # lam * int_0^t (1 + m) overflows at lam = 1e308 past t = 1; under this
+    # suite's RuntimeWarning filter the warning ended the run in a traceback
+    payload = dict(RELAX_CFG, grid={"T": 4.0, "N_t": 64},
+                   kernel={"kind": "exponential", "m0": 1.0, "decay": 2.0})
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "run"
+    assert main(["relax", "--config", cfg, "--out", str(out), "--quiet",
+                 "--set", "problem.lambdas=[1e308]"]) == 0
+    header, rows = read_table(out / "properties.csv")
+    assert [row[0] for row in rows] == ["positivity", "upper_bound", "monotone_time",
+                                        "integral_bound"]
+
+
 def test_runtime_failure_exits_1_without_summary(tmp_path, capsys):
     # orthogonal weights make the measurement pairing vanish mid-run
     basis = build_basis(Interval(1.0), 2)

@@ -25,15 +25,9 @@ from rstokes import (
 from rstokes.kernels import HistoryKernel
 from rstokes import spectral, volterra
 from rstokes.kernels import Check
-from rstokes.resolvent import _profiles, _reciprocal_weights, _trial_draws
+from rstokes.resolvent import _profiles, _reciprocal_weight, _trial_draws
 from rstokes.spectral import hnorm
-from rstokes.volterra import (
-    fftconvolve,
-    lag_weights,
-    product_convolve,
-    rectangle_convolve,
-    trapezoid_convolve,
-)
+from rstokes.volterra import fftconvolve, lag_weights, product_convolve, sampled_convolve
 
 KERNELS = {
     "zero": MemoryKernel.zero(),
@@ -61,9 +55,9 @@ def test_convolve_matches_scheme_quadrature():
         cols = []
         for j in range(4):
             if ctx.table.scheme == "trapezoid":
-                ref = trapezoid_convolve(ctx.table.omega[:, j], g[:, j], dt)
+                ref = sampled_convolve(ctx.table.omega[:, j], g[:, j], dt, "trapezoid")
             else:
-                ref = rectangle_convolve(ctx.table.omega[:, j], g[:, j], dt)
+                ref = sampled_convolve(ctx.table.omega[:, j], g[:, j], dt, "rectangle")
             cols.append(ref)
         np.testing.assert_allclose(out, np.stack(cols, axis=1), atol=1e-12)
 
@@ -110,6 +104,15 @@ def test_reciprocal_integrability_probe():
     for m0 in (1e3, 1e4):
         assert not reciprocal_cumulative_integrable(MemoryKernel.constant(m0))
         assert not reciprocal_cumulative_integrable(MemoryKernel.exponential(m0, 2.0))
+
+
+@pytest.mark.parametrize("m0, alpha", [(1.0, 0.5), (0.1, 0.1), (10.0, 0.9), (3.7, 0.33)])
+def test_the_reciprocal_weight_is_one_over_the_cumulative_kernel(m0, alpha):
+    # the power law both rules convolve is 1/(1*m) of the fractional kind
+    kernel = MemoryKernel.fractional(m0, alpha)
+    t = np.geomspace(1e-6, 1e3, 200)
+    np.testing.assert_allclose(_reciprocal_weight(kernel)(t), 1.0 / kernel.cumulative(t),
+                               rtol=1e-13)
 
 
 def test_derivative_decay_skips_on_increasing_tables():
@@ -226,7 +229,7 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
             q = hnorm(g, basis, rho) ** 2
             if rectangle:
                 k = np.concatenate(([0.0], weight_at_nodes))
-                rhs = rectangle_convolve(k, q, ctx.grid.dt)
+                rhs = sampled_convolve(k, q, ctx.grid.dt, "rectangle")
             else:
                 rhs = weight_moments(q)
             margin = (rhs - lhs)[1:]
@@ -240,7 +243,7 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
     convs = [convolve_sol_op(ctx, g) for g in trials]
     l2 = smoothing(
         trials, convs, mu - 1.0, omega[1:, 0],
-        lambda q: trapezoid_convolve(omega[:, 0], q, dt),
+        lambda q: sampled_convolve(omega[:, 0], q, dt, "trapezoid"),
     )
     rows.append(worst_row("conv_smoothing_l2", *l2))
 
@@ -267,11 +270,8 @@ def verify_oracle(ctx, mu=1.0, delta=0.5, n_trials=20, seed=0, tol=1e-8):
     )
     rows.append(worst_row("conv_smoothing_singular", *singular))
     if reciprocal_cumulative_integrable(ctx.kernel):
-        if rectangle:
-            rec_vals = 1.0 / np.asarray(ctx.kernel.cumulative(t[1:]), float)
-            w_rec = None
-        else:
-            rec_vals, w_rec = None, _reciprocal_weights(ctx)
+        rec = _reciprocal_weight(ctx.kernel)
+        rec_vals, w_rec = rec(t[1:]), lag_weights(rec.moments, ctx.grid)
         recip = smoothing(
             trials, convs, mu - 2.0, rec_vals,
             lambda q: product_convolve(w_rec, q),

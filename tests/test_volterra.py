@@ -19,10 +19,9 @@ from rstokes.volterra import (
     first_kind_solve,
     lag_weights,
     product_convolve,
-    rectangle_convolve,
+    sampled_convolve,
     scheme_decision,
     second_kind_solve,
-    trapezoid_convolve,
 )
 
 
@@ -178,6 +177,13 @@ def test_product_convolve_matches_direct_loop():
         )
 
 
+def test_product_convolve_refuses_a_weight_table_of_another_length():
+    w = lag_weights(MemoryKernel.fractional(1.0, 0.3).moments, TimeGrid.uniform(1.0, 8))
+    for rows in (3, 8, 10):
+        with pytest.raises(ValueError, match="one row more"):
+            product_convolve(w, np.ones((rows, 2)))
+
+
 HISTORY_KERNELS = (
     HistoryKernel.exponential(-2.0, 3.0),
     HistoryKernel.powerlaw(1.0, -0.5),
@@ -283,6 +289,25 @@ def test_fftconvolve_keeps_the_axis0_bits_at_solver_sizes(rows, columns):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("columns", [0, 1, 3, 9])
+@pytest.mark.parametrize("shared", [False, True])
+def test_fftconvolve_first_transforms_a_copy_and_leaves_a_unchanged(columns, shared):
+    # one column is the case where a contiguous copy would be a view of a.
+    # first gives the bits of a convolution of a copy whose row 0 is first
+    rng = np.random.default_rng(columns + 10 * shared)
+    a = rng.standard_normal(40 if shared or not columns else (40, columns))
+    b = rng.standard_normal(33 if not columns else (33, columns))
+    first = 0.5 * a[0]
+    before = a.copy()
+    with mock.patch.object(volterra, "_FFT_BLOCK", 1):
+        got = fftconvolve(a, b, np.empty((50,) + b.shape[1:]), 2, first)
+        edited = a.copy()
+        edited[0] = first
+        want = fftconvolve(edited, b, np.empty_like(got), 2)
+    assert a.tobytes() == before.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
 def test_fftconvolve_window_matches_full_convolution():
     # a window that skips leading rows wraps around onto them only
     rng = np.random.default_rng(11)
@@ -295,10 +320,11 @@ def test_fftconvolve_window_matches_full_convolution():
         )
 
 
-@pytest.mark.parametrize("rule", [rectangle_convolve, trapezoid_convolve])
-def test_a_1d_factor_next_to_a_table_is_a_shared_column(rule):
+@pytest.mark.parametrize("scheme", ["rectangle", "trapezoid"])
+def test_a_1d_factor_next_to_a_table_is_a_shared_column(scheme):
     # either factor may be the shared one; a square table is the case where
     # a misread shape would broadcast silently
+    rule = lambda k, phi, dt: sampled_convolve(k, phi, dt, scheme)
     rng = np.random.default_rng(13)
     for rows, columns in ((6, 6), (33, 5)):
         table = rng.standard_normal((rows, columns))
@@ -313,7 +339,7 @@ def test_a_1d_factor_next_to_a_table_is_a_shared_column(rule):
 
 @pytest.mark.parametrize(
     "rule, bound",
-    [(rectangle_convolve, 2.0), (product_convolve, 2.0), (trapezoid_convolve, 2.0)],
+    [("rectangle", 2.0), ("product", 2.0), ("trapezoid", 2.0)],
     ids=["rectangle", "product", "trapezoid"],
 )
 def test_convolution_temporaries_are_a_block_not_a_table(rule, bound):
@@ -323,12 +349,12 @@ def test_convolution_temporaries_are_a_block_not_a_table(rule, bound):
     # stays near the result
     rng = np.random.default_rng(5)
     phi = rng.standard_normal((8193, 64))
-    if rule is product_convolve:
+    if rule == "product":
         weights = lag_weights(HISTORY_KERNELS[0].moments, TimeGrid.uniform(1.0, 8192))
         run = lambda: product_convolve(weights, phi)
     else:
         table = rng.standard_normal(phi.shape)
-        run = lambda: rule(table, phi, 0.1)
+        run = lambda: sampled_convolve(table, phi, 0.1, rule)
     tracemalloc.start()
     try:
         out = run()
@@ -366,7 +392,7 @@ def test_trapezoid_convolve_matches_direct_loop():
     for n in (30, 38):
         k = rng.random(n + 1)
         phi = rng.standard_normal((n + 1, 2))
-        out = trapezoid_convolve(k, phi, dt)
+        out = sampled_convolve(k, phi, dt, "trapezoid")
         ref = np.zeros_like(phi)
         for i in range(1, n + 1):
             vals = k[:i + 1][::-1, None] * phi[: i + 1]
@@ -381,7 +407,7 @@ def test_rectangle_convolve_matches_direct_loop():
     for n in (25, 37):
         k = rng.random(n + 1)
         phi = rng.standard_normal(n + 1)
-        out = rectangle_convolve(k, phi, dt)
+        out = sampled_convolve(k, phi, dt, "rectangle")
         ref = np.zeros(n + 1)
         for i in range(1, n + 1):
             ref[i] = dt * sum(k[j] * phi[i - j] for j in range(1, i + 1))
@@ -390,7 +416,12 @@ def test_rectangle_convolve_matches_direct_loop():
         # k[0] never enters: poisoning it changes nothing
         k_poisoned = k.copy()
         k_poisoned[0] = np.inf
-        np.testing.assert_allclose(rectangle_convolve(k_poisoned, phi, dt), out)
+        np.testing.assert_allclose(sampled_convolve(k_poisoned, phi, dt, "rectangle"), out)
+
+
+def test_sampled_convolve_refuses_an_unknown_scheme():
+    with pytest.raises(ValueError, match="scheme"):
+        sampled_convolve(np.ones(5), np.ones(5), 0.1, "midpoint")
 
 
 def test_newest_left_weight_is_first_cell_left_moment():
